@@ -10,6 +10,7 @@ import (
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/sast"
+	"wasabi/internal/source"
 	"wasabi/internal/study"
 )
 
@@ -271,10 +272,22 @@ func BenchmarkStage_LLMReview(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := llm.NewClient(llm.DefaultConfig())
-	for i := 0; i < b.N; i++ {
-		if _, err := c.ReviewFile(app.Dir + "/rpc.go"); err != nil {
-			b.Fatal(err)
+	snap, err := source.NewStore(nil).Load(app.Dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rpc *source.File
+	for _, f := range snap.Files {
+		if f.Name == "rpc.go" {
+			rpc = f
 		}
+	}
+	if rpc == nil {
+		b.Fatal("HB has no rpc.go")
+	}
+	c := llm.NewClient(llm.DefaultConfig())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ReviewSnapshotAt(rpc, -1, 0)
 	}
 }

@@ -23,14 +23,10 @@ import (
 	"wasabi/internal/llm"
 )
 
-// row is one measured fault level (single-backend chaos table).
+// row is one measured configuration: a backend topology in
+// llm.ParseBackends' grammar ("" runs without a router). A fault level
+// is the one-backend topology sim=sim:PROFILE.
 type row struct {
-	name    string
-	profile *llm.FaultProfile
-}
-
-// topoRow is one measured backend topology (failover table).
-type topoRow struct {
 	name string
 	spec string
 }
@@ -63,43 +59,43 @@ func header() {
 	fmt.Println("|---|---|---|---|---|---|---|---|")
 }
 
-func main() {
-	rows := []row{
-		{"0% (perfect)", nil},
-		{"0% (stack on)", &llm.FaultProfile{}},
-		{"5% (light)", &llm.FaultProfile{TimeoutDenom: 60, RateLimitDenom: 60, ServerErrorDenom: 60}},
-		{"20% (heavy)", &llm.FaultProfile{TimeoutDenom: 15, RateLimitDenom: 15, ServerErrorDenom: 15}},
-		{"hard outage", &llm.FaultProfile{HardOutage: true}},
-	}
+// table prints one result table, a row per configuration.
+func table(rows []row) {
 	header()
 	for _, r := range rows {
 		opts := core.DefaultOptions()
-		opts.LLM.Fault = r.profile
+		if r.spec != "" {
+			specs, err := llm.ParseBackends(r.spec)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "chaosreport: %s: %v\n", r.name, err)
+				os.Exit(1)
+			}
+			opts.LLM.Backends = specs
+		}
 		measure(r.name, opts)
 	}
+}
 
-	// Failover topologies: the same scoring, but reviews route across a
-	// multi-backend topology (docs/RESILIENCE.md "Backend topology"). The
-	// headline row is the hard primary outage: with a healthy secondary,
-	// every review fails over and completes — zero degraded files, scores
-	// identical to the perfect single-backend baseline.
-	topos := []topoRow{
-		{"single healthy", "primary=sim"},
-		{"primary outage → secondary", "primary=sim:outage;secondary=sim"},
-		{"flaky primary → secondary", "primary=sim:heavy;secondary=sim"},
-	}
+func main() {
+	table([]row{
+		{"0% (perfect)", ""},
+		{"0% (stack on)", "sim=sim:none"},
+		{"5% (light)", "sim=sim:light"},
+		{"20% (heavy)", "sim=sim:heavy"},
+		{"hard outage", "sim=sim:outage"},
+	})
+
+	// Failover topologies: the same scoring over multi-backend topologies
+	// (docs/RESILIENCE.md "Routing"). The headline row is the hard
+	// primary outage: with a healthy secondary, every review fails over
+	// and completes — zero degraded files, scores identical to the
+	// perfect single-backend baseline.
 	fmt.Println()
 	fmt.Println("Failover topologies (multi-backend routing):")
 	fmt.Println()
-	header()
-	for _, tr := range topos {
-		specs, err := llm.ParseBackends(tr.spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaosreport: %s: %v\n", tr.name, err)
-			os.Exit(1)
-		}
-		opts := core.DefaultOptions()
-		opts.LLM.Backends = specs
-		measure(tr.name, opts)
-	}
+	table([]row{
+		{"single healthy", "primary=sim"},
+		{"primary outage → secondary", "primary=sim:outage;secondary=sim"},
+		{"flaky primary → secondary", "primary=sim:heavy;secondary=sim"},
+	})
 }

@@ -32,19 +32,18 @@
 // Cache statistics go to stderr, so stdout stays byte-identical between
 // cold and warm runs.
 //
-// -llm-fault-profile runs the pipeline against an unreliable simulated
-// LLM backend (docs/RESILIENCE.md): transient faults are retried through
-// the resilience stack, permanent ones degrade the affected files to
-// static-only analysis, and stdout stays byte-identical for a fixed
-// (seed, profile) at every -workers setting. -llm-outage-after N takes
-// the backend hard-down from the Nth review onward.
-//
-// -llm-backends routes reviews across an ordered multi-backend topology
-// with per-backend circuit breakers and health-gated failover
-// (docs/RESILIENCE.md "Backend topology"); -llm-hedge-after additionally
-// hedges slow calls onto the next healthy backend. Mutually exclusive
-// with -llm-fault-profile — give failing backends their own profiles in
-// the topology (for example "primary=sim:outage;secondary=sim").
+// -llm-backends routes reviews through an ordered backend topology with
+// per-backend circuit breakers, a shared retry budget and failover
+// (docs/RESILIENCE.md "Routing"): transient faults are retried,
+// unanswerable reviews degrade the affected files to static-only
+// analysis, and for a topology of built-in simulators stdout stays
+// byte-identical at every -workers setting. -llm-hedge-after
+// additionally hedges slow calls onto the next healthy backend (live
+// topologies only). -llm-fault-profile P is sugar for the one-backend
+// topology "sim=sim:P", and -llm-outage-after N takes that backend
+// hard-down from the Nth review onward; both are mutually exclusive with
+// -llm-backends — give failing backends their own profiles in the
+// topology (for example "primary=sim:outage;secondary=sim").
 //
 // -metrics-out and -trace-out instrument the run (docs/OBSERVABILITY.md):
 // the former writes the metrics snapshot as JSON (its counters section is
@@ -80,7 +79,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "enable the analysis cache, persisted in this directory (see docs/SERVICE.md)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "in-memory cache byte budget (0 = default; needs -cache-dir)")
 	faultProfile := flag.String("llm-fault-profile", "",
-		fmt.Sprintf("simulate an unreliable LLM backend: %v or key=value list (see docs/RESILIENCE.md); empty = perfect backend", llm.ProfileNames()))
+		fmt.Sprintf("simulate an unreliable LLM backend: %v or key=value list, sugar for -llm-backends sim=sim:PROFILE (see docs/RESILIENCE.md); empty = perfect backend", llm.ProfileNames()))
 	outageAfter := flag.Int("llm-outage-after", 0, "take the LLM backend hard-down from the Nth review onward (0 = never)")
 	backends := flag.String("llm-backends", "",
 		"route reviews across an ordered multi-backend topology: \"name=sim[:profile];name=http:URL;...\" (see docs/RESILIENCE.md); mutually exclusive with -llm-fault-profile")
@@ -128,28 +127,13 @@ func main() {
 
 	opts := core.DefaultOptions()
 	opts.Workers = *workers
-	if *faultProfile != "" || *outageAfter > 0 {
-		profile, err := llm.ParseFaultProfile(*faultProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *outageAfter > 0 {
-			profile.OutageAfterFiles = *outageAfter
-		}
-		opts.LLM.Fault = &profile
+	specs, err := llm.TopologyFromFlags(*backends, *faultProfile, *outageAfter)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
+	opts.LLM.Backends = specs
 	if *backends != "" {
-		if opts.LLM.Fault != nil {
-			fmt.Fprintln(os.Stderr, "wasabi: -llm-backends and -llm-fault-profile/-llm-outage-after are mutually exclusive; put per-backend fault profiles in the topology (name=sim:profile)")
-			os.Exit(2)
-		}
-		specs, err := llm.ParseBackends(*backends)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		opts.LLM.Backends = specs
 		opts.LLM.HedgeAfter = *hedgeAfter
 	} else if *hedgeAfter > 0 {
 		fmt.Fprintln(os.Stderr, "wasabi: -llm-hedge-after needs -llm-backends (hedging routes across a topology)")

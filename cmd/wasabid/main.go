@@ -67,7 +67,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist the analysis cache in this directory (empty = memory only)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "in-memory cache byte budget (0 = default)")
 	faultProfile := flag.String("llm-fault-profile", "",
-		fmt.Sprintf("simulate an unreliable LLM backend for every job: %v or key=value list (see docs/RESILIENCE.md)", llm.ProfileNames()))
+		fmt.Sprintf("simulate an unreliable LLM backend for every job: %v or key=value list, sugar for -llm-backends sim=sim:PROFILE (see docs/RESILIENCE.md)", llm.ProfileNames()))
 	outageAfter := flag.Int("llm-outage-after", 0, "take the LLM backend hard-down from the Nth review of each job (0 = never)")
 	backends := flag.String("llm-backends", "",
 		"route reviews across an ordered multi-backend topology: \"name=sim[:profile];name=http:URL;...\" (see docs/RESILIENCE.md); mutually exclusive with -llm-fault-profile")
@@ -122,28 +122,13 @@ func main() {
 		}
 		cfg.Corpus = apps
 	}
-	if *faultProfile != "" || *outageAfter > 0 {
-		profile, err := llm.ParseFaultProfile(*faultProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *outageAfter > 0 {
-			profile.OutageAfterFiles = *outageAfter
-		}
-		cfg.Fault = &profile
+	specs, err := llm.TopologyFromFlags(*backends, *faultProfile, *outageAfter)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
+	cfg.LLMBackends = specs
 	if *backends != "" {
-		if cfg.Fault != nil {
-			fmt.Fprintln(os.Stderr, "wasabid: -llm-backends and -llm-fault-profile/-llm-outage-after are mutually exclusive; put per-backend fault profiles in the topology (name=sim:profile)")
-			os.Exit(2)
-		}
-		specs, err := llm.ParseBackends(*backends)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg.LLMBackends = specs
 		cfg.LLMHedgeAfter = *hedgeAfter
 	} else if *hedgeAfter > 0 {
 		fmt.Fprintln(os.Stderr, "wasabid: -llm-hedge-after needs -llm-backends (hedging routes across a topology)")

@@ -8,12 +8,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"path/filepath"
-	"sort"
 
 	"wasabi/internal/apps/corpus"
 	"wasabi/internal/llm"
 	"wasabi/internal/sast"
+	"wasabi/internal/source"
 )
 
 func main() {
@@ -37,16 +36,13 @@ func main() {
 	// Technique 2: the simulated GPT-4 review, file by file.
 	fmt.Println("\nLLM review (Q1 retry? / Q2 sleep? / Q3 cap? / Q4 poll?):")
 	client := llm.NewClient(llm.DefaultConfig())
-	files := make([]string, 0, len(analysis.Files))
-	for f := range analysis.Files {
-		files = append(files, f)
+	snap, err := source.NewStore(nil).Load(app.Dir)
+	if err != nil {
+		log.Fatal(err)
 	}
-	sort.Strings(files)
-	for _, f := range files {
-		rev, err := client.ReviewFile(filepath.Join(app.Dir, f))
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, sf := range snap.Files {
+		f := sf.Name
+		rev := client.ReviewSnapshotAt(sf, -1, 0)
 		if rev.TruncatedContext {
 			fmt.Printf("  %-18s too large for the model's context (%d bytes) — retry missed\n", f, rev.Size)
 			continue

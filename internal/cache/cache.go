@@ -9,7 +9,7 @@
 // Entries are addressed by content, not by time: a review key is derived
 // from the file's path, its content hash and the client's prompt/config
 // fingerprint (llm.Config.Fingerprint), an analysis key from the
-// directory's manifest digest (HashDir) — see keys.go and
+// directory's manifest digest (FromSnapshot) — see keys.go and
 // docs/SERVICE.md for the exact derivations. There is no TTL and no
 // explicit invalidation API; changing an input changes its key, and the
 // stale entry simply ages out of the LRU.

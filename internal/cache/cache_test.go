@@ -8,6 +8,7 @@ import (
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/sast"
+	"wasabi/internal/source"
 )
 
 // review builds a distinguishable FileReview fixture.
@@ -187,9 +188,10 @@ func TestNilCacheIsInert(t *testing.T) {
 	}
 }
 
-// TestHashDirManifest checks the manifest covers exactly the static
-// source set and that its digest moves iff content does.
-func TestHashDirManifest(t *testing.T) {
+// TestFromSnapshotManifest checks the manifest covers exactly the
+// static source set and that its digest moves iff source content does:
+// an edit, an add or a rename moves it, a non-source edit does not.
+func TestFromSnapshotManifest(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) {
 		t.Helper()
@@ -197,44 +199,58 @@ func TestHashDirManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	manifest := func() *DirManifest {
+		t.Helper()
+		snap, err := source.NewStore(nil).Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FromSnapshot(snap)
+	}
 	write("a.go", "package p\n")
 	write("b.go", "package p\nfunc B() {}\n")
 	write("b_test.go", "package p\n") // excluded: test file
 	write("notes.txt", "hello")       // excluded: not Go
 
-	m1, err := HashDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := manifest()
 	if len(m1.Files) != 2 {
 		t.Fatalf("manifest files = %v, want exactly a.go and b.go", m1.Files)
 	}
 	if m1.TotalBytes != m1.Files["a.go"].Size+m1.Files["b.go"].Size {
 		t.Fatalf("total bytes = %d", m1.TotalBytes)
 	}
-
-	m2, err := HashDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.Digest != m2.Digest {
+	if m2 := manifest(); m1.Digest != m2.Digest {
 		t.Fatal("digest not deterministic")
 	}
 
 	// Editing an excluded file must not move the digest; editing a
 	// source file must.
 	write("b_test.go", "package p\n// changed\n")
-	m3, _ := HashDir(dir)
-	if m3.Digest != m1.Digest {
+	write("notes.txt", "changed")
+	if m3 := manifest(); m3.Digest != m1.Digest {
 		t.Fatal("digest moved on a non-source edit")
 	}
 	write("b.go", "package p\nfunc B() { _ = 1 }\n")
-	m4, _ := HashDir(dir)
+	m4 := manifest()
 	if m4.Digest == m1.Digest {
 		t.Fatal("digest did not move on a source edit")
 	}
 	if m4.Files["b.go"].SHA256 == m1.Files["b.go"].SHA256 {
 		t.Fatal("file digest did not move on a source edit")
+	}
+
+	// Adding a source file moves it; so does renaming one, even with the
+	// content unchanged.
+	write("c.go", "package p\n")
+	m5 := manifest()
+	if m5.Digest == m4.Digest || len(m5.Files) != 3 {
+		t.Fatalf("add: digest moved=%v files=%d, want moved and 3", m5.Digest != m4.Digest, len(m5.Files))
+	}
+	if err := os.Rename(filepath.Join(dir, "c.go"), filepath.Join(dir, "d.go")); err != nil {
+		t.Fatal(err)
+	}
+	if m6 := manifest(); m6.Digest == m5.Digest {
+		t.Fatal("digest did not move on a rename")
 	}
 }
 

@@ -9,9 +9,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"wasabi/internal/sast"
 	"wasabi/internal/source"
@@ -54,9 +51,7 @@ type manifestFile struct {
 }
 
 // buildManifest assembles a DirManifest from per-file digests. files must
-// already be in sorted name order — both producers (HashDir's sorted
-// walk, a snapshot's sorted file list) guarantee it, which is what keeps
-// the two derivations byte-identical.
+// already be in sorted name order, as a snapshot's file list is.
 func buildManifest(dir string, files []manifestFile) *DirManifest {
 	m := &DirManifest{Dir: dir, Files: make(map[string]FileDigest, len(files))}
 	h := sha256.New()
@@ -69,43 +64,11 @@ func buildManifest(dir string, files []manifestFile) *DirManifest {
 	return m
 }
 
-// HashDir builds the manifest of an application directory by reading it.
-// It covers the same file set the static workflows analyze, so a
-// manifest digest addresses exactly the inputs of both the static
-// analysis and the per-file LLM reviews. Pipeline runs derive the same
-// manifest from an already-loaded snapshot via FromSnapshot instead of
-// re-reading the tree.
-func HashDir(dir string) (*DirManifest, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("cache: hash %s: %w", dir, err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() || !sast.IsSourceFile(e.Name()) {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	files := make([]manifestFile, 0, len(names))
-	for _, name := range names {
-		src, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("cache: hash %s: %w", dir, err)
-		}
-		sum := sha256.Sum256(src)
-		files = append(files, manifestFile{name: name, fd: FileDigest{
-			SHA256: hex.EncodeToString(sum[:]), Size: int64(len(src)),
-		}})
-	}
-	return buildManifest(dir, files), nil
-}
-
 // FromSnapshot derives the directory manifest from an already-loaded
 // snapshot: the store hashed every file at load time, so no bytes are
-// re-read and nothing is re-hashed. The digest is byte-identical to
-// HashDir over the same directory state.
+// re-read and nothing is re-hashed. A snapshot covers the same file set
+// the static workflows analyze, so the manifest digest addresses exactly
+// the inputs of both the static analysis and the per-file LLM reviews.
 func FromSnapshot(snap *source.Snapshot) *DirManifest {
 	files := make([]manifestFile, 0, len(snap.Files))
 	for _, f := range snap.Files {

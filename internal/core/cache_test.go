@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"wasabi/internal/apps/corpus"
@@ -22,6 +21,7 @@ import (
 	"wasabi/internal/obs"
 	"wasabi/internal/report"
 	"wasabi/internal/sast"
+	"wasabi/internal/source"
 )
 
 // copyApp clones the app's source directory into a temp dir so the test
@@ -52,6 +52,17 @@ func copyApp(t *testing.T, code string) corpus.App {
 	}
 	app.Dir = dir
 	return app
+}
+
+// appSnapshot loads the app's source files as the pipeline's snapshot
+// store sees them.
+func appSnapshot(t *testing.T, app corpus.App) *source.Snapshot {
+	t.Helper()
+	snap, err := source.NewStore(nil).Load(app.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // runOnce executes a single-app corpus run against the shared cache and
@@ -97,11 +108,8 @@ func TestWarmRunByteIdenticalZeroSpend(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			app := copyApp(t, "HD")
-			man, err := cache.HashDir(app.Dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nFiles := int64(len(man.Files))
+			files := appSnapshot(t, app).Files
+			nFiles := int64(len(files))
 			if nFiles == 0 {
 				t.Fatal("copied app has no source files")
 			}
@@ -151,12 +159,7 @@ func TestWarmRunByteIdenticalZeroSpend(t *testing.T) {
 
 			// Touch one file: exactly one review re-runs; the directory
 			// manifest moved, so the static analysis re-runs too.
-			names := make([]string, 0, len(man.Files))
-			for name := range man.Files {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			touched := filepath.Join(app.Dir, names[0])
+			touched := files[0].Path
 			src, err := os.ReadFile(touched)
 			if err != nil {
 				t.Fatal(err)
@@ -194,11 +197,8 @@ func TestWarmRunByteIdenticalZeroSpend(t *testing.T) {
 func TestDiskTierSurvivesRestart(t *testing.T) {
 	app := copyApp(t, "HD")
 	dir := t.TempDir()
-	man, err := cache.HashDir(app.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nFiles := int64(len(man.Files))
+	files := appSnapshot(t, app).Files
+	nFiles := int64(len(files))
 
 	c1, err := cache.New(cache.Options{Dir: dir})
 	if err != nil {
@@ -248,12 +248,7 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	// A single-file edit after restart costs exactly 1 parse /
 	// 1 extraction / 1 review miss — the incremental contract holds
 	// across process boundaries.
-	names := make([]string, 0, len(man.Files))
-	for name := range man.Files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	touched := filepath.Join(app.Dir, names[0])
+	touched := files[0].Path
 	src, err := os.ReadFile(touched)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +280,7 @@ func TestFaultProfileDisablesReviewCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile, err := llm.ParseFaultProfile("light")
+	specs, err := llm.TopologyFromFlags("", "light", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +288,7 @@ func TestFaultProfileDisablesReviewCache(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.Workers = 2
 		opts.Cache = ca
-		opts.LLM.Fault = &profile
+		opts.LLM.Backends = specs
 		w := core.New(opts)
 		if _, err := w.RunCorpus([]corpus.App{app}); err != nil {
 			t.Fatal(err)

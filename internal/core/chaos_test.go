@@ -10,14 +10,17 @@ import (
 	"wasabi/internal/obs"
 )
 
-// chaosRun executes the full pipeline against a faulty LLM backend and
-// returns the run plus its metrics snapshot.
+// chaosRun executes the full pipeline against a faulty LLM backend — the
+// one-backend topology sim=sim:PROFILE — and returns the run plus its
+// metrics snapshot. A nil profile runs without a router.
 func chaosRun(t *testing.T, profile *llm.FaultProfile, workers int) (*CorpusRun, obs.Snapshot) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Workers = workers
 	opts.Obs = obs.New()
-	opts.LLM.Fault = profile
+	if profile != nil {
+		opts.LLM.Backends = []llm.BackendSpec{{Name: "sim", Kind: "sim", Fault: profile}}
+	}
 	cr, err := New(opts).RunCorpus(corpus.Apps())
 	if err != nil {
 		t.Fatalf("profile %v workers %d: %v", profile, workers, err)
@@ -170,7 +173,7 @@ func TestHardOutageDegradesGracefully(t *testing.T) {
 	}
 	// The breaker must have tripped: outage failures open it, and skipped
 	// reviews are the cheap path.
-	if got := snap.Counter("llm_breaker_transitions_total", "to", "open"); got == 0 {
+	if got := snap.Counter("llm_backend_breaker_transitions_total", "backend", "sim", "to", "open"); got == 0 {
 		t.Error("hard outage never opened the circuit breaker")
 	}
 	if got := snap.Counter("pipeline_degraded_reason_total", "reason", llm.DegradedBreakerOpen); got == 0 {
@@ -185,7 +188,7 @@ func TestBudgetExhaustionDegradesNotFails(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 2
 	opts.Obs = obs.New()
-	opts.LLM.Fault = &llm.FaultProfile{TimeoutDenom: 4, RateLimitDenom: 4, ServerErrorDenom: 4}
+	opts.LLM.Backends = []llm.BackendSpec{{Name: "sim", Kind: "sim", Fault: &llm.FaultProfile{TimeoutDenom: 4, RateLimitDenom: 4, ServerErrorDenom: 4}}}
 	opts.LLM.Resilience = llm.ResilienceConfig{BudgetCapacity: 2, BudgetRefillEvery: -1}
 	cr, err := New(opts).RunCorpus(corpus.Apps())
 	if err != nil {

@@ -61,9 +61,10 @@ type Options struct {
 	// content, and — on a fault-free backend — per-file LLM reviews
 	// keyed by (config fingerprint, path, content hash). A warm run
 	// over unchanged sources produces byte-identical results with zero
-	// fresh LLM spend; runs with an LLM fault profile bypass the review
-	// tier (their admissions depend on run-global order, so per-file
-	// memoization would be unsound) but still reuse static analyses.
+	// fresh LLM spend; runs through an LLM router (a fault profile or a
+	// backend topology) bypass the review tier (their admissions depend
+	// on run order, so per-file memoization would be unsound) but still
+	// reuse static analyses.
 	Cache *cache.Cache
 	// Source, when non-nil, is the parse-once snapshot store every
 	// stage loads corpus bytes through (docs/PERFORMANCE.md). The
@@ -123,14 +124,14 @@ func New(opts Options) *Wasabi {
 	// The oracle and the LLM client report into the same registry.
 	opts.Oracle.Metrics = opts.Obs.Reg()
 	w := &Wasabi{
-		opts:        opts,
-		llm:         llm.NewClient(opts.LLM).Instrument(opts.Obs.Reg()),
-		obs:         opts.Obs,
-		cache:       opts.Cache,
-		// Multi-backend runs are excluded like fault-profile runs: their
-		// admissions (failover, hedging, singleflight) are arrival-order
-		// facts that per-file memoization cannot reproduce.
-		reviewCache: opts.Cache != nil && opts.LLM.Fault == nil && !opts.LLM.MultiBackend(),
+		opts:  opts,
+		llm:   llm.NewClient(opts.LLM).Instrument(opts.Obs.Reg()),
+		obs:   opts.Obs,
+		cache: opts.Cache,
+		// Routed runs (fault profiles and topologies) skip the review
+		// cache: a hit would skip the review's admission turn and shift
+		// every later grant, so cold and warm runs would diverge.
+		reviewCache: opts.Cache != nil && !opts.LLM.Routed(),
 		src:         opts.Source,
 		// The calling goroutine always participates in parallel loops, so
 		// the pool itself holds Workers-1 extra slots.
@@ -317,8 +318,8 @@ func (w *Wasabi) identifyLane(app corpus.App, lane int) (*Identification, error)
 	}
 	reviews := make([]llm.FileReview, len(files))
 	cached := make([]bool, len(files))
-	// Review keys are derivable only with a manifest; any run with a
-	// fault profile goes to the model.
+	// Review keys are derivable only with a manifest; any routed run
+	// goes to the model.
 	useReviewCache := w.reviewCache && man != nil
 	var llmFP string
 	if useReviewCache {

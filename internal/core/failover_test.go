@@ -93,6 +93,43 @@ func TestSingleHealthyBackendMatchesBaseline(t *testing.T) {
 	}
 }
 
+// TestSimTopologyDeterministicAcrossWorkers: a topology of built-in
+// simulators is replayable — the router settles every review in its
+// canonical (app, file) budget turn from the backends' pure fault
+// schedules, failing over in order — so the rendered output AND the
+// metrics counters are byte-identical at every worker count, failovers
+// and breaker trips included.
+func TestSimTopologyDeterministicAcrossWorkers(t *testing.T) {
+	for _, spec := range []string{
+		"primary=sim:outage;secondary=sim",
+		"primary=sim:heavy;secondary=sim",
+		"a=sim:light;b=sim:heavy,malformed=25",
+	} {
+		spec := spec
+		t.Run(spec, func(t *testing.T) {
+			var wantRender, wantCounters string
+			for _, workers := range []int{1, 2, 4} {
+				cr, snap := failoverRun(t, spec, workers)
+				render := renderRun(cr)
+				counters, err := snap.CountersJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 {
+					wantRender, wantCounters = render, string(counters)
+					continue
+				}
+				if render != wantRender {
+					t.Fatalf("workers=%d output differs from workers=1:\n%s\nvs\n%s", workers, render, wantRender)
+				}
+				if string(counters) != wantCounters {
+					t.Fatalf("workers=%d counters differ from workers=1:\n%s\nvs\n%s", workers, counters, wantCounters)
+				}
+			}
+		})
+	}
+}
+
 // hasLabel reports whether a snapshot label set carries key=value.
 func hasLabel(labels []obs.Label, key, value string) bool {
 	for _, l := range labels {

@@ -1,38 +1,36 @@
-// backends.go is the multi-backend routing layer: where transport.go
-// models one unreliable endpoint, this file makes the client *highly
-// available* across an ordered set of named backends — the availability
-// techniques the paper's §1 resilience-framework discussion points at,
-// applied to the pipeline's own hottest dependency. Three mechanisms
-// compose:
+// backends.go is the review router: one type that owns an ordered set of
+// named backends, a circuit breaker per backend, the shared retry budget
+// and the review arrival ordinals — the availability techniques the
+// paper's §1 resilience-framework discussion points at, applied to the
+// pipeline's own hottest dependency. A fault profile is the one-backend
+// topology sim=sim:PROFILE, so single-backend chaos and multi-backend
+// failover are the same machinery.
 //
-//   - health-gated failover: each backend sits behind its own circuit
-//     breaker (internal/resilience.Breaker); a backend whose breaker is
-//     open is skipped, and after the cooldown exactly one half-open
-//     probe is admitted to test recovery;
-//   - hedged requests: when the preferred backend has not answered
-//     within Config.HedgeAfter, a second attempt launches on the next
-//     healthy backend — paying one token from the shared retry Budget,
-//     so hedges and retries draw down the same bounded pool;
-//   - singleflight: identical in-flight reviews (same config
-//     fingerprint, path and content hash — the review-cache content
-//     address) coalesce onto one upstream call whose answer is shared
-//     by every waiter (Flight).
+// The router picks its discipline from the topology:
 //
-// The default single-simulator configuration never constructs any of
-// this: with Config.Backends empty, reviews take exactly the PR 3 code
-// path and chaos runs stay byte-identical. Multi-backend runs trade the
-// canonical-order admission determinism of resilient.go for
-// availability — *except* in the case that matters: review answers are
-// computed locally (a pure function of config, path and contents), the
-// transport only delivers or fails, so when the topology absorbs every
-// fault (say, a hard primary outage with a healthy secondary) the
-// output is byte-identical to a run against a healthy backend.
+//   - replayable (every backend a built-in "sim", no test transport):
+//     each review is settled inside its canonical (lane, idx) budget turn,
+//     on the run's virtual admission clock, from the backends' pure fault
+//     schedules — planFor per admitted backend, failing over in order.
+//     Nothing is executed concurrently, so grants, breaker trips,
+//     failovers and degradations are a pure function of the corpus and
+//     the topology, identical at every worker count;
+//   - live (anything else): reviews route in arrival order on wall
+//     time, with three composable mechanisms — health-gated failover
+//     (an open breaker is skipped, and after the cooldown exactly one
+//     half-open probe is admitted), hedged requests (after
+//     Config.HedgeAfter a second attempt launches on the next healthy
+//     backend, paying one budget token, so hedges and retries draw down
+//     the same bounded pool), and singleflight (Flight).
+//
+// Review answers are computed locally (a pure function of config, path
+// and contents); a backend only delivers or fails. So whenever the
+// topology absorbs every fault — a hard primary outage with a healthy
+// secondary, say — the output is byte-identical to a healthy run.
 package llm
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -42,11 +40,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wasabi/internal/errmodel"
 	"wasabi/internal/obs"
 	"wasabi/internal/resilience"
-	"wasabi/internal/source"
 	"wasabi/internal/trace"
+	"wasabi/internal/vclock"
 )
 
 // Structured log events emitted by the routing layer (catalog in
@@ -59,12 +56,12 @@ const (
 	evBackendBreaker  = "llm.backend_breaker"
 )
 
-// ErrAllBreakersOpen is returned by MultiTransport when every backend's
+// ErrAllBreakersOpen is returned by the router when every backend's
 // circuit breaker refuses the call — there is nowhere left to route.
 // Reviews hitting it degrade with reason DegradedBreakerOpen.
 var ErrAllBreakersOpen = errors.New("llm: every backend circuit breaker is open")
 
-// BackendSpec describes one named backend in a multi-backend topology.
+// BackendSpec describes one named backend in a review topology.
 // Order matters: the first spec is the preferred backend, later ones
 // are failover (and hedge) targets in sequence.
 type BackendSpec struct {
@@ -82,7 +79,8 @@ type BackendSpec struct {
 	// topology can mix healthy and failing simulators (chaos drills).
 	Fault *FaultProfile
 	// Transport, when non-nil, overrides Kind entirely — a test seam
-	// for injecting slow or counting transports.
+	// for injecting slow or counting transports. It makes the topology
+	// live.
 	Transport Transport
 }
 
@@ -170,24 +168,70 @@ func backendsString(specs []BackendSpec) string {
 	return strings.Join(parts, ";")
 }
 
-// backend is one routed backend: its adapter and its health state.
+// Replayable reports whether a topology settles reviews from pure fault
+// schedules: every backend is a built-in simulator and none is
+// overridden by a test transport. Any other topology routes live.
+func Replayable(specs []BackendSpec) bool {
+	for _, b := range specs {
+		if b.Kind != "sim" || b.Transport != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TopologyFromFlags resolves the LLM routing flags into one topology:
+// -llm-backends as written, or the one-backend topology sim=sim:PROFILE
+// that -llm-fault-profile and -llm-outage-after are sugar for (an
+// outageAfter > 0 overrides the profile's outage-after window). The two
+// flag families are mutually exclusive. All empty yields no topology:
+// the router-free default path.
+func TopologyFromFlags(backends, faultProfile string, outageAfter int) ([]BackendSpec, error) {
+	if faultProfile == "" && outageAfter <= 0 {
+		if backends == "" {
+			return nil, nil
+		}
+		return ParseBackends(backends)
+	}
+	if backends != "" {
+		return nil, errors.New("llm: -llm-backends and -llm-fault-profile/-llm-outage-after are mutually exclusive; put per-backend fault profiles in the topology (name=sim:profile)")
+	}
+	p, err := ParseFaultProfile(faultProfile)
+	if err != nil {
+		return nil, err
+	}
+	if outageAfter > 0 {
+		p.OutageAfterFiles = outageAfter
+	}
+	return ParseBackends("sim=sim:" + p.String())
+}
+
+// backend is one routed backend: its adapter, its fault schedule (sim
+// kinds) and its health state.
 type backend struct {
-	name    string
-	t       Transport
+	name string
+	t    Transport
+	// sim is the simulator's fault schedule (a zero profile when the
+	// spec has none); nil for http backends and test transports.
+	sim     *FaultyTransport
 	breaker *resilience.Breaker
 }
 
-// MultiTransport routes calls across an ordered backend set with
-// per-backend circuit breakers, sequential failover, and optional
-// hedging. It is goroutine-safe (unlike a bare Breaker: all breaker
-// access is serialized under mu) and designed to be shared — cmd/wasabi
-// builds one per run, wasabid builds one per process so backend health
-// survives across jobs.
-type MultiTransport struct {
+// Router delivers reviews across an ordered backend set with per-backend
+// circuit breakers, a shared retry budget and failover, in the
+// discipline its topology calls for (see the file comment). It is
+// goroutine-safe: all breaker access is serialized under mu. A live
+// router is designed to be shared — wasabid builds one per process so
+// backend health survives across jobs; replayable routers are built per
+// run (NewClient does it from Config.Backends).
+type Router struct {
+	res        ResilienceConfig
+	seed       uint64
 	hedgeAfter time.Duration
-	// budget is the shared retry/hedge token pool: the client's retry
-	// loop and the hedge launcher draw from the same bucket, which is
-	// what bounds total extra spend ("retries are a global resource").
+	replayable bool
+	// budget is the shared retry/hedge token pool: every retry and every
+	// hedge draws from the same bucket, which is what bounds total extra
+	// spend ("retries are a global resource").
 	budget *resilience.Budget
 	log    *slog.Logger
 
@@ -195,56 +239,87 @@ type MultiTransport struct {
 	backends []*backend
 	reg      *obs.Registry
 	start    time.Time
-	// now is the breaker clock (virtual offsets since construction);
-	// wall time by default, injectable for tests (SetClock).
+	// now is the live breaker clock (offsets since construction); wall
+	// time by default, injectable for tests (SetClock).
 	now func() time.Duration
-	// ord hands out per-review arrival ordinals (outage-after windows
-	// on sim backends key on them).
+	// admCtx carries a replayable router's virtual admission clock,
+	// advanced per settlement; it resets with every run.
+	admCtx context.Context
+	// ord hands out live arrival ordinals (outage-after windows on sim
+	// backends key on them); replayable ordinals are settle sequences.
 	ord atomic.Int64
 }
 
-// NewMultiTransport builds the router for cfg.Backends, with breakers
-// and the shared budget sized by cfg.Resilience. The error cases are
+// NewRouter builds the router for cfg.Backends, with breakers and the
+// shared budget sized by cfg.Resilience. The error cases are
 // spec-validation failures; specs produced by ParseBackends never fail.
-func NewMultiTransport(cfg Config) (*MultiTransport, error) {
+func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
-		return nil, errors.New("llm: NewMultiTransport wants at least one backend")
+		return nil, errors.New("llm: NewRouter wants at least one backend")
 	}
 	res := cfg.Resilience.withDefaults()
-	mt := &MultiTransport{
+	rt := &Router{
+		res:        res,
+		seed:       cfg.Seed,
 		hedgeAfter: cfg.HedgeAfter,
+		replayable: Replayable(cfg.Backends),
 		budget:     resilience.NewBudget(res.BudgetCapacity, res.BudgetRefillEvery),
 		log:        cfg.Log,
 		start:      time.Now(),
 	}
-	if mt.log == nil {
-		mt.log = slog.New(discardHandler{})
+	if rt.log == nil {
+		rt.log = slog.New(discardHandler{})
 	}
-	mt.now = func() time.Duration { return time.Since(mt.start) }
+	rt.now = func() time.Duration { return time.Since(rt.start) }
 	for _, spec := range cfg.Backends {
-		t := spec.Transport
-		if t == nil {
+		b := &backend{name: spec.Name, t: spec.Transport}
+		if b.t == nil {
 			switch spec.Kind {
 			case "sim":
-				t = PerfectTransport()
+				var p FaultProfile
 				if spec.Fault != nil {
-					t = NewFaultyTransport(t, *spec.Fault, cfg.Seed)
+					p = *spec.Fault
 				}
+				b.sim = NewFaultyTransport(nil, p, cfg.Seed)
+				b.t = b.sim
 			case "http":
-				t = NewHTTPBackend(spec.URL)
+				b.t = NewHTTPBackend(spec.URL)
 			default:
 				return nil, fmt.Errorf("llm: backend %q: unknown kind %q", spec.Name, spec.Kind)
 			}
 		}
-		b := &backend{
-			name:    spec.Name,
-			t:       t,
-			breaker: resilience.NewBreaker(res.BreakerThreshold, res.BreakerCooldown),
-		}
-		b.breaker.OnTransition(func(to resilience.BreakerState) { mt.onBreakerLocked(b, to) })
-		mt.backends = append(mt.backends, b)
+		rt.backends = append(rt.backends, b)
 	}
-	return mt, nil
+	rt.resetBreakers()
+	rt.admCtx = newAdmissionClock()
+	return rt, nil
+}
+
+// newAdmissionClock returns a fresh virtual clock for replayable
+// admissions.
+func newAdmissionClock() context.Context {
+	return trace.With(context.Background(), trace.NewRun("llm-admission"))
+}
+
+// resetBreakers installs a fresh closed breaker on every backend.
+func (rt *Router) resetBreakers() {
+	for _, b := range rt.backends {
+		b := b
+		b.breaker = resilience.NewBreaker(rt.res.BreakerThreshold, rt.res.BreakerCooldown)
+		b.breaker.OnTransition(func(to resilience.BreakerState) { rt.onBreakerLocked(b, to) })
+		rt.reg.Gauge("llm_backend_breaker_state", "backend", b.name).Set(breakerStateValue(resilience.Closed))
+	}
+}
+
+// startRun resets a replayable router for a corpus run: fresh breakers
+// and admission clock (state from a previous run must not leak into the
+// next), and a refilled budget sequenced over lanes.
+func (rt *Router) startRun(lanes int) {
+	rt.mu.Lock()
+	rt.resetBreakers()
+	rt.admCtx = newAdmissionClock()
+	rt.mu.Unlock()
+	rt.budget.Sequence(lanes)
 }
 
 // discardHandler drops every log record (slog.DiscardHandler arrives in
@@ -257,42 +332,34 @@ func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // Instrument attaches a metrics registry once (later calls are no-ops,
-// so per-job clients sharing a daemon-lifetime transport cannot rebind
-// it mid-flight) and returns the transport for chaining.
-func (mt *MultiTransport) Instrument(reg *obs.Registry) *MultiTransport {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	if mt.reg == nil && reg != nil {
-		mt.reg = reg
-		for _, b := range mt.backends {
-			reg.Gauge("llm_backend_breaker_state", "backend", b.name).Set(breakerStateValue(resilience.Closed))
+// so per-job clients sharing a daemon-lifetime router cannot rebind it
+// mid-flight) and returns the router for chaining.
+func (rt *Router) Instrument(reg *obs.Registry) *Router {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.reg == nil && reg != nil {
+		rt.reg = reg
+		for _, b := range rt.backends {
+			if b.sim != nil {
+				b.sim.Instrument(reg)
+			}
+			reg.Gauge("llm_backend_breaker_state", "backend", b.name).Set(breakerStateValue(b.breaker.State()))
 		}
 	}
-	return mt
+	return rt
 }
 
-// SetClock overrides the breaker clock — a test seam for driving
+// SetClock overrides the live breaker clock — a test seam for driving
 // cooldowns without waiting wall time.
-func (mt *MultiTransport) SetClock(now func() time.Duration) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	mt.now = now
+func (rt *Router) SetClock(now func() time.Duration) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.now = now
 }
 
-// Budget exposes the shared retry/hedge token pool (for the client's
-// retry loop and for tests asserting the hedge bound).
-func (mt *MultiTransport) Budget() *resilience.Budget { return mt.budget }
-
-// Backends returns the backend names in routing order.
-func (mt *MultiTransport) Backends() []string {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	names := make([]string, len(mt.backends))
-	for i, b := range mt.backends {
-		names[i] = b.name
-	}
-	return names
-}
+// Budget exposes the shared retry/hedge token pool (for tests asserting
+// the hedge bound).
+func (rt *Router) Budget() *resilience.Budget { return rt.budget }
 
 // breakerStateValue encodes a breaker state for the
 // llm_backend_breaker_state gauge: 0 closed, 1 open, 2 half-open.
@@ -307,29 +374,144 @@ func breakerStateValue(s resilience.BreakerState) float64 {
 }
 
 // onBreakerLocked is the per-backend breaker transition hook. Breakers
-// are only ever touched under mt.mu, so this runs locked — it must read
-// mt.reg directly, not through a locking accessor.
-func (mt *MultiTransport) onBreakerLocked(b *backend, to resilience.BreakerState) {
-	mt.reg.Counter("llm_backend_breaker_transitions_total", "backend", b.name, "to", to.String()).Inc()
-	mt.reg.Gauge("llm_backend_breaker_state", "backend", b.name).Set(breakerStateValue(to))
-	mt.log.Info(evBackendBreaker, "backend", b.name, "state", to.String())
+// are only ever touched under rt.mu, so this runs locked — it must read
+// rt.reg directly, not through a locking accessor.
+func (rt *Router) onBreakerLocked(b *backend, to resilience.BreakerState) {
+	rt.reg.Counter("llm_backend_breaker_transitions_total", "backend", b.name, "to", to.String()).Inc()
+	rt.reg.Gauge("llm_backend_breaker_state", "backend", b.name).Set(breakerStateValue(to))
+	rt.log.Info(evBackendBreaker, "backend", b.name, "state", to.String())
 }
 
 // registry returns the attached registry (nil-safe for metrics calls).
-func (mt *MultiTransport) registry() *obs.Registry {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	return mt.reg
+func (rt *Router) registry() *obs.Registry {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.reg
 }
 
-// nextOrdinal hands out the next arrival ordinal.
-func (mt *MultiTransport) nextOrdinal() int { return int(mt.ord.Add(1)) - 1 }
+// delivery is one review's routed outcome: the backend that answered,
+// the retries it consumed, and — when no backend delivered — the
+// terminal error and whether the shared budget refused a retry.
+type delivery struct {
+	backend      string
+	retries      int
+	err          error
+	budgetDenied bool
+}
+
+// deliver routes one review in the router's discipline.
+func (rt *Router) deliver(path string, size, lane, idx int) delivery {
+	if rt.replayable {
+		return rt.settle(path, size, lane, idx)
+	}
+	return rt.retryRoute(path, size)
+}
+
+// settle is the replayable discipline. The whole delivery is decided
+// inside the review's budget turn — canonical (lane, idx) order after
+// StartRun — from each admitted backend's pure fault schedule: the
+// backend is granted the retries its schedule wants (as far as the
+// budget allows), its attempts are charged to the virtual admission
+// clock, and its breaker records the outcome; a backend that fails the
+// review hands it to the next admitted backend in topology order. No
+// backend call is executed, so concurrency cannot perturb any decision.
+//
+// Counters match what executing the schedule would record: one
+// llm_transport_faults_total per faulted attempt, and — since nothing is
+// called — no llm_backend_calls_total. A backend failure is counted in
+// llm_backend_failures_total only when the review fails over; the last
+// one is counted as the review's degradation.
+func (rt *Router) settle(path string, size, lane, idx int) delivery {
+	var d delivery
+	rt.budget.Claim(lane, idx, func(avail, seq int) int {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		used := 0
+		var failed *backend
+		for _, b := range rt.backends {
+			if !b.breaker.Allow(vclock.Now(rt.admCtx)) {
+				continue
+			}
+			if failed != nil {
+				rt.reg.Counter("llm_backend_failures_total", "backend", failed.name).Inc()
+				rt.reg.Counter("llm_backend_failovers_total", "backend", b.name).Inc()
+				rt.log.Info(evBackendFailover, "path", path, "from", failed.name, "to", b.name, "error", d.err.Error())
+			}
+			plan := b.sim.planFor(path, seq, rt.res.MaxAttempts)
+			granted := plan.retriesWanted
+			if granted > avail-used {
+				granted = avail - used
+				d.budgetDenied = true
+				rt.reg.Counter("llm_retry_budget_exhausted_total").Inc()
+			}
+			used += granted
+			d.retries += granted
+			var kind string
+			for a := 0; a <= granted; a++ {
+				if kind = b.sim.faultAt(path, seq, a); kind != "" {
+					rt.reg.Counter("llm_transport_faults_total", "kind", kind).Inc()
+				}
+			}
+			vclock.Elapse(rt.admCtx, time.Duration(granted+1)*attemptLatency)
+			if kind == "" {
+				b.breaker.RecordSuccess()
+				d.backend, d.err = b.name, nil
+				return used
+			}
+			b.breaker.RecordFailure(vclock.Now(rt.admCtx))
+			d.err = faultError(kind, Call{Path: path, Ordinal: seq, Attempt: granted, Bytes: size})
+			failed = b
+		}
+		if failed == nil {
+			d.err = ErrAllBreakersOpen
+			vclock.Elapse(rt.admCtx, skipLatency)
+		}
+		return used
+	})
+	return d
+}
+
+// retryRoute is the live discipline: Route under the retry policy.
+// Transient route failures retry with decorrelated-jitter backoff (on a
+// per-review virtual clock; the route's own latency — hedge timers, real
+// HTTP — is wall time), each retry paying one token from the shared
+// budget.
+func (rt *Router) retryRoute(path string, size int) delivery {
+	var d delivery
+	reg := rt.registry()
+	ordinal := int(rt.ord.Add(1)) - 1
+	attempt := 0
+	policy := resilience.NewPolicy(rt.res.MaxAttempts,
+		resilience.WithDecorrelatedJitter(rt.res.BaseDelay, rt.res.MaxDelay),
+		resilience.WithRetryOn(func(err error) bool {
+			if !IsTransient(err) {
+				return false
+			}
+			if !rt.takeToken() {
+				d.budgetDenied = true
+				reg.Counter("llm_retry_budget_exhausted_total").Inc()
+				return false
+			}
+			return true
+		}))
+	reviewCtx := trace.With(context.Background(), trace.NewRun("llm-review"))
+	d.err = policy.DoSeeded(reviewCtx, pathSeed(path, rt.seed), func(ctx context.Context) error {
+		call := Call{Path: path, Ordinal: ordinal, Attempt: attempt, Bytes: size}
+		attempt++
+		name, err := rt.Route(ctx, call)
+		d.backend = name
+		return err
+	})
+	rt.tick()
+	d.retries = attempt - 1
+	return d
+}
 
 // takeToken claims one token from the shared budget, reporting whether
 // it was granted.
-func (mt *MultiTransport) takeToken() bool {
+func (rt *Router) takeToken() bool {
 	granted := false
-	mt.budget.Claim(0, 0, func(avail, _ int) int {
+	rt.budget.Claim(0, 0, func(avail, _ int) int {
 		if avail > 0 {
 			granted = true
 			return 1
@@ -340,10 +522,10 @@ func (mt *MultiTransport) takeToken() bool {
 }
 
 // tick settles one zero-token claim, advancing the budget's
-// refill-every-N-settlements clock — the multi-backend analogue of the
-// per-review settlement chaos mode performs at admission.
-func (mt *MultiTransport) tick() {
-	mt.budget.Claim(0, 0, func(int, int) int { return 0 })
+// refill-every-N-settlements clock — the live analogue of the per-review
+// settlement a replayable router performs.
+func (rt *Router) tick() {
+	rt.budget.Claim(0, 0, func(int, int) int { return 0 })
 }
 
 // nextAdmitted finds the first backend at position >= from whose
@@ -351,16 +533,16 @@ func (mt *MultiTransport) tick() {
 // it. Admission happens lazily — at most one backend is consulted per
 // launch — because a half-open Allow *claims* the single probe slot;
 // admitting backends speculatively would leak their probe latches.
-func (mt *MultiTransport) nextAdmitted(from int) (*backend, int) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	now := mt.now()
-	for i := from; i < len(mt.backends); i++ {
-		if mt.backends[i].breaker.Allow(now) {
-			return mt.backends[i], i + 1
+func (rt *Router) nextAdmitted(from int) (*backend, int) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	now := rt.now()
+	for i := from; i < len(rt.backends); i++ {
+		if rt.backends[i].breaker.Allow(now) {
+			return rt.backends[i], i + 1
 		}
 	}
-	return nil, len(mt.backends)
+	return nil, len(rt.backends)
 }
 
 // releaseAdmission hands back an admission nextAdmitted granted for a
@@ -368,9 +550,9 @@ func (mt *MultiTransport) nextAdmitted(from int) (*backend, int) {
 // its single probe slot, and only a settled outcome (or this release)
 // clears the latch — a suppressed hedge that kept the slot would leave
 // the backend unroutable forever.
-func (mt *MultiTransport) releaseAdmission(b *backend) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
+func (rt *Router) releaseAdmission(b *backend) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	b.breaker.CancelProbe()
 }
 
@@ -378,34 +560,29 @@ func (mt *MultiTransport) releaseAdmission(b *backend) {
 // breaker. A context-cancellation is no verdict on the backend (we
 // abandoned the call, usually because a hedged rival answered first):
 // it only releases a claimed half-open probe slot.
-func (mt *MultiTransport) recordOutcome(b *backend, err error) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
+func (rt *Router) recordOutcome(b *backend, err error) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	switch {
 	case err == nil:
 		b.breaker.RecordSuccess()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case isCancellation(err):
 		b.breaker.CancelProbe()
 	default:
-		b.breaker.RecordFailure(mt.now())
+		b.breaker.RecordFailure(rt.now())
 	}
 }
 
-// result is one backend call's outcome inside Route.
+// routeResult is one backend call's outcome inside Route.
 type routeResult struct {
 	b     *backend
 	err   error
 	hedge bool
 }
 
-// Do implements Transport by discarding Route's winning-backend name.
-func (mt *MultiTransport) Do(ctx context.Context, call Call) error {
-	_, err := mt.Route(ctx, call)
-	return err
-}
-
-// Route delivers one call across the backend set and returns the name
-// of the backend that answered. The preferred (first healthy) backend
+// Route is the live discipline's delivery of one call across the
+// backend set; it returns the name of the backend that answered. The
+// preferred (first healthy) backend
 // is tried first; if HedgeAfter elapses without an answer, a hedge
 // launches on the next healthy backend — if the shared budget grants a
 // token — and the first success wins, cancelling the loser. When every
@@ -413,16 +590,16 @@ func (mt *MultiTransport) Do(ctx context.Context, call Call) error {
 // backend in order until the set is exhausted. Every outcome settles
 // the owning backend's breaker; an all-breakers-open set returns
 // ErrAllBreakersOpen without touching any backend.
-func (mt *MultiTransport) Route(ctx context.Context, call Call) (string, error) {
-	reg := mt.registry()
-	first, next := mt.nextAdmitted(0)
+func (rt *Router) Route(ctx context.Context, call Call) (string, error) {
+	reg := rt.registry()
+	first, next := rt.nextAdmitted(0)
 	if first == nil {
 		reg.Counter("llm_backend_all_open_total").Inc()
 		return "", ErrAllBreakersOpen
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make(chan routeResult, len(mt.backends))
+	results := make(chan routeResult, len(rt.backends))
 	launch := func(b *backend, hedge bool) {
 		reg.Counter("llm_backend_calls_total", "backend", b.name).Inc()
 		go func() {
@@ -433,8 +610,8 @@ func (mt *MultiTransport) Route(ctx context.Context, call Call) (string, error) 
 	launch(first, false)
 	inflight := 1
 	var hedgeTimer <-chan time.Time
-	if mt.hedgeAfter > 0 && next < len(mt.backends) {
-		hedgeTimer = time.After(mt.hedgeAfter)
+	if rt.hedgeAfter > 0 && next < len(rt.backends) {
+		hedgeTimer = time.After(rt.hedgeAfter)
 	}
 	hedged := false
 	var lastErr error
@@ -442,31 +619,31 @@ func (mt *MultiTransport) Route(ctx context.Context, call Call) (string, error) 
 		select {
 		case <-hedgeTimer:
 			hedgeTimer = nil
-			hb, hnext := mt.nextAdmitted(next)
+			hb, hnext := rt.nextAdmitted(next)
 			if hb == nil {
 				reg.Counter("llm_backend_hedges_total", "outcome", "suppressed").Inc()
 				continue
 			}
-			if !mt.takeToken() {
+			if !rt.takeToken() {
 				// The hedge competes with retries for the same tokens;
 				// an empty bucket means the fleet is already spending
 				// enough on second chances. nextAdmitted may have
 				// latched hb's half-open probe slot — no call will
 				// launch to settle it, so hand it back.
-				mt.releaseAdmission(hb)
+				rt.releaseAdmission(hb)
 				reg.Counter("llm_backend_hedges_total", "outcome", "suppressed").Inc()
 				reg.Counter("llm_retry_budget_exhausted_total").Inc()
 				continue
 			}
 			reg.Counter("llm_backend_hedges_total", "outcome", "launched").Inc()
-			mt.log.Info(evBackendHedge, "path", call.Path, "backend", hb.name, "after_ms", durFloatMS(mt.hedgeAfter))
+			rt.log.Info(evBackendHedge, "path", call.Path, "backend", hb.name, "after_ms", durFloatMS(rt.hedgeAfter))
 			launch(hb, true)
 			hedged = true
 			inflight++
 			next = hnext
 		case r := <-results:
 			inflight--
-			mt.recordOutcome(r.b, r.err)
+			rt.recordOutcome(r.b, r.err)
 			if r.err == nil {
 				if r.hedge {
 					reg.Counter("llm_backend_hedges_total", "outcome", "won").Inc()
@@ -475,7 +652,7 @@ func (mt *MultiTransport) Route(ctx context.Context, call Call) (string, error) 
 				}
 				cancel()
 				if inflight > 0 {
-					go mt.drainResults(results, inflight)
+					go rt.drainResults(results, inflight)
 				}
 				return r.b.name, nil
 			}
@@ -486,7 +663,7 @@ func (mt *MultiTransport) Route(ctx context.Context, call Call) (string, error) 
 			if inflight > 0 {
 				continue // a rival attempt is still running
 			}
-			fb, fnext := mt.nextAdmitted(next)
+			fb, fnext := rt.nextAdmitted(next)
 			if fb == nil {
 				if lastErr == nil {
 					lastErr = r.err
@@ -494,7 +671,7 @@ func (mt *MultiTransport) Route(ctx context.Context, call Call) (string, error) 
 				return "", lastErr
 			}
 			reg.Counter("llm_backend_failovers_total", "backend", fb.name).Inc()
-			mt.log.Info(evBackendFailover, "path", call.Path, "from", r.b.name, "to", fb.name, "error", r.err.Error())
+			rt.log.Info(evBackendFailover, "path", call.Path, "from", r.b.name, "to", fb.name, "error", r.err.Error())
 			launch(fb, false)
 			next = fnext
 			inflight++
@@ -505,17 +682,11 @@ func (mt *MultiTransport) Route(ctx context.Context, call Call) (string, error) 
 // drainResults settles the breakers of attempts still in flight after a
 // winner returned. It runs off the caller's critical path; the
 // cancelled context makes the stragglers return promptly.
-func (mt *MultiTransport) drainResults(results <-chan routeResult, n int) {
+func (rt *Router) drainResults(results <-chan routeResult, n int) {
 	for i := 0; i < n; i++ {
 		r := <-results
-		mt.recordOutcome(r.b, r.err)
+		rt.recordOutcome(r.b, r.err)
 	}
-}
-
-// isCancellation reports whether an error is our own context
-// cancellation rather than a backend verdict.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // durFloatMS renders a duration as float milliseconds for log fields.
@@ -570,147 +741,4 @@ func (f *Flight) Do(key string, fn func() FileReview) (FileReview, bool) {
 	}()
 	fc.rev = fn()
 	return fc.rev, false
-}
-
-// multiState is the client's multi-backend routing state, present only
-// when Config.Backends (or Config.Multi) is set — the multi-mode
-// counterpart of chaosState.
-type multiState struct {
-	res    ResilienceConfig
-	mt     *MultiTransport
-	flight *Flight
-	// fp caches the client's fingerprint for flight keys.
-	fp string
-}
-
-// newMultiState wires the client to a transport: the one provided via
-// Config.Multi (shared, e.g. daemon-lifetime) or a fresh one built from
-// Config.Backends (per-run, the CLI shape).
-func (c *Client) newMultiState() *multiState {
-	mt := c.cfg.Multi
-	if mt == nil {
-		var err error
-		if mt, err = NewMultiTransport(c.cfg); err != nil {
-			// Backends reaching NewClient unvalidated is programmer
-			// error; flag paths go through ParseBackends first.
-			panic(err)
-		}
-	}
-	return &multiState{
-		res:    c.cfg.Resilience.withDefaults(),
-		mt:     mt,
-		flight: c.cfg.Flight,
-		fp:     c.cfg.Fingerprint(),
-	}
-}
-
-// reviewMulti is the multi-backend review path: singleflight coalescing
-// around reviewMultiDirect.
-func (c *Client) reviewMulti(path string, src []byte, pre *source.File) FileReview {
-	ms := c.multi
-	if ms.flight == nil {
-		return c.reviewMultiDirect(path, src, pre)
-	}
-	sum := ""
-	if pre != nil {
-		sum = pre.SHA256
-	} else {
-		h := sha256.Sum256(src)
-		sum = hex.EncodeToString(h[:])
-	}
-	key := ms.fp + "\x00" + path + "\x00" + sum
-	rev, shared := ms.flight.Do(key, func() FileReview {
-		return c.reviewMultiDirect(path, src, pre)
-	})
-	if shared {
-		rev.Shared = true
-		c.reg.Counter("llm_backend_singleflight_shared_total").Inc()
-	}
-	return rev
-}
-
-// reviewMultiDirect runs one review through the routed transport under
-// the retry policy: transient route failures retry with
-// decorrelated-jitter backoff, each retry paying one token from the
-// transport's shared budget (the same pool hedges draw from). Failure
-// degrades the review — the same graceful-degradation contract as
-// chaos mode — with the reason mapped from the terminal error.
-func (c *Client) reviewMultiDirect(path string, src []byte, pre *source.File) FileReview {
-	ms := c.multi
-	ordinal := ms.mt.nextOrdinal()
-	budgetDenied := false
-	winner := ""
-	attempt := 0
-	policy := resilience.NewPolicy(ms.res.MaxAttempts,
-		resilience.WithDecorrelatedJitter(ms.res.BaseDelay, ms.res.MaxDelay),
-		resilience.WithRetryOn(func(err error) bool {
-			if !IsTransient(err) {
-				return false
-			}
-			if !ms.mt.takeToken() {
-				budgetDenied = true
-				c.reg.Counter("llm_retry_budget_exhausted_total").Inc()
-				return false
-			}
-			return true
-		}))
-	// Backoff sleeps run on a per-review virtual clock; the route's own
-	// latency (hedge timers, real HTTP) is wall time.
-	reviewCtx := trace.With(context.Background(), trace.NewRun("llm-review"))
-	err := policy.DoSeeded(reviewCtx, pathSeed(path, c.cfg.Seed), func(ctx context.Context) error {
-		call := Call{Path: path, Ordinal: ordinal, Attempt: attempt, Bytes: len(src)}
-		attempt++
-		name, rerr := ms.mt.Route(ctx, call)
-		if rerr == nil {
-			winner = name
-		}
-		return rerr
-	})
-	ms.mt.tick()
-	retries := attempt - 1
-	if retries > 0 {
-		c.reg.Counter("llm_transport_retries_total").Add(int64(retries))
-	}
-	if err != nil {
-		rev := c.degraded(path, len(src), multiDegradeReason(err, budgetDenied))
-		rev.Retries = retries
-		return rev
-	}
-	rev := c.review(path, src, pre)
-	rev.Retries = retries
-	rev.Backend = winner
-	return rev
-}
-
-// Multi exposes the routed transport (nil outside multi-backend mode)
-// — for tests and reporting, the counterpart of Transport().
-func (c *Client) Multi() *MultiTransport {
-	if c.multi == nil {
-		return nil
-	}
-	return c.multi.mt
-}
-
-// multiDegradeReason maps a terminal routing error onto the Degraded*
-// vocabulary resilient.go established.
-func multiDegradeReason(err error, budgetDenied bool) string {
-	switch {
-	case errors.Is(err, ErrAllBreakersOpen):
-		return DegradedBreakerOpen
-	// CauseIsClass, not IsClass: the policy wraps the terminal error in
-	// an exhausted sentinel, and hinted 429s arrive wrapped too.
-	case errmodel.CauseIsClass(err, "MalformedCompletionException"):
-		return DegradedMalformed
-	case errmodel.CauseIsClass(err, "BackendOutageException"):
-		return DegradedOutage
-	// A cancellation terminal error means every launched attempt was
-	// abandoned (the caller's context died mid-route); calling that
-	// "retries-exhausted" would blame a backend nobody waited on.
-	case isCancellation(err):
-		return DegradedCancelled
-	case budgetDenied:
-		return DegradedBudget
-	default:
-		return DegradedRetries
-	}
 }

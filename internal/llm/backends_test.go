@@ -13,7 +13,7 @@ import (
 )
 
 // fnTransport adapts a function to the Transport interface — the test
-// seam BackendSpec.Transport exists for.
+// seam BackendSpec.Transport exists for (it makes a topology live).
 type fnTransport struct {
 	fn func(ctx context.Context, call Call) error
 }
@@ -95,6 +95,43 @@ func TestParseBackendsErrors(t *testing.T) {
 	}
 }
 
+// TestTopologyFromFlags: the fault-profile flags desugar to the
+// one-backend topology sim=sim:PROFILE, -llm-outage-after overrides the
+// profile's window, the two flag families exclude each other, and no
+// flags mean no topology.
+func TestTopologyFromFlags(t *testing.T) {
+	cases := []struct {
+		backends, profile string
+		outageAfter       int
+		want              string // rendered topology; "" = none
+	}{
+		{"", "", 0, ""},
+		{"a=sim;b=sim:heavy", "", 0, "a=sim;b=sim:timeout=15,ratelimit=15,servererror=15"},
+		{"", "light", 0, "sim=sim:timeout=60,ratelimit=60,servererror=60"},
+		{"", "none", 0, "sim=sim:none"},
+		{"", "", 40, "sim=sim:outage-after=40"},
+		{"", "heavy,outage-after=5", 40, "sim=sim:timeout=15,ratelimit=15,servererror=15,outage-after=40"},
+	}
+	for _, c := range cases {
+		specs, err := TopologyFromFlags(c.backends, c.profile, c.outageAfter)
+		if err != nil {
+			t.Errorf("TopologyFromFlags(%q, %q, %d): %v", c.backends, c.profile, c.outageAfter, err)
+			continue
+		}
+		if got := backendsString(specs); got != c.want {
+			t.Errorf("TopologyFromFlags(%q, %q, %d) = %q, want %q", c.backends, c.profile, c.outageAfter, got, c.want)
+		}
+	}
+	for _, c := range []struct{ backends, profile string }{{"a=sim", "light"}, {"", "bogus"}, {"a=ftp:x", ""}} {
+		if _, err := TopologyFromFlags(c.backends, c.profile, 0); err == nil {
+			t.Errorf("TopologyFromFlags(%q, %q, 0) accepted, want error", c.backends, c.profile)
+		}
+	}
+	if _, err := TopologyFromFlags("a=sim", "", 3); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Errorf("-llm-backends with -llm-outage-after: err = %v, want mutual exclusion", err)
+	}
+}
+
 // TestFailoverOnFailure: the primary fails hard, the secondary answers —
 // routing completes the review with the secondary's name on it and the
 // failover counter incremented.
@@ -106,7 +143,7 @@ func TestFailoverOnFailure(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	c := NewClient(cfg).Instrument(reg)
-	rev := c.Review("mem.go", []byte("package mem\n"))
+	rev := c.ReviewSnapshotAt(memFile(t, "mem.go", "package mem\n"), -1, 0)
 	if rev.Degraded {
 		t.Fatalf("review degraded: %+v", rev)
 	}
@@ -130,7 +167,7 @@ func TestAllBackendsFailDegrades(t *testing.T) {
 		{Name: "b", Kind: "sim", Transport: failTransport("BackendOutageException")},
 	}
 	reg := obs.NewRegistry()
-	rev := NewClient(cfg).Instrument(reg).Review("mem.go", []byte("package mem\n"))
+	rev := NewClient(cfg).Instrument(reg).ReviewSnapshotAt(memFile(t, "mem.go", "package mem\n"), -1, 0)
 	if !rev.Degraded {
 		t.Fatal("review did not degrade with every backend down")
 	}
@@ -151,7 +188,7 @@ func TestHedgeBudgetBound(t *testing.T) {
 		{Name: "primary", Kind: "sim", Transport: slowTransport(50 * time.Millisecond)},
 		{Name: "secondary", Kind: "sim", Transport: slowTransport(50 * time.Millisecond)},
 	}
-	mt, err := NewMultiTransport(cfg)
+	mt, err := NewRouter(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +226,7 @@ func TestHedgeWinnerCancelsLoser(t *testing.T) {
 		{Name: "primary", Kind: "sim", Transport: slowTransport(10 * time.Second)},
 		{Name: "secondary", Kind: "sim", Transport: okTransport()},
 	}
-	mt, err := NewMultiTransport(cfg)
+	mt, err := NewRouter(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +251,7 @@ func TestHedgeWinnerCancelsLoser(t *testing.T) {
 
 // openEveryBreaker drives every backend's breaker open via failing
 // routes. Wants BreakerThreshold 1.
-func openEveryBreaker(t *testing.T, mt *MultiTransport, backends int) {
+func openEveryBreaker(t *testing.T, mt *Router, backends int) {
 	t.Helper()
 	if _, err := mt.Route(context.Background(), Call{Path: "mem.go"}); err == nil {
 		t.Fatal("route against failing backends succeeded")
@@ -243,7 +280,7 @@ func TestAllBreakersOpen(t *testing.T) {
 		{Name: "a", Kind: "sim", Transport: counting},
 		{Name: "b", Kind: "sim", Transport: counting},
 	}
-	mt, err := NewMultiTransport(cfg)
+	mt, err := NewRouter(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +308,7 @@ func TestAllBreakersOpen(t *testing.T) {
 	if got := reg.Gauge("llm_backend_breaker_state", "backend", "a").Value(); got != 1 {
 		t.Errorf("breaker a state gauge = %v, want 1 (open)", got)
 	}
-	if multiDegradeReason(ErrAllBreakersOpen, false) != DegradedBreakerOpen {
+	if degradeReason(ErrAllBreakersOpen, false) != DegradedBreakerOpen {
 		t.Error("ErrAllBreakersOpen must map to the breaker-open degrade reason")
 	}
 }
@@ -296,7 +333,7 @@ func TestHalfOpenSingleProbeUnderConcurrency(t *testing.T) {
 		<-gate
 		return nil
 	}}}}
-	mt, err := NewMultiTransport(cfg)
+	mt, err := NewRouter(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +405,7 @@ func TestHedgeSuppressionReleasesProbeSlot(t *testing.T) {
 		{Name: "primary", Kind: "sim", Transport: slowTransport(30 * time.Millisecond)},
 		{Name: "secondary", Kind: "sim", Transport: secondary},
 	}
-	mt, err := NewMultiTransport(cfg)
+	mt, err := NewRouter(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,11 +534,11 @@ func TestClientSingleflightSharesOneCall(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewClient(cfg).Instrument(reg)
 
-	src := []byte("package mem\n")
+	f := memFile(t, "mem.go", "package mem\n")
 	revs := make(chan FileReview, 2)
-	go func() { revs <- c.Review("mem.go", src) }()
+	go func() { revs <- c.ReviewSnapshotAt(f, -1, 0) }()
 	<-entered
-	go func() { revs <- c.Review("mem.go", src) }()
+	go func() { revs <- c.ReviewSnapshotAt(f, -1, 0) }()
 	// Let the second review reach the flight wait before the leader's
 	// transport answers.
 	time.Sleep(20 * time.Millisecond)
@@ -563,11 +600,11 @@ func TestMultiBackendZeroRetriesKeepsBudgetFull(t *testing.T) {
 	cfg.Backends = []BackendSpec{{Name: "only", Kind: "sim", Transport: okTransport()}}
 	c := NewClient(cfg).Instrument(obs.NewRegistry())
 	for i := 0; i < 5; i++ {
-		if rev := c.Review("mem.go", []byte("package mem\n")); rev.Degraded || rev.Retries != 0 {
+		if rev := c.ReviewSnapshotAt(memFile(t, "mem.go", "package mem\n"), -1, 0); rev.Degraded || rev.Retries != 0 {
 			t.Fatalf("healthy review %d: %+v", i, rev)
 		}
 	}
-	if got := c.Multi().Budget().Remaining(); got != 4 {
+	if got := c.router.Budget().Remaining(); got != 4 {
 		t.Errorf("budget remaining = %d, want untouched 4", got)
 	}
 }

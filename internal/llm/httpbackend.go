@@ -14,8 +14,9 @@
 //	2xx with bad/empty body    → MalformedCompletionException (permanent)
 //
 // The adapter carries no fault model of its own — real networks supply
-// their own — and no determinism promise: multi-backend runs already
-// trade canonical-order admission for availability. Tests drive it
+// their own — and no determinism promise: a topology with an http
+// backend routes live, trading canonical-order admission for
+// availability. Tests drive it
 // against a local httptest stub; nothing here needs the internet.
 package llm
 
@@ -78,8 +79,8 @@ type chatResponse struct {
 // Do implements Transport. A nil return means the endpoint produced a
 // well-formed completion for the file's prompt chain; the review
 // answers themselves still come from the local model (a pure function
-// of config, path and contents), which is what keeps multi-backend
-// output byte-identical across healthy backends.
+// of config, path and contents), which is what keeps routed output
+// byte-identical across healthy backends.
 func (h *HTTPBackend) Do(ctx context.Context, call Call) error {
 	body, err := json.Marshal(chatRequest{
 		Model: h.model,

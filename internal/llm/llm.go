@@ -28,11 +28,8 @@ package llm
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"hash/fnv"
 	"log/slog"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -59,69 +56,62 @@ type Config struct {
 	CapMisreadDenom       int // explicit cap not comprehended (Q3 FP)
 	DelayMisreadDenom     int // in-file sleep not comprehended (Q2 FP)
 
-	// Fault, when non-nil, models an unreliable backend: reviews go
-	// through a FaultyTransport behind the resilience stack configured by
-	// Resilience (see transport.go and resilient.go). Nil keeps the
-	// perfect, fault-free backend. A non-nil zero-valued profile enables
-	// the machinery without injecting anything — output must then be
-	// byte-identical to the nil case.
-	Fault *FaultProfile
 	// Resilience tunes the retry policy, shared retry budget and circuit
-	// breaker used when Fault is set; zero fields take the
+	// breakers of the review router; zero fields take the
 	// DefaultResilienceConfig values.
 	Resilience ResilienceConfig
 
-	// Backends, when non-empty, routes reviews across an ordered
-	// multi-backend topology (backends.go): per-backend circuit breakers,
-	// health-gated failover, and optional hedging. Mutually exclusive
-	// with Fault — a topology models per-backend fault profiles on its
-	// own specs. Empty keeps the single-backend behaviour byte-identical.
+	// Backends, when non-empty, routes every review through a Router
+	// over this ordered topology (backends.go): per-backend circuit
+	// breakers, a shared retry budget, failover and — on live
+	// topologies — hedging. A fault profile is the one-backend topology
+	// sim=sim:PROFILE (TopologyFromFlags). Empty keeps the fault-free,
+	// router-free default path.
 	Backends []BackendSpec
 	// HedgeAfter, when > 0 and more than one backend is healthy, launches
 	// a hedged attempt on the next backend after this much wall time
-	// without an answer. Hedges draw from the shared retry budget.
+	// without an answer. Hedges draw from the shared retry budget. Live
+	// topologies only: a replayable router has no wall clock.
 	HedgeAfter time.Duration
-	// Multi, when non-nil, is a pre-built shared transport (e.g. one per
+	// Router, when non-nil, is a pre-built shared live router (one per
 	// daemon process, so backend health and the shared budget span jobs).
-	// Callers setting Multi should set Backends to the same topology so
+	// Callers setting Router should set Backends to the same topology so
 	// Fingerprint stays truthful.
-	Multi *MultiTransport
+	Router *Router
 	// Flight, when non-nil, coalesces identical in-flight reviews across
-	// every client sharing it (singleflight).
+	// every client sharing it (singleflight). Live routers only.
 	Flight *Flight
 	// Log receives structured failover/hedge/breaker decision events;
 	// nil discards them.
 	Log *slog.Logger
 }
 
-// MultiBackend reports whether reviews route through the multi-backend
-// layer (which trades canonical-order admission for availability, so
-// e.g. the review cache must stay off).
-func (c Config) MultiBackend() bool {
-	return c.Multi != nil || len(c.Backends) > 0
+// Routed reports whether reviews go through a Router. Routed reviews
+// are admitted in run order (replayable) or arrival order (live), so a
+// cached answer would skip an admission turn: the review cache must
+// stay off.
+func (c Config) Routed() bool {
+	return c.Router != nil || len(c.Backends) > 0
 }
 
-// PromptVersion identifies the revision of the Q1–Q4 prompt chain baked
-// into Review. It is part of every review-cache key (internal/cache), so
-// bumping it invalidates memoized reviews wholesale: change it whenever
-// Review's question logic or failure modes change in a way that can alter
-// output for unchanged input.
+// PromptVersion identifies the revision of the Q1–Q4 prompt chain. It is
+// part of every review-cache key (internal/cache), so bumping it
+// invalidates memoized reviews wholesale: change it whenever the chain's
+// question logic or failure modes change in a way that can alter output
+// for unchanged input.
 const PromptVersion = "q1q4/v1"
 
 // Fingerprint renders every configuration fact that can influence a
 // review's outcome as a stable string — the "prompt/config version"
 // component of review-cache keys. Two clients with equal fingerprints
 // produce identical FileReviews for identical (path, contents) inputs,
-// provided no fault profile is active (fault-profile runs are admitted in
-// run-global order and are not cacheable per file; the profile is still
-// folded in defensively).
+// provided no router is active (routed runs are admitted in run-global
+// order and are not cacheable per file; the topology is still folded in
+// defensively).
 func (c Config) Fingerprint() string {
 	fp := fmt.Sprintf("%s|thr=%d|seed=%d|price=%g|q1=%d|q4=%d|q3=%d|q2=%d",
 		PromptVersion, c.LargeFileThreshold, c.Seed, c.PricePerMTokens,
 		c.HallucinateRetryDenom, c.Q4MissDenom, c.CapMisreadDenom, c.DelayMisreadDenom)
-	if c.Fault != nil {
-		fp += "|fault=" + c.Fault.String()
-	}
 	if len(c.Backends) > 0 {
 		fp += "|backends=" + backendsString(c.Backends)
 		if c.HedgeAfter > 0 {
@@ -150,13 +140,14 @@ type Client struct {
 	// reg, when set, receives the per-review observability counters and
 	// latency/token histograms (see docs/OBSERVABILITY.md).
 	reg *obs.Registry
-	// chaos is the resilience stack (resilient.go); nil without a fault
-	// profile, in which case reviews hit the model directly.
-	chaos *chaosState
-	// multi is the multi-backend routing state (backends.go); nil unless
-	// Config.Backends or Config.Multi is set. multi and chaos are
-	// mutually exclusive (multi wins).
-	multi *multiState
+	// router delivers every review (backends.go); nil on the default
+	// path, where reviews hit the model directly.
+	router *Router
+	// flight coalesces identical in-flight reviews; live routers only,
+	// because a replayable review must take its own admission turn.
+	flight *Flight
+	// fp caches the fingerprint for flight keys.
+	fp string
 
 	mu       sync.Mutex
 	calls    int
@@ -171,31 +162,33 @@ func NewClient(cfg Config) *Client {
 	if cfg.PricePerMTokens == 0 {
 		cfg.PricePerMTokens = DefaultConfig().PricePerMTokens
 	}
-	c := &Client{cfg: cfg}
-	switch {
-	case cfg.MultiBackend():
-		c.multi = c.newMultiState()
-	case cfg.Fault != nil:
-		c.chaos = c.newChaosState(*cfg.Fault)
+	c := &Client{cfg: cfg, router: cfg.Router, fp: cfg.Fingerprint()}
+	if c.router == nil && len(cfg.Backends) > 0 {
+		var err error
+		if c.router, err = NewRouter(cfg); err != nil {
+			// Backends reaching NewClient unvalidated is programmer
+			// error; flag paths go through ParseBackends first.
+			panic(err)
+		}
+	}
+	if c.router != nil && !c.router.replayable {
+		c.flight = cfg.Flight
 	}
 	return c
 }
 
 // Fingerprint returns the client's effective configuration fingerprint
 // (defaults applied), the form review-cache keys must use.
-func (c *Client) Fingerprint() string { return c.cfg.Fingerprint() }
+func (c *Client) Fingerprint() string { return c.fp }
 
 // Instrument attaches a metrics registry (nil is fine) and returns the
 // client for chaining.
 func (c *Client) Instrument(reg *obs.Registry) *Client {
 	c.reg = reg
-	if c.chaos != nil {
-		c.chaos.instrument(c)
-	}
-	if c.multi != nil {
-		// First registry wins on a shared transport; per-job clients in
-		// the daemon all pass the same one.
-		c.multi.mt.Instrument(reg)
+	if c.router != nil {
+		// First registry wins on a shared router; per-job clients in the
+		// daemon all pass the same one.
+		c.router.Instrument(reg)
 	}
 	return c
 }
@@ -287,9 +280,9 @@ type FileReview struct {
 	// it is excluded from JSON: cached review envelopes and reports must
 	// stay byte-identical between cold and warm runs.
 	Retries int `json:"-"`
-	// Backend names the backend that answered a multi-backend review
-	// ("" outside multi-backend mode). A routing fact, not a property of
-	// the contents — excluded from JSON like Retries.
+	// Backend names the backend that answered a routed review ("" without
+	// a router). A routing fact, not a property of the contents —
+	// excluded from JSON like Retries.
 	Backend string `json:"-"`
 	// Shared marks a review whose answer was coalesced from another
 	// in-flight review (singleflight follower). Followers resend nothing,
@@ -297,79 +290,36 @@ type FileReview struct {
 	Shared bool `json:"-"`
 }
 
-// ReviewFile runs the prompt chain over the file at path. With a fault
-// profile configured the review is admitted in arrival order; corpus
-// runs that need canonical ordering use ReviewFileAt.
-func (c *Client) ReviewFile(path string) (FileReview, error) {
-	return c.ReviewFileAt(path, -1, 0)
-}
-
-// ReviewFileAt is ReviewFile with an explicit canonical slot: lane is the
+// ReviewSnapshotAt runs the prompt chain over a loaded snapshot file,
+// consuming its bytes and AST (the parse-once contract). lane is the
 // app's position in the corpus and idx the file's position in the app's
-// sorted file list. After StartRun, the resilience stack settles
-// admissions in (lane, idx) order, which is what keeps grant decisions —
-// and therefore output — identical at every worker count. Without a
-// fault profile the slot is ignored.
-func (c *Client) ReviewFileAt(path string, lane, idx int) (FileReview, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		c.reg.Counter("llm_read_failures_total").Inc()
-		if c.chaos != nil {
-			// The slot was announced via OpenLane; settle it (consuming
-			// nothing) so later claims don't wait on it forever.
-			c.chaos.budget.Claim(lane, idx, func(_, _ int) int { return 0 })
-		}
-		return FileReview{}, fmt.Errorf("llm: read %s for review: %w", path, err)
-	}
-	switch {
-	case c.multi != nil:
-		return c.reviewMulti(path, src, nil), nil
-	case c.chaos != nil:
-		return c.reviewChaos(path, src, nil, lane, idx), nil
-	}
-	return c.Review(path, src), nil
-}
-
-// ReviewSnapshotAt is ReviewFileAt over a pre-loaded snapshot file: no
-// disk read, and the prompt chain consumes the snapshot's AST instead of
-// re-parsing the bytes (the parse-once contract). Everything observable
-// — the Q1–Q4 answers, the failure modes, the Spent accounting, and the
-// chaos/budget admission path — is byte-identical to reviewing the same
-// (path, contents) from disk.
+// sorted file list; after StartRun, a replayable router settles
+// admissions in (lane, idx) order, which keeps its grant decisions — and
+// therefore output — identical at every worker count. Outside a
+// sequenced run (lane -1) admissions settle in arrival order. Without a
+// router the slot is ignored, and the review is a pure function of
+// (config, path, contents).
 func (c *Client) ReviewSnapshotAt(f *source.File, lane, idx int) FileReview {
-	switch {
-	case c.multi != nil:
-		return c.reviewMulti(f.Path, f.Bytes, f)
-	case c.chaos != nil:
-		return c.reviewChaos(f.Path, f.Bytes, f, lane, idx)
+	if c.router == nil {
+		return c.review(f)
 	}
-	return c.review(f.Path, f.Bytes, f)
-}
-
-// ReviewSnapshot is ReviewSnapshotAt outside a sequenced corpus run.
-func (c *Client) ReviewSnapshot(f *source.File) FileReview {
-	return c.ReviewSnapshotAt(f, -1, 0)
-}
-
-// Review runs the prompt chain over in-memory file contents, parsing
-// them locally. Snapshot-backed runs use ReviewSnapshot/ReviewSnapshotAt
-// and skip the parse. The review — including its Spent accounting — is a
-// pure function of (config, path, contents), so concurrent reviews of
-// different files are independent; the client's cumulative Usage is the
-// only shared state, and it is only ever added to.
-func (c *Client) Review(path string, src []byte) FileReview {
-	if c.multi != nil {
-		return c.reviewMulti(path, src, nil)
+	if c.flight == nil {
+		return c.routed(f, lane, idx)
 	}
-	return c.review(path, src, nil)
+	key := c.fp + "\x00" + f.Path + "\x00" + f.SHA256
+	rev, shared := c.flight.Do(key, func() FileReview { return c.routed(f, lane, idx) })
+	if shared {
+		rev.Shared = true
+		c.reg.Counter("llm_backend_singleflight_shared_total").Inc()
+	}
+	return rev
 }
 
-// review is the Q1–Q4 prompt chain. pre, when non-nil, supplies the
-// pre-parsed snapshot AST (and its parse error); nil parses src into a
-// throwaway FileSet, the pre-snapshot behaviour. The parse only matters
-// below the large-file threshold — the model answers Q1 from the raw
-// context either way — so Spent never depends on which path ran.
-func (c *Client) review(path string, src []byte, pre *source.File) FileReview {
+// review is the Q1–Q4 prompt chain over one snapshot file. The parse
+// only matters below the large-file threshold — the model answers Q1
+// from the raw context either way.
+func (c *Client) review(sf *source.File) FileReview {
+	path, src := sf.Path, sf.Bytes
 	base := basename(path)
 	rev := FileReview{File: base, Size: len(src)}
 	start := time.Now()
@@ -395,18 +345,10 @@ func (c *Client) review(path string, src []byte, pre *source.File) FileReview {
 		return rev
 	}
 
-	var f *ast.File
-	var err error
-	if pre != nil {
-		f, err = pre.Syntax()
-	} else {
-		f, err = parser.ParseFile(token.NewFileSet(), path, src, parser.ParseComments)
-	}
+	f, err := sf.Syntax()
 	if err != nil {
 		// Unparseable input: the real model would still answer; ours
-		// conservatively says no. Snapshot parse failures land here too,
-		// keeping the counter's semantics for genuinely unparseable files
-		// (large files never reach the parse, exactly as before).
+		// conservatively says no (large files never reach the parse).
 		c.reg.Counter("llm_parse_failures_total").Inc()
 		return rev
 	}

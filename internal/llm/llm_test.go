@@ -1,25 +1,53 @@
 package llm
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"wasabi/internal/apps/corpus"
+	"wasabi/internal/source"
 )
 
-func reviewHDFSFile(t *testing.T, base string) FileReview {
+// hdfsFile loads one HDFS corpus file through a snapshot store.
+func hdfsFile(t *testing.T, base string) *source.File {
 	t.Helper()
 	app, err := corpus.ByCode("HD")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(DefaultConfig())
-	rev, err := c.ReviewFile(filepath.Join(app.Dir, base))
+	snap, err := source.NewStore(nil).Load(app.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rev
+	for _, f := range snap.Files {
+		if f.Name == base {
+			return f
+		}
+	}
+	t.Fatalf("HD has no source file %s", base)
+	return nil
+}
+
+// memFile writes src as a file called name into a fresh directory and
+// loads it through a snapshot store.
+func memFile(t testing.TB, name, src string) *source.File {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := source.NewStore(nil).Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Files[0]
+}
+
+func reviewHDFSFile(t *testing.T, base string) FileReview {
+	t.Helper()
+	return NewClient(DefaultConfig()).ReviewSnapshotAt(hdfsFile(t, base), -1, 0)
 }
 
 func findingFor(rev FileReview, coordinator string) *Finding {
@@ -91,14 +119,10 @@ func TestIdentifiesStateMachineRetry(t *testing.T) {
 }
 
 func TestWhenBugReportsFromHDFS(t *testing.T) {
-	app, _ := corpus.ByCode("HD")
 	c := NewClient(DefaultConfig())
 	kinds := map[string]string{}
 	for _, base := range []string{"webfs.go", "blockreader.go", "datastreamer.go", "mover.go", "editlog.go", "namenode.go", "procedures.go", "background.go"} {
-		rev, err := c.ReviewFile(filepath.Join(app.Dir, base))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rev := c.ReviewSnapshotAt(hdfsFile(t, base), -1, 0)
 		for _, r := range DetectWhenBugs(rev) {
 			kinds[r.Coordinator+"/"+r.Kind] = base
 		}
@@ -124,7 +148,7 @@ func TestLargeFileDefeatsComprehension(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LargeFileThreshold = 10
 	c := NewClient(cfg)
-	rev := c.Review("big.go", []byte("package big\n// retry retry retry\n"))
+	rev := c.ReviewSnapshotAt(memFile(t, "big.go", "package big\n// retry retry retry\n"), -1, 0)
 	if !rev.TruncatedContext {
 		t.Error("expected truncated-context failure mode")
 	}
@@ -135,10 +159,7 @@ func TestLargeFileDefeatsComprehension(t *testing.T) {
 
 func TestUsageAccounting(t *testing.T) {
 	c := NewClient(DefaultConfig())
-	app, _ := corpus.ByCode("HD")
-	if _, err := c.ReviewFile(filepath.Join(app.Dir, "webfs.go")); err != nil {
-		t.Fatal(err)
-	}
+	c.ReviewSnapshotAt(hdfsFile(t, "webfs.go"), -1, 0)
 	u := c.Usage()
 	if u.Calls < 2 {
 		t.Errorf("calls = %d, want Q1 plus follow-ups", u.Calls)
@@ -153,13 +174,9 @@ func TestUsageAccounting(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	app, _ := corpus.ByCode("HD")
-	path := filepath.Join(app.Dir, "namenode.go")
-	a, err := NewClient(DefaultConfig()).ReviewFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := NewClient(DefaultConfig()).ReviewFile(path)
+	f := hdfsFile(t, "namenode.go")
+	a := NewClient(DefaultConfig()).ReviewSnapshotAt(f, -1, 0)
+	b := NewClient(DefaultConfig()).ReviewSnapshotAt(f, -1, 0)
 	if len(a.Findings) != len(b.Findings) {
 		t.Fatalf("non-deterministic finding count: %d vs %d", len(a.Findings), len(b.Findings))
 	}
@@ -185,7 +202,7 @@ func TestBackgroundFileMostlyClean(t *testing.T) {
 
 func TestUnparseableFile(t *testing.T) {
 	c := NewClient(DefaultConfig())
-	rev := c.Review("broken.go", []byte("not go at all {{{"))
+	rev := c.ReviewSnapshotAt(memFile(t, "broken.go", "not go at all {{{"), -1, 0)
 	if rev.PerformsRetry {
 		t.Error("unparseable files should answer No")
 	}

@@ -60,9 +60,6 @@ type perfect struct{}
 
 func (perfect) Do(context.Context, Call) error { return nil }
 
-// PerfectTransport returns a transport that never fails.
-func PerfectTransport() Transport { return perfect{} }
-
 // Fault kinds, used as the `kind` label of llm_transport_faults_total.
 const (
 	FaultTimeout     = "timeout"
@@ -223,7 +220,7 @@ type FaultyTransport struct {
 // the same faults.
 func NewFaultyTransport(inner Transport, profile FaultProfile, seed uint64) *FaultyTransport {
 	if inner == nil {
-		inner = PerfectTransport()
+		inner = perfect{}
 	}
 	return &FaultyTransport{inner: inner, profile: profile, seed: seed}
 }
@@ -234,9 +231,6 @@ func (t *FaultyTransport) Instrument(reg *obs.Registry) *FaultyTransport {
 	t.reg = reg
 	return t
 }
-
-// Profile returns the transport's fault profile.
-func (t *FaultyTransport) Profile() FaultProfile { return t.profile }
 
 // Do injects the profile's faults; calls that draw no fault are delivered
 // through the inner transport.
@@ -290,9 +284,9 @@ func (t *FaultyTransport) faultAt(path string, ordinal, attempt int) string {
 	return ""
 }
 
-// plan is the dry-run of a review's delivery attempts, computed during
-// budget settlement so grant decisions and outcomes are fixed in
-// canonical order before any concurrent execution.
+// transportPlan is the dry-run of a review's delivery attempts, computed
+// inside a replayable router's budget turn so grant decisions and
+// outcomes are fixed in canonical order without executing anything.
 type transportPlan struct {
 	// retriesWanted is how many retry tokens the review needs: the index
 	// of the first fault-free delivery, capped at maxAttempts-1.

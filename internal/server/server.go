@@ -96,18 +96,17 @@ type Config struct {
 	// Cache, when non-nil, is shared by every job (and its hit/miss
 	// counters appear in /metrics when it was built on Obs's registry).
 	Cache *cache.Cache
-	// Fault, when non-nil, runs every job against an unreliable
-	// simulated LLM backend (chaos drills; see docs/RESILIENCE.md).
-	Fault *llm.FaultProfile
-	// LLMBackends, when non-empty, routes every job's reviews across a
-	// multi-backend topology (docs/RESILIENCE.md "Backend topology").
-	// The daemon builds ONE shared llm.MultiTransport, so breaker state,
-	// the shared retry/hedge budget, and singleflight coalescing span
-	// jobs and tenants. Mutually exclusive with Fault.
+	// LLMBackends, when non-empty, routes every job's reviews through an
+	// llm.Router over this topology (docs/RESILIENCE.md "Routing"); a
+	// fault profile is the one-backend topology sim=sim:PROFILE. A live
+	// topology gets ONE router for the daemon, so breaker state, the
+	// shared retry/hedge budget, and singleflight coalescing span jobs
+	// and tenants; a replayable one gets a fresh router per job, so each
+	// job's report is reproducible.
 	LLMBackends []llm.BackendSpec
 	// LLMHedgeAfter launches a hedged attempt on the next healthy
 	// backend after this much silence from the preferred one (0 disables
-	// hedging). Only meaningful with LLMBackends.
+	// hedging). Only meaningful with a live LLMBackends topology.
 	LLMHedgeAfter time.Duration
 	// Obs observes the daemon: job, queue and scheduler metrics, plus
 	// every pipeline metric of every job, accumulate in its registry,
@@ -156,11 +155,11 @@ type Server struct {
 	runJob func(*job)
 	// log receives structured events (never nil; defaults to discard).
 	log *slog.Logger
-	// llmMulti and llmFlight are the daemon-lifetime multi-backend
-	// transport and singleflight group (nil without LLMBackends): one of
-	// each per process, shared by every job, so backend health outlives
-	// jobs and identical concurrent reviews coalesce across tenants.
-	llmMulti  *llm.MultiTransport
+	// llmRouter and llmFlight are the daemon-lifetime live router and
+	// singleflight group (nil unless LLMBackends is live): one of each
+	// per process, shared by every job, so backend health outlives jobs
+	// and identical concurrent reviews coalesce across tenants.
+	llmRouter *llm.Router
 	llmFlight *llm.Flight
 	// traces retains completed jobs' span trees (tracering.go).
 	traces *traceRing
@@ -235,18 +234,18 @@ func New(cfg Config) *Server {
 		sched:      newScheduler(cfg.SchedulerSlots, cfg.TenantQuota, cfg.QueueDepth, cfg.TenantPriority, cfg.Obs.Reg(), log),
 	}
 	s.runJob = s.run
-	if len(cfg.LLMBackends) > 0 {
+	if len(cfg.LLMBackends) > 0 && !llm.Replayable(cfg.LLMBackends) {
 		lcfg := llm.DefaultConfig()
 		lcfg.Backends = cfg.LLMBackends
 		lcfg.HedgeAfter = cfg.LLMHedgeAfter
 		lcfg.Log = log
-		mt, err := llm.NewMultiTransport(lcfg)
+		rt, err := llm.NewRouter(lcfg)
 		if err != nil {
 			// Specs come from ParseBackends (cmd/wasabid validates the
 			// flag); reaching here is programmer error.
 			panic(err)
 		}
-		s.llmMulti = mt.Instrument(cfg.Obs.Reg())
+		s.llmRouter = rt.Instrument(cfg.Obs.Reg())
 		s.llmFlight = llm.NewFlight()
 	}
 	mux := http.NewServeMux()
@@ -352,19 +351,15 @@ func (s *Server) run(j *job) {
 	opts.Obs = s.obs.WithTracer(tr)
 	opts.Cache = s.cfg.Cache
 	opts.Source = s.source
-	switch {
-	case s.llmMulti != nil:
-		// Backends is set alongside Multi so the per-job client's
-		// fingerprint reflects the topology; the shared transport and
-		// flight group carry the cross-job state.
-		opts.LLM.Backends = s.cfg.LLMBackends
-		opts.LLM.HedgeAfter = s.cfg.LLMHedgeAfter
-		opts.LLM.Multi = s.llmMulti
-		opts.LLM.Flight = s.llmFlight
-		opts.LLM.Log = s.log
-	case s.cfg.Fault != nil:
-		opts.LLM.Fault = s.cfg.Fault
-	}
+	// Backends is set even alongside the shared router so the per-job
+	// client's fingerprint reflects the topology; without a shared router
+	// the client builds its own. The shared router and flight group carry
+	// the cross-job state.
+	opts.LLM.Backends = s.cfg.LLMBackends
+	opts.LLM.HedgeAfter = s.cfg.LLMHedgeAfter
+	opts.LLM.Router = s.llmRouter
+	opts.LLM.Flight = s.llmFlight
+	opts.LLM.Log = s.log
 	w := core.New(opts)
 	cr, err := w.RunCorpus(j.apps)
 

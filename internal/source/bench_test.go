@@ -79,7 +79,7 @@ func BenchmarkLegacyTripleParse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// cache.HashDir: read + hash.
+		// The legacy manifest pass: read + hash.
 		for _, name := range names {
 			data, err := os.ReadFile(filepath.Join(dir, name))
 			if err != nil {
