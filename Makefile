@@ -21,16 +21,14 @@ vet:
 race:
 	$(GO) test -race ./internal/core/... ./internal/testkit/... ./internal/fault/... ./internal/trace/... ./internal/obs/... ./internal/cache/... ./internal/server/... ./internal/source/...
 
-## bench: run the pipeline benchmarks (sequential vs parallel), the
-## snapshot-store microbenchmarks (parse-once vs the legacy triple
-## parse, docs/PERFORMANCE.md), and the generated-corpus scale sweep —
-## cold/warm pipeline cost over 1x and 10x synthetic corpora
-## (docs/CORPUSGEN.md), recorded in BENCH_pipeline.json's scale_sweep
-## section. The sweep runs here only, never in ci.
+## bench: run the Go microbenchmarks used for profiling — the pipeline
+## benchmarks (sequential vs parallel) and the snapshot-store
+## microbenchmarks (parse-once vs the legacy triple parse,
+## docs/PERFORMANCE.md). Performance numbers come from the repository
+## benchmark instead: `bash bench/run.sh` (bench/README.md).
 bench:
 	$(GO) test -bench 'BenchmarkPipeline' -benchmem -run '^$$' .
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/source/
-	$(GO) run ./cmd/benchreport -scale-sweep -only cost
 
 ## gen-smoke: generate a 10x synthetic corpus into a temp dir and push
 ## it through the static-only pipeline — every emitted file must parse,

@@ -18,6 +18,8 @@ import (
 // indexed in DESIGN.md. Each benchmark exercises exactly the computation
 // that regenerates the artifact; `go run ./cmd/benchreport` prints the
 // artifacts themselves, and EXPERIMENTS.md records paper-vs-measured.
+// These are profiling aids: end-to-end performance numbers come from
+// the repository benchmark, `bash bench/run.sh` (bench/README.md).
 
 // evalOnce caches the full corpus evaluation: the table benchmarks measure
 // rendering plus scoring, not eight redundant corpus sweeps per iteration.

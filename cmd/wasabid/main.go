@@ -77,7 +77,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "expose the Go runtime profiler under /debug/pprof/ (see docs/PERFORMANCE.md)")
 	logFormat := flag.String("log-format", "text", "structured log encoding on stderr: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-	traceRing := flag.Int("trace-ring", 0, "completed job traces to retain for GET /v1/jobs/{id}/trace (0 = default)")
+	traceRing := flag.Int("trace-ring", 0, "finished jobs, with their traces, to retain for GET /v1/jobs/{id} and /trace (0 = default)")
 	showVersion := flag.Bool("version", false, "print the wasabi version and exit")
 	flag.Parse()
 

@@ -5,15 +5,21 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"wasabi/internal/cache"
 	"wasabi/internal/core"
+	"wasabi/internal/source"
 )
 
 // TestGenSmoke is the `make gen-smoke` gate: generate a 10× corpus into
 // a temp dir, run the static-only pipeline (identification; no fault
 // injection), and require zero parse failures plus a ledger whose
-// candidate count equals the manifest count.
+// candidate count equals the manifest count. A second identification
+// pass over the same cache and snapshot store — the daemon's warm
+// shape — must spend zero fresh LLM tokens and reproduce every app's
+// structure list.
 func TestGenSmoke(t *testing.T) {
 	const scale = 10
 	c, err := Generate(Config{Seed: 1, Scale: scale})
@@ -58,17 +64,44 @@ func TestGenSmoke(t *testing.T) {
 	if len(apps) != appsPerScale*scale {
 		t.Fatalf("loaded %d apps, want %d", len(apps), appsPerScale*scale)
 	}
-	w := core.New(core.DefaultOptions())
-	identified := 0
-	for _, app := range apps {
-		id, err := w.Identify(app)
-		if err != nil {
-			t.Fatalf("identify %s: %v", app.Code, err)
+	ca, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Cache = ca
+	opts.Source = source.NewStore(nil)
+	identify := func() ([][]core.Structure, int64) {
+		w := core.New(opts)
+		out := make([][]core.Structure, 0, len(apps))
+		for _, app := range apps {
+			id, err := w.Identify(app)
+			if err != nil {
+				t.Fatalf("identify %s: %v", app.Code, err)
+			}
+			out = append(out, id.Structures)
 		}
-		identified += len(id.Structures)
+		return out, w.LLMUsage().TokensIn
+	}
+	cold, coldTokens := identify()
+	identified := 0
+	for _, ss := range cold {
+		identified += len(ss)
 	}
 	if identified == 0 {
 		t.Fatal("static lanes identified no structures in the generated corpus")
+	}
+	if coldTokens == 0 {
+		t.Fatal("cold pass spent no fresh tokens; the warm check proves nothing")
+	}
+	warm, warmTokens := identify()
+	if warmTokens != 0 {
+		t.Errorf("warm pass spent %d fresh tokens, want 0", warmTokens)
+	}
+	for i, app := range apps {
+		if !reflect.DeepEqual(cold[i], warm[i]) {
+			t.Errorf("%s: warm structures differ from the cold pass", app.Code)
+		}
 	}
 
 	// The fresh ledger tracks every manifest structure as a candidate.

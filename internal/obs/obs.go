@@ -65,3 +65,11 @@ func (o *Observer) Trc() *Tracer {
 func (o *Observer) WithTracer(tr *Tracer) *Observer {
 	return &Observer{Metrics: o.Reg(), Tracer: tr}
 }
+
+// StageMetric is the histogram every stage observes its wall time into
+// (label: stage), and StageTokensMetric the counter LLM token spend is
+// attributed to stages with.
+const (
+	StageMetric       = "core_stage_ms"
+	StageTokensMetric = "core_stage_tokens_total"
+)

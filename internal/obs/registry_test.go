@@ -128,25 +128,6 @@ func TestSnapshotDeterministicOrdering(t *testing.T) {
 	}
 }
 
-func TestBuildPipelineReport(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram(StageMetric, LatencyBuckets, "stage", "identify").Observe(10)
-	r.Histogram(StageMetric, LatencyBuckets, "stage", "identify").Observe(30)
-	r.Histogram(StageMetric, LatencyBuckets, "stage", "dynamic").Observe(5)
-	r.Counter(StageTokensMetric, "stage", "identify").Add(1234)
-	rep := BuildPipelineReport(r.Snapshot())
-	if rep.Schema != PipelineReportSchema {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	id := rep.Stages["identify"]
-	if id.WallMS != 40 || id.Count != 2 || id.Tokens != 1234 {
-		t.Fatalf("identify stats = %+v", id)
-	}
-	if dyn := rep.Stages["dynamic"]; dyn.Count != 1 || dyn.Tokens != 0 {
-		t.Fatalf("dynamic stats = %+v", dyn)
-	}
-}
-
 // TestHistogramQuantile pins the bucket-interpolation estimator the
 // scheduler summaries are derived from.
 func TestHistogramQuantile(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 
 // loadHDFS loads the HDFS corpus app into a fresh snapshot store, so
 // each call starts with empty memos (a simulated cold process).
-func loadHDFS(t *testing.T) *source.Snapshot {
+func loadHDFS(t testing.TB) *source.Snapshot {
 	t.Helper()
 	app, err := corpus.ByCode("HD")
 	if err != nil {
@@ -124,6 +124,90 @@ func TestDecodeFactsFailsClosed(t *testing.T) {
 	if _, err := DecodeFacts(good, "abc"); err != nil {
 		t.Fatalf("valid entry rejected: %v", err)
 	}
+}
+
+// FuzzDecodeFacts fuzzes the facts decoder at the disk trust boundary.
+// No input may panic; an accepted entry must carry FactsSchema and the
+// requested hash, and must fail closed under any other hash; and its
+// re-encoding must decode to the same facts and re-encode to the same
+// bytes. Seeds are the fail-closed fixtures plus every HDFS file's
+// extracted facts, and run under plain go test.
+func FuzzDecodeFacts(f *testing.F) {
+	good, err := EncodeFacts(&FileFacts{
+		Schema: FactsSchema, Hash: "abc", Pkg: "demo",
+		Funcs: []FuncFacts{{Key: "F", Calls: []string{"g"}}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good, "abc")
+	f.Add(good, "other")
+	f.Add(good[:len(good)/2], "abc")
+	f.Add([]byte("not json"), "abc")
+	f.Add([]byte(`{"schema":"wasabi-facts/v0","hash":"abc","pkg":"demo"}`), "abc")
+	f.Add([]byte(`{"schema":"wasabi-facts/v1","hash":"abc","funcs":[{"key":"F","calls":[],"loops":[{"line":3,"excluded":[]}]}]}`), "abc")
+	for _, file := range loadHDFS(f).Files {
+		ff, err := extractFacts(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := EncodeFacts(ff)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, file.SHA256)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, hash string) {
+		ff, err := DecodeFacts(data, hash)
+		if err != nil {
+			return
+		}
+		if ff.Schema != FactsSchema || ff.Hash != hash {
+			t.Fatalf("accepted schema %q hash %q, want %q %q", ff.Schema, ff.Hash, FactsSchema, hash)
+		}
+		if _, err := DecodeFacts(data, hash+"x"); err == nil {
+			t.Fatal("entry accepted under a different content hash")
+		}
+		enc, err := EncodeFacts(ff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeFacts(enc, hash)
+		if err != nil {
+			t.Fatalf("re-encoding does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(canonicalFacts(ff), again) {
+			t.Fatalf("re-decoded facts differ:\n%+v\n%+v", ff, again)
+		}
+		if enc2, err := EncodeFacts(again); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding is not a fixed point (err %v):\n%s\n%s", err, enc, enc2)
+		}
+	})
+}
+
+// canonicalFacts returns a copy of ff with empty slices made nil: the
+// encoding omits empty slices, so "[]" and an absent field decode alike
+// after one round trip, and every reader ranges over them the same way.
+func canonicalFacts(ff *FileFacts) *FileFacts {
+	nilEmpty := func(s []string) []string {
+		if len(s) == 0 {
+			return nil
+		}
+		return s
+	}
+	out := *ff
+	out.Funcs = nil
+	for _, fn := range ff.Funcs {
+		fn.Throws, fn.Calls = nilEmpty(fn.Throws), nilEmpty(fn.Calls)
+		loops := fn.Loops
+		fn.Loops = nil
+		for _, l := range loops {
+			l.Excluded, l.Calls = nilEmpty(l.Excluded), nilEmpty(l.Calls)
+			fn.Loops = append(fn.Loops, l)
+		}
+		out.Funcs = append(out.Funcs, fn)
+	}
+	return &out
 }
 
 // TestAnalyzeSnapshotWithStoreMatchesDirect proves the acceptance

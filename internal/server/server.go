@@ -122,9 +122,9 @@ type Config struct {
 	// them); cmd/wasabid builds it from -log-format/-log-level. Nil
 	// discards.
 	Log *slog.Logger
-	// TraceRing bounds how many completed job traces the daemon retains
-	// for GET /v1/jobs/{id}/trace (oldest evicted first). Zero means
-	// DefaultTraceRing.
+	// TraceRing bounds how many finished jobs the daemon retains, with
+	// their traces, for GET /v1/jobs/{id} and GET /v1/jobs/{id}/trace
+	// (oldest evicted first). Zero means DefaultTraceRing.
 	TraceRing int
 	// Corpus, when non-empty, replaces the built-in seed corpus as the
 	// population jobs analyze — cmd/wasabid builds it from a generated
@@ -166,10 +166,15 @@ type Server struct {
 	// started is stamped by Start; server_uptime_seconds derives from it.
 	started time.Time
 
-	mu         sync.Mutex
-	draining   bool
-	nextID     int
-	jobs       map[string]*job
+	mu       sync.Mutex
+	draining bool
+	nextID   int
+	jobs     map[string]*job
+	// finished lists the ids of done and failed jobs still in jobs,
+	// oldest first. It is bounded by the trace ring's capacity, so job
+	// history and traces age out together; queued and running jobs are
+	// never evicted.
+	finished   []string
 	appReports map[string][]byte
 }
 
@@ -418,6 +423,7 @@ func (s *Server) run(j *job) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.retireLocked(j)
 	reg.Histogram("server_job_ms", obs.LatencyBuckets).Observe(durMS(end.Sub(start)))
 	if err != nil {
 		j.state, j.err = "failed", err.Error()
@@ -434,6 +440,16 @@ func (s *Server) run(j *job) {
 	reg.Counter("server_jobs_total", "status", "done").Inc()
 	s.logJob(evJobFinish, j, "state", state, "run_ms", durMS(end.Sub(start)),
 		"fresh_tokens", fresh.TokensIn, "spans", tr.SpanCount())
+}
+
+// retireLocked records j as finished and evicts the oldest finished
+// jobs beyond the trace ring's capacity; s.mu must be held.
+func (s *Server) retireLocked(j *job) {
+	s.finished = append(s.finished, j.id)
+	for len(s.finished) > s.traces.cap {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 // durMS renders a duration as float milliseconds (the unit every

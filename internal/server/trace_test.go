@@ -221,6 +221,35 @@ func TestTraceRingBoundAndIndex(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsAgeOutWithTraces: the job table keeps no more
+// finished jobs than the trace ring keeps traces, evicting the oldest
+// first, so daemon memory stays bounded however many jobs it serves.
+func TestFinishedJobsAgeOutWithTraces(t *testing.T) {
+	s := New(Config{Addr: "127.0.0.1:0", SchedulerSlots: 1, TraceRing: 2})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s)
+	for i := 1; i <= 3; i++ {
+		submitTenant(t, s, "a", "HD")
+		awaitJob(t, s, fmt.Sprintf("job-%d", i))
+	}
+	if rec := do(s, "GET", "/v1/jobs/job-1", ""); rec.Code != 404 {
+		t.Fatalf("oldest finished job: status = %d, want 404 (evicted)", rec.Code)
+	}
+	if rec := do(s, "GET", "/v1/jobs/job-1/trace", ""); rec.Code != 404 {
+		t.Fatalf("oldest finished job trace: status = %d, want 404", rec.Code)
+	}
+	for _, id := range []string{"job-2", "job-3"} {
+		if report, _ := awaitJob(t, s, id); len(report) == 0 {
+			t.Fatalf("%s: retained job has no report", id)
+		}
+		if rec := do(s, "GET", "/v1/jobs/"+id+"/trace", ""); rec.Code != 200 {
+			t.Fatalf("%s trace: status = %d, want 200", id, rec.Code)
+		}
+	}
+}
+
 // TestTraceEndpointsBeforeCompletion: a queued job has no trace yet, an
 // unknown job has none ever, and the index starts empty.
 func TestTraceEndpointsBeforeCompletion(t *testing.T) {

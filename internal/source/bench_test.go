@@ -31,7 +31,8 @@ func benchDir(b *testing.B) string {
 }
 
 // BenchmarkSnapshotLoadCold measures a cold load: fresh store each
-// iteration, so every file is read, hashed and parsed.
+// iteration, so every file is read and hashed (parsing is lazy, on the
+// first File.Syntax call).
 func BenchmarkSnapshotLoadCold(b *testing.B) {
 	dir := benchDir(b)
 	b.ReportAllocs()

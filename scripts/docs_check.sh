@@ -38,6 +38,9 @@
 #  11. The retry-facts format version (sast.FactsSchema) appears
 #      verbatim in docs/ARCHITECTURE.md — a version bump must update
 #      the documented format.
+#  12. Every cmd/<name> named in README.md, DESIGN.md, EXPERIMENTS.md,
+#      docs/*.md or a Go source outside bench/ is an existing directory
+#      under cmd/ — a deleted command must not strand its references.
 #
 # Exits non-zero listing every violation; run via `make docs-check`.
 set -u
@@ -154,6 +157,16 @@ else
 	grep -qF "$facts_schema" docs/ARCHITECTURE.md ||
 		err "facts format version $facts_schema (internal/sast) is not documented in docs/ARCHITECTURE.md"
 fi
+
+# 12. Every named command must exist.
+for hit in $(
+	{
+		grep -HoE 'cmd/[a-z][a-z0-9_-]*' README.md DESIGN.md EXPERIMENTS.md docs/*.md
+		grep -rHoE --include='*.go' --exclude-dir=bench 'cmd/[a-z][a-z0-9_-]*' .
+	} | sort -u
+); do
+	[ -d "${hit#*:}" ] || err "${hit%%:*} references ${hit#*:}, which does not exist"
+done
 
 if [ "$fail" -ne 0 ]; then
 	echo "docs-check: FAILED" >&2
