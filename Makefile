@@ -19,7 +19,7 @@ vet:
 ## race: run the concurrency-sensitive packages under the race detector,
 ## including the parallel-runner determinism test over the full corpus.
 race:
-	$(GO) test -race ./internal/core/... ./internal/testkit/... ./internal/fault/... ./internal/trace/... ./internal/obs/... ./internal/cache/... ./internal/server/... ./internal/source/...
+	$(GO) test -race ./internal/core/... ./internal/testkit/... ./internal/fault/... ./internal/trace/... ./internal/vclock/... ./internal/errmodel/... ./internal/obs/... ./internal/cache/... ./internal/server/... ./internal/source/...
 
 ## bench: run the Go microbenchmarks used for profiling — the pipeline
 ## benchmarks (sequential vs parallel) and the snapshot-store

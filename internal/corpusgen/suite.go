@@ -131,9 +131,7 @@ func giveUp(st StructureSpec, err error) error {
 	if st.Wrap == "" {
 		return err
 	}
-	exc := errmodel.Wrap(st.Wrap, "giving up after exhausting the retry budget", err)
-	exc.Site = st.Coordinator
-	return exc
+	return errmodel.NewAt(st.Coordinator, st.Wrap, "giving up after exhausting the retry budget", err)
 }
 
 // runSaga interprets saga/compensation structures: run the steps in
@@ -146,9 +144,7 @@ func runSaga(ctx context.Context, st StructureSpec) error {
 	var last error
 	for attempt := 0; attempt < st.Cap; attempt++ {
 		if st.Bug == meta.How && compensations > 0 {
-			exc := errmodel.New(st.HowCls, "saga ledger out of sync after compensation")
-			exc.Site = st.Coordinator
-			return exc
+			return errmodel.NewAt(st.Coordinator, st.HowCls, "saga ledger out of sync after compensation", nil)
 		}
 		last = nil
 		for _, step := range st.Retried {

@@ -65,20 +65,25 @@ func (e *Exception) Unwrap() error { return e.Cause }
 // registered on first use as direct subclasses of "Exception". The
 // creation site (the caller's function) is recorded for crash grouping.
 func New(class, msg string) *Exception {
-	defaultHierarchy.ensure(class)
-	return &Exception{Class: class, Msg: msg, Site: trace.CallerFunc(1)}
+	return NewAt(trace.CallerFunc(1), class, msg, nil)
 }
 
 // Newf constructs an exception with a formatted message.
 func Newf(class, format string, args ...any) *Exception {
-	defaultHierarchy.ensure(class)
-	return &Exception{Class: class, Msg: fmt.Sprintf(format, args...), Site: trace.CallerFunc(1)}
+	return NewAt(trace.CallerFunc(1), class, fmt.Sprintf(format, args...), nil)
 }
 
 // Wrap constructs an exception of the given class that wraps cause.
 func Wrap(class, msg string, cause error) *Exception {
+	return NewAt(trace.CallerFunc(1), class, msg, cause)
+}
+
+// NewAt constructs an exception whose creation site is given rather than
+// read off the stack — for callers that already know it, such as the
+// fault injector and interpreted corpora. cause may be nil.
+func NewAt(site, class, msg string, cause error) *Exception {
 	defaultHierarchy.ensure(class)
-	return &Exception{Class: class, Msg: msg, Cause: cause, Site: trace.CallerFunc(1)}
+	return &Exception{Class: class, Msg: msg, Cause: cause, Site: site}
 }
 
 // ClassOf returns the exception class of err, or "" if err is not an

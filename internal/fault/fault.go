@@ -23,6 +23,7 @@ package fault
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"wasabi/internal/errmodel"
@@ -172,10 +173,12 @@ func Hook(ctx context.Context) error {
 	if in == nil {
 		return nil
 	}
-	// Frame 0 is the retried method (our caller); frames 1.. are its
-	// callers, the first of which is the coordinator containing the
-	// call site.
-	stack := trace.Callers(1, callerWindow+1)
+	// One walk names the retried method (frame 0, our caller) and the
+	// coordinator window above it (frames 1.., innermost first). Hits
+	// dominate — an injection run calls its armed method until K heals —
+	// so splitting off a callee-only walk would only add a second one.
+	var frames [callerWindow + 1]string
+	stack := trace.AppendCallers(frames[:0], 1, len(frames))
 	if len(stack) == 0 {
 		return nil
 	}
@@ -196,6 +199,10 @@ func HookAt(ctx context.Context, coordinator, retried string) error {
 	}
 	return in.arrive(ctx, retried, []string{coordinator})
 }
+
+// injectSite is the Site of every injected exception: the function that
+// builds it, as a stack walk would name it.
+const injectSite = "fault.Injector.arrive"
 
 // arrive is the shared hook body: callee is the retried method, callers
 // the candidate coordinator frames (innermost first).
@@ -239,7 +246,7 @@ func (in *Injector) arrive(ctx context.Context, callee string, callers []string)
 			if in.count[loc] >= ar.rule.K {
 				// This rule has healed; remember it but give other
 				// armed rules at the same location a chance.
-				exhausted = &loc
+				exhausted = &ar.rule.Loc
 				continue
 			}
 			in.count[loc]++
@@ -255,7 +262,8 @@ func (in *Injector) arrive(ctx context.Context, callee string, callers []string)
 					Count:     n,
 				})
 			}
-			exc := errmodel.Newf(loc.Exception, "injected at %s invoked from %s (throw %d)", callee, loc.Coordinator, n)
+			exc := errmodel.NewAt(injectSite, loc.Exception,
+				fmt.Sprintf("injected at %s invoked from %s (throw %d)", callee, loc.Coordinator, n), nil)
 			exc.Injected = true
 			return exc
 		}

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"wasabi/internal/fault"
 	"wasabi/internal/testkit"
 	"wasabi/internal/trace"
+	"wasabi/internal/vclock"
 )
 
 func loc() fault.Location {
@@ -242,5 +244,65 @@ func TestDedupCollapsesGroups(t *testing.T) {
 	}
 	if got := len(Dedup(reports)); got != 3 {
 		t.Errorf("dedup = %d, want 3 (same app+kind+group collapses)", got)
+	}
+}
+
+// The sleep-attribution pair below runs real retry loops through
+// fault.Hook and vclock.Sleep, so the stacks the missing-delay oracle reads
+// are the ones an injection run records.
+
+// attemptWork is the retried method of both loops.
+func attemptWork(ctx context.Context) error { return fault.Hook(ctx) }
+
+// sleepFirstCoordinator sleeps once before its first attempt, then retries
+// without sleeping: its only delay is not between two attempts.
+func sleepFirstCoordinator(ctx context.Context) error {
+	vclock.Sleep(ctx, time.Second)
+	for {
+		if err := attemptWork(ctx); err == nil {
+			return nil
+		}
+	}
+}
+
+// backoffCoordinator sleeps between retries.
+func backoffCoordinator(ctx context.Context) error {
+	for {
+		if err := attemptWork(ctx); err == nil {
+			return nil
+		}
+		vclock.Sleep(ctx, time.Second)
+	}
+}
+
+func runLoop(coordinator string, body func(context.Context) error) []Report {
+	rules := []fault.Rule{{
+		Loc: fault.Location{Coordinator: coordinator, Retried: "oracle.attemptWork", Exception: "ConnectException"},
+		K:   3,
+	}}
+	test := testkit.Test{Name: "app.TestLoop", App: "HD", Body: func(ctx context.Context, _ map[string]string) error {
+		return body(ctx)
+	}}
+	return Evaluate("HD", testkit.Run(test, fault.NewInjector(rules), nil), rules, DefaultOptions())
+}
+
+func TestSleepBeforeFirstAttemptIsMissingDelay(t *testing.T) {
+	found := false
+	for _, r := range runLoop("oracle.sleepFirstCoordinator", sleepFirstCoordinator) {
+		if r.Kind == MissingDelay && r.Coordinator == "oracle.sleepFirstCoordinator" {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("a sleep before the first attempt must not mask the missing delay between retries")
+	}
+}
+
+func TestSleepBetweenRetriesIsNotMissingDelay(t *testing.T) {
+	reports := runLoop("oracle.backoffCoordinator", backoffCoordinator)
+	for _, r := range reports {
+		if r.Kind == MissingDelay {
+			t.Errorf("sleep between retries reported as missing delay: %+v", r)
+		}
 	}
 }

@@ -83,10 +83,11 @@ type Event struct {
 type Run struct {
 	Test string
 
-	mu     sync.Mutex
-	events []Event
-	seq    int
-	vnow   time.Duration
+	mu       sync.Mutex
+	events   []Event
+	seq      int
+	vnow     time.Duration
+	injected bool // a KindInjection event has been logged
 }
 
 // NewRun creates an empty trace for the named test.
@@ -100,6 +101,9 @@ func (r *Run) Append(e Event) {
 	r.seq++
 	e.VTime = r.vnow
 	r.events = append(r.events, e)
+	if e.Kind == KindInjection {
+		r.injected = true
+	}
 }
 
 // AdvanceAndRecordSleep advances virtual time by d and appends a sleep
@@ -107,6 +111,29 @@ func (r *Run) Append(e Event) {
 func (r *Run) AdvanceAndRecordSleep(d time.Duration, stack []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.recordSleep(d, stack)
+}
+
+// AdvanceAndRecordSleepLazily is AdvanceAndRecordSleep for a run under
+// fault injection, with the stack taken from the caller's goroutine as
+// Callers(skip, max) would take it. A sleep's stack is read only by the
+// missing-delay oracle, and only between two injections, so the stack is
+// walked only once the run has logged a KindInjection; earlier sleeps
+// carry no stack. The walk happens under the run's lock, so whether a
+// sleep has a stack always agrees with where it lands in the log.
+func (r *Run) AdvanceAndRecordSleepLazily(d time.Duration, skip, max int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var stack []string
+	if r.injected {
+		stack = appendCallers(make([]string, 0, max), skip, max)
+	}
+	r.recordSleep(d, stack)
+}
+
+// recordSleep appends a sleep event and advances virtual time; r.mu must
+// be held.
+func (r *Run) recordSleep(d time.Duration, stack []string) {
 	e := Event{
 		Seq:      r.seq,
 		Kind:     KindSleep,
@@ -174,34 +201,70 @@ func Note(ctx context.Context, format string, args ...any) {
 // goroutine's stack, innermost first, skipping skip frames above the caller
 // of Callers itself. Names are normalized by NormalizeFunc.
 func Callers(skip, max int) []string {
-	pcs := make([]uintptr, max+skip+2)
-	n := runtime.Callers(skip+2, pcs)
-	if n == 0 {
-		return nil
-	}
-	frames := runtime.CallersFrames(pcs[:n])
-	var out []string
-	for {
-		f, more := frames.Next()
-		name := NormalizeFunc(f.Function)
-		if name != "" {
-			out = append(out, name)
-		}
-		if !more || len(out) >= max {
-			break
-		}
-	}
-	return out
+	return appendCallers(make([]string, 0, max), skip, max)
+}
+
+// AppendCallers is Callers appending into out, so a caller that keeps out
+// on its own stack pays for no allocation.
+func AppendCallers(out []string, skip, max int) []string {
+	return appendCallers(out, skip, max)
 }
 
 // CallerFunc returns the normalized function name of the caller skip
 // frames above the caller of CallerFunc (skip 0 = the immediate caller).
 func CallerFunc(skip int) string {
-	s := Callers(skip+1, 1)
-	if len(s) == 0 {
-		return ""
+	var one [1]string
+	if s := appendCallers(one[:0], skip, 1); len(s) > 0 {
+		return s[0]
 	}
-	return s[0]
+	return ""
+}
+
+// appendCallers is the one stack walk behind Callers, AppendCallers,
+// CallerFunc and AdvanceAndRecordSleepLazily; skip counts frames above the
+// caller of that exported function. It reads one return PC per logical
+// frame (runtime.Callers gives inlined calls virtual PCs of their own) and
+// names each through funcName, so a steady-state walk is one
+// runtime.Callers plus a memo lookup per frame.
+func appendCallers(out []string, skip, max int) []string {
+	// The walk stops after max frames: every PC runtime.Callers returns in
+	// a Go binary belongs to a named function, so no slack is needed for
+	// frames without a name.
+	var buf [16]uintptr
+	pcs := buf[:]
+	if max <= len(buf) {
+		pcs = buf[:max]
+	} else {
+		pcs = make([]uintptr, max)
+	}
+	n := runtime.Callers(skip+3, pcs)
+	for _, pc := range pcs[:n] {
+		if name := funcName(pc); name != "" {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// names memoises return PC → normalized function name. A PC from
+// runtime.Callers names exactly one logical frame, so the memo is exact,
+// and it is bounded by the call sites in the binary. It is the run-time
+// analogue of AspectJ resolving a join point once, at weave time.
+var names sync.Map // uintptr -> string
+
+// funcName returns the normalized name of the frame at return PC pc,
+// resolving it through runtime.CallersFrames only the first time pc is
+// seen. For a single PC, CallersFrames' first frame is the innermost
+// (possibly inlined) function at that PC — the frame a walk over the whole
+// PC slice reports for it.
+func funcName(pc uintptr) string {
+	if name, ok := names.Load(pc); ok {
+		return name.(string)
+	}
+	f, _ := runtime.CallersFrames([]uintptr{pc}).Next()
+	name := NormalizeFunc(f.Function)
+	names.Store(pc, name)
+	return name
 }
 
 // NormalizeFunc converts a runtime function name such as
@@ -209,6 +272,8 @@ func CallerFunc(skip int) string {
 // method-naming convention "hdfs.BlockReader.connect". Functions outside
 // the corpus keep "pkg.Symbol" form (last import-path element only).
 // Anonymous function suffixes (".func1") are preserved on the parent name.
+// The result never contains "/", "(*" or ")", so NormalizeFunc is
+// idempotent.
 func NormalizeFunc(fn string) string {
 	if fn == "" {
 		return ""
@@ -218,8 +283,12 @@ func NormalizeFunc(fn string) string {
 	if i := strings.LastIndex(fn, "/"); i >= 0 {
 		fn = fn[i+1:]
 	}
-	// Drop pointer-receiver decoration.
-	fn = strings.ReplaceAll(fn, "(*", "")
+	// Drop pointer-receiver decoration. Closing parentheses go first, and
+	// "(*" is removed until none is left, because removing one can join
+	// its neighbours into another ("((**" -> "(*").
 	fn = strings.ReplaceAll(fn, ")", "")
+	for strings.Contains(fn, "(*") {
+		fn = strings.ReplaceAll(fn, "(*", "")
+	}
 	return fn
 }

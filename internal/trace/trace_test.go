@@ -2,6 +2,9 @@ package trace
 
 import (
 	"context"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -72,15 +75,18 @@ func TestNoteRecords(t *testing.T) {
 	}
 }
 
+// normalizeCases are TestNormalizeFunc's table and FuzzNormalizeFunc's
+// seeds.
+var normalizeCases = []struct{ in, want string }{
+	{"wasabi/internal/apps/hdfs.(*BlockReader).connect", "hdfs.BlockReader.connect"},
+	{"wasabi/internal/apps/hbase.UnassignProcedure.Execute", "hbase.UnassignProcedure.Execute"},
+	{"main.main", "main.main"},
+	{"wasabi/internal/testkit.(*Runner).Run.func1", "testkit.Runner.Run.func1"},
+	{"", ""},
+}
+
 func TestNormalizeFunc(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"wasabi/internal/apps/hdfs.(*BlockReader).connect", "hdfs.BlockReader.connect"},
-		{"wasabi/internal/apps/hbase.UnassignProcedure.Execute", "hbase.UnassignProcedure.Execute"},
-		{"main.main", "main.main"},
-		{"wasabi/internal/testkit.(*Runner).Run.func1", "testkit.Runner.Run.func1"},
-		{"", ""},
-	}
-	for _, c := range cases {
+	for _, c := range normalizeCases {
 		if got := NormalizeFunc(c.in); got != c.want {
 			t.Errorf("NormalizeFunc(%q) = %q, want %q", c.in, got, c.want)
 		}
@@ -106,6 +112,120 @@ func TestCallersSeesCallerChain(t *testing.T) {
 	}
 	if stack[0] != "trace.helperCaller" || stack[1] != "trace.TestCallersSeesCallerChain" {
 		t.Errorf("stack = %v", stack)
+	}
+}
+
+// FuzzNormalizeFunc checks NormalizeFunc on arbitrary input: it never
+// panics, it is idempotent, and no pointer-receiver decoration survives.
+func FuzzNormalizeFunc(f *testing.F) {
+	for _, c := range normalizeCases {
+		f.Add(c.in)
+	}
+	// Removing one "(*" or ")" can join its neighbours into another.
+	f.Add("pkg.((**T)).m")
+	f.Add("a/b.()*")
+	f.Fuzz(func(t *testing.T, fn string) {
+		got := NormalizeFunc(fn)
+		if again := NormalizeFunc(got); again != got {
+			t.Errorf("NormalizeFunc(%q) = %q, but NormalizeFunc(%q) = %q", fn, got, got, again)
+		}
+		if strings.Contains(got, "(*") || strings.Contains(got, ")") {
+			t.Errorf("NormalizeFunc(%q) = %q keeps receiver decoration", fn, got)
+		}
+	})
+}
+
+// referenceCallers is the walk Callers replaced, kept as its reference:
+// every call resolves every frame through runtime.CallersFrames and
+// NormalizeFunc.
+func referenceCallers(skip, max int) []string {
+	pcs := make([]uintptr, max+skip+2)
+	n := runtime.Callers(skip+2, pcs)
+	if n == 0 {
+		return nil
+	}
+	frames := runtime.CallersFrames(pcs[:n])
+	var out []string
+	for {
+		f, more := frames.Next()
+		name := NormalizeFunc(f.Function)
+		if name != "" {
+			out = append(out, name)
+		}
+		if !more || len(out) >= max {
+			break
+		}
+	}
+	return out
+}
+
+// bothWalks returns what the memoised and the reference walk see from
+// the same frame, for the frames above bothWalks.
+//
+//go:noinline
+func bothWalks() (got, want []string) {
+	return Callers(1, 6), referenceCallers(1, 6)
+}
+
+func walkDirect() (got, want []string) { return bothWalks() }
+
+func walkClosure() (got, want []string) {
+	f := func() (got, want []string) { return bothWalks() }
+	return f()
+}
+
+type walker struct{ depth int }
+
+func (w *walker) walk() (got, want []string) {
+	if w.depth > 0 {
+		w.depth--
+		return w.walk()
+	}
+	return bothWalks()
+}
+
+// walkInlined is small enough for the compiler to inline into its caller,
+// so its frame is a virtual one inside walkViaInlined.
+func walkInlined() (got, want []string) { return bothWalks() }
+
+//go:noinline
+func walkViaInlined() (got, want []string) { return walkInlined() }
+
+// TestCallersMatchesReferenceWalk checks that the memoised walk names
+// exactly the frames the CallersFrames walk names — direct calls,
+// closures, pointer receivers and inlined frames — both on first sight of
+// each PC (cold memo) and from the memo (warm).
+func TestCallersMatchesReferenceWalk(t *testing.T) {
+	shapes := []struct {
+		name  string
+		walk  func() (got, want []string)
+		first string
+	}{
+		{"direct", walkDirect, "trace.walkDirect"},
+		{"closure", walkClosure, "trace.walkClosure.func1"},
+		{"pointer receiver", (&walker{depth: 2}).walk, "trace.walker.walk"},
+		{"inlined", walkViaInlined, "trace.walkInlined"},
+	}
+	for _, sh := range shapes {
+		names.Range(func(pc, _ any) bool { names.Delete(pc); return true })
+		for _, phase := range []string{"cold", "warm"} {
+			got, want := sh.walk()
+			if len(got) == 0 || got[0] != sh.first {
+				t.Errorf("%s (%s): Callers = %v, want %q first", sh.name, phase, got, sh.first)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (%s): Callers = %v, reference walk = %v", sh.name, phase, got, want)
+			}
+		}
+	}
+}
+
+func TestCallerFuncMatchesCallers(t *testing.T) {
+	if got := CallerFunc(0); got != "trace.TestCallerFuncMatchesCallers" {
+		t.Errorf("CallerFunc(0) = %q", got)
+	}
+	if got, want := CallerFunc(1), referenceCallers(1, 1); len(want) != 1 || got != want[0] {
+		t.Errorf("CallerFunc(1) = %q, reference walk = %v", got, want)
 	}
 }
 
@@ -233,5 +353,41 @@ func TestConcurrentAppenders(t *testing.T) {
 		if ev[i].VTime < ev[i-1].VTime {
 			t.Fatalf("virtual time ran backwards at seq %d: %v -> %v", i, ev[i-1].VTime, ev[i].VTime)
 		}
+	}
+}
+
+// TestLazySleepStacksFollowFirstInjection interleaves lazy sleeps with an
+// injection from several goroutines: whatever the interleaving, exactly
+// the sleeps logged after the first injection carry a stack. make race
+// runs this under the race detector.
+func TestLazySleepStacksFollowFirstInjection(t *testing.T) {
+	r := NewRun("lazy")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if g == 0 && i == 25 {
+					r.Append(Event{Kind: KindInjection, Callee: "app.T.work", Caller: "app.T.run"})
+				}
+				r.AdvanceAndRecordSleepLazily(time.Millisecond, 0, 4)
+			}
+		}(g)
+	}
+	wg.Wait()
+	injected := false
+	for _, e := range r.Events() {
+		switch {
+		case e.Kind == KindInjection:
+			injected = true
+		case injected && (len(e.Stack) == 0 || !strings.HasPrefix(e.Stack[0], "trace.TestLazySleepStacksFollowFirstInjection.func")):
+			t.Fatalf("sleep %d after the first injection has stack %v", e.Seq, e.Stack)
+		case !injected && e.Stack != nil:
+			t.Fatalf("sleep %d before the first injection has stack %v", e.Seq, e.Stack)
+		}
+	}
+	if !injected {
+		t.Fatal("no injection logged")
 	}
 }

@@ -5,7 +5,8 @@
 // APIs (Thread.sleep, TimeUnit.sleep, ...) with AspectJ and logging each
 // call with its stack (§3.1.3). In this reproduction, all corpus code
 // sleeps through vclock.Sleep, which (a) records the sleep event with a
-// normalized call stack in the run's trace and (b) advances *virtual* time
+// normalized call stack in the run's trace (under fault injection, from the
+// run's first injection on) and (b) advances *virtual* time
 // instead of blocking, so that experiments with 100 injected faults and
 // exponential backoff complete in milliseconds of wall time while the
 // oracle still observes realistic delay/timeout behaviour.
@@ -22,8 +23,12 @@ import (
 	"math"
 	"time"
 
+	"wasabi/internal/fault"
 	"wasabi/internal/trace"
 )
+
+// stackDepth is how many frames of a sleep's caller stack are recorded.
+const stackDepth = 8
 
 // Sleep records a sleep of duration d on the run attached to ctx and
 // advances that run's virtual clock. Without a run on ctx it is a no-op;
@@ -31,14 +36,23 @@ import (
 //
 // This is the reproduction's stand-in for Thread.sleep and friends: the
 // missing-delay oracle looks for these events between consecutive fault
-// injections from the same retry location.
+// injections from the same retry location. That oracle is the only
+// reader of a sleep's stack, so in a run with a fault.Injector attached
+// the stack is recorded from the run's first injection on; a plain run
+// records every sleep's stack.
 func Sleep(ctx context.Context, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	if r := trace.From(ctx); r != nil {
-		r.AdvanceAndRecordSleep(d, trace.Callers(1, 8))
+	r := trace.From(ctx)
+	if r == nil {
+		return
 	}
+	if fault.From(ctx) == nil {
+		r.AdvanceAndRecordSleep(d, trace.Callers(1, stackDepth))
+		return
+	}
+	r.AdvanceAndRecordSleepLazily(d, 1, stackDepth)
 }
 
 // Now returns the virtual time of the run attached to ctx, or zero.

@@ -2,10 +2,12 @@ package vclock
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"wasabi/internal/fault"
 	"wasabi/internal/trace"
 )
 
@@ -39,6 +41,60 @@ func TestSleepCapturesCallerStack(t *testing.T) {
 }
 
 func sleepHelper(ctx context.Context) { Sleep(ctx, time.Second) }
+
+// injectedRunCtx is runCtx with a fault injector attached, as in every
+// injection run of the dynamic workflow.
+func injectedRunCtx() (context.Context, *trace.Run) {
+	ctx, r := runCtx()
+	return fault.With(ctx, fault.NewInjector(nil)), r
+}
+
+func logInjection(r *trace.Run) {
+	r.Append(trace.Event{
+		Kind: trace.KindInjection, Callee: "app.T.work", Caller: "app.T.run",
+		Exception: "ConnectException", Count: 1,
+	})
+}
+
+// TestSleepUnderInjectionRecordsStackFromFirstInjection checks the sleep
+// attribution rule: with an injector attached, a sleep before the run's
+// first injection — which no oracle reads — records no stack, and a sleep
+// after it records the same stack a plain run does.
+func TestSleepUnderInjectionRecordsStackFromFirstInjection(t *testing.T) {
+	ctx, r := injectedRunCtx()
+	sleepHelper(ctx)
+	logInjection(r)
+	sleepHelper(ctx)
+
+	plainCtx, plain := runCtx()
+	sleepHelper(plainCtx)
+	want := plain.Events()[0].Stack
+
+	ev := r.Events()
+	if len(ev) != 3 || ev[0].Kind != trace.KindSleep || ev[2].Kind != trace.KindSleep {
+		t.Fatalf("events = %+v", ev)
+	}
+	if ev[0].Stack != nil {
+		t.Errorf("sleep before the first injection recorded stack %v", ev[0].Stack)
+	}
+	if len(want) == 0 || want[0] != "vclock.sleepHelper" || !reflect.DeepEqual(ev[2].Stack, want) {
+		t.Errorf("sleep after the first injection recorded %v, a plain run %v", ev[2].Stack, want)
+	}
+	if r.VNow() != 2*time.Second {
+		t.Errorf("VNow = %v: every sleep advances virtual time", r.VNow())
+	}
+}
+
+// TestSleepAfterInjectionAllocs guards a post-injection sleep's steady
+// state: the recorded stack slice is its only allocation.
+func TestSleepAfterInjectionAllocs(t *testing.T) {
+	ctx, r := injectedRunCtx()
+	logInjection(r)
+	sleepHelper(ctx) // warm: names the PCs
+	if n := testing.AllocsPerRun(100, func() { sleepHelper(ctx) }); n > 1 {
+		t.Errorf("%v allocs per sleep, want at most 1 (the stack)", n)
+	}
+}
 
 func TestSleepZeroAndNegativeIgnored(t *testing.T) {
 	ctx, r := runCtx()
