@@ -17,7 +17,8 @@ vet:
 	$(GO) vet ./...
 
 ## race: run the concurrency-sensitive packages under the race detector,
-## including the parallel-runner determinism test over the full corpus.
+## including the parallel-runner determinism test over the full corpus
+## and the worker-pool bound under nesting.
 race:
 	$(GO) test -race ./internal/core/... ./internal/testkit/... ./internal/fault/... ./internal/trace/... ./internal/vclock/... ./internal/errmodel/... ./internal/obs/... ./internal/cache/... ./internal/server/... ./internal/source/...
 
@@ -81,4 +82,4 @@ docs-check:
 	sh scripts/docs_check.sh
 
 ## ci: the local gate — everything the driver checks, in one target.
-ci: build test vet chaos serve-smoke restart-smoke bench-smoke gen-smoke docs-check
+ci: build test vet race chaos serve-smoke restart-smoke bench-smoke gen-smoke docs-check

@@ -272,8 +272,8 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 }
 
 // TestFaultProfileDisablesReviewCache pins the safety gate: under a
-// fault profile, per-file memoization is off (admission decisions are
-// run-global), so a second run spends tokens again.
+// fault profile, per-file memoization is off (a file's outcome is the
+// router's verdict for the run), so a second run spends tokens again.
 func TestFaultProfileDisablesReviewCache(t *testing.T) {
 	app := copyApp(t, "HD")
 	ca, err := cache.New(cache.Options{})

@@ -211,3 +211,84 @@ func TestBudgetExhaustionDegradesNotFails(t *testing.T) {
 		t.Error("budget exhaustion must not mark the whole run degraded (that is reserved for outage)")
 	}
 }
+
+// routedOptions returns options that route every review through the
+// one-backend replayable topology sim=sim:PROFILE.
+func routedOptions(t *testing.T, profile string, workers int) Options {
+	t.Helper()
+	p, err := llm.ParseFaultProfile(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Workers = workers
+	opts.LLM.Backends = []llm.BackendSpec{{Name: "sim", Kind: "sim", Fault: &p}}
+	return opts
+}
+
+// renderIdentification renders an identification's degradation records
+// and structures, the parts a replayable router's grants decide.
+func renderIdentification(id *Identification) string {
+	var b strings.Builder
+	for _, d := range id.Degraded {
+		fmt.Fprintf(&b, "DEGRADED %s %s\n", d.File, d.Reason)
+	}
+	for _, s := range id.Structures {
+		fmt.Fprintf(&b, "%s %s codeql=%v llm=%v triplets=%v\n",
+			s.Coordinator, s.Mechanism, s.FoundBy.CodeQL, s.FoundBy.LLM, s.Triplets)
+	}
+	return b.String()
+}
+
+// TestIdentifyAfterRunCorpusOnRoutedToolkit: a routed toolkit that ran a
+// corpus can still identify a single app, and — each Identify being a run
+// of its own — gets the answer a fresh toolkit gets.
+func TestIdentifyAfterRunCorpusOnRoutedToolkit(t *testing.T) {
+	const profile = "timeout=3,ratelimit=3,servererror=3"
+	apps := corpus.Apps()
+	w := New(routedOptions(t, profile, 4))
+	if _, err := w.RunCorpus(apps); err != nil {
+		t.Fatal(err)
+	}
+	got, err := w.Identify(apps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(routedOptions(t, profile, 4)).Identify(apps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, x := renderIdentification(got), renderIdentification(want); g != x {
+		t.Fatalf("Identify after RunCorpus differs from a fresh toolkit's:\n%s\nvs\n%s", g, x)
+	}
+}
+
+// TestIdentifyReplayableAcrossWorkers: a standalone Identify under a
+// replayable router grants retries in file order, not arrival order, so
+// its degradation records and structures are identical at any worker
+// count, run after run.
+func TestIdentifyReplayableAcrossWorkers(t *testing.T) {
+	const profile = "timeout=3,ratelimit=3,servererror=3"
+	for _, code := range []string{"HD", "HB", "EL"} {
+		app, err := corpus.ByCode(code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identify := func(workers int) string {
+			id, err := New(routedOptions(t, profile, workers)).Identify(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return renderIdentification(id)
+		}
+		want := identify(1)
+		if !strings.Contains(want, "DEGRADED") {
+			t.Fatalf("%s: profile %s degraded nothing; the test needs budget pressure", code, profile)
+		}
+		for run := 0; run < 10; run++ {
+			if got := identify(8); got != want {
+				t.Fatalf("%s run %d: Workers=8 differs from Workers=1:\n%s\nvs\n%s", code, run, got, want)
+			}
+		}
+	}
+}

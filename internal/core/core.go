@@ -62,9 +62,9 @@ type Options struct {
 	// keyed by (config fingerprint, path, content hash). A warm run
 	// over unchanged sources produces byte-identical results with zero
 	// fresh LLM spend; runs through an LLM router (a fault profile or a
-	// backend topology) bypass the review tier (their admissions depend
-	// on run order, so per-file memoization would be unsound) but still
-	// reuse static analyses.
+	// backend topology) bypass the review tier (a file's outcome there
+	// depends on the router's verdict for this run, so per-file
+	// memoization would be unsound) but still reuse static analyses.
 	Cache *cache.Cache
 	// Source, when non-nil, is the parse-once snapshot store every
 	// stage loads corpus bytes through (docs/PERFORMANCE.md). The
@@ -95,9 +95,10 @@ type Wasabi struct {
 	// cache is Options.Cache; nil disables memoization.
 	cache *cache.Cache
 	// llmFP is the review-cache fingerprint of the LLM configuration,
-	// and reviewCache gates the review tier: it is false when a fault
-	// profile is configured, because fault-profile admissions depend on
-	// run-global ordering that per-file memoization cannot reproduce.
+	// and reviewCache gates the review tier: it is false when reviews
+	// are routed, because a routed review's outcome depends on the
+	// router's verdict for this run, which per-file memoization cannot
+	// reproduce.
 	reviewCache bool
 	// src is the parse-once snapshot store (Options.Source, or a fresh
 	// per-toolkit store): every read of corpus bytes goes through it.
@@ -129,8 +130,8 @@ func New(opts Options) *Wasabi {
 		obs:   opts.Obs,
 		cache: opts.Cache,
 		// Routed runs (fault profiles and topologies) skip the review
-		// cache: a hit would skip the review's admission turn and shift
-		// every later grant, so cold and warm runs would diverge.
+		// cache: a hit would bypass the router's delivery verdict for the
+		// file (a degradation, say), so cold and warm runs would diverge.
 		reviewCache: opts.Cache != nil && !opts.LLM.Routed(),
 		src:         opts.Source,
 		// The calling goroutine always participates in parallel loops, so
@@ -228,32 +229,35 @@ func (id *Identification) Locations() []fault.Location {
 }
 
 // Identify runs both retry-identification techniques (§3.1.1) on the app.
-// Standalone calls settle LLM admissions in arrival order; corpus runs go
-// through identifyLane so admissions follow canonical corpus order.
+// It is a run of one app: load its sources, settle the run's LLM
+// admissions (StartRun, a no-op unless the router is replayable), then
+// identify.
 func (w *Wasabi) Identify(app corpus.App) (*Identification, error) {
-	return w.identifyLane(app, -1)
+	snap, err := w.load(app)
+	if err != nil {
+		return nil, err
+	}
+	w.llm.StartRun([]*source.Snapshot{snap})
+	return w.identify(app, snap, 0)
 }
 
-// identifyLane is Identify pinned to a budget lane (the app's position in
-// the corpus input, or -1 outside a sequenced run). Whatever happens, a
-// sequenced lane is always opened — with zero claims on early errors — so
-// later lanes never wait on it forever.
-func (w *Wasabi) identifyLane(app corpus.App, lane int) (*Identification, error) {
-	defer w.stage("identify", app.Code)()
-	opened := false
-	defer func() {
-		if lane >= 0 && !opened {
-			w.llm.OpenLane(lane, 0)
-		}
-	}()
-	// Load the app's sources through the snapshot store: one read, one
-	// hash, and (for changed content) one parse per file, shared by every
-	// consumer below — the static analysis, the per-file LLM reviews, and
-	// the cache's manifest derivation all work off this snapshot.
+// load reads the app's sources through the snapshot store: one read,
+// one hash, and (for changed content) one parse per file, shared by
+// every identify consumer — the static analysis, the per-file LLM
+// reviews, and the cache's manifest derivation all work off this
+// snapshot.
+func (w *Wasabi) load(app corpus.App) (*source.Snapshot, error) {
 	snap, err := w.src.Load(app.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("identify %s: %w", app.Code, err)
 	}
+	return snap, nil
+}
+
+// identify is the identify stage over a loaded snapshot; lane is the
+// app's position in the run StartRun settled.
+func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Identification, error) {
+	defer w.stage("identify", app.Code)()
 	// With a cache attached, derive the manifest from the snapshot's
 	// already-computed hashes: it keys the static-analysis entry and
 	// carries the per-file content hashes the review keys need.
@@ -274,6 +278,7 @@ func (w *Wasabi) identifyLane(app corpus.App, lane int) (*Identification, error)
 		if w.cache != nil {
 			facts = w.cache
 		}
+		var err error
 		analysis, err = sast.AnalyzeSnapshotWith(snap, facts)
 		if err != nil {
 			return nil, fmt.Errorf("identify %s: %w", app.Code, err)
@@ -312,10 +317,6 @@ func (w *Wasabi) identifyLane(app corpus.App, lane int) (*Identification, error)
 	// stays sequential in sorted file order, which keeps the identification
 	// byte-identical at every Workers setting.
 	files := snap.Names()
-	if lane >= 0 {
-		opened = true
-		w.llm.OpenLane(lane, len(files))
-	}
 	reviews := make([]llm.FileReview, len(files))
 	cached := make([]bool, len(files))
 	// Review keys are derivable only with a manifest; any routed run

@@ -14,9 +14,9 @@
 //     clock lives on the per-run trace).
 //
 // All levels share one semaphore sized Workers-1 (the calling goroutine
-// always works too), so nested fan-out never exceeds Workers concurrent
-// executions in total. Determinism comes from indexed result slots plus
-// sequential, input-ordered merging: the assembled streams are
+// always works too), so nested fan-out never runs bodies on more than
+// Workers goroutines in total. Determinism comes from indexed result
+// slots plus sequential, input-ordered merging: the assembled streams are
 // byte-identical to the Workers=1 path regardless of scheduling, which
 // determinism_test.go asserts over the full corpus.
 package core
@@ -31,6 +31,7 @@ import (
 	"wasabi/internal/obs"
 	"wasabi/internal/oracle"
 	"wasabi/internal/sast"
+	"wasabi/internal/source"
 )
 
 // inFlightBuckets sizes the pool-utilization histogram
@@ -38,11 +39,16 @@ import (
 // task starts, bounded by Options.Workers.
 var inFlightBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 
-// parallelFor runs fn(0) … fn(n-1), each exactly once, on at most
-// opts.Workers goroutines in total across nested calls. Saturated calls
-// run inline on the caller — which both bounds the pool and makes the
-// function deadlock-free under nesting. With Workers=1 the loop degrades
-// to a plain sequential for, byte-for-byte the pre-parallel behaviour.
+// parallelFor runs fn(0) … fn(n-1), each exactly once. The bound it
+// promises: at most opts.Workers goroutines execute bodies at any time,
+// across nested calls — the caller of the outermost loop plus at most
+// Workers-1 pool goroutines, each holding a semaphore slot while its
+// body runs. A saturated call runs its body inline on the calling
+// goroutine, so a body nested in another body on the same goroutine adds
+// nothing; that is also what keeps nesting deadlock-free. (Concurrent
+// outermost calls on one toolkit each bring their own caller.) With
+// Workers=1 the loop degrades to a plain sequential for, byte-for-byte
+// the pre-parallel behaviour.
 //
 // level names the fan-out level ("apps", "reviews", "entries") for the
 // pool metrics. On observed runs each task reports its queue wait (time
@@ -135,16 +141,24 @@ func (w *Wasabi) RunCorpus(apps []corpus.App) (*CorpusRun, error) {
 	csp := w.obs.Trc().Start("corpus", "pipeline")
 	defer csp.End()
 	w.obs.Reg().Gauge("core_corpus_apps").Set(float64(len(apps)))
-	// Unreliable-backend runs settle LLM admissions in canonical
-	// (app, file) order: one budget lane per app, opened by identifyLane.
-	w.llm.StartRun(len(apps))
+	// Load every app before the fan-out, so a replayable LLM router can
+	// settle the whole run's admissions up front in (app, file) order.
+	snaps := make([]*source.Snapshot, len(apps))
+	for i, app := range apps {
+		snap, err := w.load(app)
+		if err != nil {
+			return nil, err
+		}
+		snaps[i] = snap
+	}
+	w.llm.StartRun(snaps)
 	runs := make([]AppRun, len(apps))
 	errs := make([]error, len(apps))
 	w.parallelFor("apps", len(apps), func(i int) {
 		app := apps[i]
 		asp := w.obs.Trc().Start("app:"+app.Code, "app", "parent", "corpus")
 		defer asp.End()
-		id, err := w.identifyLane(app, i)
+		id, err := w.identify(app, snaps[i], i)
 		if err != nil {
 			errs[i] = err
 			return

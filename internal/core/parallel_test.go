@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"wasabi/internal/apps/corpus"
 )
@@ -25,33 +27,53 @@ func TestParallelForRunsEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestParallelForNestedStaysBounded checks the bound parallelFor
+// promises under nesting: bodies execute on at most Workers goroutines.
+// A body nested inline in another body runs on the same goroutine, so
+// the test counts distinct goroutines with a body on their stack, not
+// bodies.
 func TestParallelForNestedStaysBounded(t *testing.T) {
 	const workers = 4
 	w := New(optionsWithWorkers(workers))
-	var cur, peak int32
 	var mu sync.Mutex
-	enter := func() {
-		n := atomic.AddInt32(&cur, 1)
+	depth := map[string]int{} // goroutine id → bodies on its stack
+	peak := 0
+	enter := func() (leave func()) {
+		id := goroutineID()
 		mu.Lock()
-		if n > peak {
-			peak = n
-		}
+		depth[id]++
+		peak = max(peak, len(depth))
 		mu.Unlock()
+		return func() {
+			mu.Lock()
+			if depth[id]--; depth[id] == 0 {
+				delete(depth, id)
+			}
+			mu.Unlock()
+		}
 	}
 	w.parallelFor("test", 8, func(int) {
-		enter()
-		defer atomic.AddInt32(&cur, -1)
+		defer enter()()
 		w.parallelFor("test", 8, func(int) {
-			enter()
-			defer atomic.AddInt32(&cur, -1)
+			defer enter()()
+			time.Sleep(time.Millisecond)
 		})
 	})
-	// Outer iterations hold their slot while running the inner loop, and
-	// saturated inner iterations run inline, so total concurrency never
-	// exceeds the pool bound.
 	if peak > workers {
-		t.Errorf("peak concurrency %d exceeds Workers=%d", peak, workers)
+		t.Errorf("bodies ran on %d goroutines at once, want at most Workers=%d", peak, workers)
 	}
+	if peak < 2 {
+		t.Errorf("bodies ran on %d goroutine at most; the pool never fanned out", peak)
+	}
+}
+
+// goroutineID returns the calling goroutine's id from its stack header
+// ("goroutine N [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
 }
 
 func optionsWithWorkers(n int) Options {

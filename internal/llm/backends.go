@@ -9,10 +9,11 @@
 // The router picks its discipline from the topology:
 //
 //   - replayable (every backend a built-in "sim", no test transport):
-//     each review is settled inside its canonical (lane, idx) budget turn,
-//     on the run's virtual admission clock, from the backends' pure fault
-//     schedules — planFor per admitted backend, failing over in order.
-//     Nothing is executed concurrently, so grants, breaker trips,
+//     a review's delivery reads only the file's path and size, its
+//     position in the run and router state, so Client.StartRun settles
+//     the whole run up front, from one goroutine in (lane, idx) order,
+//     on a virtual admission clock, walking each admitted backend's pure
+//     fault schedule and failing over in order. Grants, breaker trips,
 //     failovers and degradations are a pure function of the corpus and
 //     the topology, identical at every worker count;
 //   - live (anything else): reviews route in arrival order on wall
@@ -311,15 +312,15 @@ func (rt *Router) resetBreakers() {
 	}
 }
 
-// startRun resets a replayable router for a corpus run: fresh breakers
-// and admission clock (state from a previous run must not leak into the
-// next), and a refilled budget sequenced over lanes.
-func (rt *Router) startRun(lanes int) {
+// reset returns a replayable router to its start-of-run state: fresh
+// breakers and admission clock (state from a previous run must not leak
+// into the next), and a refilled budget.
+func (rt *Router) reset() {
 	rt.mu.Lock()
 	rt.resetBreakers()
 	rt.admCtx = newAdmissionClock()
 	rt.mu.Unlock()
-	rt.budget.Sequence(lanes)
+	rt.budget.Reset()
 }
 
 // discardHandler drops every log record (slog.DiscardHandler arrives in
@@ -400,30 +401,32 @@ type delivery struct {
 }
 
 // deliver routes one review in the router's discipline.
-func (rt *Router) deliver(path string, size, lane, idx int) delivery {
+func (rt *Router) deliver(path string, size int) delivery {
 	if rt.replayable {
-		return rt.settle(path, size, lane, idx)
+		return rt.settle(path, size)
 	}
 	return rt.retryRoute(path, size)
 }
 
-// settle is the replayable discipline. The whole delivery is decided
-// inside the review's budget turn — canonical (lane, idx) order after
-// StartRun — from each admitted backend's pure fault schedule: the
-// backend is granted the retries its schedule wants (as far as the
-// budget allows), its attempts are charged to the virtual admission
-// clock, and its breaker records the outcome; a backend that fails the
-// review hands it to the next admitted backend in topology order. No
-// backend call is executed, so concurrency cannot perturb any decision.
+// settle is the replayable discipline: one review's whole delivery,
+// decided in one budget claim on the virtual admission clock. Each
+// admitted backend's fault schedule is walked attempt by attempt — the
+// schedule FaultyTransport.Do executes — granting one retry token per
+// transient fault while the budget lasts and MaxAttempts allows; the
+// attempts are charged to the clock and the outcome to the backend's
+// breaker, and a backend that fails the review hands it to the next
+// admitted backend in topology order. No backend call is executed, so
+// settling a run's reviews in a fixed order (StartRun) makes every
+// decision a pure function of the corpus and the topology.
 //
 // Counters match what executing the schedule would record: one
 // llm_transport_faults_total per faulted attempt, and — since nothing is
 // called — no llm_backend_calls_total. A backend failure is counted in
 // llm_backend_failures_total only when the review fails over; the last
 // one is counted as the review's degradation.
-func (rt *Router) settle(path string, size, lane, idx int) delivery {
+func (rt *Router) settle(path string, size int) delivery {
 	var d delivery
-	rt.budget.Claim(lane, idx, func(avail, seq int) int {
+	rt.budget.Claim(func(avail, seq int) int {
 		rt.mu.Lock()
 		defer rt.mu.Unlock()
 		used := 0
@@ -437,29 +440,32 @@ func (rt *Router) settle(path string, size, lane, idx int) delivery {
 				rt.reg.Counter("llm_backend_failovers_total", "backend", b.name).Inc()
 				rt.log.Info(evBackendFailover, "path", path, "from", failed.name, "to", b.name, "error", d.err.Error())
 			}
-			plan := b.sim.planFor(path, seq, rt.res.MaxAttempts)
-			granted := plan.retriesWanted
-			if granted > avail-used {
-				granted = avail - used
-				d.budgetDenied = true
-				rt.reg.Counter("llm_retry_budget_exhausted_total").Inc()
-			}
-			used += granted
-			d.retries += granted
+			attempt := 0
 			var kind string
-			for a := 0; a <= granted; a++ {
-				if kind = b.sim.faultAt(path, seq, a); kind != "" {
+			for {
+				if kind = b.sim.faultAt(path, seq, attempt); kind != "" {
 					rt.reg.Counter("llm_transport_faults_total", "kind", kind).Inc()
 				}
+				if kind == "" || kind == FaultMalformed || kind == FaultOutage || attempt+1 >= rt.res.MaxAttempts {
+					break
+				}
+				if used == avail {
+					d.budgetDenied = true
+					rt.reg.Counter("llm_retry_budget_exhausted_total").Inc()
+					break
+				}
+				used++
+				attempt++
 			}
-			vclock.Elapse(rt.admCtx, time.Duration(granted+1)*attemptLatency)
+			d.retries += attempt
+			vclock.Elapse(rt.admCtx, time.Duration(attempt+1)*attemptLatency)
 			if kind == "" {
 				b.breaker.RecordSuccess()
 				d.backend, d.err = b.name, nil
 				return used
 			}
 			b.breaker.RecordFailure(vclock.Now(rt.admCtx))
-			d.err = faultError(kind, Call{Path: path, Ordinal: seq, Attempt: granted, Bytes: size})
+			d.err = faultError(kind, Call{Path: path, Ordinal: seq, Attempt: attempt, Bytes: size})
 			failed = b
 		}
 		if failed == nil {
@@ -511,7 +517,7 @@ func (rt *Router) retryRoute(path string, size int) delivery {
 // it was granted.
 func (rt *Router) takeToken() bool {
 	granted := false
-	rt.budget.Claim(0, 0, func(avail, _ int) int {
+	rt.budget.Claim(func(avail, _ int) int {
 		if avail > 0 {
 			granted = true
 			return 1
@@ -525,7 +531,7 @@ func (rt *Router) takeToken() bool {
 // refill-every-N-settlements clock — the live analogue of the per-review
 // settlement a replayable router performs.
 func (rt *Router) tick() {
-	rt.budget.Claim(0, 0, func(int, int) int { return 0 })
+	rt.budget.Claim(func(int, int) int { return 0 })
 }
 
 // nextAdmitted finds the first backend at position >= from whose

@@ -86,10 +86,9 @@ type Config struct {
 	Log *slog.Logger
 }
 
-// Routed reports whether reviews go through a Router. Routed reviews
-// are admitted in run order (replayable) or arrival order (live), so a
-// cached answer would skip an admission turn: the review cache must
-// stay off.
+// Routed reports whether reviews go through a Router. A routed review's
+// outcome depends on the router's delivery verdict for this run, so a
+// cached answer would bypass it: the review cache must stay off.
 func (c Config) Routed() bool {
 	return c.Router != nil || len(c.Backends) > 0
 }
@@ -105,9 +104,9 @@ const PromptVersion = "q1q4/v1"
 // review's outcome as a stable string — the "prompt/config version"
 // component of review-cache keys. Two clients with equal fingerprints
 // produce identical FileReviews for identical (path, contents) inputs,
-// provided no router is active (routed runs are admitted in run-global
-// order and are not cacheable per file; the topology is still folded in
-// defensively).
+// provided no router is active (a routed review's outcome depends on the
+// router's verdict for the run, so it is not cacheable per file; the
+// topology is still folded in defensively).
 func (c Config) Fingerprint() string {
 	fp := fmt.Sprintf("%s|thr=%d|seed=%d|price=%g|q1=%d|q4=%d|q3=%d|q2=%d",
 		PromptVersion, c.LargeFileThreshold, c.Seed, c.PricePerMTokens,
@@ -144,7 +143,7 @@ type Client struct {
 	// path, where reviews hit the model directly.
 	router *Router
 	// flight coalesces identical in-flight reviews; live routers only,
-	// because a replayable review must take its own admission turn.
+	// because a replayable review must read its own settled delivery.
 	flight *Flight
 	// fp caches the fingerprint for flight keys.
 	fp string
@@ -152,6 +151,9 @@ type Client struct {
 	mu       sync.Mutex
 	calls    int
 	tokensIn int64
+	// run is a replayable router's settled deliveries, indexed
+	// [lane][idx] (StartRun).
+	run [][]delivery
 }
 
 // NewClient returns a client with the given configuration.
@@ -292,13 +294,13 @@ type FileReview struct {
 
 // ReviewSnapshotAt runs the prompt chain over a loaded snapshot file,
 // consuming its bytes and AST (the parse-once contract). lane is the
-// app's position in the corpus and idx the file's position in the app's
-// sorted file list; after StartRun, a replayable router settles
-// admissions in (lane, idx) order, which keeps its grant decisions — and
-// therefore output — identical at every worker count. Outside a
-// sequenced run (lane -1) admissions settle in arrival order. Without a
-// router the slot is ignored, and the review is a pure function of
-// (config, path, contents).
+// app's position in the run and idx the file's position in the app's
+// sorted file list; after StartRun, a replayable router reads the
+// delivery it settled for that slot, which keeps grant decisions — and
+// therefore output — identical at every worker count. A slot outside
+// the settled run (lane -1) is routed on arrival. Without a router the
+// slot is ignored, and the review is a pure function of (config, path,
+// contents).
 func (c *Client) ReviewSnapshotAt(f *source.File, lane, idx int) FileReview {
 	if c.router == nil {
 		return c.review(f)

@@ -7,11 +7,12 @@
 //
 // The router settles a review's delivery in one of two disciplines,
 // picked from the topology: a replayable topology (built-in simulators
-// only) settles it from the backends' pure fault schedules in canonical
-// (lane, idx) order on a virtual clock, so output and counters are
-// identical at every worker count; any other topology routes it live.
-// Either way the outcome comes back as one delivery, and this file maps
-// it onto a FileReview — one retry count, one degrade vocabulary.
+// only) settles a whole run up front (StartRun), from the backends' pure
+// fault schedules in (lane, idx) order on a virtual clock, so output and
+// counters are identical at every worker count; any other topology
+// routes each review live. Either way the outcome comes back as one
+// delivery, and this file maps it onto a FileReview — one retry count,
+// one degrade vocabulary.
 package llm
 
 import (
@@ -121,31 +122,38 @@ const (
 	skipLatency    = 500 * time.Millisecond
 )
 
-// StartRun prepares a replayable router for a corpus run of the given
-// number of lanes (apps): the shared budget refills and switches to
-// canonical sequencing, and the breakers and admission clock reset. It
-// is a no-op without a router and on a live router, whose state spans
-// runs by design.
-func (c *Client) StartRun(lanes int) {
-	if c.router != nil && c.router.replayable {
-		c.router.startRun(lanes)
+// StartRun settles a replayable run up front. It resets the router's
+// breakers, admission clock and budget, then settles every file of
+// every snapshot from this goroutine in (lane, idx) order — lane is the
+// snapshot's position in snaps, idx the file's position in the snapshot
+// — into the table ReviewSnapshotAt reads. It is a no-op without a
+// router and on a live router, whose state spans runs by design.
+func (c *Client) StartRun(snaps []*source.Snapshot) {
+	if c.router == nil || !c.router.replayable {
+		return
 	}
+	c.router.reset()
+	run := make([][]delivery, len(snaps))
+	for lane, snap := range snaps {
+		run[lane] = make([]delivery, len(snap.Files))
+		for idx, f := range snap.Files {
+			run[lane][idx] = c.router.settle(f.Path, len(f.Bytes))
+		}
+	}
+	c.mu.Lock()
+	c.run = run
+	c.mu.Unlock()
 }
 
-// OpenLane announces how many reviews lane will settle (see
-// resilience.Budget.OpenLane). Every lane passed to StartRun must be
-// opened, with 0 claims on error paths. No-op where StartRun is.
-func (c *Client) OpenLane(lane, claims int) {
-	if c.router != nil && c.router.replayable {
-		c.router.budget.OpenLane(lane, claims)
-	}
-}
-
-// routed delivers one review through the router and turns the delivery
-// into a FileReview: the model's answers when a backend delivered, a
-// Degraded record (never an error) when none did.
+// routed turns a review's delivery into a FileReview: the model's
+// answers when a backend delivered, a Degraded record (never an error)
+// when none did. The delivery comes from the StartRun table when (lane,
+// idx) is in it, and is routed on arrival otherwise.
 func (c *Client) routed(f *source.File, lane, idx int) FileReview {
-	d := c.router.deliver(f.Path, len(f.Bytes), lane, idx)
+	d, ok := c.settled(lane, idx)
+	if !ok {
+		d = c.router.deliver(f.Path, len(f.Bytes))
+	}
 	if d.retries > 0 {
 		c.reg.Counter("llm_transport_retries_total").Add(int64(d.retries))
 	}
@@ -158,6 +166,17 @@ func (c *Client) routed(f *source.File, lane, idx int) FileReview {
 	rev.Retries = d.retries
 	rev.Backend = d.backend
 	return rev
+}
+
+// settled returns the delivery StartRun settled for (lane, idx), if the
+// slot is in the table.
+func (c *Client) settled(lane, idx int) (delivery, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if lane < 0 || lane >= len(c.run) || idx < 0 || idx >= len(c.run[lane]) {
+		return delivery{}, false
+	}
+	return c.run[lane][idx], true
 }
 
 // degraded builds the review record for a file the backend never

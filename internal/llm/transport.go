@@ -260,7 +260,9 @@ func faultError(kind string, call Call) error {
 }
 
 // faultAt decides which fault, if any, a delivery attempt draws. The
-// decision is a pure function of (seed, path, ordinal, attempt).
+// decision is a pure function of (seed, path, ordinal, attempt): Do
+// executes this schedule, and a replayable router's settle walks it
+// attempt by attempt without executing anything.
 func (t *FaultyTransport) faultAt(path string, ordinal, attempt int) string {
 	p := t.profile
 	if p.HardOutage || (p.OutageAfterFiles > 0 && ordinal >= p.OutageAfterFiles) {
@@ -282,39 +284,6 @@ func (t *FaultyTransport) faultAt(path string, ordinal, attempt int) string {
 		return FaultMalformed
 	}
 	return ""
-}
-
-// transportPlan is the dry-run of a review's delivery attempts, computed
-// inside a replayable router's budget turn so grant decisions and
-// outcomes are fixed in canonical order without executing anything.
-type transportPlan struct {
-	// retriesWanted is how many retry tokens the review needs: the index
-	// of the first fault-free delivery, capped at maxAttempts-1.
-	retriesWanted int
-	// delivered reports whether a completion arrives within maxAttempts.
-	delivered bool
-	// permanent is the permanent fault kind drawn ("" if none): "outage"
-	// fails before delivery, "malformed" fails at delivery.
-	permanent string
-}
-
-// planFor computes the transport plan for one review.
-func (t *FaultyTransport) planFor(path string, ordinal, maxAttempts int) transportPlan {
-	p := t.profile
-	if p.HardOutage || (p.OutageAfterFiles > 0 && ordinal >= p.OutageAfterFiles) {
-		return transportPlan{permanent: FaultOutage}
-	}
-	for a := 0; a < maxAttempts; a++ {
-		kind := t.faultAt(path, ordinal, a)
-		switch kind {
-		case "":
-			return transportPlan{retriesWanted: a, delivered: true}
-		case FaultMalformed:
-			return transportPlan{retriesWanted: a, delivered: true, permanent: FaultMalformed}
-		}
-		// Transient: burn a retry and try the next attempt.
-	}
-	return transportPlan{retriesWanted: maxAttempts - 1}
 }
 
 // bucket is the transport's deterministic 1-in-denom draw.

@@ -85,52 +85,55 @@ func TestFaultyTransportDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlanMatchesExecution replays every plan against Do and checks the
-// dry-run (used for budget settlement) agrees with real execution: same
-// number of transient failures before delivery, same permanent outcome.
-func TestPlanMatchesExecution(t *testing.T) {
+// TestSettleMatchesExecution settles reviews on a one-backend replayable
+// router and checks each settlement agrees with executing the same
+// schedule through Do: the same number of retries before the attempt
+// that ended the review, and the same terminal exception class (none for
+// a delivery). The budget and the breaker are too large to intervene, so
+// the settlement is the fault schedule alone.
+func TestSettleMatchesExecution(t *testing.T) {
 	profile := FaultProfile{TimeoutDenom: 3, RateLimitDenom: 4, ServerErrorDenom: 5, MalformedDenom: 6, OutageAfterFiles: 150}
-	tr := NewFaultyTransport(nil, profile, 7)
 	const maxAttempts = 4
+	cfg := DefaultConfig()
+	cfg.Seed = 7
+	cfg.Backends = []BackendSpec{{Name: "sim", Kind: "sim", Fault: &profile}}
+	cfg.Resilience = ResilienceConfig{MaxAttempts: maxAttempts, BudgetCapacity: 1 << 20, BreakerThreshold: 1 << 20}
+	rt, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewFaultyTransport(nil, profile, cfg.Seed)
+	classes := map[string]bool{}
+	exhausted := false
 	for i := 0; i < 200; i++ {
 		path := "p/f" + string(rune('0'+i%10)) + string(rune('a'+i%26)) + ".go"
-		plan := tr.planFor(path, i, maxAttempts)
+		d := rt.settle(path, 100)
 		var lastErr error
-		attempts := 0
-		for a := 0; a < maxAttempts; a++ {
-			attempts++
-			lastErr = tr.Do(context.Background(), Call{Path: path, Ordinal: i, Attempt: a})
-			if lastErr == nil || !IsTransient(lastErr) {
+		attempt := 0
+		for ; ; attempt++ {
+			lastErr = tr.Do(context.Background(), Call{Path: path, Ordinal: i, Attempt: attempt})
+			if lastErr == nil || !IsTransient(lastErr) || attempt+1 == maxAttempts {
 				break
 			}
 		}
-		switch {
-		case plan.permanent == FaultOutage:
-			if !errmodel.IsClass(lastErr, "BackendOutageException") {
-				t.Fatalf("%s ordinal %d: plan says outage, Do returned %v", path, i, lastErr)
-			}
-		case plan.permanent == FaultMalformed:
-			if !errmodel.IsClass(lastErr, "MalformedCompletionException") {
-				t.Fatalf("%s: plan says malformed, Do returned %v", path, lastErr)
-			}
-			if attempts-1 != plan.retriesWanted {
-				t.Fatalf("%s: malformed after %d retries, plan wanted %d", path, attempts-1, plan.retriesWanted)
-			}
-		case plan.delivered:
-			if lastErr != nil {
-				t.Fatalf("%s: plan says delivered, Do returned %v", path, lastErr)
-			}
-			if attempts-1 != plan.retriesWanted {
-				t.Fatalf("%s: delivered after %d retries, plan wanted %d", path, attempts-1, plan.retriesWanted)
-			}
-		default: // transient exhaustion
-			if lastErr == nil || !IsTransient(lastErr) {
-				t.Fatalf("%s: plan says exhausted, Do returned %v", path, lastErr)
-			}
-			if plan.retriesWanted != maxAttempts-1 {
-				t.Fatalf("%s: exhausted plan wants %d retries", path, plan.retriesWanted)
-			}
+		if d.retries != attempt {
+			t.Fatalf("%s ordinal %d: settled %d retries, Do ended after %d", path, i, d.retries, attempt)
 		}
+		if got, want := errmodel.ClassOf(d.err), errmodel.ClassOf(lastErr); got != want {
+			t.Fatalf("%s ordinal %d: settled terminal class %q, Do returned %q (%v)", path, i, got, want, lastErr)
+		}
+		classes[errmodel.ClassOf(lastErr)] = true
+		exhausted = exhausted || IsTransient(lastErr)
+	}
+	// The profile must exercise every outcome: delivery, malformed,
+	// outage and transient exhaustion.
+	for _, class := range []string{"", "MalformedCompletionException", "BackendOutageException"} {
+		if !classes[class] {
+			t.Errorf("no review ended with class %q; classes seen: %v", class, classes)
+		}
+	}
+	if !exhausted {
+		t.Error("no review exhausted its attempts on a transient fault")
 	}
 }
 

@@ -38,10 +38,10 @@ func (s BreakerState) String() string {
 // chaos experiments deterministic and instantaneous.
 //
 // Breaker is deliberately NOT goroutine-safe. Shared users must serialize
-// access; the LLM client settles breaker decisions inside its Budget's
-// canonical-order claim callback, which both provides the lock and pins
-// the order of state transitions to the corpus order rather than the
-// scheduler's.
+// access; the LLM router takes its own lock around every breaker call,
+// and its replayable discipline settles a whole run from one goroutine
+// in corpus order, which pins the order of state transitions to the
+// corpus rather than the scheduler.
 type Breaker struct {
 	threshold int           // consecutive failures that open the circuit
 	cooldown  time.Duration // virtual time the circuit stays open

@@ -4,121 +4,56 @@
 // the paper's §1 discussion of Polly/Hystrix points at — retries are a
 // global resource, not a per-call right).
 //
-// The novelty here is determinism. A naive shared bucket hands tokens out
-// in scheduling order, so *which* caller hits an empty bucket would vary
-// run to run and across worker counts — breaking the pipeline's
-// byte-identical-output contract. This bucket instead settles claims in a
-// canonical (lane, index) order declared by the orchestrator (lane = app
-// position in the corpus, index = file position in the app's sorted file
-// list): a claim for slot k waits until every earlier slot has settled.
-// Grant decisions are therefore a pure function of the corpus and the
-// fault profile, never of goroutine interleaving, while consumption is
-// still genuinely shared — one global pool, concurrent claimants.
-//
-// Deadlock freedom rests on the worker pool's submission discipline
-// (internal/core/parallel.go): tasks are submitted in index order and
-// saturated submissions run inline, so whenever slot k blocks, every
-// earlier slot is already running or settled — the waits-for graph only
-// points backwards and progress is guaranteed.
+// Claims settle in arrival order. A caller that needs grants to be
+// reproducible (the LLM router's replayable discipline) makes the
+// arrival order canonical itself, by settling every claim of a run from
+// one goroutine in a fixed order; the bucket needs no ordering of its
+// own.
 package resilience
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
-// Budget is a shared retry token bucket with deterministic admission.
-// Construct with NewBudget; the zero value is unusable.
-//
-// Two modes:
-//
-//   - arrival mode (default): claims settle in the order they arrive —
-//     appropriate for sequential callers (unit tests, one-off reviews);
-//   - sequenced mode (after Sequence): claims settle in canonical
-//     (lane, index) order regardless of arrival order, which is what
-//     concurrent pipelines need for reproducible grants.
+// Budget is a shared retry token bucket. Construct with NewBudget; the
+// zero value is unusable.
 type Budget struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	capacity    int
 	tokens      int
 	refillEvery int // one token returns every refillEvery settled claims
 	settled     int
-
-	sequenced bool
-	lanes     []int // expected claim count per lane; -1 = unannounced
-	lane, idx int   // cursor: next slot to settle
 }
 
-// NewBudget returns a full bucket in arrival mode. capacity < 0 is
-// clamped to 0 (a bucket that never grants); refillEvery <= 0 disables
-// refill (a strict budget for the whole run).
+// NewBudget returns a full bucket. capacity < 0 is clamped to 0 (a
+// bucket that never grants); refillEvery <= 0 disables refill (a strict
+// budget for the whole run).
 func NewBudget(capacity, refillEvery int) *Budget {
 	if capacity < 0 {
 		capacity = 0
 	}
-	b := &Budget{capacity: capacity, tokens: capacity, refillEvery: refillEvery}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	return &Budget{capacity: capacity, tokens: capacity, refillEvery: refillEvery}
 }
 
-// Sequence resets the bucket to full and switches to sequenced mode with
-// the given number of lanes, all initially unannounced. The orchestrator
-// calls this once per run, before any claims.
-func (b *Budget) Sequence(lanes int) {
+// Reset refills the bucket and restarts the settle sequence, so a new
+// run starts from the same state as a fresh budget.
+func (b *Budget) Reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.tokens = b.capacity
 	b.settled = 0
-	b.sequenced = true
-	b.lanes = make([]int, lanes)
-	for i := range b.lanes {
-		b.lanes[i] = -1
-	}
-	b.lane, b.idx = 0, 0
-	b.advance()
-	b.cond.Broadcast()
 }
 
-// OpenLane announces that the given lane will settle exactly claims
-// claims. Every lane declared by Sequence must eventually be opened
-// (with 0 claims if it produces none — e.g. on an error path), or later
-// lanes would wait forever.
-func (b *Budget) OpenLane(lane, claims int) {
+// Claim settles one claim on arrival: it runs settle with the number of
+// tokens available and the claim's settle sequence number (0-based
+// position in settlement order since construction or the last Reset).
+// settle returns how many tokens it consumes (clamped to [0, avail]); it
+// runs under the budget lock, so it must be fast and must not call back
+// into the budget. Use the callback to couple other shared admission
+// state (the LLM router reads and updates its circuit breakers there) to
+// the same order.
+func (b *Budget) Claim(settle func(avail, seq int) int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.sequenced {
-		return
-	}
-	if lane < 0 || lane >= len(b.lanes) {
-		panic(fmt.Sprintf("resilience: OpenLane(%d) outside the %d declared lanes", lane, len(b.lanes)))
-	}
-	b.lanes[lane] = claims
-	b.advance()
-	b.cond.Broadcast()
-}
-
-// Claim settles one claim: it blocks until the claim's canonical turn
-// (sequenced mode) or takes the next arrival turn, then runs settle with
-// the number of tokens available and the claim's settle sequence number
-// (0-based position in the canonical settlement order — a deterministic
-// "arrival ordinal" for the run). settle returns how many tokens it
-// consumes (clamped to [0, avail]); it runs under the budget lock, so it
-// must be fast and must not call back into the budget. Use the callback
-// to couple other shared admission state (the LLM client reads and
-// updates its circuit breaker there) to the same canonical order.
-func (b *Budget) Claim(lane, idx int, settle func(avail, seq int) int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.sequenced {
-		if lane < 0 || lane >= len(b.lanes) {
-			panic(fmt.Sprintf("resilience: Claim for undeclared lane %d", lane))
-		}
-		for !(b.lane == lane && b.idx == idx) {
-			b.cond.Wait()
-		}
-	}
 	consumed := settle(b.tokens, b.settled)
 	if consumed < 0 {
 		consumed = 0
@@ -130,21 +65,6 @@ func (b *Budget) Claim(lane, idx int, settle func(avail, seq int) int) {
 	b.settled++
 	if b.refillEvery > 0 && b.settled%b.refillEvery == 0 && b.tokens < b.capacity {
 		b.tokens++
-	}
-	if b.sequenced {
-		b.idx++
-		b.advance()
-		b.cond.Broadcast()
-	}
-}
-
-// advance moves the cursor past every fully-settled announced lane
-// (including empty ones), stopping at the first unannounced lane. Callers
-// hold b.mu.
-func (b *Budget) advance() {
-	for b.lane < len(b.lanes) && b.lanes[b.lane] >= 0 && b.idx >= b.lanes[b.lane] {
-		b.lane++
-		b.idx = 0
 	}
 }
 

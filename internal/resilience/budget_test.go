@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -14,7 +13,7 @@ func TestBudgetArrivalGrantsAndClamps(t *testing.T) {
 	b := NewBudget(3, 0)
 	take := func(want int) int {
 		var got int
-		b.Claim(0, 0, func(avail, _ int) int {
+		b.Claim(func(avail, _ int) int {
 			got = avail
 			return want
 		})
@@ -41,117 +40,31 @@ func TestBudgetRefill(t *testing.T) {
 	noop := func(int, int) int { return 0 }
 	spend := func(int, int) int { return 2 }
 
-	b.Claim(0, 0, spend) // tokens 0, settled 1
-	b.Claim(0, 0, noop)  // settled 2 → refill to 1
+	b.Claim(spend) // tokens 0, settled 1
+	b.Claim(noop)  // settled 2 → refill to 1
 	if got := b.Remaining(); got != 1 {
 		t.Fatalf("after refill Remaining() = %d, want 1", got)
 	}
-	b.Claim(0, 0, noop)
-	b.Claim(0, 0, noop) // settled 4 → refill to 2 (cap)
-	b.Claim(0, 0, noop)
-	b.Claim(0, 0, noop) // settled 6 → already at capacity, no overfill
+	b.Claim(noop)
+	b.Claim(noop) // settled 4 → refill to 2 (cap)
+	b.Claim(noop)
+	b.Claim(noop) // settled 6 → already at capacity, no overfill
 	if got := b.Remaining(); got != 2 {
 		t.Fatalf("Remaining() = %d, want capacity 2 (refill must not overfill)", got)
 	}
 }
 
-// TestBudgetSequencedCanonicalOrder launches claims from concurrent
-// goroutines in scrambled start order and asserts they settle in
-// canonical (lane, idx) order with grants that depend only on that order.
-// Run under -race this is also the budget's concurrency test.
-func TestBudgetSequencedCanonicalOrder(t *testing.T) {
-	const lanes, perLane = 3, 4
-	b := NewBudget(5, 0)
-	b.Sequence(lanes)
-	for l := 0; l < lanes; l++ {
-		b.OpenLane(l, perLane)
-	}
-
-	var mu sync.Mutex
-	var order []string
-	var seqs []int
-	var wg sync.WaitGroup
-	// Start claims in reverse canonical order to maximize scrambling.
-	for l := lanes - 1; l >= 0; l-- {
-		for i := perLane - 1; i >= 0; i-- {
-			wg.Add(1)
-			go func(l, i int) {
-				defer wg.Done()
-				b.Claim(l, i, func(avail, seq int) int {
-					mu.Lock()
-					order = append(order, fmt.Sprintf("%d/%d", l, i))
-					seqs = append(seqs, seq)
-					mu.Unlock()
-					return 1
-				})
-			}(l, i)
-		}
-	}
-	wg.Wait()
-
-	var want []string
-	for l := 0; l < lanes; l++ {
-		for i := 0; i < perLane; i++ {
-			want = append(want, fmt.Sprintf("%d/%d", l, i))
-		}
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("settle %d = %s, want %s (full order %v)", i, order[i], want[i], order)
-		}
-		if seqs[i] != i {
-			t.Fatalf("settle %d saw sequence %d", i, seqs[i])
-		}
-	}
-	if got := b.Remaining(); got != 0 {
-		t.Fatalf("Remaining() = %d, want 0 (5 tokens granted, then dry)", got)
-	}
-}
-
-// TestBudgetSharedAcrossLanes verifies the bucket is genuinely shared:
-// with sequencing, the tokens an early lane consumes are gone when a
-// later lane settles, no matter which goroutine ran first.
-func TestBudgetSharedAcrossLanes(t *testing.T) {
-	b := NewBudget(4, 0)
-	b.Sequence(2)
-	b.OpenLane(0, 1)
-	b.OpenLane(1, 1)
-
-	availAt := make([]int, 2)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	// Lane 1 starts first but must observe lane 0's consumption.
-	go func() {
-		defer wg.Done()
-		b.Claim(1, 0, func(avail, _ int) int { availAt[1] = avail; return 0 })
-	}()
-	go func() {
-		defer wg.Done()
-		b.Claim(0, 0, func(avail, _ int) int { availAt[0] = avail; return 3 })
-	}()
-	wg.Wait()
-	if availAt[0] != 4 || availAt[1] != 1 {
-		t.Fatalf("lanes saw %v tokens, want [4 1]", availAt)
-	}
-}
-
-// TestBudgetEmptyLanesAdvance checks that zero-claim lanes (error paths)
-// do not wedge the cursor.
-func TestBudgetEmptyLanesAdvance(t *testing.T) {
-	b := NewBudget(1, 0)
-	b.Sequence(3)
-	b.OpenLane(0, 0)
-	b.OpenLane(2, 1)
-	done := make(chan struct{})
-	go func() {
-		b.Claim(2, 0, func(int, int) int { return 0 })
-		close(done)
-	}()
-	b.OpenLane(1, 0) // the straggler: announced last, settles nothing
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("claim after empty lanes never settled")
+// TestBudgetReset checks that Reset refills the bucket and restarts the
+// settle sequence, so consecutive runs start from the same state.
+func TestBudgetReset(t *testing.T) {
+	b := NewBudget(3, 0)
+	b.Claim(func(int, int) int { return 2 })
+	b.Claim(func(int, int) int { return 0 })
+	b.Reset()
+	var avail, seq int
+	b.Claim(func(a, s int) int { avail, seq = a, s; return 0 })
+	if avail != 3 || seq != 0 {
+		t.Fatalf("first claim after Reset saw avail=%d seq=%d, want 3 and 0", avail, seq)
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -467,6 +468,43 @@ type analyzeRequest struct {
 	Tenant string `json:"tenant"`
 }
 
+// parseAnalyzeRequest decodes and validates a POST /v1/analyze body: the
+// JSON shape, the tenant default and length bound, the reserved "_"
+// prefix and unique app codes. An accepted request carries its
+// normalized tenant. Resolving the codes against the corpus is the
+// caller's job, which keeps this a pure function of the body.
+func parseAnalyzeRequest(body []byte) (analyzeRequest, error) {
+	var req analyzeRequest
+	if len(body) > 0 {
+		if err := json.Unmarshal(body, &req); err != nil {
+			return analyzeRequest{}, fmt.Errorf("decode request: %w", err)
+		}
+	}
+	req.Tenant = strings.TrimSpace(req.Tenant)
+	if req.Tenant == "" {
+		req.Tenant = DefaultTenant
+	}
+	if len(req.Tenant) > maxTenantLen {
+		return analyzeRequest{}, fmt.Errorf("tenant name longer than %d bytes", maxTenantLen)
+	}
+	if strings.HasPrefix(req.Tenant, "_") {
+		// "_"-prefixed names are reserved for server-side aggregates (the
+		// "_retired" eviction fold); a tenant squatting one would corrupt
+		// the cost-attribution series.
+		return analyzeRequest{}, errors.New("tenant names starting with _ are reserved")
+	}
+	// A repeated code would analyze the app twice and charge the tenant
+	// for both runs.
+	seen := make(map[string]bool, len(req.Apps))
+	for _, code := range req.Apps {
+		if seen[code] {
+			return analyzeRequest{}, fmt.Errorf("duplicate app code %q", code)
+		}
+		seen[code] = true
+	}
+	return req, nil
+}
+
 // jobView is the wire shape of a job (also the POST /v1/analyze
 // response, minus report).
 type jobView struct {
@@ -533,28 +571,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
-	var req analyzeRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			httpError(w, http.StatusBadRequest, "decode request: "+err.Error())
-			return
-		}
-	}
-	tenant := strings.TrimSpace(req.Tenant)
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	if len(tenant) > maxTenantLen {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("tenant name longer than %d bytes", maxTenantLen))
+	req, err := parseAnalyzeRequest(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if strings.HasPrefix(tenant, "_") {
-		// "_"-prefixed names are reserved for server-side aggregates (the
-		// "_retired" eviction fold); a tenant squatting one would corrupt
-		// the cost-attribution series.
-		httpError(w, http.StatusBadRequest, "tenant names starting with _ are reserved")
-		return
-	}
+	tenant := req.Tenant
 	apps, err := s.resolveApps(req.Apps)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())

@@ -38,6 +38,9 @@ func TestAnalyzeValidation(t *testing.T) {
 	if rec := do(s, "POST", "/v1/analyze", `{"tenant":"_anything"}`); rec.Code != 400 {
 		t.Fatalf("underscore tenant: status = %d, want 400", rec.Code)
 	}
+	if rec := do(s, "POST", "/v1/analyze", `{"apps":["HD","HD"]}`); rec.Code != 400 {
+		t.Fatalf("duplicate app: status = %d, want 400 (a repeat would analyze and charge the app twice)", rec.Code)
+	}
 	rec := do(s, "POST", "/v1/analyze", `{"apps":["HD"]}`)
 	if rec.Code != 202 {
 		t.Fatalf("valid submit: status = %d, want 202", rec.Code)

@@ -8,20 +8,17 @@
 #      to an existing file (anchors and absolute URLs are skipped).
 #   3. Every internal/* package states its paper section (a "§"
 #      reference) somewhere in its package documentation.
-#   4. Every daemon metric the server emits (server_sched_*,
-#      server_queue_*, server_inflight_*, server_tenant_*,
-#      server_trace_*, server_uptime_*, wasabi_build_*) is cataloged in
-#      docs/OBSERVABILITY.md — the catalog must not drift behind the
-#      code.
+#   4. Every metric name passed to Counter, Gauge or Histogram in
+#      non-test Go under internal/ and cmd/ (a string literal, or a
+#      constant declared there) is cataloged in docs/OBSERVABILITY.md —
+#      the catalog must not drift behind the code.
 #   5. Every HTTP endpoint the server registers ("METHOD /path" mux
 #      patterns) is documented in docs/SERVICE.md.
 #   6. Every structured-log event name the server defines (the ev*
 #      constants in internal/server/log.go) is cataloged in
 #      docs/OBSERVABILITY.md — likewise the routing-layer events in
 #      internal/llm/backends.go.
-#   7. Every multi-backend routing metric (llm_backend_*) emitted by
-#      internal/llm is cataloged in docs/OBSERVABILITY.md, and the
-#      -llm-backends / -llm-hedge-after flags are documented in
+#   7. The -llm-backends / -llm-hedge-after flags are documented in
 #      docs/RESILIENCE.md.
 #   8. Every retry idiom the corpus generator emits (the Idiom*
 #      constants in internal/corpusgen/idioms.go) is documented in
@@ -32,13 +29,10 @@
 #      computed from the manifests (`studyreport -corpus-table`) line
 #      for line — the documented table must not drift from the
 #      ground truth.
-#  10. Every snapshot-store metric (source_*) emitted by internal/source
-#      and every cache metric (cache_*) emitted by internal/cache is
-#      cataloged in docs/OBSERVABILITY.md.
-#  11. The retry-facts format version (sast.FactsSchema) appears
+#  10. The retry-facts format version (sast.FactsSchema) appears
 #      verbatim in docs/ARCHITECTURE.md — a version bump must update
 #      the documented format.
-#  12. Every cmd/<name> named in README.md, DESIGN.md, EXPERIMENTS.md,
+#  11. Every cmd/<name> named in README.md, DESIGN.md, EXPERIMENTS.md,
 #      docs/*.md or a Go source outside bench/ is an existing directory
 #      under cmd/ — a deleted command must not strand its references.
 #
@@ -81,10 +75,22 @@ for pkgdir in $(find internal -type f -name '*.go' ! -name '*_test.go' -exec dir
 		err "package $pkgdir has no paper-section (§) reference in its godoc"
 done
 
-# 4. Server daemon metrics must be cataloged in docs/OBSERVABILITY.md.
-for metric in $(grep -hoE '"(server_sched|server_queue|server_inflight|server_tenant|server_trace|server_uptime|wasabi_build)[a-z_]*"' internal/server/*.go | tr -d '"' | sort -u); do
-	grep -q "$metric" docs/OBSERVABILITY.md ||
-		err "metric $metric (internal/server) is not cataloged in docs/OBSERVABILITY.md"
+# 4. Every metric name the code registers must be cataloged in
+# docs/OBSERVABILITY.md. A name argument is a string literal or a
+# constant (possibly package-qualified) declared under internal/ or cmd/.
+for arg in $(grep -rhoE --include='*.go' --exclude='*_test.go' '\.(Counter|Gauge|Histogram)\([^,)]+' internal cmd | sed -E 's/^\.[A-Za-z]+\(//' | sort -u); do
+	case $arg in
+	'"'*) metric=$(echo "$arg" | tr -d '"') ;;
+	*)
+		metric=$(grep -rhoE --include='*.go' "\b${arg##*.} += +\"[a-z_]+\"" internal cmd | grep -oE '"[a-z_]+"' | tr -d '"' | head -n 1)
+		[ -n "$metric" ] || {
+			err "metric name $arg is neither a string literal nor a constant declared under internal/ or cmd/"
+			continue
+		}
+		;;
+	esac
+	grep -qwF "$metric" docs/OBSERVABILITY.md ||
+		err "metric $metric is not cataloged in docs/OBSERVABILITY.md"
 done
 
 # 5. Every registered HTTP endpoint must appear in docs/SERVICE.md
@@ -103,11 +109,7 @@ for ev in $(grep -hoE 'ev[A-Za-z]+ += +"[a-z_.]+"' internal/server/log.go intern
 		err "log event $ev is not cataloged in docs/OBSERVABILITY.md"
 done
 
-# 7. Multi-backend routing metrics and flags must be documented.
-for metric in $(grep -hoE '"llm_backend[a-z_]*"' internal/llm/*.go | tr -d '"' | sort -u); do
-	grep -q "$metric" docs/OBSERVABILITY.md ||
-		err "metric $metric (internal/llm) is not cataloged in docs/OBSERVABILITY.md"
-done
+# 7. Multi-backend routing flags must be documented.
 for flag in llm-backends llm-hedge-after; do
 	grep -q -- "-$flag" docs/RESILIENCE.md ||
 		err "flag -$flag is not documented in docs/RESILIENCE.md"
@@ -141,14 +143,7 @@ else
 	[ -z "$missing" ] || fail=1
 fi
 
-# 10. Snapshot-store and cache metrics must be cataloged in
-# docs/OBSERVABILITY.md.
-for metric in $(grep -hoE '"(source|cache)_[a-z_]+"' internal/source/*.go internal/cache/*.go | grep -v '_test' | tr -d '"' | sort -u); do
-	grep -q "$metric" docs/OBSERVABILITY.md ||
-		err "metric $metric (internal/source or internal/cache) is not cataloged in docs/OBSERVABILITY.md"
-done
-
-# 11. The facts format version must be documented verbatim in
+# 10. The facts format version must be documented verbatim in
 # docs/ARCHITECTURE.md.
 facts_schema=$(grep -hoE 'FactsSchema = "[^"]+"' internal/sast/facts.go | grep -oE '"[^"]+"' | tr -d '"')
 if [ -z "$facts_schema" ]; then
@@ -158,7 +153,7 @@ else
 		err "facts format version $facts_schema (internal/sast) is not documented in docs/ARCHITECTURE.md"
 fi
 
-# 12. Every named command must exist.
+# 11. Every named command must exist.
 for hit in $(
 	{
 		grep -HoE 'cmd/[a-z][a-z0-9_-]*' README.md DESIGN.md EXPERIMENTS.md docs/*.md
