@@ -69,9 +69,10 @@ serve-smoke:
 ## restart-smoke: cold-start a real wasabid binary with a persistent
 ## cache directory, run one job, SIGTERM-drain it, relaunch over the
 ## same directory and prove the warm job reproduces the cold report
-## byte-for-byte with zero parses, zero extractions and zero fresh LLM
-## spend — the portable retry-facts restart guarantee
-## (docs/PERFORMANCE.md, docs/ARCHITECTURE.md).
+## byte-for-byte with zero parses, zero extractions, zero fresh LLM
+## spend and zero injection runs — the portable retry-facts and
+## build-keyed dynamic-tier restart guarantee (docs/PERFORMANCE.md,
+## docs/ARCHITECTURE.md).
 restart-smoke:
 	$(GO) test -run 'TestRestartSmokeProcess' -count=1 ./internal/server/
 

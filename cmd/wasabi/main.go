@@ -168,11 +168,10 @@ func main() {
 		// Stats go to stderr: stdout must stay byte-identical between a
 		// cold and a warm run of the same corpus.
 		st := ca.Stats()
+		hits, misses := st.Totals()
 		fu := w.LLMUsage()
 		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d evictions, %d entries, %d bytes; fresh LLM spend %d calls / %d tokens\n",
-			st.Hits[cache.StageReview]+st.Hits[cache.StageAnalysis],
-			st.Misses[cache.StageReview]+st.Misses[cache.StageAnalysis],
-			st.Evictions, st.Entries, st.Bytes, fu.Calls, fu.TokensIn)
+			hits, misses, st.Evictions, st.Entries, st.Bytes, fu.Calls, fu.TokensIn)
 	}
 
 	if *jsonOut {

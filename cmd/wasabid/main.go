@@ -155,10 +155,9 @@ func main() {
 		os.Exit(1)
 	}
 	st := ca.Stats()
+	hits, misses := st.Totals()
 	fmt.Fprintf(os.Stderr, "wasabid: drained; cache %d hits, %d misses, %d evictions, %d entries, %d bytes\n",
-		st.Hits[cache.StageReview]+st.Hits[cache.StageAnalysis],
-		st.Misses[cache.StageReview]+st.Misses[cache.StageAnalysis],
-		st.Evictions, st.Entries, st.Bytes)
+		hits, misses, st.Evictions, st.Entries, st.Bytes)
 }
 
 // buildLogger assembles the daemon's slog handler from the -log-format

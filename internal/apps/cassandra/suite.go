@@ -10,7 +10,7 @@ import (
 
 // Suite returns the Cassandra miniature's existing unit-test suite.
 func Suite() testkit.Suite {
-	s := testkit.Suite{App: "CA", Name: "Cassandra", Tests: []testkit.Test{
+	s := testkit.Suite{App: "CA", Name: "Cassandra", ID: "seed:CA", Tests: []testkit.Test{
 		{
 			Name: "cassandra.TestGossipSyn", App: "CA",
 			Body: func(ctx context.Context, o map[string]string) error {

@@ -13,7 +13,7 @@ import (
 // the error-code machinery is tested only through status stubs — giving
 // EL the lowest injectable retry coverage, as in Table 5.
 func Suite() testkit.Suite {
-	s := testkit.Suite{App: "EL", Name: "ElasticSearch", Tests: []testkit.Test{
+	s := testkit.Suite{App: "EL", Name: "ElasticSearch", ID: "seed:EL", Tests: []testkit.Test{
 		{
 			Name: "elastic.TestTransportSend", App: "EL",
 			Body: func(ctx context.Context, o map[string]string) error {

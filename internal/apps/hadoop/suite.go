@@ -10,7 +10,7 @@ import (
 
 // Suite returns the Hadoop Common miniature's existing unit-test suite.
 func Suite() testkit.Suite {
-	s := testkit.Suite{App: "HA", Name: "Hadoop", Tests: []testkit.Test{
+	s := testkit.Suite{App: "HA", Name: "Hadoop", ID: "seed:HA", Tests: []testkit.Test{
 		{
 			Name: "hadoop.TestIPCCall", App: "HA",
 			Body: func(ctx context.Context, o map[string]string) error {

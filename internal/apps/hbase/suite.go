@@ -10,7 +10,7 @@ import (
 
 // Suite returns the HBase miniature's existing unit-test suite.
 func Suite() testkit.Suite {
-	s := testkit.Suite{App: "HB", Name: "HBase", Tests: []testkit.Test{
+	s := testkit.Suite{App: "HB", Name: "HBase", ID: "seed:HB", Tests: []testkit.Test{
 		{
 			Name: "hbase.TestZKGetData", App: "HB",
 			Body: func(ctx context.Context, o map[string]string) error {

@@ -12,7 +12,7 @@ import (
 // code (directly or deep in a call chain), some do not, and a couple
 // restrict retry configuration — the landscape §2.5 and §3.1.4 describe.
 func Suite() testkit.Suite {
-	s := testkit.Suite{App: "HD", Name: "HDFS", Tests: []testkit.Test{
+	s := testkit.Suite{App: "HD", Name: "HDFS", ID: "seed:HD", Tests: []testkit.Test{
 		{
 			Name: "hdfs.TestWebFSFetchReturnsBody", App: "HD",
 			Body: func(ctx context.Context, o map[string]string) error {

@@ -9,7 +9,7 @@ import (
 
 // Suite returns the Hive miniature's existing unit-test suite.
 func Suite() testkit.Suite {
-	s := testkit.Suite{App: "HI", Name: "Hive", Tests: []testkit.Test{
+	s := testkit.Suite{App: "HI", Name: "Hive", ID: "seed:HI", Tests: []testkit.Test{
 		{
 			Name: "hive.TestMetastoreConnect", App: "HI",
 			RetryLabeled: true,

@@ -10,7 +10,7 @@ import (
 
 // Suite returns the MapReduce miniature's existing unit-test suite.
 func Suite() testkit.Suite {
-	s := testkit.Suite{App: "MA", Name: "MapReduce", Tests: []testkit.Test{
+	s := testkit.Suite{App: "MA", Name: "MapReduce", ID: "seed:MA", Tests: []testkit.Test{
 		{
 			Name: "mapreduce.TestTaskAttemptsComplete", App: "MA",
 			Body: func(ctx context.Context, o map[string]string) error {

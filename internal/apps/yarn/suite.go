@@ -13,7 +13,7 @@ import (
 // exercised anywhere — the coverage hole that makes YA's dynamic row the
 // thinnest in Table 3.
 func Suite() testkit.Suite {
-	s := testkit.Suite{App: "YA", Name: "Yarn", Tests: []testkit.Test{
+	s := testkit.Suite{App: "YA", Name: "Yarn", ID: "seed:YA", Tests: []testkit.Test{
 		{
 			Name: "yarn.TestTransitionProcedure", App: "YA",
 			RetryLabeled: true,

@@ -14,15 +14,20 @@
 // explicit invalidation API; changing an input changes its key, and the
 // stale entry simply ages out of the LRU.
 //
+// The dynamic stage memoises each app's dynamic run — its injection
+// runs (§3.1.2) and oracle verdicts (§3.1.3) — keyed by the
+// executable's build identity and the run inputs (dynamic.go), so a
+// warm job against an unchanged build executes no test.
+//
 // The in-memory tier holds encoded entries under a byte budget with LRU
-// eviction. An optional disk tier (Options.Dir) persists review and
-// retry-facts entries as JSON files, read through on memory misses and
-// written through on stores — a restarted daemon replays both the
-// expensive LLM tier and the static extraction tier from disk at zero
-// parses. Whole-app analyses are a cheap in-memory merge of facts and
-// stay memory-only. All operations are goroutine-safe; hit/miss counts
-// are deterministic functions of the logical access sequence, so
-// pipeline tests can assert them exactly.
+// eviction. An optional disk tier (Options.Dir) persists review,
+// retry-facts and dynamic entries as JSON files, read through on memory
+// misses and written through on stores — a restarted daemon replays the
+// expensive LLM tier, the static extraction tier and the injection runs
+// from disk at zero parses and zero runs. Whole-app analyses are a cheap
+// in-memory merge of facts and stay memory-only. All operations are
+// goroutine-safe; hit/miss counts are deterministic functions of the
+// logical access sequence, so pipeline tests can assert them exactly.
 package cache
 
 import (
@@ -44,6 +49,9 @@ const (
 	// StageFacts marks per-file retry-facts entries (sast.FileFacts, the
 	// portable static-extraction artifacts).
 	StageFacts = "facts"
+	// StageDynamic marks per-app dynamic-run entries (DynamicRun, the
+	// outcome of one app's injection runs under one build).
+	StageDynamic = "dynamic"
 )
 
 // DefaultMaxBytes is the in-memory byte budget when Options.MaxBytes is
@@ -92,7 +100,7 @@ type Cache struct {
 type entry struct {
 	key      string
 	stage    string
-	data     []byte // StageReview: encoded envelope
+	data     []byte // every stage but StageAnalysis: encoded entry
 	analysis *sast.Analysis
 	cost     int64
 }
@@ -124,47 +132,15 @@ func New(opts Options) (*Cache, error) {
 // is decoded on every hit, so callers own the returned value outright
 // and can never alias another caller's slices. Misses fall through to
 // the disk tier when one is configured.
-func (c *Cache) GetReview(key string) (llm.FileReview, bool) {
+func (c *Cache) GetReview(key string) (rev llm.FileReview, ok bool) {
 	if c == nil {
-		return llm.FileReview{}, false
+		return rev, false
 	}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		data := el.Value.(*entry).data
-		c.hits[StageReview]++
-		c.mu.Unlock()
-		c.reg.Counter("cache_hits_total", "stage", StageReview).Inc()
-		rev, err := decodeReview(data, key)
-		if err == nil {
-			return rev, true
-		}
-		// An undecodable in-memory entry can only mean corruption;
-		// drop it and report a miss.
-		c.remove(key)
-		c.reg.Counter("cache_decode_errors_total").Inc()
-		return llm.FileReview{}, false
-	}
-	c.mu.Unlock()
-	if data, ok := c.loadDisk(key); ok {
-		rev, err := decodeReview(data, key)
-		if err == nil {
-			c.mu.Lock()
-			c.diskLoads++
-			c.hits[StageReview]++
-			c.install(&entry{key: key, stage: StageReview, data: data, cost: int64(len(data))})
-			c.mu.Unlock()
-			c.reg.Counter("cache_hits_total", "stage", StageReview).Inc()
-			c.reg.Counter("cache_disk_loads_total").Inc()
-			return rev, true
-		}
-		// A truncated, corrupt or version-mismatched disk entry is a
-		// miss, and the poisoned file is dropped so it cannot fail again.
-		c.reg.Counter("cache_decode_errors_total").Inc()
-		c.dropDisk(key)
-	}
-	c.miss(StageReview)
-	return llm.FileReview{}, false
+	ok = c.get(StageReview, key, func(data []byte) (err error) {
+		rev, err = decodeReview(data, key)
+		return err
+	})
+	return rev, ok
 }
 
 // PutReview memoizes a review under key, writing through to the disk
@@ -175,14 +151,7 @@ func (c *Cache) PutReview(key string, rev llm.FileReview) {
 		return
 	}
 	data, err := encodeReview(key, rev)
-	if err != nil {
-		c.reg.Counter("cache_decode_errors_total").Inc()
-		return
-	}
-	c.storeDisk(key, data)
-	c.mu.Lock()
-	c.install(&entry{key: key, stage: StageReview, data: data, cost: int64(len(data))})
-	c.mu.Unlock()
+	c.put(StageReview, key, data, err)
 }
 
 // GetFacts returns the decoded retry-facts entry for a content hash —
@@ -191,44 +160,15 @@ func (c *Cache) PutReview(key string, rev llm.FileReview) {
 // value; misses fall through to the disk tier, which is what makes the
 // static extraction tier survive a process restart. A corrupt entry is
 // a miss: dropped from memory, deleted from disk, never an error.
-func (c *Cache) GetFacts(contentSHA256 string) (*sast.FileFacts, bool) {
+func (c *Cache) GetFacts(contentSHA256 string) (ff *sast.FileFacts, ok bool) {
 	if c == nil {
 		return nil, false
 	}
-	key := FactsKey(contentSHA256)
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		data := el.Value.(*entry).data
-		c.hits[StageFacts]++
-		c.mu.Unlock()
-		c.reg.Counter("cache_hits_total", "stage", StageFacts).Inc()
-		ff, err := sast.DecodeFacts(data, contentSHA256)
-		if err == nil {
-			return ff, true
-		}
-		c.remove(key)
-		c.reg.Counter("cache_decode_errors_total").Inc()
-		return nil, false
-	}
-	c.mu.Unlock()
-	if data, ok := c.loadDisk(key); ok {
-		ff, err := sast.DecodeFacts(data, contentSHA256)
-		if err == nil {
-			c.mu.Lock()
-			c.diskLoads++
-			c.hits[StageFacts]++
-			c.install(&entry{key: key, stage: StageFacts, data: data, cost: int64(len(data))})
-			c.mu.Unlock()
-			c.reg.Counter("cache_hits_total", "stage", StageFacts).Inc()
-			c.reg.Counter("cache_disk_loads_total").Inc()
-			return ff, true
-		}
-		c.reg.Counter("cache_decode_errors_total").Inc()
-		c.dropDisk(key)
-	}
-	c.miss(StageFacts)
-	return nil, false
+	ok = c.get(StageFacts, FactsKey(contentSHA256), func(data []byte) (err error) {
+		ff, err = sast.DecodeFacts(data, contentSHA256)
+		return err
+	})
+	return ff, ok
 }
 
 // PutFacts memoizes a retry-facts entry, writing through to the disk
@@ -240,14 +180,62 @@ func (c *Cache) PutFacts(contentSHA256 string, ff *sast.FileFacts) {
 		return
 	}
 	data, err := sast.EncodeFacts(ff)
-	if err != nil {
+	c.put(StageFacts, FactsKey(contentSHA256), data, err)
+}
+
+// get is the read side of every encoded stage: the memory tier first,
+// then the disk tier, with decode verifying (and unpacking) the entry
+// bytes fail-closed. A hit counts under stage; an entry that does not
+// decode is dropped from its tier and reads as a miss.
+func (c *Cache) get(stage, key string, decode func([]byte) error) bool {
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.ll.MoveToFront(el)
+		data := el.Value.(*entry).data
+		c.hits[stage]++
+		c.mu.Unlock()
+		c.reg.Counter("cache_hits_total", "stage", stage).Inc()
+		if decode(data) == nil {
+			return true
+		}
+		// An undecodable in-memory entry can only mean corruption;
+		// drop it and report a miss.
+		c.remove(key)
+		c.reg.Counter("cache_decode_errors_total").Inc()
+		return false
+	}
+	c.mu.Unlock()
+	if data, ok := c.loadDisk(key); ok {
+		if decode(data) == nil {
+			c.mu.Lock()
+			c.diskLoads++
+			c.hits[stage]++
+			c.install(&entry{key: key, stage: stage, data: data, cost: int64(len(data))})
+			c.mu.Unlock()
+			c.reg.Counter("cache_hits_total", "stage", stage).Inc()
+			c.reg.Counter("cache_disk_loads_total").Inc()
+			return true
+		}
+		// A truncated, corrupt or version-mismatched disk entry is a
+		// miss, and the poisoned file is dropped so it cannot fail again.
+		c.reg.Counter("cache_decode_errors_total").Inc()
+		c.dropDisk(key)
+	}
+	c.miss(stage)
+	return false
+}
+
+// put is the write side of every encoded stage: the entry bytes (or the
+// error encoding them) are written through to the disk tier and
+// installed in memory. An encode failure is counted and stores nothing.
+func (c *Cache) put(stage, key string, data []byte, encErr error) {
+	if encErr != nil {
 		c.reg.Counter("cache_decode_errors_total").Inc()
 		return
 	}
-	key := FactsKey(contentSHA256)
 	c.storeDisk(key, data)
 	c.mu.Lock()
-	c.install(&entry{key: key, stage: StageFacts, data: data, cost: int64(len(data))})
+	c.install(&entry{key: key, stage: stage, data: data, cost: int64(len(data))})
 	c.mu.Unlock()
 }
 
@@ -358,6 +346,17 @@ type Stats struct {
 	// maintained across stores and corrupt-entry deletions.
 	DiskEntries int64 `json:"disk_entries"`
 	DiskBytes   int64 `json:"disk_bytes"`
+}
+
+// Totals sums hits and misses over every stage.
+func (s Stats) Totals() (hits, misses int64) {
+	for _, n := range s.Hits {
+		hits += n
+	}
+	for _, n := range s.Misses {
+		misses += n
+	}
+	return hits, misses
 }
 
 // Stats snapshots the cache counters. Nil-safe: a nil cache reports the

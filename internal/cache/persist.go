@@ -1,10 +1,10 @@
-// persist.go is the cache's optional disk tier: review and retry-facts
-// entries written through as JSON files named by their key, read
-// through on memory misses. It is what makes warm re-analysis survive a
-// process restart (the serving shape §4.3's per-run cost argues for)
-// without any external storage dependency — both the expensive LLM tier
-// and the cheap-but-restart-hot static extraction tier replay from
-// disk.
+// persist.go is the cache's optional disk tier: review, retry-facts and
+// dynamic entries written through as JSON files named by their key,
+// read through on memory misses. It is what makes warm re-analysis
+// survive a process restart (the serving shape §4.3's per-run cost
+// argues for) without any external storage dependency — the expensive
+// LLM tier, the cheap-but-restart-hot static extraction tier and the
+// injection runs all replay from disk.
 //
 // Persistence is strictly best-effort: a failed write degrades to a
 // recomputation (counted in cache_persist_errors_total), and an
@@ -35,7 +35,8 @@ const entrySuffix = ".json"
 // envelope is the persisted form of one review entry. The key is stored
 // redundantly so a file renamed or copied to the wrong address fails
 // closed. (Facts entries carry their own schema and content hash —
-// sast.EncodeFacts — and need no extra wrapping.)
+// sast.EncodeFacts — and need no extra wrapping; dynamic entries use
+// dynamicEnvelope.)
 type envelope struct {
 	Schema string         `json:"schema"`
 	Key    string         `json:"key"`

@@ -191,9 +191,10 @@ func TestWarmRunByteIdenticalZeroSpend(t *testing.T) {
 // TestDiskTierSurvivesRestart replays a corpus through a fresh cache
 // instance backed by the same directory — the process-restart path.
 // Each runOnce builds a fresh snapshot store too, so the warm run is a
-// true cold process over a warm disk: every review and every extraction
-// fact must come from disk, the analysis (a memory-only merge of those
-// facts) re-runs without parsing anything, and fresh spend stays zero.
+// true cold process over a warm disk: every review, every extraction
+// fact and the app's dynamic run must come from disk, the analysis (a
+// memory-only merge of those facts) re-runs without parsing anything,
+// fresh spend stays zero and no injection run executes.
 func TestDiskTierSurvivesRestart(t *testing.T) {
 	app := copyApp(t, "HD")
 	dir := t.TempDir()
@@ -222,8 +223,12 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 		t.Fatalf("restart hits review/facts = %d/%d, want %d/%d",
 			st.Hits[cache.StageReview], st.Hits[cache.StageFacts], nFiles, nFiles)
 	}
-	if want := st.Hits[cache.StageReview] + st.Hits[cache.StageFacts]; st.DiskLoads != want {
-		t.Fatalf("disk loads = %d, want %d (every review and facts hit read through)",
+	if st.Hits[cache.StageDynamic] != 1 || st.Misses[cache.StageDynamic] != 0 {
+		t.Fatalf("restart dynamic hits/misses = %d/%d, want 1/0",
+			st.Hits[cache.StageDynamic], st.Misses[cache.StageDynamic])
+	}
+	if want := st.Hits[cache.StageReview] + st.Hits[cache.StageFacts] + st.Hits[cache.StageDynamic]; st.DiskLoads != want {
+		t.Fatalf("disk loads = %d, want %d (every review, facts and dynamic hit read through)",
 			st.DiskLoads, want)
 	}
 	if st.Misses[cache.StageAnalysis] != 1 {
@@ -239,6 +244,11 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	}
 	if got := snap.Counter("source_derived_hydrations_total", "kind", sast.ExtractKind); got != nFiles {
 		t.Fatalf("restart-warm run hydrated %d facts, want %d", got, nFiles)
+	}
+	// The same build ran these injection runs before the restart, so
+	// the dynamic tier replays them from disk and none executes.
+	if got := snap.Counter("core_injection_runs_total", "app", app.Code); got != 0 {
+		t.Fatalf("restart-warm run executed %d injection runs, want 0", got)
 	}
 	if st.DiskEntries == 0 || st.DiskBytes == 0 {
 		t.Fatalf("restarted cache reports empty disk tier: %d entries / %d bytes",

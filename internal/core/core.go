@@ -56,15 +56,17 @@ type Options struct {
 	// Workers setting; timings and spans are honest measurements. Nil
 	// disables observability at the cost of a nil check per event.
 	Obs *obs.Observer
-	// Cache, when non-nil, memoizes the identify stage across runs
-	// (docs/SERVICE.md): per-app static analyses keyed by directory
-	// content, and — on a fault-free backend — per-file LLM reviews
-	// keyed by (config fingerprint, path, content hash). A warm run
-	// over unchanged sources produces byte-identical results with zero
-	// fresh LLM spend; runs through an LLM router (a fault profile or a
-	// backend topology) bypass the review tier (a file's outcome there
-	// depends on the router's verdict for this run, so per-file
-	// memoization would be unsound) but still reuse static analyses.
+	// Cache, when non-nil, memoizes work across runs (docs/SERVICE.md):
+	// per-app static analyses keyed by directory content; on a
+	// fault-free backend, per-file LLM reviews keyed by (config
+	// fingerprint, path, content hash); and per-app dynamic runs keyed
+	// by (build, suite, locations, run options). A warm run over unchanged
+	// sources produces byte-identical results with zero fresh LLM spend
+	// and, under the same build, zero injection runs; runs through an
+	// LLM router (a fault profile or a backend topology) bypass the
+	// review tier (a file's outcome there depends on the router's
+	// verdict for this run, so per-file memoization would be unsound)
+	// but still reuse static analyses and dynamic runs.
 	Cache *cache.Cache
 	// Source, when non-nil, is the parse-once snapshot store every
 	// stage loads corpus bytes through (docs/PERFORMANCE.md). The
@@ -94,6 +96,10 @@ type Wasabi struct {
 	obs  *obs.Observer
 	// cache is Options.Cache; nil disables memoization.
 	cache *cache.Cache
+	// build is the executable's build identity (cache.BuildID), the
+	// part of a dynamic-run key that stands for the compiled suites; ""
+	// when no cache is attached or the build has no identity.
+	build string
 	// llmFP is the review-cache fingerprint of the LLM configuration,
 	// and reviewCache gates the review tier: it is false when reviews
 	// are routed, because a routed review's outcome depends on the
@@ -140,6 +146,9 @@ func New(opts Options) *Wasabi {
 	}
 	if w.src == nil {
 		w.src = source.NewStore(opts.Obs.Reg())
+	}
+	if w.cache != nil {
+		w.build = cache.BuildID()
 	}
 	w.obs.Reg().Gauge("core_pool_workers").Set(float64(opts.Workers))
 	return w
@@ -472,13 +481,50 @@ type DynamicResult struct {
 }
 
 // RunDynamic executes the dynamic workflow for one app, given its
-// identification.
+// identification. With a cache attached, the outcome of the app's
+// injection runs is memoised under its build, suite and run inputs
+// (cache.DynamicKey): a hit executes no test and yields the same result
+// a fresh run would.
 func (w *Wasabi) RunDynamic(app corpus.App, id *Identification) (*DynamicResult, error) {
 	defer w.stage("dynamic", app.Code)()
 	locs := id.Locations()
+	// Without a cache w.build is empty, so the key is too: no memo.
+	key := cache.DynamicKey(w.build, app.Suite.ID, app.Code, locs, w.opts.HowK, w.opts.CapK, w.opts.Oracle)
+	run, ok := w.cache.GetDynamic(key)
+	if !ok {
+		var err error
+		if run, err = w.runSuite(app, locs); err != nil {
+			return nil, err
+		}
+		w.cache.PutDynamic(key, run)
+	}
+	// Per-job result counters count every job, served or executed; the
+	// counters of executed work are incremented inside runSuite only.
+	reg := w.obs.Reg()
+	reg.Counter("core_plan_entries_total", "app", app.Code).Add(int64(run.PlanEntries))
+	reg.Counter("core_distinct_bugs_total", "app", app.Code).Add(int64(len(run.Reports)))
+	return &DynamicResult{
+		App:                 app.Code,
+		Reports:             run.Reports,
+		TestsTotal:          len(app.Suite.Tests),
+		TestsCoveringRetry:  run.TestsCoveringRetry,
+		StructuresTotal:     len(id.Structures),
+		StructuresTested:    run.StructuresTested,
+		StrippedOverrides:   run.StrippedOverrides,
+		PlanEntries:         run.PlanEntries,
+		NaiveRuns:           run.NaiveRuns,
+		PlannedRuns:         run.PlannedRuns,
+		InjectionRunsFailed: run.InjectionRunsFailed,
+	}, nil
+}
+
+// runSuite executes the app's suite against its retry locations: the
+// coverage pass, the plan, and every planned injection run under the
+// oracles.
+func (w *Wasabi) runSuite(app corpus.App, locs []fault.Location) (cache.DynamicRun, error) {
 	cov := planner.Collect(app.Suite, locs)
 	plan := planner.BuildPlan(cov)
-	w.obs.Reg().Counter("core_plan_entries_total", "app", app.Code).Add(int64(len(plan)))
+	triggers := planner.IndexTriggers(locs)
 
 	testsByName := make(map[string]testkit.Test, len(app.Suite.Tests))
 	for _, t := range app.Suite.Tests {
@@ -509,7 +555,7 @@ func (w *Wasabi) RunDynamic(app corpus.App, id *Identification) (*DynamicResult,
 		sp := w.obs.Trc().Start(entry.Test, "entry",
 			"app", app.Code, "coordinator", entry.Loc.Coordinator, "parent", "dynamic:"+app.Code)
 		defer sp.End()
-		for _, exc := range planner.Exceptions(locs, entry.Loc) {
+		for _, exc := range triggers[entry.Loc] {
 			loc := fault.Location{Coordinator: entry.Loc.Coordinator, Retried: entry.Loc.Retried, Exception: exc}
 			for _, k := range []int{w.opts.HowK, w.opts.CapK} {
 				rules := []fault.Rule{{Loc: loc, K: k}}
@@ -527,7 +573,7 @@ func (w *Wasabi) RunDynamic(app corpus.App, id *Identification) (*DynamicResult,
 	failed := 0
 	for _, out := range outcomes {
 		if out.err != nil {
-			return nil, out.err
+			return cache.DynamicRun{}, out.err
 		}
 		all = append(all, out.reports...)
 		failed += out.failed
@@ -538,20 +584,14 @@ func (w *Wasabi) RunDynamic(app corpus.App, id *Identification) (*DynamicResult,
 		tested[p.Coordinator] = true
 	}
 
-	deduped := oracle.Dedup(all)
-	reg.Counter("core_distinct_bugs_total", "app", app.Code).Add(int64(len(deduped)))
-
-	return &DynamicResult{
-		App:                 app.Code,
-		Reports:             deduped,
-		TestsTotal:          len(app.Suite.Tests),
+	return cache.DynamicRun{
+		Reports:             oracle.Dedup(all),
 		TestsCoveringRetry:  cov.CoveringTests(),
-		StructuresTotal:     len(id.Structures),
 		StructuresTested:    len(tested),
 		StrippedOverrides:   cov.Stripped,
 		PlanEntries:         len(plan),
-		NaiveRuns:           planner.NaiveRuns(cov, locs),
-		PlannedRuns:         planner.PlannedRuns(plan, locs),
+		NaiveRuns:           triggers.NaiveRuns(cov),
+		PlannedRuns:         triggers.PlannedRuns(plan),
 		InjectionRunsFailed: failed,
 	}, nil
 }

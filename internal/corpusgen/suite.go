@@ -2,6 +2,9 @@ package corpusgen
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"time"
 
 	"wasabi/internal/apps/meta"
@@ -19,8 +22,11 @@ import (
 // because interpreted methods have no stack frames for fault.Hook to
 // recover, and sleeps are recorded against the coordinator frame so the
 // missing-delay oracle attributes them exactly as it would compiled code.
+// The suite's ID is the digest of the spec the interpreter executes, so
+// a corpus regenerated with the same spec keeps its memoised dynamic
+// runs and any spec change forfeits them.
 func Suite(app AppSpec) testkit.Suite {
-	s := testkit.Suite{App: app.Code, Name: app.Name}
+	s := testkit.Suite{App: app.Code, Name: app.Name, ID: specDigest(app)}
 	for i, st := range app.Structures {
 		st := st
 		t := testkit.Test{
@@ -43,6 +49,17 @@ func Suite(app AppSpec) testkit.Suite {
 		s.Tests = append(s.Tests, t)
 	}
 	return s
+}
+
+// specDigest is the hex sha256 of the spec's JSON encoding, or "" (no
+// suite identity) if it does not encode.
+func specDigest(app AppSpec) string {
+	data, err := json.Marshal(app)
+	if err != nil {
+		return ""
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 // execute interprets one structure.

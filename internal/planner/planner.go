@@ -128,38 +128,13 @@ func BuildPlan(cov Coverage) []Entry {
 	return plan
 }
 
-// NaiveRuns counts the fault-injection runs a plan-free strategy would
-// need: every test × every location it covers × every trigger exception ×
-// both K settings (§3.1.4's "naive testing plan").
-func NaiveRuns(cov Coverage, locs []fault.Location) int {
-	excs := exceptionsPerPair(locs)
-	n := 0
-	for _, pairs := range cov.TestLocs {
-		for _, p := range pairs {
-			n += 2 * len(excs[p])
-		}
-	}
-	return n
-}
+// Triggers maps each retry-location pair to its trigger exceptions,
+// sorted. Build it once per location list with IndexTriggers and look
+// pairs up in it; the package-level helpers below rebuild it per call.
+type Triggers map[LocPair][]string
 
-// PlannedRuns counts the runs the plan generates: every plan entry ×
-// trigger exceptions × both K settings.
-func PlannedRuns(plan []Entry, locs []fault.Location) int {
-	excs := exceptionsPerPair(locs)
-	n := 0
-	for _, e := range plan {
-		n += 2 * len(excs[e.Loc])
-	}
-	return n
-}
-
-// Exceptions returns the trigger exceptions identified for a location
-// pair, sorted.
-func Exceptions(locs []fault.Location, p LocPair) []string {
-	return exceptionsPerPair(locs)[p]
-}
-
-func exceptionsPerPair(locs []fault.Location) map[LocPair][]string {
+// IndexTriggers groups the locations' trigger exceptions by pair.
+func IndexTriggers(locs []fault.Location) Triggers {
 	set := make(map[LocPair]map[string]bool)
 	for _, l := range locs {
 		p := LocPair{Coordinator: l.Coordinator, Retried: l.Retried}
@@ -168,7 +143,7 @@ func exceptionsPerPair(locs []fault.Location) map[LocPair][]string {
 		}
 		set[p][l.Exception] = true
 	}
-	out := make(map[LocPair][]string, len(set))
+	out := make(Triggers, len(set))
 	for p, m := range set {
 		for e := range m {
 			out[p] = append(out[p], e)
@@ -176,4 +151,44 @@ func exceptionsPerPair(locs []fault.Location) map[LocPair][]string {
 		sort.Strings(out[p])
 	}
 	return out
+}
+
+// NaiveRuns counts the fault-injection runs a plan-free strategy would
+// need: every test × every location it covers × every trigger exception ×
+// both K settings (§3.1.4's "naive testing plan").
+func (t Triggers) NaiveRuns(cov Coverage) int {
+	n := 0
+	for _, pairs := range cov.TestLocs {
+		for _, p := range pairs {
+			n += 2 * len(t[p])
+		}
+	}
+	return n
+}
+
+// PlannedRuns counts the runs the plan generates: every plan entry ×
+// trigger exceptions × both K settings.
+func (t Triggers) PlannedRuns(plan []Entry) int {
+	n := 0
+	for _, e := range plan {
+		n += 2 * len(t[e.Loc])
+	}
+	return n
+}
+
+// NaiveRuns is IndexTriggers(locs).NaiveRuns(cov).
+func NaiveRuns(cov Coverage, locs []fault.Location) int {
+	return IndexTriggers(locs).NaiveRuns(cov)
+}
+
+// PlannedRuns is IndexTriggers(locs).PlannedRuns(plan).
+func PlannedRuns(plan []Entry, locs []fault.Location) int {
+	return IndexTriggers(locs).PlannedRuns(plan)
+}
+
+// Exceptions returns the trigger exceptions identified for a location
+// pair, sorted. It indexes every location per call; callers looking up
+// many pairs should index once with IndexTriggers.
+func Exceptions(locs []fault.Location, p LocPair) []string {
+	return IndexTriggers(locs)[p]
 }

@@ -7,7 +7,9 @@ package server_test
 // that must reproduce the cold report byte-for-byte while parsing
 // nothing and extracting nothing — the acceptance proof that the static
 // tier's retry-facts round-trip through the disk cache across process
-// boundaries, not just across in-process cache handles.
+// boundaries, not just across in-process cache handles. The same build
+// also replays every app's dynamic run from disk: the warm job executes
+// zero injection runs.
 
 import (
 	"bufio"
@@ -24,6 +26,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"wasabi/internal/apps/corpus"
 )
 
 // buildWasabid compiles cmd/wasabid into a temp dir and returns the
@@ -140,6 +144,31 @@ func metricValue(text, series string) float64 {
 	return 0
 }
 
+// metricSum sums every series of one metric across its label sets.
+func metricSum(text, name string) float64 {
+	sum := 0.0
+	for _, line := range strings.Split(text, "\n") {
+		series, val, ok := strings.Cut(line, " ")
+		if !ok || (series != name && !strings.HasPrefix(series, name+"{")) {
+			continue
+		}
+		if v, err := strconv.ParseFloat(val, 64); err == nil {
+			sum += v
+		}
+	}
+	return sum
+}
+
+// jobBuild reads the build identity a job view reports.
+func jobBuild(t *testing.T, base, id string) string {
+	t.Helper()
+	var v struct {
+		Build string `json:"build"`
+	}
+	getJSON(t, base+"/v1/jobs/"+id, &v)
+	return v.Build
+}
+
 // getMetrics fetches the full /metrics exposition text.
 func getMetrics(t *testing.T, base string) string {
 	t.Helper()
@@ -180,6 +209,13 @@ func TestRestartSmokeProcess(t *testing.T) {
 	if n := metricValue(coldMetrics, "cache_disk_entries"); n == 0 {
 		t.Fatal("cold job persisted nothing to the disk tier")
 	}
+	if n := metricSum(coldMetrics, "core_injection_runs_total"); n == 0 {
+		t.Fatal("cold job executed no injection runs")
+	}
+	coldBuild := jobBuild(t, d1.base, id1)
+	if coldBuild == "" {
+		t.Fatal("job view reports no build identity")
+	}
 	d1.terminate(t)
 
 	// Warm process over the same cache directory: byte-identical report,
@@ -207,6 +243,17 @@ func TestRestartSmokeProcess(t *testing.T) {
 	}
 	if n := metricValue(warmMetrics, `cache_hits_total{stage="facts"}`); n == 0 {
 		t.Fatal("restart-warm job recorded no facts-stage cache hits")
+	}
+	// The relaunched binary is the same build, so every app's dynamic
+	// run replays from the disk tier and no injection run executes.
+	if b := jobBuild(t, d2.base, id2); b != coldBuild {
+		t.Fatalf("relaunched daemon reports build %q, want %q", b, coldBuild)
+	}
+	if n := metricSum(warmMetrics, "core_injection_runs_total"); n != 0 {
+		t.Fatalf("restart-warm job executed %v injection runs, want 0", n)
+	}
+	if n := metricValue(warmMetrics, `cache_hits_total{stage="dynamic"}`); n != float64(len(corpus.Apps())) {
+		t.Fatalf("restart-warm dynamic hits = %v, want one per app (%d)", n, len(corpus.Apps()))
 	}
 	d2.terminate(t)
 

@@ -271,7 +271,7 @@ func New(cfg Config) *Server {
 	}
 	s.http = &http.Server{Handler: mux}
 	s.obs.Reg().Gauge("server_queue_capacity").Set(float64(cfg.QueueDepth))
-	s.obs.Reg().Gauge("wasabi_build_info", "version", Version, "go_version", runtime.Version()).Set(1)
+	s.obs.Reg().Gauge("wasabi_build_info", "version", Version, "go_version", runtime.Version(), "build", cache.BuildID()).Set(1)
 	return s
 }
 
@@ -514,6 +514,10 @@ type jobView struct {
 	TraceID string   `json:"trace_id"`
 	Apps    []string `json:"apps"`
 	Error   string   `json:"error,omitempty"`
+	// Build is the daemon executable's build identity (cache.BuildID),
+	// the build whose compiled suites produce the job's dynamic results.
+	// It stays out of the report, whose bytes must not depend on it.
+	Build string `json:"build"`
 	// FreshLLM is the LLM traffic the job actually generated — zero for
 	// a fully cache-served run, unlike the report's attributed usage.
 	FreshLLM *freshUsage `json:"fresh_llm,omitempty"`
@@ -640,7 +644,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // viewLocked renders a job's wire shape; s.mu must be held.
 func (s *Server) viewLocked(j *job, includeReport bool) jobView {
-	v := jobView{ID: j.id, State: j.state, Tenant: j.tenant, TraceID: j.traceID, Error: j.err}
+	v := jobView{ID: j.id, State: j.state, Tenant: j.tenant, TraceID: j.traceID, Error: j.err, Build: cache.BuildID()}
 	for _, app := range j.apps {
 		v.Apps = append(v.Apps, app.Code)
 	}

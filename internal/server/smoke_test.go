@@ -255,7 +255,7 @@ func TestServeSmoke(t *testing.T) {
 		`server_sched_job_run_ms_quantile{q="0.99"}`,
 		"# TYPE server_sched_tenant_evictions_total counter",
 		`server_tenant_llm_tokens_total{tenant="_retired"}`,
-		`wasabi_build_info{go_version="` + runtime.Version() + `",version="` + server.Version + `"} 1`,
+		`wasabi_build_info{build="` + cache.BuildID() + `",go_version="` + runtime.Version() + `",version="` + server.Version + `"} 1`,
 		"# TYPE server_uptime_seconds gauge",
 		"server_trace_ring_entries 4",
 	} {

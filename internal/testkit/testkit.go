@@ -47,8 +47,14 @@ type Test struct {
 
 // Suite is an application's unit-test suite.
 type Suite struct {
-	App   string // short code, e.g. "HD"
-	Name  string // human name, e.g. "HDFS"
+	App  string // short code, e.g. "HD"
+	Name string // human name, e.g. "HDFS"
+	// ID identifies what the tests execute, beyond the code compiled into
+	// the running build: "seed:<code>" for a seed suite (its code is the
+	// build), the spec digest for an interpreted generated suite. Two
+	// suites with one ID must run identically under one build. The
+	// dynamic-run cache keys on it; an empty ID is never memoised.
+	ID    string
 	Tests []Test
 }
 
