@@ -20,7 +20,7 @@ vet:
 ## including the parallel-runner determinism test over the full corpus
 ## and the worker-pool bound under nesting.
 race:
-	$(GO) test -race ./internal/core/... ./internal/testkit/... ./internal/fault/... ./internal/trace/... ./internal/vclock/... ./internal/errmodel/... ./internal/obs/... ./internal/cache/... ./internal/server/... ./internal/source/...
+	$(GO) test -race ./internal/core/... ./internal/testkit/... ./internal/fault/... ./internal/trace/... ./internal/vclock/... ./internal/errmodel/... ./internal/obs/... ./internal/cache/... ./internal/server/... ./internal/source/... ./internal/sast/...
 
 ## bench: run the Go microbenchmarks used for profiling — the pipeline
 ## benchmarks (sequential vs parallel) and the snapshot-store

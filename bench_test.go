@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"wasabi/internal/cache"
 	"wasabi/internal/core"
 	"wasabi/internal/evaluation"
 	"wasabi/internal/llm"
@@ -230,6 +231,34 @@ func BenchmarkStage_Identify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := core.New(core.DefaultOptions())
 		if _, err := w.Identify(app); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStage_IdentifyWarm measures identification the way a warm
+// daemon job runs it: a fresh toolkit per job over a shared cache and
+// snapshot store, after one cold Identify populated both. Every
+// iteration of BenchmarkStage_Identify is cold, so it cannot show the
+// warm front end's costs (callee resolution, cache decoding).
+func BenchmarkStage_IdentifyWarm(b *testing.B) {
+	app, err := AppByCode("HB")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ca, err := cache.New(cache.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Cache, opts.Source = ca, source.NewStore(nil)
+	if _, err := core.New(opts).Identify(app); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.New(opts).Identify(app); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -166,9 +166,16 @@ func TestDynamicMemoByteIdentical(t *testing.T) {
 		droppedLoc := func() *core.Identification {
 			cp := *id
 			cp.Structures = append([]core.Structure(nil), id.Structures...)
-			last := &cp.Structures[len(cp.Structures)-1]
-			last.Triplets = last.Triplets[:len(last.Triplets)-1]
-			return &cp
+			// Trim the last structure that has a triplet: which
+			// structures have none depends on the LLM's answers.
+			for i := len(cp.Structures) - 1; i >= 0; i-- {
+				if s := &cp.Structures[i]; len(s.Triplets) > 0 {
+					s.Triplets = s.Triplets[:len(s.Triplets)-1]
+					return &cp
+				}
+			}
+			t.Fatal("no structure has a triplet to drop")
+			return nil
 		}()
 		otherBuild := "another-build"
 		variants := []struct {

@@ -17,7 +17,6 @@ import (
 // order, and every per-loop result is dedup-sorted downstream of
 // resolution, so only the recorded name sets matter.
 func (a *Analysis) findRetryLoops() {
-	short := a.MethodsByShortName()
 	names := make([]string, 0, len(a.Methods))
 	for n := range a.Methods {
 		names = append(names, n)
@@ -41,7 +40,7 @@ func (a *Analysis) findRetryLoops() {
 				Keyworded:   true,
 				ThrownHere:  make(map[string]bool),
 			}
-			for _, callee := range throwingCallees(lf.Calls, short) {
+			for _, callee := range throwingCallees(lf.Calls, a.byShort) {
 				for _, exc := range callee.Throws {
 					retried := !excluded[exc]
 					loop.ThrownHere[exc] = retried

@@ -84,6 +84,10 @@ type Analysis struct {
 	// CandidateLoops counts the structural candidates *before* the
 	// keyword filter — the §4.4 ablation ("3.5x more loops").
 	CandidateLoops int
+
+	// byShort indexes Methods by bare method name (indexShortNames);
+	// read-only once the constructor returns.
+	byShort map[string][]*Method
 }
 
 // IsSourceFile reports whether a directory entry counts as application
@@ -157,18 +161,21 @@ func callsFaultHook(body *ast.BlockStmt) bool {
 	return found
 }
 
-// MethodsByShortName indexes methods by their bare method name (the last
-// dot-separated segment), used to resolve call expressions.
-func (a *Analysis) MethodsByShortName() map[string][]*Method {
-	out := make(map[string][]*Method)
+// indexShortNames builds byShort, the methods indexed by their bare
+// method name (the last dot-separated segment), each list sorted by
+// qualified name — the index call expressions resolve against. It runs
+// once, in the constructor, before the Analysis is shared: the analysis
+// cache hands one *Analysis to concurrent jobs, so the index is never
+// built lazily.
+func (a *Analysis) indexShortNames() {
+	a.byShort = make(map[string][]*Method)
 	for _, m := range a.Methods {
 		short := m.Name[strings.LastIndex(m.Name, ".")+1:]
-		out[short] = append(out[short], m)
+		a.byShort[short] = append(a.byShort[short], m)
 	}
-	for _, ms := range out {
+	for _, ms := range a.byShort {
 		sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
 	}
-	return out
 }
 
 // CalleesOf returns, for a coordinator method name, every corpus method it
@@ -182,11 +189,10 @@ func (a *Analysis) CalleesOf(coordinator string) []Triplet {
 	if m == nil {
 		return nil
 	}
-	short := a.MethodsByShortName()
 	var out []Triplet
 	seen := make(map[Triplet]bool)
 	for _, name := range m.calls {
-		for _, callee := range short[name] {
+		for _, callee := range a.byShort[name] {
 			if !callee.HasHook {
 				continue
 			}

@@ -1,6 +1,11 @@
 package sast
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"wasabi/internal/apps/corpus"
@@ -196,5 +201,91 @@ func TestRatioAnalysisCountsExclusions(t *testing.T) {
 	}
 	if acl.Retried != 0 {
 		t.Errorf("AccessControlException should never be retried in HDFS, got %d/%d", acl.Retried, acl.Total)
+	}
+}
+
+// calleesFixture is a one-file app: a retry coordinator calling the
+// hooked connect, plus filler functions that only grow the method index.
+func calleesFixture(t *testing.T, filler int) *Analysis {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(header + `
+func run(ctx context.Context) error {
+	var last error
+	for retry := 0; retry < 3; retry++ {
+		if err := connect(ctx); err != nil {
+			last = err
+			continue
+		}
+		return nil
+	}
+	return last
+}
+`)
+	for i := 0; i < filler; i++ {
+		fmt.Fprintf(&b, "\nfunc filler%d() int { return %d }\n", i, i)
+	}
+	a := analyzeSource(t, b.String())
+	if len(a.Methods) != filler+2 {
+		t.Fatalf("methods = %d, want %d", len(a.Methods), filler+2)
+	}
+	return a
+}
+
+// TestCalleesOfAllocsIndependentOfMethodCount: the short-name index is
+// built once by the constructor, so a CalleesOf lookup allocates the
+// same on an app of 3 methods as on one of 1,000.
+func TestCalleesOfAllocsIndependentOfMethodCount(t *testing.T) {
+	small, large := calleesFixture(t, 1), calleesFixture(t, 998)
+	want := []Triplet{
+		{Coordinator: "pkg.run", Retried: "pkg.connect", Exception: "AccessControlException"},
+		{Coordinator: "pkg.run", Retried: "pkg.connect", Exception: "ConnectException"},
+	}
+	for _, a := range []*Analysis{small, large} {
+		if got := a.CalleesOf("pkg.run"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("CalleesOf(pkg.run) = %+v, want %+v", got, want)
+		}
+	}
+	allocs := func(a *Analysis) float64 {
+		return testing.AllocsPerRun(100, func() { a.CalleesOf("pkg.run") })
+	}
+	if s, l := allocs(small), allocs(large); l != s {
+		t.Fatalf("CalleesOf allocs: %v with 3 methods, %v with 1,000 — the lookup scales with the app", s, l)
+	}
+}
+
+// TestCalleesOfConcurrent: the analysis cache shares one *Analysis
+// across concurrent jobs, so CalleesOf must be safe to call from many
+// goroutines at once (run under -race by make race).
+func TestCalleesOfConcurrent(t *testing.T) {
+	a := analyzeHDFS(t)
+	coords := make([]string, 0, len(a.Methods))
+	for name := range a.Methods {
+		coords = append(coords, name)
+	}
+	sort.Strings(coords)
+	want := make([][]Triplet, len(coords))
+	for i, c := range coords {
+		want[i] = a.CalleesOf(c)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range coords {
+				i := (k + g*7) % len(coords)
+				if got := a.CalleesOf(coords[i]); !reflect.DeepEqual(got, want[i]) {
+					errs <- fmt.Sprintf("goroutine %d: CalleesOf(%s) = %+v, want %+v", g, coords[i], got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -150,6 +150,7 @@ func AnalyzeSnapshotWith(snap *source.Snapshot, store FactsStore) (*Analysis, er
 			a.Methods[m.Name] = m
 		}
 	}
+	a.indexShortNames()
 	a.findRetryLoops()
 	return a, nil
 }

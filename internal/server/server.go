@@ -175,8 +175,10 @@ type Server struct {
 	// oldest first. It is bounded by the trace ring's capacity, so job
 	// history and traces age out together; queued and running jobs are
 	// never evicted.
-	finished   []string
-	appReports map[string][]byte
+	finished []string
+	// appReports holds the latest completed section of each app;
+	// GET /v1/reports/{app} marshals it on demand.
+	appReports map[string]report.App
 }
 
 // job is one queued analysis request and its outcome.
@@ -194,10 +196,11 @@ type job struct {
 	started   time.Time
 
 	// Guarded by Server.mu after submission.
-	state  string // "queued" | "running" | "done" | "failed"
-	err    string
-	report []byte
-	fresh  llm.Usage
+	state string // "queued" | "running" | "done" | "failed"
+	err   string
+	// view is the rendered GET /v1/jobs/{id} body once the job is done
+	// (renderDoneView) — the job's only copy of its report bytes.
+	view []byte
 }
 
 // newTraceID mints a 64-bit random hex trace id.
@@ -235,7 +238,7 @@ func New(cfg Config) *Server {
 		log:        log,
 		source:     source.NewStore(cfg.Obs.Reg()),
 		jobs:       make(map[string]*job),
-		appReports: make(map[string][]byte),
+		appReports: make(map[string]report.App),
 		traces:     newTraceRing(cfg.TraceRing, cfg.Obs.Reg()),
 		sched:      newScheduler(cfg.SchedulerSlots, cfg.TenantQuota, cfg.QueueDepth, cfg.TenantPriority, cfg.Obs.Reg(), log),
 	}
@@ -369,18 +372,18 @@ func (s *Server) run(j *job) {
 	w := core.New(opts)
 	cr, err := w.RunCorpus(j.apps)
 
-	// Build and marshal outside the server lock; only state publication
-	// needs it.
-	var data []byte
-	appData := map[string][]byte{}
+	// Build, marshal and render outside the server lock; only state
+	// publication needs it.
+	fresh := w.LLMUsage()
+	var doc *report.Document
+	var view []byte
 	if err == nil {
-		doc := report.Build(cr)
+		doc = report.Build(cr)
+		var data []byte
 		if data, err = report.Marshal(doc); err == nil {
-			for _, app := range doc.Apps {
-				if d, aerr := report.MarshalApp(app); aerr == nil {
-					appData[app.Code] = d
-				}
-			}
+			v := jobView{ID: j.id, State: "done", Tenant: j.tenant, TraceID: j.traceID, Apps: appCodes(j.apps), Build: cache.BuildID(),
+				FreshLLM: &freshUsage{Calls: fresh.Calls, TokensIn: fresh.TokensIn, CostUSD: fresh.CostUSD}}
+			view, err = renderDoneView(v, data)
 		}
 	}
 
@@ -389,7 +392,6 @@ func (s *Server) run(j *job) {
 	if err != nil {
 		state = "failed"
 	}
-	fresh := w.LLMUsage()
 
 	// Close out the job's span tree with the scheduler-side envelope
 	// spans the pipeline could not see, then freeze it into the ring.
@@ -397,12 +399,10 @@ func (s *Server) run(j *job) {
 	tr.Record("run", "sched", start, end, "parent", "job")
 	tr.Record("job", "job", j.submitted, end, "state", state,
 		"fresh_tokens", fmt.Sprintf("%d", fresh.TokensIn))
-	var traceBuf bytes.Buffer
-	tr.WriteJSON(&traceBuf) //nolint:errcheck // bytes.Buffer cannot fail
 	s.traces.put(traceMeta{
 		JobID: j.id, Tenant: j.tenant, TraceID: j.traceID, State: state,
 		Spans: tr.SpanCount(), DurationMS: durMS(end.Sub(j.submitted)),
-	}, traceBuf.Bytes())
+	}, tr)
 
 	// Tenant cost attribution. server_tenant_llm_tokens_total counts the
 	// same event as llm_tokens_in_total — a fresh (uncached, undegraded)
@@ -432,12 +432,11 @@ func (s *Server) run(j *job) {
 		s.logJob(evJobFinish, j, "state", state, "run_ms", durMS(end.Sub(start)), "error", err.Error())
 		return
 	}
-	j.report = data
-	for code, d := range appData {
-		s.appReports[code] = d
+	j.view = view
+	for _, app := range doc.Apps {
+		s.appReports[app.Code] = app
 	}
 	j.state = "done"
-	j.fresh = fresh
 	reg.Counter("server_jobs_total", "status", "done").Inc()
 	s.logJob(evJobFinish, j, "state", state, "run_ms", durMS(end.Sub(start)),
 		"fresh_tokens", fresh.TokensIn, "spans", tr.SpanCount())
@@ -620,7 +619,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.jobs[j.id] = j
-	view := s.viewLocked(j, false)
+	view := s.viewLocked(j)
 	s.mu.Unlock()
 
 	s.obs.Reg().Counter("server_jobs_total", "status", "accepted").Inc()
@@ -637,24 +636,64 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	view := s.viewLocked(j, true)
+	if done := j.view; done != nil {
+		s.mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(done)
+		return
+	}
+	view := s.viewLocked(j)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, view)
 }
 
-// viewLocked renders a job's wire shape; s.mu must be held.
-func (s *Server) viewLocked(j *job, includeReport bool) jobView {
-	v := jobView{ID: j.id, State: j.state, Tenant: j.tenant, TraceID: j.traceID, Error: j.err, Build: cache.BuildID()}
-	for _, app := range j.apps {
-		v.Apps = append(v.Apps, app.Code)
+// viewLocked renders the wire shape of a job that is not done (done jobs
+// carry their rendered view); s.mu must be held.
+func (s *Server) viewLocked(j *job) jobView {
+	return jobView{ID: j.id, State: j.state, Tenant: j.tenant, TraceID: j.traceID, Apps: appCodes(j.apps), Error: j.err, Build: cache.BuildID()}
+}
+
+// appCodes lists the apps' short codes in order (nil for none, which
+// the job view renders as null).
+func appCodes(apps []corpus.App) []string {
+	var out []string
+	for _, app := range apps {
+		out = append(out, app.Code)
 	}
-	if j.state == "done" {
-		v.FreshLLM = &freshUsage{Calls: j.fresh.Calls, TokensIn: j.fresh.TokensIn, CostUSD: j.fresh.CostUSD}
-		if includeReport {
-			v.Report = j.report
+	return out
+}
+
+// renderDoneView renders a done job's GET /v1/jobs/{id} body: exactly
+// writeJSON's bytes for v with Report set to report, where v.Report is
+// empty and report is report.Marshal's output. Report is jobView's last
+// field, so instead of re-compacting and re-indenting the whole
+// document, the view without it is marshalled and the report is spliced
+// in before the closing brace, every line after its first indented one
+// level deeper. report.Marshal already escapes HTML and emits no raw
+// newline inside a string, so the splice equals what the encoder would
+// have written.
+func renderDoneView(v jobView, report []byte) ([]byte, error) {
+	head, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	body := bytes.TrimSuffix(report, []byte("\n"))
+	lines := bytes.Count(body, []byte("\n"))
+	out := make([]byte, 0, len(head)+len(body)+2*lines+len(",\n  \"report\": \n}\n"))
+	out = append(out, head[:len(head)-len("\n}")]...)
+	out = append(out, ",\n  \"report\": "...)
+	for {
+		i := bytes.IndexByte(body, '\n')
+		if i < 0 {
+			break
 		}
+		out = append(out, body[:i+1]...)
+		out = append(out, "  "...)
+		body = body[i+1:]
 	}
-	return v
+	out = append(out, body...)
+	return append(out, "\n}\n"...), nil
 }
 
 // handleJobTrace serves a completed job's span tree as Chrome
@@ -690,10 +729,15 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	data, ok := s.appReports[r.PathValue("app")]
+	app, ok := s.appReports[r.PathValue("app")]
 	s.mu.Unlock()
 	if !ok {
 		httpError(w, http.StatusNotFound, "no completed report for app")
+		return
+	}
+	data, err := report.MarshalApp(app)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -211,7 +211,7 @@ func TestShutdownDrainsAcceptedJobs(t *testing.T) {
 	if j == nil || j.state != "done" {
 		t.Fatalf("accepted job not drained: %+v", j)
 	}
-	if len(j.report) == 0 {
+	if len(j.view) == 0 {
 		t.Fatal("drained job has no report")
 	}
 }

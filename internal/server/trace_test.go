@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"wasabi/internal/cache"
 	"wasabi/internal/obs"
@@ -192,28 +193,76 @@ func TestJobTraceIsolationUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestTraceRingBoundAndIndex pins the ring's eviction discipline: a full
-// ring drops the oldest trace, counts the eviction, and the index lists
-// survivors newest first.
+// TestTraceRingBoundAndIndex: the ring keeps the newest traces up to its
+// capacity, serves exactly the finished tracer's WriteJSON bytes, reports
+// their exact size in the index, and encodes each trace once however
+// often (and however concurrently) it is read.
 func TestTraceRingBoundAndIndex(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := newTraceRing(2, reg)
+	t0 := time.Unix(1700000000, 0)
+	tracers := make([]*obs.Tracer, 4)
 	for i := 1; i <= 3; i++ {
-		ring.put(traceMeta{JobID: fmt.Sprintf("job-%d", i), Tenant: "a", State: "done"}, []byte(fmt.Sprintf("trace-%d", i)))
+		tr := obs.NewTracerAt(t0)
+		tr.SetProcessName(fmt.Sprintf("wasabid job-%d", i))
+		for k := 0; k < i; k++ {
+			tr.Record(fmt.Sprintf("span-%d", k), "test", t0, t0.Add(time.Duration(k+1)*time.Millisecond))
+		}
+		tracers[i] = tr
+		ring.put(traceMeta{JobID: fmt.Sprintf("job-%d", i), Tenant: "a", State: "done", Spans: tr.SpanCount()}, tr)
 	}
 	if _, ok := ring.get("job-1"); ok {
 		t.Fatal("job-1 should have been evicted (capacity 2)")
 	}
-	data, ok := ring.get("job-3")
-	if !ok || string(data) != "trace-3" {
-		t.Fatalf("job-3 trace = %q, %v", data, ok)
+	want := map[string][]byte{}
+	for i := 2; i <= 3; i++ {
+		var buf bytes.Buffer
+		if err := tracers[i].WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		want[fmt.Sprintf("job-%d", i)] = buf.Bytes()
 	}
+
+	// Readers race the first encode; every read must see one encoding.
+	var wg sync.WaitGroup
+	got := make([][]byte, 8)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				ring.index()
+			}
+			got[g], _ = ring.get("job-3")
+		}(g)
+	}
+	wg.Wait()
+	for g, data := range got {
+		if !bytes.Equal(data, want["job-3"]) {
+			t.Fatalf("reader %d: job-3 trace = %q, want WriteJSON bytes %q", g, data, want["job-3"])
+		}
+		if &data[0] != &got[0][0] {
+			t.Fatalf("reader %d got a second encoding of job-3", g)
+		}
+	}
+	// A finished trace is frozen at its first encoding: a span recorded
+	// on the tracer afterwards never reaches the served bytes.
+	tracers[3].Record("late", "test", t0, t0.Add(time.Millisecond))
+	if data, _ := ring.get("job-3"); &data[0] != &got[0][0] {
+		t.Fatal("job-3 was encoded again on a later read")
+	}
+
 	idx := ring.index()
 	if len(idx) != 2 || idx[0].JobID != "job-3" || idx[1].JobID != "job-2" {
 		t.Fatalf("index = %+v, want [job-3 job-2]", idx)
 	}
-	if idx[0].Bytes != len("trace-3") {
-		t.Fatalf("index bytes = %d", idx[0].Bytes)
+	for _, m := range idx {
+		if m.Bytes != len(want[m.JobID]) {
+			t.Fatalf("%s: index bytes = %d, want %d", m.JobID, m.Bytes, len(want[m.JobID]))
+		}
+	}
+	if data, _ := ring.get("job-2"); !bytes.Equal(data, want["job-2"]) {
+		t.Fatalf("job-2 trace = %q, want %q", data, want["job-2"])
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counter("server_trace_ring_evictions_total"); got != 1 {

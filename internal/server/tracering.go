@@ -1,11 +1,13 @@
 // tracering.go is the daemon's bounded in-memory store of completed job
 // traces. Every job records its own span tree (a per-job obs.Tracer);
-// when the job finishes, the tree is serialized once to Chrome
-// trace-event JSON and kept here, newest jobs displacing oldest, so
-// "why was tenant X's job slow?" is answerable after the fact without
-// any external tracing infrastructure: GET /v1/jobs/{id}/trace returns
-// the file Perfetto opens directly, and GET /v1/traces lists what the
-// ring still holds.
+// when the job finishes, the finished tracer is kept here, newest jobs
+// displacing oldest. A trace is serialized to Chrome trace-event JSON at
+// most once, on the first read of it or of the index (whose byte counts
+// need it), so a trace nobody reads is never encoded. "Why was tenant
+// X's job slow?" is answerable after the fact without any external
+// tracing infrastructure: GET /v1/jobs/{id}/trace returns the file
+// Perfetto opens directly, and GET /v1/traces lists what the ring still
+// holds.
 //
 // The ring is bounded by count (Config.TraceRing, default
 // DefaultTraceRing) because trace size is roughly constant per corpus
@@ -17,6 +19,7 @@
 package server
 
 import (
+	"bytes"
 	"sync"
 
 	"wasabi/internal/obs"
@@ -42,11 +45,25 @@ type traceMeta struct {
 	Bytes      int     `json:"bytes"`
 }
 
-// traceEntry is one stored trace: its index row plus the serialized
-// Chrome trace-event JSON.
+// traceEntry is one stored trace: its index row (Bytes unset until
+// encoded) plus the finished tracer, encoded once by encoded.
 type traceEntry struct {
 	meta traceMeta
+
+	once sync.Once
+	tr   *obs.Tracer // dropped once encoded
 	data []byte
+}
+
+// encoded returns the entry's Chrome trace-event JSON, encoding the
+// tracer on first use. Encoding runs outside the ring's lock.
+func (e *traceEntry) encoded() []byte {
+	e.once.Do(func() {
+		var buf bytes.Buffer
+		e.tr.WriteJSON(&buf) //nolint:errcheck // bytes.Buffer cannot fail
+		e.data, e.tr = buf.Bytes(), nil
+	})
+	return e.data
 }
 
 // traceRing holds the most recent completed traces, oldest evicted
@@ -71,19 +88,18 @@ func newTraceRing(capacity int, reg *obs.Registry) *traceRing {
 	return r
 }
 
-// put stores a completed job's trace, evicting the oldest entry when the
-// ring is full.
-func (r *traceRing) put(meta traceMeta, data []byte) {
+// put stores a completed job's finished tracer, evicting the oldest
+// entry when the ring is full. Nothing may record on tr afterwards.
+func (r *traceRing) put(meta traceMeta, tr *obs.Tracer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	meta.Bytes = len(data)
 	for len(r.order) >= r.cap {
 		oldest := r.order[0]
 		r.order = r.order[1:]
 		delete(r.byJob, oldest)
 		r.reg.Counter("server_trace_ring_evictions_total").Inc()
 	}
-	r.byJob[meta.JobID] = &traceEntry{meta: meta, data: data}
+	r.byJob[meta.JobID] = &traceEntry{meta: meta, tr: tr}
 	r.order = append(r.order, meta.JobID)
 	r.reg.Gauge("server_trace_ring_entries").Set(float64(len(r.order)))
 }
@@ -92,21 +108,27 @@ func (r *traceRing) put(meta traceMeta, data []byte) {
 // it.
 func (r *traceRing) get(jobID string) ([]byte, bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	e, ok := r.byJob[jobID]
+	r.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	return e.data, true
+	return e.encoded(), true
 }
 
-// index lists the held traces' metadata, newest first.
+// index lists the held traces' metadata, newest first, with each
+// trace's exact serialized size (encoding any not yet read).
 func (r *traceRing) index() []traceMeta {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]traceMeta, 0, len(r.order))
+	entries := make([]*traceEntry, 0, len(r.order))
 	for i := len(r.order) - 1; i >= 0; i-- {
-		out = append(out, r.byJob[r.order[i]].meta)
+		entries = append(entries, r.byJob[r.order[i]])
+	}
+	r.mu.Unlock()
+	out := make([]traceMeta, len(entries))
+	for i, e := range entries {
+		out[i] = e.meta
+		out[i].Bytes = len(e.encoded())
 	}
 	return out
 }
