@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke gen-smoke chaos serve-smoke restart-smoke docs-check ci all
+.PHONY: build test vet race bench bench-smoke bench-check gen-smoke chaos serve-smoke restart-smoke docs-check ci all
 
 all: ci
 
@@ -24,9 +24,9 @@ race:
 
 ## bench: run the Go microbenchmarks used for profiling — the pipeline
 ## benchmarks (sequential vs parallel) and the snapshot-store
-## microbenchmarks (parse-once vs the legacy triple parse,
-## docs/PERFORMANCE.md). Performance numbers come from the repository
-## benchmark instead: `bash bench/run.sh` (bench/README.md).
+## microbenchmarks (cold vs warm load, docs/PERFORMANCE.md).
+## Performance numbers come from the repository benchmark instead:
+## `bash bench/run.sh` (bench/README.md).
 bench:
 	$(GO) test -bench 'BenchmarkPipeline' -benchmem -run '^$$' .
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/source/
@@ -43,6 +43,12 @@ gen-smoke:
 ## asserting thresholds.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/source/
+
+## bench-check: vet and short-test the benchmark module, so an
+## internal/ API change that breaks the benchmark's in-process replay
+## (bench/replay.go) fails here rather than only in `bash bench/run.sh`.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 ## chaos: sweep LLM fault profiles under the race detector — the
 ## determinism-under-chaos and graceful-degradation gate — plus the
@@ -83,4 +89,4 @@ docs-check:
 	sh scripts/docs_check.sh
 
 ## ci: the local gate — everything the driver checks, in one target.
-ci: build test vet race chaos serve-smoke restart-smoke bench-smoke gen-smoke docs-check
+ci: build test vet race chaos serve-smoke restart-smoke bench-smoke bench-check gen-smoke docs-check

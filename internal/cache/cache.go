@@ -19,15 +19,21 @@
 // executable's build identity and the run inputs (dynamic.go), so a
 // warm job against an unchanged build executes no test.
 //
-// The in-memory tier holds encoded entries under a byte budget with LRU
-// eviction. An optional disk tier (Options.Dir) persists review,
-// retry-facts and dynamic entries as JSON files, read through on memory
-// misses and written through on stores — a restarted daemon replays the
-// expensive LLM tier, the static extraction tier and the injection runs
-// from disk at zero parses and zero runs. Whole-app analyses are a cheap
-// in-memory merge of facts and stay memory-only. All operations are
-// goroutine-safe; hit/miss counts are deterministic functions of the
-// logical access sequence, so pipeline tests can assert them exactly.
+// The in-memory tier holds each entry's decoded value under a byte
+// budget with LRU eviction, costed at its encoded size; every hit returns
+// that one shared value and decodes nothing. A value passed to a Put*
+// method or returned by a Get* method is therefore immutable: callers
+// read it and copy before changing anything (report.Build copies the
+// dynamic reports before sorting them). An optional disk tier
+// (Options.Dir) persists review, retry-facts and dynamic entries as JSON
+// files, read through (and decoded fail-closed) on memory misses and
+// written through on stores — a restarted daemon replays the expensive
+// LLM tier, the static extraction tier and the injection runs from disk
+// at zero parses and zero runs. Bytes exist only on that path. Whole-app
+// analyses are a cheap in-memory merge of facts and stay memory-only.
+// All operations are goroutine-safe; hit/miss counts are deterministic
+// functions of the logical access sequence, so pipeline tests can assert
+// them exactly.
 package cache
 
 import (
@@ -82,7 +88,8 @@ type Cache struct {
 	dir      string
 	reg      *obs.Registry
 
-	mu      sync.Mutex
+	mu      sync.Mutex // memory tier and every counter
+	diskMu  sync.Mutex // serialises disk-tier renames and removals with their accounting
 	bytes   int64
 	ll      *list.List // front = most recently used
 	entries map[string]*list.Element
@@ -95,14 +102,13 @@ type Cache struct {
 	diskBytes     int64 // disk-tier byte total
 }
 
-// entry is one cached artifact. Exactly one of data / analysis is set,
-// per stage.
+// entry is one cached artifact: the value every hit shares, costed at
+// its encoded size (analyses at their caller's estimate).
 type entry struct {
-	key      string
-	stage    string
-	data     []byte // every stage but StageAnalysis: encoded entry
-	analysis *sast.Analysis
-	cost     int64
+	key   string
+	stage string
+	val   any
+	cost  int64
 }
 
 // New returns a cache with the given options. With Options.Dir set, the
@@ -128,140 +134,80 @@ func New(opts Options) (*Cache, error) {
 	return c, nil
 }
 
-// GetReview returns the memoized review under key. The stored envelope
-// is decoded on every hit, so callers own the returned value outright
-// and can never alias another caller's slices. Misses fall through to
-// the disk tier when one is configured.
-func (c *Cache) GetReview(key string) (rev llm.FileReview, ok bool) {
+// GetReview returns the memoized review under key. Every hit returns
+// the same shared value, which callers must not mutate (its Findings
+// slice included). Misses fall through to the disk tier when one is
+// configured.
+func (c *Cache) GetReview(key string) (llm.FileReview, bool) {
 	if c == nil {
-		return rev, false
+		return llm.FileReview{}, false
 	}
-	ok = c.get(StageReview, key, func(data []byte) (err error) {
-		rev, err = decodeReview(data, key)
-		return err
-	})
+	v, _ := c.get(StageReview, key, func(data []byte) (any, error) { return decodeReview(data, key) })
+	rev, ok := v.(llm.FileReview)
 	return rev, ok
 }
 
 // PutReview memoizes a review under key, writing through to the disk
-// tier when one is configured. Degraded reviews must not be stored (they
-// record a backend failure, not an answer); callers enforce that.
+// tier when one is configured. The cache keeps rev itself, so neither
+// the caller nor any later reader may mutate it. Degraded reviews must
+// not be stored (they record a backend failure, not an answer); callers
+// enforce that.
 func (c *Cache) PutReview(key string, rev llm.FileReview) {
 	if c == nil {
 		return
 	}
+	// The scheduling facts are excluded from the envelope (json:"-"), so
+	// a memory hit serves them zeroed exactly as a disk load does.
+	rev.Retries, rev.Backend, rev.Shared = 0, "", false
 	data, err := encodeReview(key, rev)
-	c.put(StageReview, key, data, err)
+	c.put(StageReview, key, rev, data, err)
 }
 
-// GetFacts returns the decoded retry-facts entry for a content hash —
-// the sast.FactsStore read side. Decoding re-validates the format
-// version and content hash on every hit, so callers own a verified
-// value; misses fall through to the disk tier, which is what makes the
-// static extraction tier survive a process restart. A corrupt entry is
-// a miss: dropped from memory, deleted from disk, never an error.
-func (c *Cache) GetFacts(contentSHA256 string) (ff *sast.FileFacts, ok bool) {
+// GetFacts returns the retry-facts entry for a content hash — the
+// sast.FactsStore read side. Every hit returns the same shared
+// *FileFacts, which callers must not mutate; misses fall through to the
+// disk tier, which is what makes the static extraction tier survive a
+// process restart. A disk entry is decoded fail-closed (format version
+// and content hash verified): a corrupt one is a miss, deleted from
+// disk, never an error.
+func (c *Cache) GetFacts(contentSHA256 string) (*sast.FileFacts, bool) {
 	if c == nil {
 		return nil, false
 	}
-	ok = c.get(StageFacts, FactsKey(contentSHA256), func(data []byte) (err error) {
-		ff, err = sast.DecodeFacts(data, contentSHA256)
-		return err
+	v, _ := c.get(StageFacts, FactsKey(contentSHA256), func(data []byte) (any, error) {
+		return sast.DecodeFacts(data, contentSHA256)
 	})
+	ff, ok := v.(*sast.FileFacts)
 	return ff, ok
 }
 
 // PutFacts memoizes a retry-facts entry, writing through to the disk
-// tier — the sast.FactsStore write side. Best-effort like every store:
-// an encode or persist failure degrades to recomputation, never to an
+// tier — the sast.FactsStore write side. The cache keeps ff itself, so
+// it must not be mutated afterwards. Best-effort like every store: an
+// encode or persist failure degrades to recomputation, never to an
 // analysis error.
 func (c *Cache) PutFacts(contentSHA256 string, ff *sast.FileFacts) {
 	if c == nil || ff == nil {
 		return
 	}
 	data, err := sast.EncodeFacts(ff)
-	c.put(StageFacts, FactsKey(contentSHA256), data, err)
+	c.put(StageFacts, FactsKey(contentSHA256), ff, data, err)
 }
 
-// get is the read side of every encoded stage: the memory tier first,
-// then the disk tier, with decode verifying (and unpacking) the entry
-// bytes fail-closed. A hit counts under stage; an entry that does not
-// decode is dropped from its tier and reads as a miss.
-func (c *Cache) get(stage, key string, decode func([]byte) error) bool {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		data := el.Value.(*entry).data
-		c.hits[stage]++
-		c.mu.Unlock()
-		c.reg.Counter("cache_hits_total", "stage", stage).Inc()
-		if decode(data) == nil {
-			return true
-		}
-		// An undecodable in-memory entry can only mean corruption;
-		// drop it and report a miss.
-		c.remove(key)
-		c.reg.Counter("cache_decode_errors_total").Inc()
-		return false
-	}
-	c.mu.Unlock()
-	if data, ok := c.loadDisk(key); ok {
-		if decode(data) == nil {
-			c.mu.Lock()
-			c.diskLoads++
-			c.hits[stage]++
-			c.install(&entry{key: key, stage: stage, data: data, cost: int64(len(data))})
-			c.mu.Unlock()
-			c.reg.Counter("cache_hits_total", "stage", stage).Inc()
-			c.reg.Counter("cache_disk_loads_total").Inc()
-			return true
-		}
-		// A truncated, corrupt or version-mismatched disk entry is a
-		// miss, and the poisoned file is dropped so it cannot fail again.
-		c.reg.Counter("cache_decode_errors_total").Inc()
-		c.dropDisk(key)
-	}
-	c.miss(stage)
-	return false
-}
-
-// put is the write side of every encoded stage: the entry bytes (or the
-// error encoding them) are written through to the disk tier and
-// installed in memory. An encode failure is counted and stores nothing.
-func (c *Cache) put(stage, key string, data []byte, encErr error) {
-	if encErr != nil {
-		c.reg.Counter("cache_decode_errors_total").Inc()
-		return
-	}
-	c.storeDisk(key, data)
-	c.mu.Lock()
-	c.install(&entry{key: key, stage: stage, data: data, cost: int64(len(data))})
-	c.mu.Unlock()
-}
-
-// GetAnalysis returns the memoized static analysis under key. Analyses
-// are shared by pointer and must be treated as immutable by every
-// consumer (they are: internal/core and internal/sast only ever read a
-// finished Analysis).
+// GetAnalysis returns the memoized static analysis under key. Every hit
+// returns the same shared pointer, which callers must not mutate
+// (internal/core and internal/sast only ever read a finished Analysis).
 func (c *Cache) GetAnalysis(key string) (*sast.Analysis, bool) {
 	if c == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		a := el.Value.(*entry).analysis
-		c.hits[StageAnalysis]++
-		c.mu.Unlock()
-		c.reg.Counter("cache_hits_total", "stage", StageAnalysis).Inc()
-		return a, true
-	}
-	c.mu.Unlock()
-	c.miss(StageAnalysis)
-	return nil, false
+	v, _ := c.get(StageAnalysis, key, nil)
+	a, ok := v.(*sast.Analysis)
+	return a, ok
 }
 
-// PutAnalysis memoizes a static analysis under key. cost estimates the
+// PutAnalysis memoizes a static analysis under key; the cache keeps a
+// itself, so it must not be mutated afterwards. cost estimates the
 // entry's memory footprint (callers pass the analyzed directory's source
 // byte total). Analyses stay memory-only: they are a cheap cross-file
 // merge whose per-file inputs already persist as facts entries, so a
@@ -270,20 +216,64 @@ func (c *Cache) PutAnalysis(key string, a *sast.Analysis, cost int64) {
 	if c == nil || a == nil {
 		return
 	}
-	if cost <= 0 {
-		cost = 1
-	}
 	c.mu.Lock()
-	c.install(&entry{key: key, stage: StageAnalysis, analysis: a, cost: cost})
+	c.install(&entry{key: key, stage: StageAnalysis, val: a, cost: max(cost, 1)})
 	c.mu.Unlock()
 }
 
-// miss records a miss for stage.
-func (c *Cache) miss(stage string) {
+// get is the read side of every stage. A memory hit returns the shared
+// value and decodes nothing. On a memory miss, decode (nil for the
+// memory-only analysis stage) verifies and unpacks the disk tier's
+// bytes fail-closed: a file that does not decode is counted, dropped
+// and read as a miss.
+func (c *Cache) get(stage, key string, decode func([]byte) (any, error)) (any, bool) {
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.ll.MoveToFront(el)
+		v := el.Value.(*entry).val
+		c.hits[stage]++
+		c.mu.Unlock()
+		c.reg.Counter("cache_hits_total", "stage", stage).Inc()
+		return v, true
+	}
+	c.mu.Unlock()
+	if decode != nil {
+		if data, ok := c.loadDisk(key); ok {
+			if v, err := decode(data); err == nil {
+				c.mu.Lock()
+				c.diskLoads++
+				c.hits[stage]++
+				c.install(&entry{key: key, stage: stage, val: v, cost: int64(len(data))})
+				c.mu.Unlock()
+				c.reg.Counter("cache_hits_total", "stage", stage).Inc()
+				c.reg.Counter("cache_disk_loads_total").Inc()
+				return v, true
+			}
+			// A truncated, corrupt or version-mismatched disk entry is a
+			// miss, and the poisoned file is dropped so it cannot fail again.
+			c.reg.Counter("cache_decode_errors_total").Inc()
+			c.dropDisk(key)
+		}
+	}
 	c.mu.Lock()
 	c.misses[stage]++
 	c.mu.Unlock()
 	c.reg.Counter("cache_misses_total", "stage", stage).Inc()
+	return nil, false
+}
+
+// put is the write side of every disk-backed stage: data (or the error
+// encoding v) is written through to the disk tier, and v is installed in
+// memory at len(data). An encode failure is counted and stores nothing.
+func (c *Cache) put(stage, key string, v any, data []byte, encErr error) {
+	if encErr != nil {
+		c.reg.Counter("cache_decode_errors_total").Inc()
+		return
+	}
+	c.storeDisk(key, data)
+	c.mu.Lock()
+	c.install(&entry{key: key, stage: stage, val: v, cost: int64(len(data))})
+	c.mu.Unlock()
 }
 
 // install inserts or replaces the entry and evicts LRU entries until the
@@ -309,23 +299,6 @@ func (c *Cache) install(e *entry) {
 		c.evictions++
 		c.reg.Counter("cache_evictions_total").Inc()
 	}
-	c.reg.Gauge("cache_bytes").Set(float64(c.bytes))
-	c.reg.Gauge("cache_entries").Set(float64(c.ll.Len()))
-}
-
-// remove drops key from the in-memory tier (the disk tier, if any, is
-// left alone).
-func (c *Cache) remove(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return
-	}
-	e := el.Value.(*entry)
-	c.ll.Remove(el)
-	delete(c.entries, key)
-	c.bytes -= e.cost
 	c.reg.Gauge("cache_bytes").Set(float64(c.bytes))
 	c.reg.Gauge("cache_entries").Set(float64(c.ll.Len()))
 }

@@ -75,32 +75,31 @@ func DynamicKey(build, suite, app string, locs []fault.Location, howK, capK int,
 	return keyOf(parts...)
 }
 
-// GetDynamic returns the memoised dynamic run under key, decoded afresh
-// on every hit so the caller owns it. Misses fall through to the disk
-// tier. The empty key is a silent miss: it is neither looked up nor
-// counted.
-func (c *Cache) GetDynamic(key string) (run DynamicRun, ok bool) {
+// GetDynamic returns the memoised dynamic run under key. Every hit
+// returns the same shared value, which callers must not mutate (its
+// Reports slice included). Misses fall through to the disk tier. The
+// empty key is a silent miss: it is neither looked up nor counted.
+func (c *Cache) GetDynamic(key string) (DynamicRun, bool) {
 	if c == nil || key == "" {
-		return run, false
+		return DynamicRun{}, false
 	}
-	ok = c.get(StageDynamic, key, func(data []byte) (err error) {
-		run, err = decodeDynamic(data, key)
-		return err
-	})
+	v, _ := c.get(StageDynamic, key, func(data []byte) (any, error) { return decodeDynamic(data, key) })
+	run, ok := v.(DynamicRun)
 	return run, ok
 }
 
 // PutDynamic memoises a dynamic run under key, writing through to the
-// disk tier. The empty key stores nothing.
+// disk tier. The cache keeps run itself, so neither the caller nor any
+// later reader may mutate it. The empty key stores nothing.
 func (c *Cache) PutDynamic(key string, run DynamicRun) {
 	if c == nil || key == "" {
 		return
 	}
 	data, err := encodeDynamic(key, run)
-	c.put(StageDynamic, key, data, err)
+	c.put(StageDynamic, key, run, data, err)
 }
 
-// encodeDynamic renders the envelope bytes stored in both tiers.
+// encodeDynamic renders the envelope bytes stored in the disk tier.
 func encodeDynamic(key string, run DynamicRun) ([]byte, error) {
 	return json.Marshal(dynamicEnvelope{Schema: dynamicSchema, Key: key, Run: run})
 }

@@ -19,17 +19,9 @@ import (
 // throws resolution changes output for unchanged input.
 const AnalysisVersion = "loops/v1"
 
-// FileDigest is one source file's content address.
-type FileDigest struct {
-	// SHA256 is the lowercase hex SHA-256 of the file contents.
-	SHA256 string
-	// Size is the file length in bytes.
-	Size int64
-}
-
-// DirManifest is the content address of one application directory: the
-// per-file digests of every static-workflow source file (the
-// sast.IsSourceFile set) plus a digest over the whole listing.
+// DirManifest is the content address of one application directory:
+// a digest over every static-workflow source file (the
+// sast.IsSourceFile set).
 type DirManifest struct {
 	// Dir is the directory the manifest describes.
 	Dir string
@@ -37,44 +29,26 @@ type DirManifest struct {
 	// triples — it changes iff any source file is added, removed,
 	// renamed or edited.
 	Digest string
-	// Files maps basenames to their digests.
-	Files map[string]FileDigest
 	// TotalBytes sums the source file sizes (the analysis-entry cost
 	// estimate).
 	TotalBytes int64
 }
 
-// manifestFile is one (name, digest) input of buildManifest.
-type manifestFile struct {
-	name string
-	fd   FileDigest
-}
-
-// buildManifest assembles a DirManifest from per-file digests. files must
-// already be in sorted name order, as a snapshot's file list is.
-func buildManifest(dir string, files []manifestFile) *DirManifest {
-	m := &DirManifest{Dir: dir, Files: make(map[string]FileDigest, len(files))}
-	h := sha256.New()
-	for _, f := range files {
-		m.Files[f.name] = f.fd
-		m.TotalBytes += f.fd.Size
-		fmt.Fprintf(h, "%s\x00%s\x00%d\x00", f.name, f.fd.SHA256, f.fd.Size)
-	}
-	m.Digest = hex.EncodeToString(h.Sum(nil))
-	return m
-}
-
 // FromSnapshot derives the directory manifest from an already-loaded
 // snapshot: the store hashed every file at load time, so no bytes are
 // re-read and nothing is re-hashed. A snapshot covers the same file set
-// the static workflows analyze, so the manifest digest addresses exactly
-// the inputs of both the static analysis and the per-file LLM reviews.
+// the static workflows analyze, in sorted name order, so the manifest
+// digest addresses exactly the inputs of both the static analysis and
+// the per-file LLM reviews.
 func FromSnapshot(snap *source.Snapshot) *DirManifest {
-	files := make([]manifestFile, 0, len(snap.Files))
+	m := &DirManifest{Dir: snap.Dir}
+	h := sha256.New()
 	for _, f := range snap.Files {
-		files = append(files, manifestFile{name: f.Name, fd: FileDigest{SHA256: f.SHA256, Size: f.Size}})
+		m.TotalBytes += f.Size
+		fmt.Fprintf(h, "%s\x00%s\x00%d\x00", f.Name, f.SHA256, f.Size)
 	}
-	return buildManifest(snap.Dir, files)
+	m.Digest = hex.EncodeToString(h.Sum(nil))
+	return m
 }
 
 // ReviewKey addresses one file's LLM review: the client configuration

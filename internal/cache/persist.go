@@ -43,7 +43,7 @@ type envelope struct {
 	Review llm.FileReview `json:"review"`
 }
 
-// encodeReview renders the envelope bytes stored in both tiers.
+// encodeReview renders the envelope bytes stored in the disk tier.
 func encodeReview(key string, rev llm.FileReview) ([]byte, error) {
 	return json.Marshal(envelope{Schema: envelopeSchema, Key: key, Review: rev})
 }
@@ -74,18 +74,17 @@ func (c *Cache) initDir() error {
 	if err != nil {
 		return fmt.Errorf("cache: scan dir: %w", err)
 	}
+	var n, size int64
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), entrySuffix) {
 			continue
 		}
-		info, err := e.Info()
-		if err != nil {
-			continue
+		if info, err := e.Info(); err == nil {
+			n++
+			size += info.Size()
 		}
-		c.diskEntries++
-		c.diskBytes += info.Size()
 	}
-	c.setDiskGauges()
+	c.accountDisk(n, size)
 	return nil
 }
 
@@ -114,10 +113,6 @@ func (c *Cache) storeDisk(key string, data []byte) {
 	if c.dir == "" {
 		return
 	}
-	var oldSize, replaced int64
-	if info, serr := os.Stat(c.entryPath(key)); serr == nil {
-		oldSize, replaced = info.Size(), 1
-	}
 	tmp, err := os.CreateTemp(c.dir, "tmp-*")
 	if err == nil {
 		_, err = tmp.Write(data)
@@ -125,7 +120,7 @@ func (c *Cache) storeDisk(key string, data []byte) {
 			err = cerr
 		}
 		if err == nil {
-			err = os.Rename(tmp.Name(), c.entryPath(key))
+			err = c.commitDisk(tmp.Name(), key, int64(len(data)))
 		}
 		if err != nil {
 			os.Remove(tmp.Name())
@@ -136,22 +131,36 @@ func (c *Cache) storeDisk(key string, data []byte) {
 		c.persistErrors++
 		c.mu.Unlock()
 		c.reg.Counter("cache_persist_errors_total").Inc()
-		return
 	}
-	c.mu.Lock()
-	c.diskEntries += 1 - replaced
-	c.diskBytes += int64(len(data)) - oldSize
-	c.setDiskGauges()
-	c.mu.Unlock()
+}
+
+// commitDisk renames a written temp file onto key's address and
+// accounts for it. c.diskMu makes stat → rename → accounting one step,
+// so concurrent stores of one key count its file once.
+func (c *Cache) commitDisk(tmp, key string, size int64) error {
+	c.diskMu.Lock()
+	defer c.diskMu.Unlock()
+	var oldSize, replaced int64
+	if info, err := os.Stat(c.entryPath(key)); err == nil {
+		oldSize, replaced = info.Size(), 1
+	}
+	if err := os.Rename(tmp, c.entryPath(key)); err != nil {
+		return err
+	}
+	c.accountDisk(1-replaced, size-oldSize)
+	return nil
 }
 
 // dropDisk deletes a disk entry that failed verification, keeping the
-// tier stats exact. Dropping is what turns a corrupt file into a
-// one-time miss instead of a permanent decode error.
+// tier stats exact (c.diskMu makes stat → remove → accounting one step).
+// Dropping is what turns a corrupt file into a one-time miss instead of
+// a permanent decode error.
 func (c *Cache) dropDisk(key string) {
 	if c.dir == "" {
 		return
 	}
+	c.diskMu.Lock()
+	defer c.diskMu.Unlock()
 	path := c.entryPath(key)
 	info, err := os.Stat(path)
 	if err != nil {
@@ -160,17 +169,17 @@ func (c *Cache) dropDisk(key string) {
 	if err := os.Remove(path); err != nil {
 		return
 	}
-	c.mu.Lock()
-	c.diskEntries--
-	c.diskBytes -= info.Size()
-	c.setDiskGauges()
-	c.mu.Unlock()
+	c.accountDisk(-1, -info.Size())
 	c.reg.Counter("cache_disk_drops_total").Inc()
 }
 
-// setDiskGauges publishes the disk-tier stats. Callers hold c.mu or are
-// single-threaded construction.
-func (c *Cache) setDiskGauges() {
+// accountDisk applies a change to the disk-tier stats and publishes
+// them. Callers hold c.diskMu or are single-threaded construction.
+func (c *Cache) accountDisk(entries, bytes int64) {
+	c.mu.Lock()
+	c.diskEntries += entries
+	c.diskBytes += bytes
 	c.reg.Gauge("cache_disk_entries").Set(float64(c.diskEntries))
 	c.reg.Gauge("cache_disk_bytes").Set(float64(c.diskBytes))
+	c.mu.Unlock()
 }
