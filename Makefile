@@ -23,13 +23,14 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/testkit/... ./internal/fault/... ./internal/trace/... ./internal/vclock/... ./internal/errmodel/... ./internal/obs/... ./internal/cache/... ./internal/server/... ./internal/source/... ./internal/sast/...
 
 ## bench: run the Go microbenchmarks used for profiling — the pipeline
-## benchmarks (sequential vs parallel) and the snapshot-store
-## microbenchmarks (cold vs warm load, docs/PERFORMANCE.md).
+## benchmarks (sequential vs parallel), the snapshot-store
+## microbenchmarks (cold vs warm load) and the report encoder
+## (docs/PERFORMANCE.md).
 ## Performance numbers come from the repository benchmark instead:
 ## `bash bench/run.sh` (bench/README.md).
 bench:
 	$(GO) test -bench 'BenchmarkPipeline' -benchmem -run '^$$' .
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/source/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/source/ ./internal/report/
 
 ## gen-smoke: generate a 10x synthetic corpus into a temp dir and push
 ## it through the static-only pipeline — every emitted file must parse,
@@ -42,7 +43,7 @@ gen-smoke:
 ## CI gate that keeps the benchmarks building and executable without
 ## asserting thresholds.
 bench-smoke:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/source/
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/source/ ./internal/report/
 
 ## bench-check: vet and short-test the benchmark module, so an
 ## internal/ API change that breaks the benchmark's in-process replay

@@ -7,7 +7,9 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -79,7 +81,9 @@ func makeLabels(kv []string) labelSet {
 		}
 		ls = append(ls, l)
 	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	if len(ls) > 1 {
+		slices.SortFunc(ls, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	}
 	return ls
 }
 

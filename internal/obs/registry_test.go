@@ -389,3 +389,14 @@ func TestRemoveHistogram(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelledLookupAllocs pins the cost of looking up an existing
+// one-label counter, the pipeline's hottest registry call: the label
+// set and its identity string, with no sort machinery.
+func TestLabelledLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("events_total", "kind", "a")
+	if n := testing.AllocsPerRun(100, func() { r.Counter("events_total", "kind", "a").Inc() }); n > 3 {
+		t.Fatalf("one-label counter lookup allocates %v objects, want at most 3", n)
+	}
+}

@@ -14,8 +14,9 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
+	"sync"
 
 	"wasabi/internal/core"
 	"wasabi/internal/llm"
@@ -162,6 +163,11 @@ func buildApp(ar core.AppRun) App {
 		},
 		TruncatedFiles: append([]string(nil), ar.ID.TruncatedFiles...),
 	}
+	// Slices are sized up front, but only when non-empty: an app with no
+	// structures or bugs keeps a nil slice, which renders as null.
+	if n := len(ar.ID.Structures); n > 0 {
+		a.Structures = make([]Structure, 0, n)
+	}
 	for _, s := range ar.ID.Structures {
 		a.Structures = append(a.Structures, Structure{
 			Coordinator: s.Coordinator,
@@ -174,6 +180,9 @@ func buildApp(ar core.AppRun) App {
 	}
 	dyn := append([]oracle.Report(nil), ar.Dyn.Reports...)
 	core.SortReports(dyn)
+	if n := len(dyn) + len(ar.Static.WhenReports); n > 0 {
+		a.Bugs = make([]Bug, 0, n)
+	}
 	for _, r := range dyn {
 		a.Bugs = append(a.Bugs, Bug{
 			Workflow: "dynamic", Kind: string(r.Kind),
@@ -200,22 +209,40 @@ func usageOf(u llm.Usage) Usage {
 // Marshal renders the document as indented JSON with a trailing newline
 // — the exact bytes the service serves and cmd/wasabi -json prints.
 func Marshal(doc *Document) ([]byte, error) {
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("report: marshal: %w", err)
+	return Render(nil, doc, 0, "\n")
+}
+
+// scratch pools the buffers Render writes documents into.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// Render returns head, then doc indented at depth (AppendIndent), then
+// tail, as one exactly sized slice. The bytes are written into a pooled
+// scratch buffer and copied out once, so the result is the only
+// allocation however large the document grows. A non-finite cost_usd is
+// an error, as it is for encoding/json.
+func Render(head []byte, doc *Document, depth int, tail string) ([]byte, error) {
+	if c := doc.Usage.CostUSD; math.IsNaN(c) || math.IsInf(c, 0) {
+		return nil, fmt.Errorf("report: marshal: unsupported cost_usd %v", c)
 	}
-	return append(data, '\n'), nil
+	buf := scratch.Get().(*[]byte)
+	defer scratch.Put(buf)
+	b := append((*buf)[:0], head...)
+	b = append(AppendIndent(b, doc, depth), tail...)
+	*buf = b
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out, nil
 }
 
 // MarshalApp renders one application section as indented JSON with a
 // trailing newline (the GET /v1/reports/{app} body).
 func MarshalApp(app App) ([]byte, error) {
-	data, err := json.MarshalIndent(struct {
-		Schema string `json:"schema"`
-		App    App    `json:"app"`
-	}{Schema: Schema, App: app}, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("report: marshal app: %w", err)
-	}
-	return append(data, '\n'), nil
+	w := writer{}
+	w.open('{')
+	w.key("schema")
+	w.str(Schema)
+	w.key("app")
+	w.app(&app)
+	w.close('}')
+	return append(w.buf, '\n'), nil
 }

@@ -37,7 +37,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -130,7 +129,8 @@ type Config struct {
 	// Corpus, when non-empty, replaces the built-in seed corpus as the
 	// population jobs analyze — cmd/wasabid builds it from a generated
 	// corpus root (-corpus, docs/CORPUSGEN.md). Analyze requests resolve
-	// their app codes against this set.
+	// their app codes against this set, which New fixes once for the
+	// daemon's lifetime.
 	Corpus []corpus.App
 }
 
@@ -179,6 +179,10 @@ type Server struct {
 	// appReports holds the latest completed section of each app;
 	// GET /v1/reports/{app} marshals it on demand.
 	appReports map[string]report.App
+
+	// byCode indexes the job population, cfg.Corpus, by app code. Jobs
+	// share its suites and manifests read-only.
+	byCode map[string]corpus.App
 }
 
 // job is one queued analysis request and its outcome.
@@ -228,6 +232,9 @@ func New(cfg Config) *Server {
 	if cfg.TenantQuota <= 0 || cfg.TenantQuota > cfg.SchedulerSlots {
 		cfg.TenantQuota = cfg.SchedulerSlots
 	}
+	if len(cfg.Corpus) == 0 {
+		cfg.Corpus = corpus.Apps()
+	}
 	log := cfg.Log
 	if log == nil {
 		log = discardLogger()
@@ -241,6 +248,10 @@ func New(cfg Config) *Server {
 		appReports: make(map[string]report.App),
 		traces:     newTraceRing(cfg.TraceRing, cfg.Obs.Reg()),
 		sched:      newScheduler(cfg.SchedulerSlots, cfg.TenantQuota, cfg.QueueDepth, cfg.TenantPriority, cfg.Obs.Reg(), log),
+	}
+	s.byCode = make(map[string]corpus.App, len(cfg.Corpus))
+	for _, app := range cfg.Corpus {
+		s.byCode[app.Code] = app
 	}
 	s.runJob = s.run
 	if len(cfg.LLMBackends) > 0 && !llm.Replayable(cfg.LLMBackends) {
@@ -379,12 +390,9 @@ func (s *Server) run(j *job) {
 	var view []byte
 	if err == nil {
 		doc = report.Build(cr)
-		var data []byte
-		if data, err = report.Marshal(doc); err == nil {
-			v := jobView{ID: j.id, State: "done", Tenant: j.tenant, TraceID: j.traceID, Apps: appCodes(j.apps), Build: cache.BuildID(),
-				FreshLLM: &freshUsage{Calls: fresh.Calls, TokensIn: fresh.TokensIn, CostUSD: fresh.CostUSD}}
-			view, err = renderDoneView(v, data)
-		}
+		v := jobView{ID: j.id, State: "done", Tenant: j.tenant, TraceID: j.traceID, Apps: appCodes(j.apps), Build: cache.BuildID(),
+			FreshLLM: &freshUsage{Calls: fresh.Calls, TokensIn: fresh.TokensIn, CostUSD: fresh.CostUSD}}
+		view, err = renderDoneView(v, doc)
 	}
 
 	end := time.Now()
@@ -532,36 +540,17 @@ type freshUsage struct {
 	CostUSD  float64 `json:"cost_usd"`
 }
 
-// resolveApps maps request app codes onto the daemon's population: the
-// configured Corpus when one was injected, the built-in seed corpus
-// otherwise. Empty codes mean the whole population.
+// resolveApps maps request app codes onto the daemon's population.
+// Empty codes mean the whole population.
 func (s *Server) resolveApps(codes []string) ([]corpus.App, error) {
-	if len(s.cfg.Corpus) == 0 {
-		if len(codes) == 0 {
-			return corpus.Apps(), nil
-		}
-		apps := make([]corpus.App, 0, len(codes))
-		for _, code := range codes {
-			app, err := corpus.ByCode(code)
-			if err != nil {
-				return nil, err
-			}
-			apps = append(apps, app)
-		}
-		return apps, nil
-	}
 	if len(codes) == 0 {
 		return s.cfg.Corpus, nil
 	}
-	byCode := make(map[string]corpus.App, len(s.cfg.Corpus))
-	for _, app := range s.cfg.Corpus {
-		byCode[app.Code] = app
-	}
 	apps := make([]corpus.App, 0, len(codes))
 	for _, code := range codes {
-		app, ok := byCode[code]
+		app, ok := s.byCode[code]
 		if !ok {
-			return nil, fmt.Errorf("unknown app code %q in the configured corpus", code)
+			return nil, fmt.Errorf("unknown app code %q", code)
 		}
 		apps = append(apps, app)
 	}
@@ -665,35 +654,19 @@ func appCodes(apps []corpus.App) []string {
 }
 
 // renderDoneView renders a done job's GET /v1/jobs/{id} body: exactly
-// writeJSON's bytes for v with Report set to report, where v.Report is
-// empty and report is report.Marshal's output. Report is jobView's last
-// field, so instead of re-compacting and re-indenting the whole
-// document, the view without it is marshalled and the report is spliced
-// in before the closing brace, every line after its first indented one
-// level deeper. report.Marshal already escapes HTML and emits no raw
-// newline inside a string, so the splice equals what the encoder would
-// have written.
-func renderDoneView(v jobView, report []byte) ([]byte, error) {
+// writeJSON's bytes for v with Report set to doc's report.Marshal
+// output, where v.Report is empty. Report is jobView's last field, so
+// the view without it is marshalled and the document is written in
+// after it at depth 1 by report.Render, which produces the bytes the
+// encoder would have nested there. Render sizes the result exactly,
+// which matters because the job table retains every view.
+func renderDoneView(v jobView, doc *report.Document) ([]byte, error) {
 	head, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
 	}
-	body := bytes.TrimSuffix(report, []byte("\n"))
-	lines := bytes.Count(body, []byte("\n"))
-	out := make([]byte, 0, len(head)+len(body)+2*lines+len(",\n  \"report\": \n}\n"))
-	out = append(out, head[:len(head)-len("\n}")]...)
-	out = append(out, ",\n  \"report\": "...)
-	for {
-		i := bytes.IndexByte(body, '\n')
-		if i < 0 {
-			break
-		}
-		out = append(out, body[:i+1]...)
-		out = append(out, "  "...)
-		body = body[i+1:]
-	}
-	out = append(out, body...)
-	return append(out, "\n}\n"...), nil
+	head = append(head[:len(head)-len("\n}")], ",\n  \"report\": "...)
+	return report.Render(head, doc, 1, "\n}\n")
 }
 
 // handleJobTrace serves a completed job's span tree as Chrome

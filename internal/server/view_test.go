@@ -1,7 +1,7 @@
 package server
 
 // view_test.go pins the bytes of a finished job's bodies: the done view
-// is rendered once by splicing the report into the view
+// is rendered once by writing the report into the view
 // (renderDoneView) and must equal what writeJSON would have encoded,
 // and GET /v1/reports/{app} marshals a retained section on demand.
 
@@ -31,24 +31,21 @@ func TestRenderDoneViewMatchesWriteJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := core.New(core.DefaultOptions()).RunCorpus(corpus.Apps())
-	if err != nil {
+	goldenDoc := new(report.Document)
+	if err := json.Unmarshal(golden, goldenDoc); err != nil {
 		t.Fatal(err)
 	}
-	full, err := report.Marshal(report.Build(cr))
+	cr, err := core.New(core.DefaultOptions()).RunCorpus(corpus.Apps())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Empty slices render as [] and stay compact; <, > and & inside
 	// strings are HTML-escaped by both encoders.
-	escaped, err := report.Marshal(&report.Document{
+	escaped := &report.Document{
 		Schema:   report.Schema,
-		Apps:     []report.App{{Code: "X<&>", Name: "a <b> & c", Structures: []report.Structure{}, Bugs: []report.Bug{{Details: "<&> "}}}},
+		Apps:     []report.App{{Code: "X<&>", Name: "a <b> & c", Structures: []report.Structure{}, Bugs: []report.Bug{{Details: "<&> "}}}},
 		IFRatios: []report.Ratio{},
 		IFBugs:   []report.Bug{},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	views := []jobView{
 		{ID: "job-1", State: "done", Tenant: "shared", TraceID: "0123456789abcdef", Apps: []string{"HD"}, Build: cache.BuildID(),
@@ -56,15 +53,25 @@ func TestRenderDoneViewMatchesWriteJSON(t *testing.T) {
 		{ID: "job-2", State: "done", Tenant: "t<&>", TraceID: "trace-unavailable", Build: "",
 			FreshLLM: &freshUsage{}},
 	}
-	for name, raw := range map[string][]byte{"golden-HD": golden, "seed-corpus": full, "escaped": escaped} {
+	for name, doc := range map[string]*report.Document{"golden-HD": goldenDoc, "seed-corpus": report.Build(cr), "escaped": escaped} {
+		raw, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "golden-HD" {
+			raw = golden
+		}
 		for _, v := range views {
-			got, err := renderDoneView(v, raw)
+			got, err := renderDoneView(v, doc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			v.Report = raw
 			if want := writeJSONBody(t, v); !bytes.Equal(got, want) {
 				t.Fatalf("%s/%s: rendered view differs from writeJSON\ngot:\n%s\nwant:\n%s", name, v.ID, got, want)
+			}
+			if len(got) != cap(got) {
+				t.Fatalf("%s/%s: view has len %d but cap %d; the job table retains it", name, v.ID, len(got), cap(got))
 			}
 		}
 	}

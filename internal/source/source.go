@@ -10,6 +10,11 @@
 // positions) — by (path, content hash), so a warm daemon re-parses only
 // files whose bytes actually changed.
 //
+// Loading reads each file into a pooled buffer and hashes it there; a
+// File owns a copy of its bytes, made only when its content version is
+// new. A warm load of an unchanged directory therefore copies no file
+// bytes at all, and no File ever aliases a pooled buffer.
+//
 // Parsing is lazy: interning a file costs a read and a hash, and the
 // AST is built only when a consumer actually asks for it via
 // File.Syntax. That is what lets a restart-warm daemon serve an entire
@@ -40,12 +45,14 @@
 package source
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,7 +89,7 @@ type File struct {
 	Name string
 	// Path is the full path the file was loaded from.
 	Path string
-	// Bytes is the raw file content.
+	// Bytes is the raw file content, owned by the File.
 	Bytes []byte
 	// SHA256 is the lowercase hex SHA-256 of Bytes — the content address
 	// review keys, directory manifests and facts entries derive from.
@@ -199,10 +206,21 @@ type Store struct {
 
 	mu            sync.Mutex
 	keep          int
-	entries       map[string]*File
-	gens          map[string][]string // path → entry keys, oldest first
+	entries       map[fileKey]*File
+	gens          map[string][]fileKey // path → entry keys, oldest first
 	retainedBytes int64
 }
+
+// fileKey identifies one content version of one path.
+type fileKey struct {
+	path string
+	sum  [sha256.Size]byte
+}
+
+// readBufs pools the buffers Load reads files into. A buffer is free
+// again as soon as its file is hashed and interned: intern copies the
+// bytes of a new version, and a known version keeps its own copy.
+var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &b }}
 
 // NewStore returns an empty store reporting into reg (nil disables
 // metrics), retaining DefaultKeepGenerations content versions per path.
@@ -211,8 +229,8 @@ func NewStore(reg *obs.Registry) *Store {
 		reg:     reg,
 		fset:    token.NewFileSet(),
 		keep:    DefaultKeepGenerations,
-		entries: make(map[string]*File),
-		gens:    make(map[string][]string),
+		entries: make(map[fileKey]*File),
+		gens:    make(map[string][]fileKey),
 	}
 }
 
@@ -241,6 +259,11 @@ func (s *Store) Load(dir string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("source: %w", err)
 	}
+	loaded := s.reg.Counter("source_files_loaded_total")
+	read := s.reg.Counter("source_bytes_total")
+	reused := s.reg.Counter("source_reuse_total")
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
 	snap := &Snapshot{Dir: dir, Fset: s.fset}
 	for _, e := range entries {
 		name := e.Name()
@@ -248,32 +271,61 @@ func (s *Store) Load(dir string) (*Snapshot, error) {
 			continue
 		}
 		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
+		*buf, err = readFile(path, *buf)
 		if err != nil {
 			return nil, fmt.Errorf("source: %w", err)
 		}
-		s.reg.Counter("source_files_loaded_total").Inc()
-		s.reg.Counter("source_bytes_total").Add(int64(len(data)))
-		snap.Files = append(snap.Files, s.intern(path, name, data))
+		loaded.Inc()
+		read.Add(int64(len(*buf)))
+		f, ok := s.intern(path, name, *buf)
+		if ok {
+			reused.Inc()
+		}
+		snap.Files = append(snap.Files, f)
 	}
 	return snap, nil
 }
 
-// intern returns the canonical File for (path, content), creating it on
-// first sight of this content version and reusing the artifact
-// afterwards. Interning a new version beyond the retention bound evicts
-// the path's oldest generation.
-func (s *Store) intern(path, name string, data []byte) *File {
-	sum := sha256.Sum256(data)
-	key := path + "\x00" + hex.EncodeToString(sum[:])
+// readFile reads the file at path into buf, reusing its capacity and
+// growing it as needed, and returns the filled slice.
+func readFile(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// intern returns the canonical File for (path, content) and whether it
+// was already interned. On first sight of a content version it copies
+// data into a new File; afterwards the interned artifact is reused and
+// data is not retained. Interning a new version beyond the retention
+// bound evicts the path's oldest generation.
+func (s *Store) intern(path, name string, data []byte) (*File, bool) {
+	key := fileKey{path: path, sum: sha256.Sum256(data)}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	f, ok := s.entries[key]
 	if !ok {
 		f = &File{
 			Name:   name,
 			Path:   path,
-			Bytes:  data,
-			SHA256: hex.EncodeToString(sum[:]),
+			Bytes:  bytes.Clone(data),
+			SHA256: hex.EncodeToString(key.sum[:]),
 			Size:   int64(len(data)),
 			Fset:   s.fset,
 			store:  s,
@@ -282,19 +334,18 @@ func (s *Store) intern(path, name string, data []byte) *File {
 		s.entries[key] = f
 		s.retainedBytes += f.Size
 	}
-	s.touchGeneration(path, key)
-	s.reg.Gauge("source_store_files").Set(float64(len(s.entries)))
-	s.reg.Gauge("source_retained_bytes").Set(float64(s.retainedBytes))
-	s.mu.Unlock()
-	if ok {
-		s.reg.Counter("source_reuse_total").Inc()
+	if evicted := s.touchGeneration(key); evicted || !ok {
+		s.reg.Gauge("source_store_files").Set(float64(len(s.entries)))
+		s.reg.Gauge("source_retained_bytes").Set(float64(s.retainedBytes))
 	}
-	return f
+	return f, ok
 }
 
-// touchGeneration marks key as path's most recent generation and evicts
-// generations beyond the retention bound. Called with s.mu held.
-func (s *Store) touchGeneration(path, key string) {
+// touchGeneration marks key as its path's most recent generation and
+// evicts generations beyond the retention bound, reporting whether it
+// evicted any. Called with s.mu held.
+func (s *Store) touchGeneration(key fileKey) (evicted bool) {
+	path := key.path
 	g := s.gens[path]
 	for i, k := range g {
 		if k == key {
@@ -310,7 +361,9 @@ func (s *Store) touchGeneration(path, key string) {
 			delete(s.entries, victim)
 			s.retainedBytes -= vf.Size
 			s.reg.Counter("source_evictions_total").Inc()
+			evicted = true
 		}
 	}
 	s.gens[path] = g
+	return evicted
 }

@@ -5,7 +5,9 @@ package source_test
 // many loads or lanes touch it, edits invalidate exactly the edited
 // file, derived artifacts registered through File.Memo / MemoThrough are
 // computed at most once per file version, and per-path retention is
-// bounded to the latest K generations. The counters asserted here are
+// bounded to the latest K generations. Loads read through pooled
+// buffers, yet every File owns its bytes and a warm load copies none.
+// The counters asserted here are
 // the same ones docs/OBSERVABILITY.md documents and the incremental
 // tests in internal/core build on.
 
@@ -13,6 +15,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -461,4 +466,109 @@ func TestConcurrentEvictionSafe(t *testing.T) {
 	if s.Counter("source_evictions_total") == 0 {
 		t.Fatal("edit storm evicted nothing")
 	}
+}
+
+// TestWarmLoadCopiesNoBytes: a warm load of an unchanged directory
+// reads and hashes its files in a pooled buffer and copies none of them.
+// The median of per-call allocation is asserted, because a buffer the
+// pool dropped (on a GC, or at random under the race detector) makes
+// that one call regrow it.
+func TestWarmLoadCopiesNoBytes(t *testing.T) {
+	const size = 256 << 10
+	dir := writeDir(t, map[string]string{"big.go": "package demo\n\n// " + strings.Repeat("x", size) + "\n"})
+	st := source.NewStore(obs.New().Reg())
+	if _, err := st.Load(dir); err != nil {
+		t.Fatal(err)
+	}
+	deltas := make([]uint64, 41)
+	var ms runtime.MemStats
+	for i := range deltas {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, err := st.Load(dir); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		deltas[i] = ms.TotalAlloc - before
+	}
+	slices.Sort(deltas)
+	if median := deltas[len(deltas)/2]; median > size/16 {
+		t.Fatalf("warm load of a %d-byte file allocates %d bytes (median), want at most %d", size, median, size/16)
+	}
+}
+
+// TestLoadedBytesNeverAliasPool: an in-place, same-size edit is a new
+// version, and the snapshot taken before it keeps the old bytes even
+// though both loads read through the same pooled buffer.
+func TestLoadedBytesNeverAliasPool(t *testing.T) {
+	a := "package demo\n\nvar V = \"AAAAAAAA\"\n"
+	b := strings.ReplaceAll(a, "A", "B")
+	dir := writeDir(t, map[string]string{"v.go": a})
+	observer := obs.New()
+	st := source.NewStore(observer.Reg())
+	first, err := st.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "v.go"), []byte(b), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	second, err := st.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(first.Files[0].Bytes); got != a {
+		t.Fatalf("first snapshot's bytes changed to %q after a later load", got)
+	}
+	if got := string(second.Files[0].Bytes); got != b {
+		t.Fatalf("second snapshot reads %q, want the edit %q", got, b)
+	}
+	if first.Files[0] == second.Files[0] || first.Files[0].SHA256 == second.Files[0].SHA256 {
+		t.Fatal("same-size in-place edit was not seen as a new version")
+	}
+	if n := observer.Reg().Snapshot().Counter("source_reuse_total"); n != 0 {
+		t.Fatalf("source_reuse_total = %d, want 0: the edit must not reuse the old version", n)
+	}
+}
+
+// TestConcurrentLoadsOwnTheirBytes loads several directories from many
+// goroutines at once, so pooled buffers pass between loads of different
+// content and sizes (some beyond the buffer's initial capacity): every
+// File must still hold exactly its own file's bytes.
+func TestConcurrentLoadsOwnTheirBytes(t *testing.T) {
+	const dirs = 4
+	want := make([]map[string]string, dirs)
+	paths := make([]string, dirs)
+	for d := range want {
+		want[d] = map[string]string{}
+		for i, n := range []int{10, 3000, 70000} {
+			name := fmt.Sprintf("f%d.go", i)
+			want[d][name] = fmt.Sprintf("package d%d\n\n// %s\n", d, strings.Repeat(string(rune('a'+d)), n*(d+1)))
+		}
+		paths[d] = writeDir(t, want[d])
+	}
+	st := source.NewStore(obs.New().Reg())
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				d := (g + i) % dirs
+				snap, err := st.Load(paths[d])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched()
+				for _, f := range snap.Files {
+					if string(f.Bytes) != want[d][f.Name] {
+						t.Errorf("dir %d file %s: bytes differ from the file's content", d, f.Name)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
