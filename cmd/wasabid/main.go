@@ -26,9 +26,10 @@
 //
 // Structured logs go to stderr (-log-format json for machine
 // consumption; every job event carries job_id/tenant/trace_id — the
-// event catalog is in docs/OBSERVABILITY.md), and each completed job's
-// span tree is retained in a -trace-ring-bounded ring served at
-// GET /v1/jobs/{id}/trace.
+// event catalog is in docs/OBSERVABILITY.md), and each finished job's
+// span tree stays in its job record, served at GET /v1/jobs/{id}/trace
+// while the job table keeps the job (the last -trace-ring finished
+// jobs).
 //
 // The daemon prints its bound address on startup ("-addr :0" picks a
 // free port) and drains gracefully on SIGTERM/SIGINT: accepted jobs run

@@ -127,43 +127,6 @@ func CountByTrigger(list []Structure) map[Trigger]int {
 	return out
 }
 
-// CountByBug tallies structures per ground-truth bug class; correct
-// structures count under None.
-func CountByBug(list []Structure) map[Bug]int {
-	out := make(map[Bug]int)
-	for _, s := range list {
-		out[s.Bug]++
-	}
-	return out
-}
-
-// CountKeyworded returns how many structures carry a retry keyword.
-func CountKeyworded(list []Structure) int {
-	n := 0
-	for _, s := range list {
-		if s.Keyworded {
-			n++
-		}
-	}
-	return n
-}
-
-// CountFlags returns the false-positive-source flag tallies.
-func CountFlags(list []Structure) (harnessRetried, delayUnneeded, wrapsErrors int) {
-	for _, s := range list {
-		if s.HarnessRetried {
-			harnessRetried++
-		}
-		if s.DelayUnneeded {
-			delayUnneeded++
-		}
-		if s.WrapsErrors {
-			wrapsErrors++
-		}
-	}
-	return harnessRetried, delayUnneeded, wrapsErrors
-}
-
 // AppCount is one application's manifest tallies — a row of the
 // per-application composition table in docs/CORPUS.md.
 type AppCount struct {
@@ -234,15 +197,4 @@ func CompositionTable(rows []AppCount) string {
 	fmt.Fprintf(&b, "| **Σ** | **%d** | **%d** | **%d** | **%d** | **%d** | **%d** | **%d** | **%d** |\n",
 		sum.Structures, sum.Loop, sum.Queue, sum.SM, sum.Exception, sum.ErrCode, sum.Keyworded, sum.Buggy)
 	return b.String()
-}
-
-// Filter returns the structures for which keep returns true.
-func Filter(list []Structure, keep func(Structure) bool) []Structure {
-	var out []Structure
-	for _, s := range list {
-		if keep(s) {
-			out = append(out, s)
-		}
-	}
-	return out
 }

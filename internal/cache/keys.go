@@ -21,7 +21,7 @@ const AnalysisVersion = "loops/v1"
 
 // DirManifest is the content address of one application directory:
 // a digest over every static-workflow source file (the
-// sast.IsSourceFile set).
+// source.IsSourceFile set).
 type DirManifest struct {
 	// Dir is the directory the manifest describes.
 	Dir string

@@ -397,7 +397,6 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 			}
 		}
 		reg.Counter("core_app_llm_tokens_total", "app", app.Code).Add(tokens)
-		reg.Counter(obs.StageTokensMetric, "stage", "identify").Add(tokens)
 	}
 	for i, f := range files {
 		rev := reviews[i]

@@ -86,9 +86,15 @@ func TestObservedRunRecordsEveryLayer(t *testing.T) {
 		t.Errorf("no IOException injections recorded (got %d)", got)
 	}
 
-	// Stage token attribution equals the LLM client's own accounting.
-	if stage, llmTotal := snap.Counter(obs.StageTokensMetric, "stage", "identify"), snap.Counter("llm_tokens_in_total"); stage != llmTotal {
-		t.Errorf("identify-stage tokens %d != llm client tokens %d", stage, llmTotal)
+	// Per-app token attribution sums to the LLM client's own accounting.
+	var appTokens int64
+	for _, c := range snap.Counters {
+		if c.Name == "core_app_llm_tokens_total" {
+			appTokens += c.Value
+		}
+	}
+	if llmTotal := snap.Counter("llm_tokens_in_total"); appTokens != llmTotal {
+		t.Errorf("sum of per-app tokens %d != llm client tokens %d", appTokens, llmTotal)
 	}
 }
 

@@ -202,16 +202,6 @@ func (c *CorpusRun) DegradedFiles() []DegradedFile {
 	return out
 }
 
-// Identifications returns the per-app identifications in input order (the
-// shape RunIFAnalysis consumes).
-func (c *CorpusRun) Identifications() []*Identification {
-	out := make([]*Identification, len(c.Apps))
-	for i := range c.Apps {
-		out[i] = c.Apps[i].ID
-	}
-	return out
-}
-
 // SortReports orders oracle reports by (app, coordinator, kind, group key,
 // test) — a total order over distinct reports, so the result is the same
 // no matter what order the input arrived in.

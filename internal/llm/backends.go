@@ -34,7 +34,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"regexp"
 	"strings"
 	"sync"
@@ -234,6 +236,10 @@ type Router struct {
 	// hedge draws from the same bucket, which is what bounds total extra
 	// spend ("retries are a global resource").
 	budget *resilience.Budget
+	// flight coalesces identical in-flight reviews across every client
+	// sharing the router; live routers only (nil when replayable),
+	// because a replayable review must read its own settled delivery.
+	flight *Flight
 	log    *slog.Logger
 
 	mu       sync.Mutex
@@ -268,8 +274,12 @@ func NewRouter(cfg Config) (*Router, error) {
 		log:        cfg.Log,
 		start:      time.Now(),
 	}
+	if !rt.replayable {
+		rt.flight = NewFlight()
+	}
 	if rt.log == nil {
-		rt.log = slog.New(discardHandler{})
+		// Discard: no record reaches the level, so none is formatted.
+		rt.log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	rt.now = func() time.Duration { return time.Since(rt.start) }
 	for _, spec := range cfg.Backends {
@@ -322,15 +332,6 @@ func (rt *Router) reset() {
 	rt.mu.Unlock()
 	rt.budget.Reset()
 }
-
-// discardHandler drops every log record (slog.DiscardHandler arrives in
-// go 1.24; this repo pins 1.22).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // Instrument attaches a metrics registry once (later calls are no-ops,
 // so per-job clients sharing a daemon-lifetime router cannot rebind it
@@ -702,10 +703,11 @@ func durFloatMS(d time.Duration) float64 { return float64(d) / float64(time.Mill
 // same content address (config fingerprint, path, content hash — the
 // review-cache key ingredients) while an equivalent review is already
 // running wait for that review's answer instead of spending another
-// upstream call. Share one Flight across clients (wasabid holds one per
-// process) to coalesce across concurrent jobs. Only *in-flight*
-// duplication coalesces — once the leader finishes, the next caller
-// starts fresh (cross-run memoization is the cache's job, not ours).
+// upstream call. Every live Router owns one, shared by all its clients
+// (wasabid's one router per process coalesces across concurrent jobs).
+// Only *in-flight* duplication coalesces — once the leader finishes, the
+// next caller starts fresh (cross-run memoization is the cache's job,
+// not ours).
 type Flight struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall

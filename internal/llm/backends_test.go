@@ -519,7 +519,6 @@ func TestClientSingleflightSharesOneCall(t *testing.T) {
 	calls := 0
 	var mu sync.Mutex
 	cfg := DefaultConfig()
-	cfg.Flight = NewFlight()
 	cfg.Backends = []BackendSpec{{Name: "only", Kind: "sim", Transport: fnTransport{fn: func(context.Context, Call) error {
 		mu.Lock()
 		calls++

@@ -74,13 +74,10 @@ type Config struct {
 	// topologies only: a replayable router has no wall clock.
 	HedgeAfter time.Duration
 	// Router, when non-nil, is a pre-built shared live router (one per
-	// daemon process, so backend health and the shared budget span jobs).
-	// Callers setting Router should set Backends to the same topology so
-	// Fingerprint stays truthful.
+	// daemon process, so backend health, the shared budget and
+	// singleflight coalescing span jobs). Callers setting Router should
+	// set Backends to the same topology so Fingerprint stays truthful.
 	Router *Router
-	// Flight, when non-nil, coalesces identical in-flight reviews across
-	// every client sharing it (singleflight). Live routers only.
-	Flight *Flight
 	// Log receives structured failover/hedge/breaker decision events;
 	// nil discards them.
 	Log *slog.Logger
@@ -142,10 +139,7 @@ type Client struct {
 	// router delivers every review (backends.go); nil on the default
 	// path, where reviews hit the model directly.
 	router *Router
-	// flight coalesces identical in-flight reviews; live routers only,
-	// because a replayable review must read its own settled delivery.
-	flight *Flight
-	// fp caches the fingerprint for flight keys.
+	// fp caches the fingerprint for singleflight keys.
 	fp string
 
 	mu       sync.Mutex
@@ -172,9 +166,6 @@ func NewClient(cfg Config) *Client {
 			// error; flag paths go through ParseBackends first.
 			panic(err)
 		}
-	}
-	if c.router != nil && !c.router.replayable {
-		c.flight = cfg.Flight
 	}
 	return c
 }
@@ -305,11 +296,11 @@ func (c *Client) ReviewSnapshotAt(f *source.File, lane, idx int) FileReview {
 	if c.router == nil {
 		return c.review(f)
 	}
-	if c.flight == nil {
+	if c.router.flight == nil {
 		return c.routed(f, lane, idx)
 	}
 	key := c.fp + "\x00" + f.Path + "\x00" + f.SHA256
-	rev, shared := c.flight.Do(key, func() FileReview { return c.routed(f, lane, idx) })
+	rev, shared := c.router.flight.Do(key, func() FileReview { return c.routed(f, lane, idx) })
 	if shared {
 		rev.Shared = true
 		c.reg.Counter("llm_backend_singleflight_shared_total").Inc()

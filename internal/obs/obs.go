@@ -67,9 +67,5 @@ func (o *Observer) WithTracer(tr *Tracer) *Observer {
 }
 
 // StageMetric is the histogram every stage observes its wall time into
-// (label: stage), and StageTokensMetric the counter LLM token spend is
-// attributed to stages with.
-const (
-	StageMetric       = "core_stage_ms"
-	StageTokensMetric = "core_stage_tokens_total"
-)
+// (label: stage).
+const StageMetric = "core_stage_ms"

@@ -224,29 +224,6 @@ func (r *Registry) RemoveGauge(name string, labels ...string) {
 	delete(r.gauges, id)
 }
 
-// RemoveCounter deletes the counter with the given identity and returns
-// its final value (0 when absent or on a nil registry). Counters are
-// monotonic facts, so a caller retiring one is expected to fold the
-// returned value into a surviving aggregate series — dropping it
-// silently would make sums over the family go backwards between
-// scrapes. Remove-then-fold as two registry calls leaves a window where
-// a concurrent snapshot sees neither series; callers that need the
-// family sum to hold at every instant use FoldCounter instead.
-func (r *Registry) RemoveCounter(name string, labels ...string) int64 {
-	if r == nil {
-		return 0
-	}
-	id := makeLabels(labels).id(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.counters[id]
-	if !ok {
-		return 0
-	}
-	delete(r.counters, id)
-	return e.c.Value()
-}
-
 // FoldCounter retires the counter identified by (name, from) and adds
 // its final value to the (name, into) series of the same family, all
 // under a single registry lock acquisition: a concurrent Snapshot sees

@@ -246,42 +246,6 @@ func TestSnapshotAddGauge(t *testing.T) {
 	}
 }
 
-// TestRemoveCounterReturnsFinalValue: retiring a counter hands back its
-// final value so the caller can fold it into a surviving aggregate —
-// the eviction contract the scheduler's _retired tenant relies on.
-func TestRemoveCounterReturnsFinalValue(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("server_sched_jobs_total", "tenant", "acme").Add(5)
-	r.Counter("server_sched_jobs_total", "tenant", "other").Add(2)
-	if v := r.RemoveCounter("server_sched_jobs_total", "tenant", "acme"); v != 5 {
-		t.Fatalf("RemoveCounter = %d, want 5", v)
-	}
-	snap := r.Snapshot()
-	if len(snap.Counters) != 1 || snap.Counters[0].Labels[0].Value != "other" {
-		t.Fatalf("counters after removal = %+v, want only tenant=other", snap.Counters)
-	}
-	// Fold into a survivor: family sum is conserved.
-	r.Counter("server_sched_jobs_total", "tenant", "_retired").Add(5)
-	sum := int64(0)
-	for _, c := range r.Snapshot().Counters {
-		sum += c.Value
-	}
-	if sum != 7 {
-		t.Fatalf("family sum after fold = %d, want 7", sum)
-	}
-	// Absent identity and nil registry report 0.
-	if v := r.RemoveCounter("never_registered"); v != 0 {
-		t.Fatalf("absent RemoveCounter = %d, want 0", v)
-	}
-	if v := (*Registry)(nil).RemoveCounter("x"); v != 0 {
-		t.Fatalf("nil RemoveCounter = %d, want 0", v)
-	}
-	// A re-created counter is a fresh instrument.
-	if v := r.Counter("server_sched_jobs_total", "tenant", "acme").Value(); v != 0 {
-		t.Fatalf("re-created counter = %d, want 0", v)
-	}
-}
-
 // TestFoldCounter: retire-and-fold as one registry operation — the
 // source vanishes, the destination grows by its value, and edge cases
 // (absent source, zero source, nil registry) stay quiet.

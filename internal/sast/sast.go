@@ -90,13 +90,6 @@ type Analysis struct {
 	byShort map[string][]*Method
 }
 
-// IsSourceFile reports whether a directory entry counts as application
-// source for the static workflows. It is source.IsSourceFile, re-exported
-// where the analyses live: the snapshot store, the analysis cache
-// (internal/cache) and this package all share the predicate, so content
-// addresses cover exactly the files analyzed here.
-func IsSourceFile(name string) bool { return source.IsSourceFile(name) }
-
 // AnalyzeDir loads every non-test Go file in dir into a one-shot
 // snapshot and runs the retry-loop analysis. Pipeline runs go through
 // AnalyzeSnapshot (snapshot.go) on an already-loaded, shared snapshot

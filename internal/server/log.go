@@ -17,6 +17,7 @@ package server
 import (
 	"io"
 	"log/slog"
+	"math"
 )
 
 // Log event names. One constant per distinct daemon happening; the
@@ -52,9 +53,10 @@ const (
 )
 
 // discardLogger is the nil-Config.Log default: a real *slog.Logger (so
-// call sites never nil-check) that writes nowhere.
+// call sites never nil-check) whose level no record reaches, so events
+// are never formatted.
 func discardLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
+	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 }
 
 // jobAttrs renders a job's correlation identity as slog attrs — the

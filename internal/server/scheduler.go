@@ -236,7 +236,6 @@ func (s *scheduler) next() *job {
 				s.reg.Gauge("server_sched_slots_busy_max").Set(float64(s.busyMax))
 			}
 			s.reg.Gauge("server_sched_slots_busy").Set(float64(s.busy))
-			s.reg.Gauge("server_inflight_jobs").Set(float64(s.busy))
 			j.started = time.Now()
 			s.reg.Histogram("server_sched_job_wait_ms", obs.LatencyBuckets).
 				Observe(float64(j.started.Sub(j.submitted)) / float64(time.Millisecond))
@@ -261,7 +260,6 @@ func (s *scheduler) finish(j *job) {
 	s.busy--
 	s.reg.Gauge("server_sched_tenant_inflight", "tenant", t.name).Set(float64(t.inflight))
 	s.reg.Gauge("server_sched_slots_busy").Set(float64(s.busy))
-	s.reg.Gauge("server_inflight_jobs").Set(float64(s.busy))
 	s.reg.Histogram("server_sched_job_run_ms", obs.LatencyBuckets).
 		Observe(float64(time.Since(j.started)) / float64(time.Millisecond))
 	if len(t.jobs) == 0 && t.inflight == 0 {
@@ -317,6 +315,14 @@ func (s *scheduler) evictLocked(t *tenantQueue) {
 	}
 	s.reg.RemoveHistogram("server_tenant_job_ms", "tenant", t.name)
 	s.log.Info(evTenantEvicted, "tenant", t.name)
+}
+
+// isDraining reports whether drain has closed admission — the daemon's
+// one draining flag, which /healthz reads.
+func (s *scheduler) isDraining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
 }
 
 // drain closes admission and wakes every worker so they can exit once

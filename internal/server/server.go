@@ -123,8 +123,8 @@ type Config struct {
 	// discards.
 	Log *slog.Logger
 	// TraceRing bounds how many finished jobs the daemon retains, with
-	// their traces, for GET /v1/jobs/{id} and GET /v1/jobs/{id}/trace
-	// (oldest evicted first). Zero means DefaultTraceRing.
+	// their traces, for GET /v1/jobs/{id}, GET /v1/jobs/{id}/trace and
+	// GET /v1/traces (oldest evicted first). Zero means DefaultTraceRing.
 	TraceRing int
 	// Corpus, when non-empty, replaces the built-in seed corpus as the
 	// population jobs analyze — cmd/wasabid builds it from a generated
@@ -156,26 +156,22 @@ type Server struct {
 	runJob func(*job)
 	// log receives structured events (never nil; defaults to discard).
 	log *slog.Logger
-	// llmRouter and llmFlight are the daemon-lifetime live router and
-	// singleflight group (nil unless LLMBackends is live): one of each
-	// per process, shared by every job, so backend health outlives jobs
-	// and identical concurrent reviews coalesce across tenants.
+	// llmRouter is the daemon-lifetime live router (nil unless
+	// LLMBackends is live): one per process, shared by every job, so
+	// backend health outlives jobs and identical concurrent reviews
+	// coalesce across tenants through its singleflight group.
 	llmRouter *llm.Router
-	llmFlight *llm.Flight
-	// traces retains completed jobs' span trees (tracering.go).
-	traces *traceRing
 	// started is stamped by Start; server_uptime_seconds derives from it.
 	started time.Time
 
-	mu       sync.Mutex
-	draining bool
-	nextID   int
-	jobs     map[string]*job
-	// finished lists the ids of done and failed jobs still in jobs,
-	// oldest first. It is bounded by the trace ring's capacity, so job
-	// history and traces age out together; queued and running jobs are
-	// never evicted.
-	finished []string
+	mu     sync.Mutex
+	nextID int
+	jobs   map[string]*job
+	// finished lists the done and failed jobs still in jobs, oldest
+	// first, at most cfg.TraceRing of them (retireLocked). Each carries
+	// its trace, so job history and traces age out together; queued and
+	// running jobs are never evicted.
+	finished []*job
 	// appReports holds the latest completed section of each app;
 	// GET /v1/reports/{app} marshals it on demand.
 	appReports map[string]report.App
@@ -205,6 +201,9 @@ type job struct {
 	// view is the rendered GET /v1/jobs/{id} body once the job is done
 	// (renderDoneView) — the job's only copy of its report bytes.
 	view []byte
+	// trace is the finished job's span tree and index row (trace.go),
+	// published with its done or failed state; nil before that.
+	trace *traceEntry
 }
 
 // newTraceID mints a 64-bit random hex trace id.
@@ -235,6 +234,9 @@ func New(cfg Config) *Server {
 	if len(cfg.Corpus) == 0 {
 		cfg.Corpus = corpus.Apps()
 	}
+	if cfg.TraceRing <= 0 {
+		cfg.TraceRing = DefaultTraceRing
+	}
 	log := cfg.Log
 	if log == nil {
 		log = discardLogger()
@@ -246,7 +248,6 @@ func New(cfg Config) *Server {
 		source:     source.NewStore(cfg.Obs.Reg()),
 		jobs:       make(map[string]*job),
 		appReports: make(map[string]report.App),
-		traces:     newTraceRing(cfg.TraceRing, cfg.Obs.Reg()),
 		sched:      newScheduler(cfg.SchedulerSlots, cfg.TenantQuota, cfg.QueueDepth, cfg.TenantPriority, cfg.Obs.Reg(), log),
 	}
 	s.byCode = make(map[string]corpus.App, len(cfg.Corpus))
@@ -266,7 +267,6 @@ func New(cfg Config) *Server {
 			panic(err)
 		}
 		s.llmRouter = rt.Instrument(cfg.Obs.Reg())
-		s.llmFlight = llm.NewFlight()
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -285,6 +285,7 @@ func New(cfg Config) *Server {
 	}
 	s.http = &http.Server{Handler: mux}
 	s.obs.Reg().Gauge("server_queue_capacity").Set(float64(cfg.QueueDepth))
+	s.obs.Reg().Gauge("server_trace_ring_capacity").Set(float64(cfg.TraceRing))
 	s.obs.Reg().Gauge("wasabi_build_info", "version", Version, "go_version", runtime.Version(), "build", cache.BuildID()).Set(1)
 	return s
 }
@@ -319,11 +320,8 @@ func (s *Server) Addr() string {
 // listener closes. The context bounds the wait; on expiry the listener
 // is closed anyway and the error returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	s.log.Info(evServerDrain)
 	s.sched.drain()
+	s.log.Info(evServerDrain)
 	var err error
 	select {
 	case <-s.sched.done:
@@ -373,12 +371,11 @@ func (s *Server) run(j *job) {
 	opts.Source = s.source
 	// Backends is set even alongside the shared router so the per-job
 	// client's fingerprint reflects the topology; without a shared router
-	// the client builds its own. The shared router and flight group carry
-	// the cross-job state.
+	// the client builds its own. The shared router carries the cross-job
+	// state, its singleflight group included.
 	opts.LLM.Backends = s.cfg.LLMBackends
 	opts.LLM.HedgeAfter = s.cfg.LLMHedgeAfter
 	opts.LLM.Router = s.llmRouter
-	opts.LLM.Flight = s.llmFlight
 	opts.LLM.Log = s.log
 	w := core.New(opts)
 	cr, err := w.RunCorpus(j.apps)
@@ -402,15 +399,16 @@ func (s *Server) run(j *job) {
 	}
 
 	// Close out the job's span tree with the scheduler-side envelope
-	// spans the pipeline could not see, then freeze it into the ring.
+	// spans the pipeline could not see; retireLocked freezes it into the
+	// job's record.
 	tr.Record("queue-wait", "sched", j.submitted, start, "parent", "job")
 	tr.Record("run", "sched", start, end, "parent", "job")
 	tr.Record("job", "job", j.submitted, end, "state", state,
 		"fresh_tokens", fmt.Sprintf("%d", fresh.TokensIn))
-	s.traces.put(traceMeta{
+	trace := &traceEntry{tr: tr, meta: traceMeta{
 		JobID: j.id, Tenant: j.tenant, TraceID: j.traceID, State: state,
 		Spans: tr.SpanCount(), DurationMS: durMS(end.Sub(j.submitted)),
-	}, tr)
+	}}
 
 	// Tenant cost attribution. server_tenant_llm_tokens_total counts the
 	// same event as llm_tokens_in_total — a fresh (uncached, undegraded)
@@ -432,8 +430,7 @@ func (s *Server) run(j *job) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.retireLocked(j)
-	reg.Histogram("server_job_ms", obs.LatencyBuckets).Observe(durMS(end.Sub(start)))
+	defer s.retireLocked(j, trace)
 	if err != nil {
 		j.state, j.err = "failed", err.Error()
 		reg.Counter("server_jobs_total", "status", "failed").Inc()
@@ -450,14 +447,21 @@ func (s *Server) run(j *job) {
 		"fresh_tokens", fresh.TokensIn, "spans", tr.SpanCount())
 }
 
-// retireLocked records j as finished and evicts the oldest finished
-// jobs beyond the trace ring's capacity; s.mu must be held.
-func (s *Server) retireLocked(j *job) {
-	s.finished = append(s.finished, j.id)
-	for len(s.finished) > s.traces.cap {
-		delete(s.jobs, s.finished[0])
+// retireLocked publishes j's finished trace and records j as finished,
+// evicting the oldest finished jobs, traces and all, beyond
+// cfg.TraceRing — the daemon's one retention rule. Nothing may record
+// on the trace's tracer afterwards. s.mu must be held.
+func (s *Server) retireLocked(j *job, trace *traceEntry) {
+	reg := s.obs.Reg()
+	j.trace = trace
+	s.finished = append(s.finished, j)
+	for len(s.finished) > s.cfg.TraceRing {
+		delete(s.jobs, s.finished[0].id)
+		s.finished[0] = nil // let the evicted job's view and trace go
 		s.finished = s.finished[1:]
+		reg.Counter("server_trace_ring_evictions_total").Inc()
 	}
+	reg.Gauge("server_trace_ring_entries").Set(float64(len(s.finished)))
 }
 
 // durMS renders a duration as float milliseconds (the unit every
@@ -576,13 +580,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.obs.Reg().Counter("server_jobs_total", "status", "rejected").Inc()
-		s.log.Info(evJobRejected, "tenant", tenant, "reason", "draining", "status", http.StatusServiceUnavailable)
-		httpError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
 	s.nextID++
 	j := &job{
 		id:        fmt.Sprintf("job-%d", s.nextID),
@@ -671,33 +668,24 @@ func renderDoneView(v jobView, doc *report.Document) ([]byte, error) {
 
 // handleJobTrace serves a completed job's span tree as Chrome
 // trace-event JSON (open it in Perfetto / about://tracing as-is). Traces
-// exist only for completed jobs still inside the bounded ring; the 404
+// exist only for finished jobs the job table still retains; the 404
 // message distinguishes "not finished yet" from "evicted or unknown".
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	data, ok := s.traces.get(id)
-	if !ok {
-		s.mu.Lock()
-		j, known := s.jobs[id]
-		state := ""
-		if known {
-			state = j.state
-		}
-		s.mu.Unlock()
-		if known && (state == "queued" || state == "running") {
-			httpError(w, http.StatusNotFound, "trace not available until the job completes")
-			return
-		}
+	data, known := s.trace(r.PathValue("id"))
+	switch {
+	case data != nil:
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data)
+	case known:
+		httpError(w, http.StatusNotFound, "trace not available until the job completes")
+	default:
 		httpError(w, http.StatusNotFound, "no trace retained for job")
-		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
 }
 
-// handleTraces serves the trace ring's index, newest first.
+// handleTraces serves the retained jobs' trace index, newest first.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"traces": s.traces.index()})
+	writeJSON(w, http.StatusOK, map[string]any{"traces": s.traceIndex()})
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -718,10 +706,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.sched.isDraining() {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}

@@ -162,9 +162,7 @@ func TestDrainingRefusesWork(t *testing.T) {
 	if rec := do(s, "GET", "/healthz", ""); rec.Code != 200 {
 		t.Fatalf("healthz = %d, want 200", rec.Code)
 	}
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
+	s.sched.drain()
 	if rec := do(s, "GET", "/healthz", ""); rec.Code != 503 {
 		t.Fatalf("draining healthz = %d, want 503", rec.Code)
 	}

@@ -193,13 +193,13 @@ func TestJobTraceIsolationUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestTraceRingBoundAndIndex: the ring keeps the newest traces up to its
-// capacity, serves exactly the finished tracer's WriteJSON bytes, reports
-// their exact size in the index, and encodes each trace once however
-// often (and however concurrently) it is read.
-func TestTraceRingBoundAndIndex(t *testing.T) {
-	reg := obs.NewRegistry()
-	ring := newTraceRing(2, reg)
+// TestFinishedJobTracesBoundAndIndex: the job table keeps the newest finished
+// jobs up to its bound, serves exactly each finished tracer's WriteJSON
+// bytes, reports their exact size in the index, and encodes each trace
+// once however often (and however concurrently) it is read.
+func TestFinishedJobTracesBoundAndIndex(t *testing.T) {
+	observer := obs.New()
+	s := New(Config{TraceRing: 2, Obs: observer})
 	t0 := time.Unix(1700000000, 0)
 	tracers := make([]*obs.Tracer, 4)
 	for i := 1; i <= 3; i++ {
@@ -209,9 +209,13 @@ func TestTraceRingBoundAndIndex(t *testing.T) {
 			tr.Record(fmt.Sprintf("span-%d", k), "test", t0, t0.Add(time.Duration(k+1)*time.Millisecond))
 		}
 		tracers[i] = tr
-		ring.put(traceMeta{JobID: fmt.Sprintf("job-%d", i), Tenant: "a", State: "done", Spans: tr.SpanCount()}, tr)
+		j := &job{id: fmt.Sprintf("job-%d", i), tenant: "a", state: "done"}
+		s.mu.Lock()
+		s.jobs[j.id] = j
+		s.retireLocked(j, &traceEntry{tr: tr, meta: traceMeta{JobID: j.id, Tenant: "a", State: "done", Spans: tr.SpanCount()}})
+		s.mu.Unlock()
 	}
-	if _, ok := ring.get("job-1"); ok {
+	if _, known := s.trace("job-1"); known {
 		t.Fatal("job-1 should have been evicted (capacity 2)")
 	}
 	want := map[string][]byte{}
@@ -231,9 +235,9 @@ func TestTraceRingBoundAndIndex(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g%2 == 0 {
-				ring.index()
+				s.traceIndex()
 			}
-			got[g], _ = ring.get("job-3")
+			got[g], _ = s.trace("job-3")
 		}(g)
 	}
 	wg.Wait()
@@ -248,11 +252,11 @@ func TestTraceRingBoundAndIndex(t *testing.T) {
 	// A finished trace is frozen at its first encoding: a span recorded
 	// on the tracer afterwards never reaches the served bytes.
 	tracers[3].Record("late", "test", t0, t0.Add(time.Millisecond))
-	if data, _ := ring.get("job-3"); &data[0] != &got[0][0] {
+	if data, _ := s.trace("job-3"); &data[0] != &got[0][0] {
 		t.Fatal("job-3 was encoded again on a later read")
 	}
 
-	idx := ring.index()
+	idx := s.traceIndex()
 	if len(idx) != 2 || idx[0].JobID != "job-3" || idx[1].JobID != "job-2" {
 		t.Fatalf("index = %+v, want [job-3 job-2]", idx)
 	}
@@ -261,18 +265,18 @@ func TestTraceRingBoundAndIndex(t *testing.T) {
 			t.Fatalf("%s: index bytes = %d, want %d", m.JobID, m.Bytes, len(want[m.JobID]))
 		}
 	}
-	if data, _ := ring.get("job-2"); !bytes.Equal(data, want["job-2"]) {
+	if data, _ := s.trace("job-2"); !bytes.Equal(data, want["job-2"]) {
 		t.Fatalf("job-2 trace = %q, want %q", data, want["job-2"])
 	}
-	snap := reg.Snapshot()
+	snap := observer.Reg().Snapshot()
 	if got := snap.Counter("server_trace_ring_evictions_total"); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 }
 
-// TestFinishedJobsAgeOutWithTraces: the job table keeps no more
-// finished jobs than the trace ring keeps traces, evicting the oldest
-// first, so daemon memory stays bounded however many jobs it serves.
+// TestFinishedJobsAgeOutWithTraces: the job table keeps at most
+// TraceRing finished jobs, evicting the oldest first together with its
+// trace, so daemon memory stays bounded however many jobs it serves.
 func TestFinishedJobsAgeOutWithTraces(t *testing.T) {
 	s := New(Config{Addr: "127.0.0.1:0", SchedulerSlots: 1, TraceRing: 2})
 	if err := s.Start(); err != nil {

@@ -62,7 +62,7 @@ import (
 )
 
 // DefaultKeepGenerations is how many content versions of one path a
-// Store retains by default. Two covers the daemon's steady state — the
+// Store retains. Two covers the daemon's steady state — the
 // version in flight plus the edit that just landed — while bounding
 // memory under a long edit history.
 const DefaultKeepGenerations = 2
@@ -197,15 +197,14 @@ func (s *Snapshot) Names() []string {
 // across many (the daemon shares one across jobs, which is where the
 // incremental wins come from).
 //
-// Per path, only the latest keep generations are retained (see
-// SetKeepGenerations); older versions are evicted wholesale — bytes,
-// AST, memoized artifacts — under the store lock.
+// Per path, only the latest DefaultKeepGenerations versions are
+// retained; older versions are evicted wholesale — bytes, AST, memoized
+// artifacts — under the store lock.
 type Store struct {
 	reg  *obs.Registry
 	fset *token.FileSet
 
 	mu            sync.Mutex
-	keep          int
 	entries       map[fileKey]*File
 	gens          map[string][]fileKey // path → entry keys, oldest first
 	retainedBytes int64
@@ -228,24 +227,10 @@ func NewStore(reg *obs.Registry) *Store {
 	return &Store{
 		reg:     reg,
 		fset:    token.NewFileSet(),
-		keep:    DefaultKeepGenerations,
 		entries: make(map[fileKey]*File),
 		gens:    make(map[string][]fileKey),
 	}
 }
-
-// SetKeepGenerations bounds per-path retention to the latest k content
-// versions (k < 1 disables eviction — the unbounded pre-eviction
-// behaviour, useful only for experiments). Lowering k takes effect on
-// the next intern of each path.
-func (s *Store) SetKeepGenerations(k int) {
-	s.mu.Lock()
-	s.keep = k
-	s.mu.Unlock()
-}
-
-// Fset returns the store-wide FileSet.
-func (s *Store) Fset() *token.FileSet { return s.fset }
 
 // Load reads every source file of dir — exactly once each — and returns
 // the snapshot. Bytes are read and hashed on every call (that is how
@@ -354,7 +339,7 @@ func (s *Store) touchGeneration(key fileKey) (evicted bool) {
 		}
 	}
 	g = append(g, key)
-	for s.keep >= 1 && len(g) > s.keep {
+	for len(g) > DefaultKeepGenerations {
 		victim := g[0]
 		g = g[1:]
 		if vf, ok := s.entries[victim]; ok {

@@ -10,8 +10,10 @@
 #      reference) somewhere in its package documentation.
 #   4. Every metric name passed to Counter, Gauge or Histogram in
 #      non-test Go under internal/ and cmd/ (a string literal, or a
-#      constant declared there) is cataloged in docs/OBSERVABILITY.md —
-#      the catalog must not drift behind the code.
+#      constant declared there) is cataloged in docs/OBSERVABILITY.md,
+#      and every metric a catalog row names is registered that way or
+#      added at render time with Snapshot.AddGauge — the catalog must
+#      neither drift behind the code nor keep a deleted series.
 #   5. Every HTTP endpoint the server registers ("METHOD /path" mux
 #      patterns) is documented in docs/SERVICE.md.
 #   6. Every structured-log event name the server defines (the ev*
@@ -78,6 +80,7 @@ done
 # 4. Every metric name the code registers must be cataloged in
 # docs/OBSERVABILITY.md. A name argument is a string literal or a
 # constant (possibly package-qualified) declared under internal/ or cmd/.
+registered=""
 for arg in $(grep -rhoE --include='*.go' --exclude='*_test.go' '\.(Counter|Gauge|Histogram)\([^,)]+' internal cmd | sed -E 's/^\.[A-Za-z]+\(//' | sort -u); do
 	case $arg in
 	'"'*) metric=$(echo "$arg" | tr -d '"') ;;
@@ -89,8 +92,26 @@ for arg in $(grep -rhoE --include='*.go' --exclude='*_test.go' '\.(Counter|Gauge
 		}
 		;;
 	esac
+	registered="$registered $metric"
 	grep -qwF "$metric" docs/OBSERVABILITY.md ||
 		err "metric $metric is not cataloged in docs/OBSERVABILITY.md"
+done
+# The other way: every metric named in a catalog row's first cell must
+# be registered. Render-time series count: AddGauge("name", ...) adds
+# name, and AddGauge(x+"_suffix", ...) adds a registered name plus the
+# suffix (the scheduler's *_quantile gauges).
+go_src() { grep -rhoE --include='*.go' --exclude='*_test.go' "$1" internal cmd; }
+registered="$registered $(go_src '\.AddGauge\("[a-z_]+"' | grep -oE '"[a-z_]+"' | tr -d '"')"
+for suffix in $(go_src '\.AddGauge\([A-Za-z_.]+ *\+ *"[a-z_]+"' | grep -oE '"[a-z_]+"' | tr -d '"' | sort -u); do
+	for metric in $registered; do
+		registered="$registered $metric$suffix"
+	done
+done
+for metric in $(sed -n 's/^| *\(`[^|]*\)|.*/\1/p' docs/OBSERVABILITY.md | grep -oE '`[a-z][a-z0-9_]*(\{[^}]*\})?`' | sed -E 's/`//g; s/\{.*//' | sort -u); do
+	case " $registered " in
+	*" $metric "*) ;;
+	*) err "docs/OBSERVABILITY.md catalogs metric $metric, which no non-test Go under internal/ or cmd/ registers" ;;
+	esac
 done
 
 # 5. Every registered HTTP endpoint must appear in docs/SERVICE.md
