@@ -55,11 +55,12 @@ bench-check:
 ## determinism-under-chaos and graceful-degradation gate — plus the
 ## multi-backend failover drill: a hard primary outage must complete
 ## the full corpus through the secondary with zero degraded files and
-## byte-identical output, and every all-sim topology must replay
-## byte-identically, counters included, at any worker count
-## (docs/RESILIENCE.md).
+## byte-identical output, every all-sim topology must replay
+## byte-identically, counters included, at any worker count, and a
+## warm run under any topology must reproduce the cold report from the
+## review cache with zero fresh tokens (docs/RESILIENCE.md).
 chaos:
-	$(GO) test -race -run 'Chaos|ZeroFaultProfile|HardOutage|BudgetExhaustion|Failover|PrimaryOutage|SingleHealthyBackend|SimTopology' ./internal/core/
+	$(GO) test -race -run 'Chaos|ZeroFaultProfile|HardOutage|BudgetExhaustion|Failover|PrimaryOutage|SingleHealthyBackend|SimTopology|ReviewCacheServesEveryTopology' ./internal/core/
 	$(GO) test -race ./internal/resilience/ ./internal/llm/
 
 ## serve-smoke: end-to-end service exercise — a real wasabid server on a

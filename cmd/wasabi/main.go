@@ -6,8 +6,6 @@
 //	wasabi [-app HD] [-workflow all|dynamic|static|if] [-workers N] [-v]
 //	       [-json] [-corpus DIR]
 //	       [-cache-dir DIR] [-cache-bytes N]
-//	       [-llm-fault-profile none|light|heavy|outage|k=v,...]
-//	       [-llm-outage-after N]
 //	       [-llm-backends name=sim[:profile];name=http:URL;...]
 //	       [-llm-hedge-after DUR]
 //	       [-metrics-out m.json] [-trace-out t.json]
@@ -39,11 +37,11 @@
 // analysis, and for a topology of built-in simulators stdout stays
 // byte-identical at every -workers setting. -llm-hedge-after
 // additionally hedges slow calls onto the next healthy backend (live
-// topologies only). -llm-fault-profile P is sugar for the one-backend
-// topology "sim=sim:P", and -llm-outage-after N takes that backend
-// hard-down from the Nth review onward; both are mutually exclusive with
-// -llm-backends — give failing backends their own profiles in the
-// topology (for example "primary=sim:outage;secondary=sim").
+// topologies only). A chaos drill is a topology too: "sim=sim:heavy"
+// for one faulty simulator, "sim=sim:outage-after=40" for a backend
+// that dies mid-run, "primary=sim:outage;secondary=sim" for failover.
+// With -cache-dir, routed runs use the review cache like any other: a
+// cached file needs no delivery, so a warm chaos drill spends nothing.
 //
 // -metrics-out and -trace-out instrument the run (docs/OBSERVABILITY.md):
 // the former writes the metrics snapshot as JSON (its counters section is
@@ -78,11 +76,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print the canonical JSON report document instead of text")
 	cacheDir := flag.String("cache-dir", "", "enable the analysis cache, persisted in this directory (see docs/SERVICE.md)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "in-memory cache byte budget (0 = default; needs -cache-dir)")
-	faultProfile := flag.String("llm-fault-profile", "",
-		fmt.Sprintf("simulate an unreliable LLM backend: %v or key=value list, sugar for -llm-backends sim=sim:PROFILE (see docs/RESILIENCE.md); empty = perfect backend", llm.ProfileNames()))
-	outageAfter := flag.Int("llm-outage-after", 0, "take the LLM backend hard-down from the Nth review onward (0 = never)")
 	backends := flag.String("llm-backends", "",
-		"route reviews across an ordered multi-backend topology: \"name=sim[:profile];name=http:URL;...\" (see docs/RESILIENCE.md); mutually exclusive with -llm-fault-profile")
+		"route reviews across an ordered multi-backend topology: \"name=sim[:profile];name=http:URL;...\" (see docs/RESILIENCE.md); empty = no router")
 	hedgeAfter := flag.Duration("llm-hedge-after", 0,
 		"launch a hedged attempt on the next healthy backend after this much silence (0 = no hedging; needs -llm-backends)")
 	metricsOut := flag.String("metrics-out", "", "write the run's metrics snapshot (JSON) to this file")
@@ -127,13 +122,13 @@ func main() {
 
 	opts := core.DefaultOptions()
 	opts.Workers = *workers
-	specs, err := llm.TopologyFromFlags(*backends, *faultProfile, *outageAfter)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	opts.LLM.Backends = specs
 	if *backends != "" {
+		specs, err := llm.ParseBackends(*backends)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		opts.LLM.Backends = specs
 		opts.LLM.HedgeAfter = *hedgeAfter
 	} else if *hedgeAfter > 0 {
 		fmt.Fprintln(os.Stderr, "wasabi: -llm-hedge-after needs -llm-backends (hedging routes across a topology)")

@@ -8,8 +8,6 @@
 //	wasabid [-addr :8788] [-queue 8] [-workers N] [-corpus DIR]
 //	        [-slots N] [-tenant-quota N] [-tenant-priority name=w,...]
 //	        [-cache-dir DIR] [-cache-bytes N] [-pprof]
-//	        [-llm-fault-profile none|light|heavy|outage|k=v,...]
-//	        [-llm-outage-after N]
 //	        [-llm-backends name=sim[:profile];name=http:URL;...]
 //	        [-llm-hedge-after DUR]
 //	        [-log-format text|json] [-log-level LEVEL] [-trace-ring N]
@@ -23,6 +21,11 @@
 // queues (docs/SCHEDULING.md): -queue bounds each tenant's backlog,
 // -tenant-quota caps one tenant's concurrent slots, and -tenant-priority
 // grants named tenants extra round-robin weight.
+//
+// -llm-backends routes every job's reviews through an ordered backend
+// topology (docs/RESILIENCE.md "Routing"), "sim=sim:PROFILE" being the
+// one-simulator chaos drill. The review cache serves routed jobs like
+// any other: a cached file needs no delivery.
 //
 // Structured logs go to stderr (-log-format json for machine
 // consumption; every job event carries job_id/tenant/trace_id — the
@@ -67,11 +70,8 @@ func main() {
 	corpusRoot := flag.String("corpus", "", "generated corpus root (cmd/corpusgen); empty = built-in seed corpus")
 	cacheDir := flag.String("cache-dir", "", "persist the analysis cache in this directory (empty = memory only)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "in-memory cache byte budget (0 = default)")
-	faultProfile := flag.String("llm-fault-profile", "",
-		fmt.Sprintf("simulate an unreliable LLM backend for every job: %v or key=value list, sugar for -llm-backends sim=sim:PROFILE (see docs/RESILIENCE.md)", llm.ProfileNames()))
-	outageAfter := flag.Int("llm-outage-after", 0, "take the LLM backend hard-down from the Nth review of each job (0 = never)")
 	backends := flag.String("llm-backends", "",
-		"route reviews across an ordered multi-backend topology: \"name=sim[:profile];name=http:URL;...\" (see docs/RESILIENCE.md); mutually exclusive with -llm-fault-profile")
+		"route reviews across an ordered multi-backend topology: \"name=sim[:profile];name=http:URL;...\" (see docs/RESILIENCE.md); empty = no router")
 	hedgeAfter := flag.Duration("llm-hedge-after", 0,
 		"launch a hedged attempt on the next healthy backend after this much silence (0 = no hedging; needs -llm-backends)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for accepted jobs to finish")
@@ -123,13 +123,13 @@ func main() {
 		}
 		cfg.Corpus = apps
 	}
-	specs, err := llm.TopologyFromFlags(*backends, *faultProfile, *outageAfter)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	cfg.LLMBackends = specs
 	if *backends != "" {
+		specs, err := llm.ParseBackends(*backends)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		cfg.LLMBackends = specs
 		cfg.LLMHedgeAfter = *hedgeAfter
 	} else if *hedgeAfter > 0 {
 		fmt.Fprintln(os.Stderr, "wasabid: -llm-hedge-after needs -llm-backends (hedging routes across a topology)")

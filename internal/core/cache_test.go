@@ -9,9 +9,12 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"wasabi/internal/apps/corpus"
@@ -70,12 +73,22 @@ func appSnapshot(t *testing.T, app corpus.App) *source.Snapshot {
 // run gets its own observer so llm_tokens_in_total is per-run.
 func runOnce(t *testing.T, app corpus.App, ca *cache.Cache, workers int) ([]byte, llm.Usage, obs.Snapshot) {
 	t.Helper()
+	_, data, fresh, snap := runWith(t, []corpus.App{app}, ca, nil, workers)
+	return data, fresh, snap
+}
+
+// runWith executes one corpus run against the shared cache with reviews
+// routed over backends (nil: no router), returning the run, its
+// canonical report bytes, its fresh LLM usage and its own metrics.
+func runWith(t *testing.T, apps []corpus.App, ca *cache.Cache, backends []llm.BackendSpec, workers int) (*core.CorpusRun, []byte, llm.Usage, obs.Snapshot) {
+	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Workers = workers
 	opts.Cache = ca
 	opts.Obs = obs.New()
+	opts.LLM.Backends = backends
 	w := core.New(opts)
-	cr, err := w.RunCorpus([]corpus.App{app})
+	cr, err := w.RunCorpus(apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +96,7 @@ func runOnce(t *testing.T, app corpus.App, ca *cache.Cache, workers int) ([]byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, w.LLMUsage(), opts.Obs.Reg().Snapshot()
+	return cr, data, w.LLMUsage(), opts.Obs.Reg().Snapshot()
 }
 
 // delta subtracts two cache stats snapshots field-wise.
@@ -281,35 +294,128 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestFaultProfileDisablesReviewCache pins the safety gate: under a
-// fault profile, per-file memoization is off (a file's outcome is the
-// router's verdict for the run), so a second run spends tokens again.
-func TestFaultProfileDisablesReviewCache(t *testing.T) {
-	app := copyApp(t, "HD")
+// TestReviewCacheServesEveryTopology pins the one review rule: under
+// any topology a cache hit needs no delivery, a miss is delivered, and
+// only a delivered, non-degraded answer is stored. A replayable run
+// settles every file's delivery before any review runs, so a hit shifts
+// no later grant: the warm report is the cold one byte for byte at any
+// worker count, spends nothing, and degraded files stay degraded.
+func TestReviewCacheServesEveryTopology(t *testing.T) {
+	var apps []corpus.App
+	for _, code := range []string{"HD", "HB", "CA"} {
+		app, err := corpus.ByCode(code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, app)
+	}
+	// One cache serves every topology in turn. The topology is part of
+	// the review key, so no cold run sees another topology's entries.
 	ca, err := cache.New(cache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := llm.TopologyFromFlags("", "light", 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		spec     string
+		degrades bool
+	}{
+		{"sim=sim:light", false},
+		{"sim=sim:heavy,malformed=7", true},
+		{"sim=sim:outage-after=12", true},
+		{"p=sim:outage;s=sim:light", false},
+	} {
+		t.Run(c.spec, func(t *testing.T) {
+			specs, err := llm.ParseBackends(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := ca.Stats()
+			coldRun, cold, _, coldSnap := runWith(t, apps, ca, specs, 2)
+			if d := delta(ca.Stats(), st); d.Hits[cache.StageReview] != 0 {
+				t.Fatalf("cold run hit %d reviews stored under another topology", d.Hits[cache.StageReview])
+			}
+			var delivered, degraded int64
+			for _, ar := range coldRun.Apps {
+				for _, rev := range ar.ID.Reviews {
+					switch {
+					case rev.Degraded:
+						degraded++
+					case rev.Backend == "":
+						t.Fatalf("cold review of %s names no backend", rev.File)
+					default:
+						delivered++
+					}
+				}
+			}
+			if (degraded > 0) != c.degrades {
+				t.Fatalf("%d degraded files, want degrades=%v", degraded, c.degrades)
+			}
+			for _, workers := range []int{1, 4} {
+				st := ca.Stats()
+				warmRun, warm, _, warmSnap := runWith(t, apps, ca, specs, workers)
+				if !bytes.Equal(cold, warm) {
+					t.Fatalf("workers=%d: warm report differs from cold (%d vs %d bytes)", workers, len(warm), len(cold))
+				}
+				if got := warmSnap.Counter("llm_tokens_in_total"); got != 0 {
+					t.Fatalf("workers=%d: warm llm_tokens_in_total = %d, want 0", workers, got)
+				}
+				d := delta(ca.Stats(), st)
+				if d.Hits[cache.StageReview] != delivered || d.Misses[cache.StageReview] != degraded {
+					t.Fatalf("workers=%d: warm review hits/misses = %d/%d, want %d/%d (delivered/degraded)",
+						workers, d.Hits[cache.StageReview], d.Misses[cache.StageReview], delivered, degraded)
+				}
+				for _, name := range []string{"llm_transport_faults_total", "llm_degraded_reviews_total"} {
+					if got, want := counterFamily(warmSnap, name), counterFamily(coldSnap, name); got != want {
+						t.Errorf("workers=%d: warm %s = %s, cold %s", workers, name, got, want)
+					}
+				}
+				for _, ar := range warmRun.Apps {
+					for _, rev := range ar.ID.Reviews {
+						if !rev.Degraded && (rev.Retries != 0 || rev.Backend != "" || rev.Shared) {
+							t.Fatalf("memory-tier hit for %s carries routing facts: retries=%d backend=%q shared=%v",
+								rev.File, rev.Retries, rev.Backend, rev.Shared)
+						}
+					}
+				}
+			}
+		})
 	}
-	run := func() llm.Usage {
-		opts := core.DefaultOptions()
-		opts.Workers = 2
-		opts.Cache = ca
-		opts.LLM.Backends = specs
-		w := core.New(opts)
-		if _, err := w.RunCorpus([]corpus.App{app}); err != nil {
-			t.Fatal(err)
+
+	// A live topology routes on arrival; a warm run never reaches it.
+	t.Run("live", func(t *testing.T) {
+		tr := &countingTransport{}
+		specs := []llm.BackendSpec{{Name: "live", Kind: "sim", Transport: tr}}
+		_, cold, _, _ := runWith(t, apps, ca, specs, 2)
+		if tr.calls.Load() == 0 {
+			t.Fatal("cold live run made no backend call")
 		}
-		return w.LLMUsage()
+		before := tr.calls.Load()
+		_, warm, _, _ := runWith(t, apps, ca, specs, 4)
+		if !bytes.Equal(cold, warm) {
+			t.Fatal("warm live report differs from cold")
+		}
+		if got := tr.calls.Load() - before; got != 0 {
+			t.Fatalf("warm live run made %d backend calls, want 0", got)
+		}
+	})
+}
+
+// countingTransport is a live backend that answers every call and
+// counts them.
+type countingTransport struct{ calls atomic.Int64 }
+
+func (c *countingTransport) Do(context.Context, llm.Call) error {
+	c.calls.Add(1)
+	return nil
+}
+
+// counterFamily renders every labelled value of one counter family.
+func counterFamily(snap obs.Snapshot, name string) string {
+	var b strings.Builder
+	for _, c := range snap.Counters {
+		if c.Name == name {
+			fmt.Fprintf(&b, "%v=%d ", c.Labels, c.Value)
+		}
 	}
-	run()
-	if second := run(); second.TokensIn == 0 {
-		t.Fatal("review cache served hits under a fault profile")
-	}
-	if hits := ca.Stats().Hits[cache.StageReview]; hits != 0 {
-		t.Fatalf("review hits under fault profile = %d, want 0", hits)
-	}
+	return b.String()
 }

@@ -165,8 +165,8 @@ func TestHardOutageDegradesGracefully(t *testing.T) {
 	if got := snap.Counter("pipeline_degraded_files_total"); got != int64(degraded) {
 		t.Errorf("pipeline_degraded_files_total = %d, want %d (the LLM-skipped files)", got, degraded)
 	}
-	if got := snap.Counter("llm_files_reviewed_total"); got != 0 {
-		t.Errorf("llm_files_reviewed_total = %d under hard outage, want 0", got)
+	if h, ok := snap.HistogramPoint("llm_review_ms"); ok && h.Count != 0 {
+		t.Errorf("llm_review_ms count = %d under hard outage, want 0 (no file reviewed)", h.Count)
 	}
 	if cr.Usage != (llm.Usage{}) {
 		t.Errorf("run charged LLM usage %+v under hard outage, want zero", cr.Usage)

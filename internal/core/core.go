@@ -57,16 +57,15 @@ type Options struct {
 	// disables observability at the cost of a nil check per event.
 	Obs *obs.Observer
 	// Cache, when non-nil, memoizes work across runs (docs/SERVICE.md):
-	// per-app static analyses keyed by directory content; on a
-	// fault-free backend, per-file LLM reviews keyed by (config
-	// fingerprint, path, content hash); and per-app dynamic runs keyed
-	// by (build, suite, locations, run options). A warm run over unchanged
-	// sources produces byte-identical results with zero fresh LLM spend
-	// and, under the same build, zero injection runs; runs through an
-	// LLM router (a fault profile or a backend topology) bypass the
-	// review tier (a file's outcome there depends on the router's
-	// verdict for this run, so per-file memoization would be unsound)
-	// but still reuse static analyses and dynamic runs.
+	// per-app static analyses keyed by directory content; per-file LLM
+	// reviews keyed by (config fingerprint, path, content hash), the
+	// fingerprint including any backend topology; and per-app dynamic
+	// runs keyed by (build, suite, locations, run options). A warm run
+	// over unchanged sources produces byte-identical results with zero
+	// fresh LLM spend and, under the same build, zero injection runs.
+	// The review rule is the same with or without a router: a hit needs
+	// no delivery, a miss is delivered, and only delivered, non-degraded
+	// answers are stored.
 	Cache *cache.Cache
 	// Source, when non-nil, is the parse-once snapshot store every
 	// stage loads corpus bytes through (docs/PERFORMANCE.md). The
@@ -100,12 +99,6 @@ type Wasabi struct {
 	// part of a dynamic-run key that stands for the compiled suites; ""
 	// when no cache is attached or the build has no identity.
 	build string
-	// llmFP is the review-cache fingerprint of the LLM configuration,
-	// and reviewCache gates the review tier: it is false when reviews
-	// are routed, because a routed review's outcome depends on the
-	// router's verdict for this run, which per-file memoization cannot
-	// reproduce.
-	reviewCache bool
 	// src is the parse-once snapshot store (Options.Source, or a fresh
 	// per-toolkit store): every read of corpus bytes goes through it.
 	src *source.Store
@@ -135,11 +128,7 @@ func New(opts Options) *Wasabi {
 		llm:   llm.NewClient(opts.LLM).Instrument(opts.Obs.Reg()),
 		obs:   opts.Obs,
 		cache: opts.Cache,
-		// Routed runs (fault profiles and topologies) skip the review
-		// cache: a hit would bypass the router's delivery verdict for the
-		// file (a degradation, say), so cold and warm runs would diverge.
-		reviewCache: opts.Cache != nil && !opts.LLM.Routed(),
-		src:         opts.Source,
+		src:   opts.Source,
 		// The calling goroutine always participates in parallel loops, so
 		// the pool itself holds Workers-1 extra slots.
 		sem: make(chan struct{}, opts.Workers-1),
@@ -156,8 +145,8 @@ func New(opts Options) *Wasabi {
 
 // stage opens a stage span (named "stage:app", parented under the app
 // span when one exists) and returns the function that closes it,
-// recording the stage wall-time histogram and run counter. All of it is
-// a no-op when the run is unobserved.
+// recording the stage wall-time histogram, whose count is the stage's
+// run count. All of it is a no-op when the run is unobserved.
 func (w *Wasabi) stage(stage, app string) func() {
 	name := stage
 	parent := "corpus"
@@ -169,7 +158,6 @@ func (w *Wasabi) stage(stage, app string) func() {
 	reg := w.obs.Reg()
 	return func() {
 		reg.Histogram(obs.StageMetric, obs.LatencyBuckets, "stage", stage).Observe(sp.SinceMS())
-		reg.Counter("core_stage_runs_total", "stage", stage).Inc()
 		sp.End()
 	}
 }
@@ -328,13 +316,6 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 	files := snap.Names()
 	reviews := make([]llm.FileReview, len(files))
 	cached := make([]bool, len(files))
-	// Review keys are derivable only with a manifest; any routed run
-	// goes to the model.
-	useReviewCache := w.reviewCache && man != nil
-	var llmFP string
-	if useReviewCache {
-		llmFP = w.llm.Fingerprint()
-	}
 	w.parallelFor("reviews", len(files), func(i int) {
 		sp := w.obs.Trc().Start("review:"+files[i], "review",
 			"app", app.Code, "parent", "identify:"+app.Code)
@@ -367,12 +348,14 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 			}
 			sp.End()
 		}()
+		// One rule for every topology: a hit needs no delivery (a
+		// replayable run settled every file's delivery in StartRun, so
+		// skipping one shifts no later grant), a miss is delivered, and
+		// only a delivered answer is stored.
 		sf := snap.Files[i]
 		key := ""
-		if useReviewCache {
-			key = cache.ReviewKey(llmFP, sf.Path, sf.SHA256)
-		}
-		if key != "" {
+		if w.cache != nil {
+			key = cache.ReviewKey(w.llm.Fingerprint(), sf.Path, sf.SHA256)
 			if rev, ok := w.cache.GetReview(key); ok {
 				reviews[i], cached[i] = rev, true
 				return
@@ -380,8 +363,9 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		}
 		reviews[i] = w.llm.ReviewSnapshotAt(sf, lane, i)
 		// Degraded reviews record a backend failure, not an answer —
-		// memoizing one would pin the failure past the fault. Unreachable
-		// while the review tier is fault-free-only, but kept as a guard.
+		// memoizing one would pin the failure past the fault.
+		// PutReview drops the routing facts (Retries, Backend, Shared):
+		// they describe this delivery, not the answer.
 		if key != "" && !reviews[i].Degraded {
 			w.cache.PutReview(key, reviews[i])
 		}

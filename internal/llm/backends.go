@@ -183,32 +183,6 @@ func Replayable(specs []BackendSpec) bool {
 	return true
 }
 
-// TopologyFromFlags resolves the LLM routing flags into one topology:
-// -llm-backends as written, or the one-backend topology sim=sim:PROFILE
-// that -llm-fault-profile and -llm-outage-after are sugar for (an
-// outageAfter > 0 overrides the profile's outage-after window). The two
-// flag families are mutually exclusive. All empty yields no topology:
-// the router-free default path.
-func TopologyFromFlags(backends, faultProfile string, outageAfter int) ([]BackendSpec, error) {
-	if faultProfile == "" && outageAfter <= 0 {
-		if backends == "" {
-			return nil, nil
-		}
-		return ParseBackends(backends)
-	}
-	if backends != "" {
-		return nil, errors.New("llm: -llm-backends and -llm-fault-profile/-llm-outage-after are mutually exclusive; put per-backend fault profiles in the topology (name=sim:profile)")
-	}
-	p, err := ParseFaultProfile(faultProfile)
-	if err != nil {
-		return nil, err
-	}
-	if outageAfter > 0 {
-		p.OutageAfterFiles = outageAfter
-	}
-	return ParseBackends("sim=sim:" + p.String())
-}
-
 // backend is one routed backend: its adapter, its fault schedule (sim
 // kinds) and its health state.
 type backend struct {

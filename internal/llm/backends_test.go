@@ -95,40 +95,32 @@ func TestParseBackendsErrors(t *testing.T) {
 	}
 }
 
-// TestTopologyFromFlags: the fault-profile flags desugar to the
-// one-backend topology sim=sim:PROFILE, -llm-outage-after overrides the
-// profile's window, the two flag families exclude each other, and no
-// flags mean no topology.
-func TestTopologyFromFlags(t *testing.T) {
-	cases := []struct {
-		backends, profile string
-		outageAfter       int
-		want              string // rendered topology; "" = none
-	}{
-		{"", "", 0, ""},
-		{"a=sim;b=sim:heavy", "", 0, "a=sim;b=sim:timeout=15,ratelimit=15,servererror=15"},
-		{"", "light", 0, "sim=sim:timeout=60,ratelimit=60,servererror=60"},
-		{"", "none", 0, "sim=sim:none"},
-		{"", "", 40, "sim=sim:outage-after=40"},
-		{"", "heavy,outage-after=5", 40, "sim=sim:timeout=15,ratelimit=15,servererror=15,outage-after=40"},
+// TestParseBackendsRoundTrip: a chaos drill is written as a topology —
+// presets expand inside a sim backend's profile, "none" keeps a
+// fault-free router, and an outage-after window rides in the profile —
+// and every rendering parses back to itself.
+func TestParseBackendsRoundTrip(t *testing.T) {
+	cases := []struct{ spec, want string }{
+		{"sim=sim:light", "sim=sim:timeout=60,ratelimit=60,servererror=60"},
+		{"sim=sim:none", "sim=sim:none"},
+		{"sim=sim:outage-after=40", "sim=sim:outage-after=40"},
+		{"sim=sim:heavy,outage-after=5", "sim=sim:timeout=15,ratelimit=15,servererror=15,outage-after=5"},
+		{"a=sim;b=sim:heavy", "a=sim;b=sim:timeout=15,ratelimit=15,servererror=15"},
 	}
 	for _, c := range cases {
-		specs, err := TopologyFromFlags(c.backends, c.profile, c.outageAfter)
+		specs, err := ParseBackends(c.spec)
 		if err != nil {
-			t.Errorf("TopologyFromFlags(%q, %q, %d): %v", c.backends, c.profile, c.outageAfter, err)
+			t.Errorf("ParseBackends(%q): %v", c.spec, err)
 			continue
 		}
-		if got := backendsString(specs); got != c.want {
-			t.Errorf("TopologyFromFlags(%q, %q, %d) = %q, want %q", c.backends, c.profile, c.outageAfter, got, c.want)
+		got := backendsString(specs)
+		if got != c.want {
+			t.Errorf("ParseBackends(%q) renders %q, want %q", c.spec, got, c.want)
 		}
-	}
-	for _, c := range []struct{ backends, profile string }{{"a=sim", "light"}, {"", "bogus"}, {"a=ftp:x", ""}} {
-		if _, err := TopologyFromFlags(c.backends, c.profile, 0); err == nil {
-			t.Errorf("TopologyFromFlags(%q, %q, 0) accepted, want error", c.backends, c.profile)
+		again, err := ParseBackends(got)
+		if err != nil || backendsString(again) != got {
+			t.Errorf("rendering %q does not round-trip: %v", got, err)
 		}
-	}
-	if _, err := TopologyFromFlags("a=sim", "", 3); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("-llm-backends with -llm-outage-after: err = %v, want mutual exclusion", err)
 	}
 }
 

@@ -2,8 +2,9 @@ package llm
 
 import "testing"
 
-// The fault-profile flags desugar through ParseBackends, so these two
-// grammars are the whole parser surface at the flag boundary. Both fuzz
+// -llm-backends is the one routing flag, and a sim backend's profile is
+// written in the fault-profile grammar inside it, so these two grammars
+// are the whole parser surface at the flag boundary. Both fuzz
 // targets check the same two properties: the parser never panics, and
 // any spec it accepts renders to a string that parses back to the same
 // rendering. The seeds are the grammar and error cases of the unit

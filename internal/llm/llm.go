@@ -64,9 +64,10 @@ type Config struct {
 	// Backends, when non-empty, routes every review through a Router
 	// over this ordered topology (backends.go): per-backend circuit
 	// breakers, a shared retry budget, failover and — on live
-	// topologies — hedging. A fault profile is the one-backend topology
-	// sim=sim:PROFILE (TopologyFromFlags). Empty keeps the fault-free,
-	// router-free default path.
+	// topologies — hedging. A chaos drill is the one-backend topology
+	// sim=sim:PROFILE. The topology is part of Fingerprint, so routed
+	// and unrouted runs never share review-cache entries. Empty keeps
+	// the fault-free, router-free default path.
 	Backends []BackendSpec
 	// HedgeAfter, when > 0 and more than one backend is healthy, launches
 	// a hedged attempt on the next backend after this much wall time
@@ -83,13 +84,6 @@ type Config struct {
 	Log *slog.Logger
 }
 
-// Routed reports whether reviews go through a Router. A routed review's
-// outcome depends on the router's delivery verdict for this run, so a
-// cached answer would bypass it: the review cache must stay off.
-func (c Config) Routed() bool {
-	return c.Router != nil || len(c.Backends) > 0
-}
-
 // PromptVersion identifies the revision of the Q1–Q4 prompt chain. It is
 // part of every review-cache key (internal/cache), so bumping it
 // invalidates memoized reviews wholesale: change it whenever the chain's
@@ -100,10 +94,11 @@ const PromptVersion = "q1q4/v1"
 // Fingerprint renders every configuration fact that can influence a
 // review's outcome as a stable string — the "prompt/config version"
 // component of review-cache keys. Two clients with equal fingerprints
-// produce identical FileReviews for identical (path, contents) inputs,
-// provided no router is active (a routed review's outcome depends on the
-// router's verdict for the run, so it is not cacheable per file; the
-// topology is still folded in defensively).
+// produce identical answers for identical (path, contents) inputs; a
+// router only decides whether an answer is delivered. The topology is
+// folded in all the same, so a report stays a function of (config,
+// topology, corpus) whatever runs under other topologies left in the
+// cache.
 func (c Config) Fingerprint() string {
 	fp := fmt.Sprintf("%s|thr=%d|seed=%d|price=%g|q1=%d|q4=%d|q3=%d|q2=%d",
 		PromptVersion, c.LargeFileThreshold, c.Seed, c.PricePerMTokens,
@@ -318,7 +313,6 @@ func (c *Client) review(sf *source.File) FileReview {
 	start := time.Now()
 	defer func() {
 		c.charge(rev.Spent)
-		c.reg.Counter("llm_files_reviewed_total").Inc()
 		c.reg.Counter("llm_api_calls_total").Add(int64(rev.Spent.Calls))
 		c.reg.Counter("llm_tokens_in_total").Add(rev.Spent.TokensIn)
 		if rev.TruncatedContext {

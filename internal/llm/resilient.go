@@ -62,7 +62,8 @@ type ResilienceConfig struct {
 	// every concurrent review of the run.
 	BudgetCapacity int
 	// BudgetRefillEvery returns one token to the bucket per N settled
-	// reviews (0 disables refill: a strict per-run budget).
+	// reviews. Like every field, 0 takes the default (4); a negative
+	// value disables refill, for a strict per-run budget.
 	BudgetRefillEvery int
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// backend's circuit.

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -184,16 +183,6 @@ func ParseFaultProfile(spec string) (FaultProfile, error) {
 		}
 	}
 	return p, nil
-}
-
-// ProfileNames returns the preset names, sorted (for usage strings).
-func ProfileNames() []string {
-	out := make([]string, 0, len(presets))
-	for name := range presets {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // IsTransient reports whether a transport error is worth retrying:

@@ -21,7 +21,9 @@
 #      docs/OBSERVABILITY.md — likewise the routing-layer events in
 #      internal/llm/backends.go.
 #   7. The -llm-backends / -llm-hedge-after flags are documented in
-#      docs/RESILIENCE.md.
+#      docs/RESILIENCE.md, and every -llm-* flag that README.md,
+#      EXPERIMENTS.md or docs/*.md names is registered by cmd/wasabi or
+#      cmd/wasabid — a deleted flag must not linger in the docs.
 #   8. Every retry idiom the corpus generator emits (the Idiom*
 #      constants in internal/corpusgen/idioms.go) is documented in
 #      docs/CORPUSGEN.md, and every ground-truth bug class (the Bug
@@ -130,10 +132,16 @@ for ev in $(grep -hoE 'ev[A-Za-z]+ += +"[a-z_.]+"' internal/server/log.go intern
 		err "log event $ev is not cataloged in docs/OBSERVABILITY.md"
 done
 
-# 7. Multi-backend routing flags must be documented.
+# 7. Multi-backend routing flags must be documented, and every -llm-*
+# flag the docs name must exist.
 for flag in llm-backends llm-hedge-after; do
 	grep -q -- "-$flag" docs/RESILIENCE.md ||
 		err "flag -$flag is not documented in docs/RESILIENCE.md"
+done
+llm_flags=$(grep -hoE 'flag\.[A-Za-z0-9]+\("llm-[a-z-]+"' cmd/wasabi/*.go cmd/wasabid/*.go | grep -oE 'llm-[a-z-]+' | sort -u)
+for hit in $(grep -HoE -- '(^|[^A-Za-z0-9_-])-llm-[a-z]([a-z-]*[a-z])?' README.md EXPERIMENTS.md docs/*.md | sed -E 's/:[^-]*-/:/' | sort -u); do
+	echo "$llm_flags" | grep -qxF "${hit#*:}" ||
+		err "${hit%%:*} names flag -${hit#*:}, which neither cmd/wasabi nor cmd/wasabid registers"
 done
 
 # 8. Generator taxonomy: every emitted idiom must be documented in
