@@ -2,6 +2,8 @@ package llm
 
 import (
 	"go/ast"
+	"go/token"
+	"sort"
 	"strings"
 )
 
@@ -89,8 +91,13 @@ var pollWords = []string{
 	"poll", "waitfor", "spin", "compareandswap", "compareandset", "probe",
 }
 
-func containsAny(s string, words []string) bool {
-	l := strings.ToLower(s)
+// attemptWords name the counters a cap check compares (attemptComparison).
+var attemptWords = []string{"attempt", "tries", "retry", "retrie", "count"}
+
+// containsAny reports whether the already-lowercased l contains any of
+// words. Callers lowercase once and match every list against that one
+// string.
+func containsAny(l string, words []string) bool {
 	for _, w := range words {
 		if strings.Contains(l, w) {
 			return true
@@ -99,32 +106,43 @@ func containsAny(s string, words []string) bool {
 	return false
 }
 
+// funcComments returns the comment groups positioned inside fd. The
+// file's groups are sorted by position and never overlap, so the ones
+// inside fd are one contiguous run, found by binary search.
+func funcComments(fd *ast.FuncDecl, fileComments []*ast.CommentGroup) []*ast.CommentGroup {
+	lo := sort.Search(len(fileComments), func(i int) bool { return fileComments[i].Pos() >= fd.Pos() })
+	hi := lo
+	for hi < len(fileComments) && fileComments[hi].End() <= fd.End() {
+		hi++
+	}
+	return fileComments[lo:hi]
+}
+
 // gatherEvidence inspects one function declaration plus the file's
-// comments, emulating a careful single-file read.
+// comments, emulating a careful single-file read. Every flag only ever
+// goes from false to true, so a check whose flag is already set is
+// skipped.
 func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSleepFuncs map[string]bool) evidence {
 	var ev evidence
 
 	// Comments: the doc comment plus every comment group positioned
 	// inside the function body.
-	var comments []string
+	noteComment := func(cg *ast.CommentGroup) {
+		if ev.commentRetry && ev.pollish {
+			return
+		}
+		l := strings.ToLower(cg.Text())
+		ev.commentRetry = ev.commentRetry || containsAny(l, retryCommentWords)
+		ev.pollish = ev.pollish || containsAny(l, pollWords)
+	}
 	if fd.Doc != nil {
-		comments = append(comments, fd.Doc.Text())
+		noteComment(fd.Doc)
 	}
-	for _, cg := range fileComments {
-		if cg.Pos() >= fd.Pos() && cg.End() <= fd.End() {
-			comments = append(comments, cg.Text())
-		}
-	}
-	for _, c := range comments {
-		if containsAny(c, retryCommentWords) {
-			ev.commentRetry = true
-		}
-		if containsAny(c, pollWords) {
-			ev.pollish = true
-		}
+	for _, cg := range funcComments(fd, fileComments) {
+		noteComment(cg)
 	}
 
-	if containsAny(fd.Name.Name, pollWords) {
+	if !ev.pollish && containsAny(strings.ToLower(fd.Name.Name), pollWords) {
 		ev.pollish = true
 	}
 	if fd.Name.Name == "Step" {
@@ -135,37 +153,34 @@ func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSle
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.Ident:
-			if containsAny(v.Name, retryIdentWords) {
-				ev.identRetry = true
+			if ev.identRetry && ev.identRetryWeak && ev.pollish {
+				break
 			}
-			if containsAny(v.Name, weakIdentWords) {
-				ev.identRetryWeak = true
-			}
-			if containsAny(v.Name, pollWords) {
-				ev.pollish = true
-			}
+			l := strings.ToLower(v.Name)
+			ev.identRetry = ev.identRetry || containsAny(l, retryIdentWords)
+			ev.identRetryWeak = ev.identRetryWeak || containsAny(l, weakIdentWords)
+			ev.pollish = ev.pollish || containsAny(l, pollWords)
 		case *ast.BasicLit:
-			if v.Kind.String() == "STRING" && containsAny(v.Value, retryIdentWords) {
+			if !ev.identRetry && v.Kind == token.STRING && containsAny(strings.ToLower(v.Value), retryIdentWords) {
 				ev.identRetry = true
 			}
 		case *ast.ForStmt:
-			if loopHandlesError(v.Body) {
+			if !ev.loopErrOnErr && loopHandlesError(v.Body) {
 				ev.loopErrOnErr = true
 			}
-			if loopSwitchesStatusAndPauses(v.Body) {
+			if !ev.statusLoop && loopSwitchesStatusAndPauses(v.Body) {
 				ev.statusLoop = true
 			}
-			if boundedLoopCond(v.Cond) {
+			if !ev.capped && boundedLoopCond(v.Cond) {
 				ev.capped = true
 			}
 		case *ast.RangeStmt:
-			if loopHandlesError(v.Body) {
-				ev.loopErrOnErr = true
-			}
 			// Ranging over a fixed collection is inherently bounded.
-			ev.capped = ev.capped || loopHandlesError(v.Body)
+			if !(ev.loopErrOnErr && ev.capped) && loopHandlesError(v.Body) {
+				ev.loopErrOnErr, ev.capped = true, true
+			}
 		case *ast.IfStmt:
-			if attemptComparison(v.Cond) {
+			if !ev.capped && attemptComparison(v.Cond) {
 				ev.capped = true
 			}
 		case *ast.SwitchStmt:
@@ -176,6 +191,9 @@ func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSle
 				ev.stateMach = true
 			}
 		case *ast.CallExpr:
+			if ev.sleeps && ev.requeue && ev.pollish && ev.capped {
+				break
+			}
 			name := calleeName(v)
 			low := strings.ToLower(name)
 			// Only sleeps visible in THIS file count: a direct Sleep call
@@ -197,7 +215,7 @@ func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSle
 				ev.sleeps = true
 			}
 		case *ast.BinaryExpr:
-			if isErrNilCheck(v) {
+			if !errIdentSeen && isErrNilCheck(v) {
 				errIdentSeen = true
 			}
 		}
@@ -255,7 +273,7 @@ func isErrNilCheck(bin *ast.BinaryExpr) bool {
 		}
 		return false
 	}
-	if bin.Op.String() != "!=" && bin.Op.String() != "==" {
+	if bin.Op != token.NEQ && bin.Op != token.EQL {
 		return false
 	}
 	return (isNil(bin.X) && isErrName(bin.Y)) || (isNil(bin.Y) && isErrName(bin.X))
@@ -268,8 +286,8 @@ func boundedLoopCond(cond ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	switch bin.Op.String() {
-	case "<", "<=", "!=", ">", ">=":
+	switch bin.Op {
+	case token.LSS, token.LEQ, token.NEQ, token.GTR, token.GEQ:
 		return true
 	}
 	return false
@@ -281,17 +299,17 @@ func attemptComparison(cond ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	switch bin.Op.String() {
-	case "<", "<=", ">", ">=", "==", "!=":
+	switch bin.Op {
+	case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
 	default:
 		return false
 	}
 	mentionsAttempt := func(e ast.Expr) bool {
 		switch v := e.(type) {
 		case *ast.Ident:
-			return containsAny(v.Name, []string{"attempt", "tries", "retry", "retrie", "count"})
+			return containsAny(strings.ToLower(v.Name), attemptWords)
 		case *ast.SelectorExpr:
-			return containsAny(v.Sel.Name, []string{"attempt", "tries", "retry", "retrie", "count"})
+			return containsAny(strings.ToLower(v.Sel.Name), attemptWords)
 		}
 		return false
 	}

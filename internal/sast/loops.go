@@ -2,6 +2,7 @@ package sast
 
 import (
 	"go/ast"
+	"go/token"
 	"sort"
 	"strings"
 )
@@ -115,12 +116,12 @@ func errCheckKind(cond ast.Expr) errCheck {
 		}
 		return false
 	}
-	switch bin.Op.String() {
-	case "!=":
+	switch bin.Op {
+	case token.NEQ:
 		if isNilComparison(bin.X, bin.Y) || isNilComparison(bin.Y, bin.X) {
 			return errNotNil
 		}
-	case "==":
+	case token.EQL:
 		if isNilComparison(bin.X, bin.Y) || isNilComparison(bin.Y, bin.X) {
 			return errIsNil
 		}
@@ -181,7 +182,7 @@ func walkShallowStmt(s ast.Stmt, visit func(ast.Stmt)) {
 func containsContinue(block *ast.BlockStmt) bool {
 	found := false
 	walkShallow(block, func(s ast.Stmt) {
-		if br, ok := s.(*ast.BranchStmt); ok && br.Tok.String() == "continue" {
+		if br, ok := s.(*ast.BranchStmt); ok && br.Tok == token.CONTINUE {
 			found = true
 		}
 	})
@@ -202,7 +203,7 @@ func stmtTerminates(s ast.Stmt) bool {
 	case *ast.ReturnStmt:
 		return true
 	case *ast.BranchStmt:
-		return st.Tok.String() == "break" || st.Tok.String() == "goto"
+		return st.Tok == token.BREAK || st.Tok == token.GOTO
 	case *ast.ExprStmt:
 		if call, ok := st.X.(*ast.CallExpr); ok {
 			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
@@ -238,7 +239,7 @@ func hasRetryKeyword(loop ast.Node) bool {
 				found = true
 			}
 		case *ast.BasicLit:
-			if v.Kind.String() == "STRING" && containsRetryWord(v.Value) {
+			if v.Kind == token.STRING && containsRetryWord(v.Value) {
 				found = true
 			}
 		}
@@ -301,7 +302,7 @@ func isClassCheck(cond ast.Expr) string {
 		}
 		return strings.Trim(lit.Value, `"`)
 	case *ast.BinaryExpr:
-		if c.Op.String() == "&&" {
+		if c.Op == token.LAND {
 			if cls := isClassCheck(c.X); cls != "" {
 				return cls
 			}

@@ -6,9 +6,9 @@
 // separately) — but that independence used to be paid on the hot path:
 // every file was read from disk and parsed into an AST up to three
 // times per run. A Store loads each file exactly once per run and
-// interns the loaded artifact — (bytes, sha256, shared token.FileSet
-// positions) — by (path, content hash), so a warm daemon re-parses only
-// files whose bytes actually changed.
+// interns the loaded artifact — (bytes, sha256, and a token.FileSet of
+// its own for positions) — by (path, content hash), so a warm daemon
+// re-parses only files whose bytes actually changed.
 //
 // Loading reads each file into a pooled buffer and hashes it there; a
 // File owns a copy of its bytes, made only when its content version is
@@ -30,16 +30,17 @@
 //
 // Retention is bounded per path: the store keeps the latest
 // DefaultKeepGenerations content versions of each path and evicts older
-// generations — bytes, AST, and memoized artifacts together — so a
-// long-lived daemon's memory plateaus under an endless edit history
+// generations — bytes, AST, positions and memoized artifacts together
+// — so a long-lived daemon's memory plateaus under an endless edit history
 // (source_evictions_total / source_retained_bytes account for it).
 // Evicted versions stay valid in any snapshot still holding them (Files
 // are immutable); re-loading one simply re-interns and recomputes.
 //
 // Concurrency: a Store is safe for concurrent Load calls across worker
-// lanes. Parsing is serialized per File by a sync.Once; the shared
-// token.FileSet is internally synchronized; a File's bytes and AST are
-// never mutated after interning, so concurrent readers need no locking.
+// lanes. Parsing is serialized per File by a sync.Once, and each File
+// parses into its own token.FileSet, so concurrent parses share no
+// position table; a File's bytes and AST are never mutated after
+// interning, so concurrent readers need no locking.
 // All source_* metrics (docs/OBSERVABILITY.md) count logical events and
 // are deterministic across worker counts.
 package source
@@ -96,7 +97,8 @@ type File struct {
 	SHA256 string
 	// Size is len(Bytes) as an int64 (the manifest shape).
 	Size int64
-	// Fset is the store-wide FileSet AST positions resolve against.
+	// Fset resolves the positions of this version's AST. Each File owns
+	// its FileSet, so evicting the version frees its line table with it.
 	Fset *token.FileSet
 
 	store *Store
@@ -111,14 +113,16 @@ type File struct {
 
 // Syntax returns the parsed AST, building it on first call (counted in
 // source_parse_total) and memoizing both the tree and any parse error
-// for the file's lifetime. The warm static tier never calls it — facts
+// for the file's lifetime. The parse keeps comments and skips object
+// resolution: no consumer reads ast.Ident.Obj, File.Scope or
+// File.Unresolved. The warm static tier never calls it — facts
 // hydrate from the cache — so a restart-warm job runs at zero parses;
 // anything that genuinely needs positions or declarations (fresh
 // extraction, the LLM reviewer's evidence pass) pays for exactly the
 // files it touches.
 func (f *File) Syntax() (*ast.File, error) {
 	f.parseOnce.Do(func() {
-		f.syntax, f.parseErr = parser.ParseFile(f.Fset, f.Path, f.Bytes, parser.ParseComments)
+		f.syntax, f.parseErr = parser.ParseFile(f.Fset, f.Path, f.Bytes, parser.ParseComments|parser.SkipObjectResolution)
 		if f.parseErr != nil {
 			f.syntax = nil
 		}
@@ -164,12 +168,10 @@ func (f *File) MemoThrough(kind string, load func() (any, bool), compute func() 
 }
 
 // Snapshot is one directory's loaded state: every source file, sorted by
-// name, interned against the store's shared FileSet.
+// name. Positions in Files[i].Syntax() resolve against Files[i].Fset.
 type Snapshot struct {
 	// Dir is the directory the snapshot describes.
 	Dir string
-	// Fset resolves positions for every Files[i].Syntax() tree.
-	Fset *token.FileSet
 	// Files are the directory's source files in sorted name order.
 	Files []*File
 }
@@ -198,11 +200,10 @@ func (s *Snapshot) Names() []string {
 // incremental wins come from).
 //
 // Per path, only the latest DefaultKeepGenerations versions are
-// retained; older versions are evicted wholesale — bytes, AST, memoized
-// artifacts — under the store lock.
+// retained; older versions are evicted wholesale — bytes, AST,
+// positions, memoized artifacts — under the store lock.
 type Store struct {
-	reg  *obs.Registry
-	fset *token.FileSet
+	reg *obs.Registry
 
 	mu            sync.Mutex
 	entries       map[fileKey]*File
@@ -226,7 +227,6 @@ var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return 
 func NewStore(reg *obs.Registry) *Store {
 	return &Store{
 		reg:     reg,
-		fset:    token.NewFileSet(),
 		entries: make(map[fileKey]*File),
 		gens:    make(map[string][]fileKey),
 	}
@@ -249,7 +249,7 @@ func (s *Store) Load(dir string) (*Snapshot, error) {
 	reused := s.reg.Counter("source_reuse_total")
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
-	snap := &Snapshot{Dir: dir, Fset: s.fset}
+	snap := &Snapshot{Dir: dir}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !IsSourceFile(name) {
@@ -312,7 +312,7 @@ func (s *Store) intern(path, name string, data []byte) (*File, bool) {
 			Bytes:  bytes.Clone(data),
 			SHA256: hex.EncodeToString(key.sum[:]),
 			Size:   int64(len(data)),
-			Fset:   s.fset,
+			Fset:   token.NewFileSet(),
 			store:  s,
 			memo:   make(map[string]any),
 		}

@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"wasabi/internal/obs"
+	"wasabi/internal/sast"
 	"wasabi/internal/source"
 )
 
@@ -403,10 +404,11 @@ func TestEvictedGenerationRecomputes(t *testing.T) {
 // goroutines under -race — each goroutine owns one path, so file writes
 // are race-free while every Load reads (and interns versions of) every
 // path concurrently with the others' edits. Files held by older
-// snapshots stay usable after eviction, and the store's retained set
-// stays within the per-path bound.
+// snapshots stay usable after eviction — a held version still resolves
+// its own positions, so its facts carry the right loop line — and the
+// store's retained set stays within the per-path bound.
 func TestConcurrentEvictionSafe(t *testing.T) {
-	dir := writeDir(t, map[string]string{"f0.go": "package demo\n\nfunc V0() {}\n"})
+	dir := writeDir(t, map[string]string{"f0.go": heldRetryLoop})
 	observer := obs.New()
 	st := source.NewStore(observer.Reg())
 	snap0, err := st.Load(dir)
@@ -458,6 +460,17 @@ func TestConcurrentEvictionSafe(t *testing.T) {
 	if held.SHA256 == "" || len(held.Bytes) == 0 {
 		t.Fatal("held file lost its content")
 	}
+	facts := factsRecorder{}
+	if _, err := sast.AnalyzeSnapshotWith(snap0, facts); err != nil {
+		t.Fatal(err)
+	}
+	ff := facts[held.SHA256]
+	if ff == nil || len(ff.Funcs) != 1 || len(ff.Funcs[0].Loops) != 1 {
+		t.Fatalf("held file facts = %+v, want one function with one loop", ff)
+	}
+	if line := ff.Funcs[0].Loops[0].Line; line != heldRetryLoopLine {
+		t.Fatalf("held file's loop at line %d, want %d", line, heldRetryLoopLine)
+	}
 	s := observer.Reg().Snapshot()
 	if n, bound := s.Gauge("source_store_files"), float64(goroutines*source.DefaultKeepGenerations); n > bound {
 		t.Fatalf("store retains %v entries across %d paths, want <= %v",
@@ -467,6 +480,30 @@ func TestConcurrentEvictionSafe(t *testing.T) {
 		t.Fatal("edit storm evicted nothing")
 	}
 }
+
+// heldRetryLoop is a file whose one retry loop starts on
+// heldRetryLoopLine.
+const (
+	heldRetryLoop = `package demo
+
+func V0(call func() error) {
+	for {
+		if err := call(); err != nil {
+			continue
+		}
+		return
+	}
+}
+`
+	heldRetryLoopLine = 4
+)
+
+// factsRecorder is a sast.FactsStore that never hydrates and keeps
+// every extraction by content hash.
+type factsRecorder map[string]*sast.FileFacts
+
+func (r factsRecorder) GetFacts(string) (*sast.FileFacts, bool) { return nil, false }
+func (r factsRecorder) PutFacts(sum string, ff *sast.FileFacts) { r[sum] = ff }
 
 // TestWarmLoadCopiesNoBytes: a warm load of an unchanged directory
 // reads and hashes its files in a pooled buffer and copies none of them.
