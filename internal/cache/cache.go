@@ -12,7 +12,8 @@
 // directory's manifest digest (FromSnapshot) — see keys.go and
 // docs/SERVICE.md for the exact derivations. There is no TTL and no
 // explicit invalidation API; changing an input changes its key, and the
-// stale entry simply ages out of the LRU.
+// stale entry leaves the memory tier once Supersede has recorded
+// newer versions of that input, or when it ages out of the LRU.
 //
 // The dynamic stage memoises each app's dynamic run — its injection
 // runs (§3.1.2) and oracle verdicts (§3.1.3) — keyed by the
@@ -43,6 +44,7 @@ import (
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/sast"
+	"wasabi/internal/source"
 )
 
 // Stage names used in metrics labels and Stats maps: one per cached
@@ -93,6 +95,9 @@ type Cache struct {
 	bytes   int64
 	ll      *list.List // front = most recently used
 	entries map[string]*list.Element
+	// lineages holds each lineage's newest keys, oldest first, at most
+	// source.DefaultKeepGenerations of them (Supersede).
+	lineages map[Lineage][]string
 
 	hits, misses  map[string]int64 // by stage
 	evictions     int64
@@ -124,6 +129,7 @@ func New(opts Options) (*Cache, error) {
 		reg:      opts.Metrics,
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
+		lineages: make(map[Lineage][]string),
 		hits:     make(map[string]int64),
 		misses:   make(map[string]int64),
 	}
@@ -291,16 +297,77 @@ func (c *Cache) install(e *entry) {
 		c.bytes += e.cost
 	}
 	for c.bytes > c.maxBytes && c.ll.Len() > 0 {
-		back := c.ll.Back()
-		victim := back.Value.(*entry)
-		c.ll.Remove(back)
-		delete(c.entries, victim.key)
-		c.bytes -= victim.cost
+		c.remove(c.ll.Back())
 		c.evictions++
 		c.reg.Counter("cache_evictions_total").Inc()
 	}
+	c.setOccupancy()
+}
+
+// remove drops one memory-tier entry. Called with c.mu held.
+func (c *Cache) remove(el *list.Element) {
+	victim := el.Value.(*entry)
+	c.ll.Remove(el)
+	delete(c.entries, victim.key)
+	c.bytes -= victim.cost
+}
+
+// setOccupancy publishes the memory tier's size. Called with c.mu held.
+func (c *Cache) setOccupancy() {
 	c.reg.Gauge("cache_bytes").Set(float64(c.bytes))
 	c.reg.Gauge("cache_entries").Set(float64(c.ll.Len()))
+}
+
+// Lineage names entries that replace one another as their input
+// changes: one file's reviews under one configuration, one file's
+// facts, one directory's analyses.
+type Lineage struct {
+	// Stage is the entries' stage (StageReview, StageFacts,
+	// StageAnalysis).
+	Stage string
+	// Scope is the input's path: the file, or the analyzed directory.
+	Scope string
+	// Config is the review configuration fingerprint; empty for the
+	// other stages.
+	Config string
+}
+
+// Supersede records key as the newest entry of lineage l and drops
+// from the memory tier the lineage's entries older than its newest
+// source.DefaultKeepGenerations, the rule by which the snapshot store
+// evicts a path's old content versions. The disk tier keeps them, so a
+// reverted input still hits there, and a dropped entry is only ever
+// recomputed, never served wrong. Without it, a daemon whose files keep
+// changing fills the byte budget with entries for versions it no longer
+// holds. Recording a key that is already the newest does nothing.
+func (c *Cache) Supersede(l Lineage, key string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	keys := c.lineages[l]
+	if n := len(keys); n > 0 && keys[n-1] == key {
+		return
+	}
+	for i, k := range keys {
+		if k == key {
+			keys = append(keys[:i], keys[i+1:]...)
+			break
+		}
+	}
+	keys = append(keys, key)
+	if drop := len(keys) - source.DefaultKeepGenerations; drop > 0 {
+		for _, k := range keys[:drop] {
+			if el, ok := c.entries[k]; ok {
+				c.remove(el)
+				c.reg.Counter("cache_superseded_total").Inc()
+			}
+		}
+		keys = append(keys[:0], keys[drop:]...)
+		c.setOccupancy()
+	}
+	c.lineages[l] = keys
 }
 
 // Stats is a deterministic point-in-time summary of the cache: maps

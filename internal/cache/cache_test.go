@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -157,6 +158,59 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if _, ok := c3.GetReview(key); ok {
 		t.Fatal("corrupt disk entry served as a hit")
 	}
+}
+
+// TestSupersedeKeepsNewestVersions pins the memory tier's per-lineage
+// retention: after a file's third version, its first version's review
+// leaves memory while the disk tier still serves it, revisiting a kept
+// version reorders without dropping, and other lineages — another
+// path, another configuration — are untouched.
+func TestSupersedeKeepsNewestVersions(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, err := New(Options{Dir: t.TempDir(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin := Lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg"}
+	other := Lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg2"}
+	kOther := ReviewKey("cfg2", "/a/p.go", "v1")
+	c.Supersede(other, kOther)
+	c.PutReview(kOther, review("p.go", 9))
+
+	var keys []string
+	for v := 1; v <= source.DefaultKeepGenerations+1; v++ {
+		k := ReviewKey("cfg", "/a/p.go", fmt.Sprintf("v%d", v))
+		keys = append(keys, k)
+		c.Supersede(lin, k)
+		c.PutReview(k, review("p.go", int64(v)))
+		if v == source.DefaultKeepGenerations {
+			c.Supersede(lin, keys[0]) // a revisit is no new version
+			c.Supersede(lin, k)
+		}
+	}
+	if got := reg.Snapshot().Counter("cache_superseded_total"); got != 1 {
+		t.Fatalf("cache_superseded_total = %d, want 1", got)
+	}
+	if st := c.Stats(); st.Entries != source.DefaultKeepGenerations+1 {
+		t.Fatalf("entries = %d, want the kept versions plus the other configuration's", st.Entries)
+	}
+	for _, k := range append(keys[1:], kOther) {
+		if _, ok := c.GetReview(k); !ok {
+			t.Fatal("a kept version missed")
+		}
+	}
+	if st := c.Stats(); st.DiskLoads != 0 {
+		t.Fatalf("kept versions loaded from disk %d times, want memory hits", st.DiskLoads)
+	}
+	rev, ok := c.GetReview(keys[0])
+	if !ok || rev.Spent.TokensIn != 1 {
+		t.Fatalf("superseded version: ok=%v review %+v, want the disk tier's entry", ok, rev)
+	}
+	if st := c.Stats(); st.DiskLoads != 1 {
+		t.Fatalf("disk_loads = %d, want 1 for the superseded version", st.DiskLoads)
+	}
+	var nilCache *Cache
+	nilCache.Supersede(lin, keys[0])
 }
 
 func TestAnalysisSharedByPointer(t *testing.T) {

@@ -419,3 +419,44 @@ func counterFamily(snap obs.Snapshot, name string) string {
 	}
 	return b.String()
 }
+
+// TestMemoryTierKeepsNewestVersions rewrites every file of an app
+// between runs on one cache: the memory tier keeps the reviews, facts
+// and analyses of the newest source.DefaultKeepGenerations versions,
+// so it stops growing once that many versions exist, and every
+// rewrite still reviews every file afresh.
+func TestMemoryTierKeepsNewestVersions(t *testing.T) {
+	app := copyApp(t, "HD")
+	files := appSnapshot(t, app).Files
+	ca, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []int
+	for v := 0; v < source.DefaultKeepGenerations+2; v++ {
+		for _, f := range files {
+			src, err := os.ReadFile(f.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(f.Path, fmt.Appendf(src, "\n// version %d\n", v), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st0 := ca.Stats()
+		runOnce(t, app, ca, 2)
+		if d := delta(ca.Stats(), st0); d.Misses[cache.StageReview] != int64(len(files)) {
+			t.Fatalf("version %d: review misses = %d, want %d", v, d.Misses[cache.StageReview], len(files))
+		}
+		entries = append(entries, ca.Stats().Entries)
+	}
+	k := source.DefaultKeepGenerations
+	if entries[k-1] <= entries[0] {
+		t.Fatalf("entries per version %v: the first %d versions should all be kept", entries, k)
+	}
+	for v := k; v < len(entries); v++ {
+		if entries[v] != entries[k-1] {
+			t.Fatalf("entries per version %v: the memory tier grew past the newest %d versions", entries, k)
+		}
+	}
+}

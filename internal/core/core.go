@@ -259,12 +259,17 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 	// already-computed hashes: it keys the static-analysis entry and
 	// carries the per-file content hashes the review keys need.
 	var man *cache.DirManifest
+	akey := ""
 	if w.cache != nil {
 		man = cache.FromSnapshot(snap)
+		akey = cache.AnalysisKey(app.Dir, man.Digest)
+		// The memory tier keeps a directory's analyses, and each file's
+		// facts and reviews, for the versions the snapshot store keeps.
+		w.cache.Supersede(cache.Lineage{Stage: cache.StageAnalysis, Scope: app.Dir}, akey)
 	}
 	var analysis *sast.Analysis
 	if man != nil {
-		analysis, _ = w.cache.GetAnalysis(cache.AnalysisKey(app.Dir, man.Digest))
+		analysis, _ = w.cache.GetAnalysis(akey)
 	}
 	if analysis == nil {
 		// The cache doubles as the portable facts tier (sast.FactsStore):
@@ -281,7 +286,10 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 			return nil, fmt.Errorf("identify %s: %w", app.Code, err)
 		}
 		if man != nil {
-			w.cache.PutAnalysis(cache.AnalysisKey(app.Dir, man.Digest), analysis, man.TotalBytes)
+			w.cache.PutAnalysis(akey, analysis, man.TotalBytes)
+			for _, f := range snap.Files {
+				w.cache.Supersede(cache.Lineage{Stage: cache.StageFacts, Scope: f.Path}, cache.FactsKey(f.SHA256))
+			}
 		}
 	}
 	id := &Identification{
@@ -355,7 +363,9 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		sf := snap.Files[i]
 		key := ""
 		if w.cache != nil {
-			key = cache.ReviewKey(w.llm.Fingerprint(), sf.Path, sf.SHA256)
+			fp := w.llm.Fingerprint()
+			key = cache.ReviewKey(fp, sf.Path, sf.SHA256)
+			w.cache.Supersede(cache.Lineage{Stage: cache.StageReview, Scope: sf.Path, Config: fp}, key)
 			if rev, ok := w.cache.GetReview(key); ok {
 				reviews[i], cached[i] = rev, true
 				return
@@ -382,9 +392,11 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		}
 		reg.Counter("core_app_llm_tokens_total", "app", app.Code).Add(tokens)
 	}
+	if len(reviews) > 0 {
+		id.Reviews = reviews
+	}
 	for i, f := range files {
 		rev := reviews[i]
-		id.Reviews = append(id.Reviews, rev)
 		if rev.Degraded {
 			// The backend never answered for this file: record the gap and
 			// carry on with static-only signal (graceful degradation, not
@@ -417,6 +429,9 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		}
 	}
 
+	if len(merged) > 0 {
+		id.Structures = make([]Structure, 0, len(merged))
+	}
 	for _, s := range merged {
 		s.Triplets = dedupLocations(s.Triplets)
 		id.Structures = append(id.Structures, *s)

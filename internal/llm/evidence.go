@@ -94,6 +94,60 @@ var pollWords = []string{
 // attemptWords name the counters a cap check compares (attemptComparison).
 var attemptWords = []string{"attempt", "tries", "retry", "retrie", "count"}
 
+// identWords memoizes which identifier vocabularies a name matches,
+// for one file: a file repeats the same names many times.
+type identWords map[string]uint8
+
+const (
+	identStrong uint8 = 1 << iota // retryIdentWords
+	identWeak                     // weakIdentWords
+	identPoll                     // pollWords
+)
+
+func (m identWords) of(name string) uint8 {
+	w, ok := m[name]
+	if !ok {
+		l := strings.ToLower(name)
+		if containsAny(l, retryIdentWords) {
+			w |= identStrong
+		}
+		if containsAny(l, weakIdentWords) {
+			w |= identWeak
+		}
+		if containsAny(l, pollWords) {
+			w |= identPoll
+		}
+		m[name] = w
+	}
+	return w
+}
+
+// commentDirective reports whether raw is a //-comment that
+// ast.CommentGroup.Text leaves out as a directive ("//go:generate",
+// "//line f.go:1"), by the rule of go/ast's isDirective.
+func commentDirective(raw string) bool {
+	c, ok := strings.CutPrefix(raw, "//")
+	if !ok || c == "" || c[0] == ' ' {
+		return false
+	}
+	if strings.HasPrefix(c, "line ") || strings.HasPrefix(c, "extern ") || strings.HasPrefix(c, "export ") {
+		return true
+	}
+	colon := strings.Index(c, ":")
+	if colon <= 0 || colon+1 >= len(c) {
+		return false
+	}
+	for i := 0; i <= colon+1; i++ {
+		if i == colon {
+			continue
+		}
+		if b := c[i]; !('a' <= b && b <= 'z' || '0' <= b && b <= '9') {
+			return false
+		}
+	}
+	return true
+}
+
 // containsAny reports whether the already-lowercased l contains any of
 // words. Callers lowercase once and match every list against that one
 // string.
@@ -119,21 +173,29 @@ func funcComments(fd *ast.FuncDecl, fileComments []*ast.CommentGroup) []*ast.Com
 }
 
 // gatherEvidence inspects one function declaration plus the file's
-// comments, emulating a careful single-file read. Every flag only ever
-// goes from false to true, so a check whose flag is already set is
-// skipped.
-func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSleepFuncs map[string]bool) evidence {
+// comments, emulating a careful single-file read; idents is the file's
+// identifier memo. Every flag only ever goes from false to true, so a
+// check whose flag is already set is skipped.
+func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSleepFuncs map[string]bool, idents identWords) evidence {
 	var ev evidence
 
 	// Comments: the doc comment plus every comment group positioned
-	// inside the function body.
+	// inside the function body. Each comment is matched as written: no
+	// vocabulary word contains a comment marker or a line break, so
+	// this finds what matching the group's Text would, without building
+	// it.
 	noteComment := func(cg *ast.CommentGroup) {
-		if ev.commentRetry && ev.pollish {
-			return
+		for _, c := range cg.List {
+			if ev.commentRetry && ev.pollish {
+				return
+			}
+			if commentDirective(c.Text) {
+				continue
+			}
+			l := strings.ToLower(c.Text)
+			ev.commentRetry = ev.commentRetry || containsAny(l, retryCommentWords)
+			ev.pollish = ev.pollish || containsAny(l, pollWords)
 		}
-		l := strings.ToLower(cg.Text())
-		ev.commentRetry = ev.commentRetry || containsAny(l, retryCommentWords)
-		ev.pollish = ev.pollish || containsAny(l, pollWords)
 	}
 	if fd.Doc != nil {
 		noteComment(fd.Doc)
@@ -156,10 +218,10 @@ func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSle
 			if ev.identRetry && ev.identRetryWeak && ev.pollish {
 				break
 			}
-			l := strings.ToLower(v.Name)
-			ev.identRetry = ev.identRetry || containsAny(l, retryIdentWords)
-			ev.identRetryWeak = ev.identRetryWeak || containsAny(l, weakIdentWords)
-			ev.pollish = ev.pollish || containsAny(l, pollWords)
+			w := idents.of(v.Name)
+			ev.identRetry = ev.identRetry || w&identStrong != 0
+			ev.identRetryWeak = ev.identRetryWeak || w&identWeak != 0
+			ev.pollish = ev.pollish || w&identPoll != 0
 		case *ast.BasicLit:
 			if !ev.identRetry && v.Kind == token.STRING && containsAny(strings.ToLower(v.Value), retryIdentWords) {
 				ev.identRetry = true

@@ -109,6 +109,10 @@ func FuzzEvidenceMatchesReference(f *testing.F) {
 		}
 		f.Add(src)
 	}
+	// Comments the model reads as written must match what their group's
+	// Text gives: directives are left out, block markers and line
+	// breaks never join a word.
+	f.Add([]byte("package p\n\n//go:generate retry\n//line x.go:1\n//export Poll\n// back\n// off\nfunc F() {\n\t/* re-\ntry */\n\tfor i := 0; i < 3; i++ { //nolint:retry\n\t}\n}\n"))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		diff, err := llm.DiffEvidence("fuzz.go", src)
 		if err != nil {

@@ -133,12 +133,13 @@ func DiffEvidence(name string, src []byte) (string, error) {
 		return "", err
 	}
 	sleepFuncs := localSleepFunctions(f)
+	idents := identWords{}
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		got := gatherEvidence(fd, f.Comments, sleepFuncs)
+		got := gatherEvidence(fd, f.Comments, sleepFuncs, idents)
 		want := referenceEvidence(fd, f.Comments, sleepFuncs)
 		if got != want {
 			return fmt.Sprintf("%s: %s: evidence %+v, reference %+v", name, funcKey(fd), got, want), nil

@@ -341,6 +341,7 @@ func (c *Client) review(sf *source.File) FileReview {
 	}
 	pkg := f.Name.Name
 	sleepFuncs := localSleepFunctions(f)
+	idents := identWords{}
 
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
@@ -348,7 +349,7 @@ func (c *Client) review(sf *source.File) FileReview {
 			continue
 		}
 		name := pkg + "." + funcKey(fd)
-		ev := gatherEvidence(fd, f.Comments, sleepFuncs)
+		ev := gatherEvidence(fd, f.Comments, sleepFuncs, idents)
 		// Q1's clarifications: a file that merely *defines* retry policies
 		// or passes retry parameters around is not performing retry — the
 		// model demands a re-execution shape (loop on error, re-enqueue,

@@ -18,6 +18,7 @@ package sast
 import (
 	"fmt"
 	"go/ast"
+	"slices"
 	"sort"
 	"strings"
 
@@ -140,18 +141,10 @@ func parseThrows(doc *ast.CommentGroup) []string {
 	return nil
 }
 
-// callsFaultHook reports whether the body contains a fault.Hook call.
-func callsFaultHook(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "fault" && sel.Sel.Name == "Hook" {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
+// isFaultHook reports whether sel names fault.Hook.
+func isFaultHook(sel *ast.SelectorExpr) bool {
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == "fault" && sel.Sel.Name == "Hook"
 }
 
 // indexShortNames builds byShort, the methods indexed by their bare
@@ -234,21 +227,22 @@ func bareCalleeName(call *ast.CallExpr) string {
 // consumer re-sorts its resolved output, so recording names instead of
 // resolved methods loses nothing.
 func callNamesIn(body *ast.BlockStmt) []string {
-	seen := make(map[string]bool)
 	var out []string
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if name := bareCalleeName(call); name != "" && !seen[name] {
-			seen[name] = true
-			out = append(out, name)
+		if call, ok := n.(*ast.CallExpr); ok {
+			if name := bareCalleeName(call); name != "" {
+				out = append(out, name)
+			}
 		}
 		return true
 	})
-	sort.Strings(out)
-	return out
+	return sortedUnique(out)
+}
+
+// sortedUnique sorts names and drops repeats in place; nil stays nil.
+func sortedUnique(names []string) []string {
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 // sortedClasses renders an exception-class set in canonical slice form.

@@ -71,19 +71,25 @@ func extractFacts(f *source.File) (*FileFacts, error) {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		fn := FuncFacts{
-			Key:     funcKey(fd),
-			Throws:  parseThrows(fd.Doc),
-			HasHook: callsFaultHook(fd.Body),
-			Calls:   callNamesIn(fd.Body),
-		}
+		fn := FuncFacts{Key: funcKey(fd), Throws: parseThrows(fd.Doc)}
+		// One walk of the body finds the fault hook, the callee names
+		// and the loop candidates.
+		var calls []string
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			var body *ast.BlockStmt
-			switch loop := n.(type) {
+			switch v := n.(type) {
+			case *ast.SelectorExpr:
+				fn.HasHook = fn.HasHook || isFaultHook(v)
+				return true
+			case *ast.CallExpr:
+				if name := bareCalleeName(v); name != "" {
+					calls = append(calls, name)
+				}
+				return true
 			case *ast.ForStmt:
-				body = loop.Body
+				body = v.Body
 			case *ast.RangeStmt:
-				body = loop.Body
+				body = v.Body
 			default:
 				return true
 			}
@@ -101,6 +107,7 @@ func extractFacts(f *source.File) (*FileFacts, error) {
 			fn.Loops = append(fn.Loops, lf)
 			return true
 		})
+		fn.Calls = sortedUnique(calls)
 		ff.Funcs = append(ff.Funcs, fn)
 	}
 	return ff, nil
