@@ -21,7 +21,8 @@
 // warm job against an unchanged build executes no test.
 //
 // The in-memory tier holds each entry's decoded value under a byte
-// budget with LRU eviction, costed at its encoded size; every hit returns
+// budget with LRU eviction, costed at its encoded size (estimated
+// without encoding when no disk tier will write it); every hit returns
 // that one shared value and decodes nothing. A value passed to a Put*
 // method or returned by a Get* method is therefore immutable: callers
 // read it and copy before changing anything (report.Build copies the
@@ -108,7 +109,8 @@ type Cache struct {
 }
 
 // entry is one cached artifact: the value every hit shares, costed at
-// its encoded size (analyses at their caller's estimate).
+// its encoded size, or an estimate of it when nothing encodes it
+// (analyses at their caller's estimate).
 type entry struct {
 	key   string
 	stage string
@@ -165,8 +167,7 @@ func (c *Cache) PutReview(key string, rev llm.FileReview) {
 	// The scheduling facts are excluded from the envelope (json:"-"), so
 	// a memory hit serves them zeroed exactly as a disk load does.
 	rev.Retries, rev.Backend, rev.Shared = 0, "", false
-	data, err := encodeReview(key, rev)
-	c.put(StageReview, key, rev, data, err)
+	c.put(StageReview, key, rev, reviewCost(key, rev), func() ([]byte, error) { return encodeReview(key, rev) })
 }
 
 // GetFacts returns the retry-facts entry for a content hash — the
@@ -196,8 +197,7 @@ func (c *Cache) PutFacts(contentSHA256 string, ff *sast.FileFacts) {
 	if c == nil || ff == nil {
 		return
 	}
-	data, err := sast.EncodeFacts(ff)
-	c.put(StageFacts, FactsKey(contentSHA256), ff, data, err)
+	c.put(StageFacts, FactsKey(contentSHA256), ff, factsCost(ff), func() ([]byte, error) { return sast.EncodeFacts(ff) })
 }
 
 // GetAnalysis returns the memoized static analysis under key. Every hit
@@ -268,17 +268,23 @@ func (c *Cache) get(stage, key string, decode func([]byte) (any, error)) (any, b
 	return nil, false
 }
 
-// put is the write side of every disk-backed stage: data (or the error
-// encoding v) is written through to the disk tier, and v is installed in
-// memory at len(data). An encode failure is counted and stores nothing.
-func (c *Cache) put(stage, key string, v any, data []byte, encErr error) {
-	if encErr != nil {
-		c.reg.Counter("cache_decode_errors_total").Inc()
-		return
+// put is the write side of every disk-backed stage. With a disk tier,
+// encode renders v, the bytes are written through, and v is installed
+// in memory at their length; an encode failure is counted and stores
+// nothing. Without one, nothing is encoded: v is installed at cost, the
+// caller's estimate of that length.
+func (c *Cache) put(stage, key string, v any, cost int64, encode func() ([]byte, error)) {
+	if c.dir != "" {
+		data, err := encode()
+		if err != nil {
+			c.reg.Counter("cache_decode_errors_total").Inc()
+			return
+		}
+		c.storeDisk(key, data)
+		cost = int64(len(data))
 	}
-	c.storeDisk(key, data)
 	c.mu.Lock()
-	c.install(&entry{key: key, stage: stage, val: v, cost: int64(len(data))})
+	c.install(&entry{key: key, stage: stage, val: v, cost: cost})
 	c.mu.Unlock()
 }
 

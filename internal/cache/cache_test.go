@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"wasabi/internal/apps/corpus"
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/sast"
@@ -78,11 +79,7 @@ func TestReviewRoundTrip(t *testing.T) {
 func TestEvictionAtTinyBudget(t *testing.T) {
 	reg := obs.NewRegistry()
 	ka, kb := ReviewKey("cfg", "a.go", "1"), ReviewKey("cfg", "b.go", "2")
-	one, err := encodeReview(ka, review("a.go", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Options{MaxBytes: int64(len(one)) + 16, Metrics: reg})
+	c, err := New(Options{MaxBytes: reviewCost(ka, review("a.go", 1)) + 16, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +208,53 @@ func TestSupersedeKeepsNewestVersions(t *testing.T) {
 	}
 	var nilCache *Cache
 	nilCache.Supersede(lin, keys[0])
+}
+
+// factsRecorder is a sast.FactsStore that keeps what it is given.
+type factsRecorder struct{ facts []*sast.FileFacts }
+
+func (r *factsRecorder) GetFacts(string) (*sast.FileFacts, bool) { return nil, false }
+func (r *factsRecorder) PutFacts(_ string, ff *sast.FileFacts)   { r.facts = append(r.facts, ff) }
+
+// TestCostEstimatesTrackEncodedSize holds the memory tier's estimates,
+// which a cache without a disk tier prices entries by, within a quarter
+// of the encoded size the disk tier would write, for every review and
+// facts entry of the seed corpus.
+func TestCostEstimatesTrackEncodedSize(t *testing.T) {
+	client := llm.NewClient(llm.DefaultConfig())
+	st := source.NewStore(nil)
+	near := func(what string, est int64, data []byte) {
+		t.Helper()
+		if n := int64(len(data)); est < n*3/4 || est > n*5/4 {
+			t.Errorf("%s: estimate %d, encoded %d bytes", what, est, n)
+		}
+	}
+	for _, app := range corpus.Apps() {
+		snap, err := st.Load(app.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &factsRecorder{}
+		if _, err := sast.AnalyzeSnapshotWith(snap, rec); err != nil {
+			t.Fatal(err)
+		}
+		for _, ff := range rec.facts {
+			data, err := sast.EncodeFacts(ff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			near("facts "+ff.Hash, factsCost(ff), data)
+		}
+		for _, f := range snap.Files {
+			key := ReviewKey(client.Fingerprint(), f.Path, f.SHA256)
+			rev := client.ReviewSnapshotAt(f, -1, 0)
+			data, err := encodeReview(key, rev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			near("review "+f.Name, reviewCost(key, rev), data)
+		}
+	}
 }
 
 func TestAnalysisSharedByPointer(t *testing.T) {

@@ -95,8 +95,10 @@ func (c *Cache) PutDynamic(key string, run DynamicRun) {
 	if c == nil || key == "" {
 		return
 	}
+	// A dynamic entry is one per app and build, so it is priced by
+	// encoding it even without a disk tier.
 	data, err := encodeDynamic(key, run)
-	c.put(StageDynamic, key, run, data, err)
+	c.put(StageDynamic, key, run, int64(len(data)), func() ([]byte, error) { return data, err })
 }
 
 // encodeDynamic renders the envelope bytes stored in the disk tier.

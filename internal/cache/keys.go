@@ -80,10 +80,12 @@ func FactsKey(contentSHA256 string) string {
 // keyOf hashes the NUL-joined parts into a hex key. Keys are plain hex
 // strings so the disk tier can use them directly as file names.
 func keyOf(parts ...string) string {
-	h := sha256.New()
+	var stack [256]byte
+	buf := stack[:0]
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
+		buf = append(buf, p...)
+		buf = append(buf, 0)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

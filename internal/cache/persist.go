@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"wasabi/internal/llm"
+	"wasabi/internal/sast"
 )
 
 // envelopeSchema identifies the on-disk review-entry format.
@@ -46,6 +47,54 @@ type envelope struct {
 // encodeReview renders the envelope bytes stored in the disk tier.
 func encodeReview(key string, rev llm.FileReview) ([]byte, error) {
 	return json.Marshal(envelope{Schema: envelopeSchema, Key: key, Review: rev})
+}
+
+// reviewCost estimates len(encodeReview(key, rev)) without encoding:
+// the envelope's fixed text, plus each string, plus each finding's
+// fixed text. TestCostEstimatesTrackEncodedSize holds it near the real
+// length.
+func reviewCost(key string, rev llm.FileReview) int64 {
+	n := 232 + len(key) + len(rev.File) + len(rev.DegradedReason)
+	for _, f := range rev.Findings {
+		n += 125 + len(f.Coordinator) + len(f.File) + len(f.Mechanism)
+	}
+	return int64(n)
+}
+
+// factsCost estimates len(sast.EncodeFacts(ff)) the same way.
+func factsCost(ff *sast.FileFacts) int64 {
+	n := 45 + len(ff.Schema) + len(ff.Hash) + len(ff.Pkg)
+	strs := func(ss []string) {
+		for _, s := range ss {
+			n += len(s) + 3
+		}
+	}
+	list := func(name int, ss []string) {
+		if len(ss) > 0 {
+			n += name
+			strs(ss)
+		}
+	}
+	for _, fn := range ff.Funcs {
+		n += 12 + len(fn.Key)
+		list(12, fn.Throws)
+		list(11, fn.Calls)
+		if fn.HasHook {
+			n += 16
+		}
+		if len(fn.Loops) > 0 {
+			n += 11
+		}
+		for _, l := range fn.Loops {
+			n += 14
+			if l.Keyworded {
+				n += 17
+			}
+			list(14, l.Excluded)
+			list(11, l.Calls)
+		}
+	}
+	return int64(n)
 }
 
 // decodeReview parses envelope bytes, verifying schema and key.

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // evidence is what the simulated model "notices" about one function. The
@@ -94,33 +95,87 @@ var pollWords = []string{
 // attemptWords name the counters a cap check compares (attemptComparison).
 var attemptWords = []string{"attempt", "tries", "retry", "retrie", "count"}
 
-// identWords memoizes which identifier vocabularies a name matches,
-// for one file: a file repeats the same names many times.
-type identWords map[string]uint8
+// lowerer lowercases text into one reusable buffer, so reading a
+// file's comments and identifiers for vocabulary allocates nothing for
+// ASCII text.
+type lowerer struct{ buf []byte }
 
-const (
-	identStrong uint8 = 1 << iota // retryIdentWords
-	identWeak                     // weakIdentWords
-	identPoll                     // pollWords
-)
-
-func (m identWords) of(name string) uint8 {
-	w, ok := m[name]
-	if !ok {
-		l := strings.ToLower(name)
-		if containsAny(l, retryIdentWords) {
-			w |= identStrong
+// lower returns s lowercased as strings.ToLower would, in the buffer,
+// valid until the next call.
+func (lw *lowerer) lower(s string) []byte {
+	lw.buf = lw.buf[:0]
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			// Unicode lowercasing can yield ASCII letters (U+212A
+			// KELVIN SIGN becomes k), so non-ASCII text takes the
+			// general path.
+			lw.buf = append(lw.buf[:0], strings.ToLower(s)...)
+			return lw.buf
 		}
-		if containsAny(l, weakIdentWords) {
-			w |= identWeak
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
 		}
-		if containsAny(l, pollWords) {
-			w |= identPoll
-		}
-		m[name] = w
+		lw.buf = append(lw.buf, c)
 	}
-	return w
+	return lw.buf
 }
+
+// vocabularies matches lowercased text against several word lists in
+// one pass: list i sets bit i of the result when one of its words
+// occurs in the text, exactly as containsAny would report it.
+type vocabularies struct {
+	// byFirst holds every word under its first byte.
+	byFirst [256][]vocabWord
+}
+
+type vocabWord struct {
+	w    string
+	list uint8 // the bit of the list the word belongs to
+}
+
+func newVocabularies(lists ...[]string) *vocabularies {
+	v := &vocabularies{}
+	for i, words := range lists {
+		for _, w := range words {
+			v.byFirst[w[0]] = append(v.byFirst[w[0]], vocabWord{w: w, list: 1 << i})
+		}
+	}
+	return v
+}
+
+// match returns the lists among want whose words occur in l, stopping
+// once every list in want has matched.
+func (v *vocabularies) match(l []byte, want uint8) uint8 {
+	var got uint8
+	for i, c := range l {
+		for _, vw := range v.byFirst[c] {
+			if want&vw.list != 0 && got&vw.list == 0 && len(l)-i >= len(vw.w) && string(l[i:i+len(vw.w)]) == vw.w {
+				got |= vw.list
+				if got == want {
+					return got
+				}
+			}
+		}
+	}
+	return got
+}
+
+// bit returns list i's bit when set is true, else 0; callers build a
+// match's want mask from the flags still unset.
+func bit(i uint, set bool) uint8 {
+	if set {
+		return 1 << i
+	}
+	return 0
+}
+
+// commentVocab and identVocab are the vocabularies comments and
+// identifiers are read for.
+var (
+	commentVocab = newVocabularies(retryCommentWords, pollWords)
+	identVocab   = newVocabularies(retryIdentWords, weakIdentWords, pollWords)
+)
 
 // commentDirective reports whether raw is a //-comment that
 // ast.CommentGroup.Text leaves out as a directive ("//go:generate",
@@ -172,12 +227,66 @@ func funcComments(fd *ast.FuncDecl, fileComments []*ast.CommentGroup) []*ast.Com
 	return fileComments[lo:hi]
 }
 
+// fileEvidence reads every function declaration with a body of f, in
+// declaration order, emulating a careful single-file read. Only sleeps
+// visible in this file count: a direct sleep call, or a call to a
+// function of this file whose own body sleeps. Helpers in other files
+// are invisible to a single-file reader, the paper's missing-delay FP
+// mode (§4.3). Which functions are such helpers is known only after
+// every body is read, so each read keeps the names it called before
+// finding a sleep, and they are resolved at the end.
+func fileEvidence(f *ast.File) []evidence {
+	var (
+		lw      lowerer
+		reads   []funcRead
+		callees []string
+		helpers = make(map[string]bool)
+	)
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
+		}
+		r := gatherEvidence(fd, f.Comments, &lw, &callees)
+		if r.sleepsDirectly {
+			helpers[fd.Name.Name] = true
+		}
+		reads = append(reads, r)
+	}
+	evs := make([]evidence, len(reads))
+	for i, r := range reads {
+		for _, name := range callees[r.callees[0]:r.callees[1]] {
+			if r.ev.sleeps {
+				break
+			}
+			r.ev.sleeps = helpers[name]
+		}
+		evs[i] = r.ev
+	}
+	return evs
+}
+
+// funcRead is one function's evidence before the file's sleep helpers
+// are known.
+type funcRead struct {
+	ev evidence
+	// sleepsDirectly reports a sleep call in the body itself, which
+	// makes the function a sleep helper for the rest of the file.
+	sleepsDirectly bool
+	// callees is the range of the file's callee list holding the names
+	// this body called while ev.sleeps was unset.
+	callees [2]int
+}
+
 // gatherEvidence inspects one function declaration plus the file's
-// comments, emulating a careful single-file read; idents is the file's
-// identifier memo. Every flag only ever goes from false to true, so a
-// check whose flag is already set is skipped.
-func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSleepFuncs map[string]bool, idents identWords) evidence {
+// comments; lw is the file's lowercasing buffer, and the names it calls
+// before a sleep is found are appended to callees. Every flag only ever
+// goes from false to true, so a check whose flag is already set is
+// skipped.
+func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, lw *lowerer, callees *[]string) funcRead {
 	var ev evidence
+	direct := false
+	first := len(*callees)
 
 	// Comments: the doc comment plus every comment group positioned
 	// inside the function body. Each comment is matched as written: no
@@ -192,9 +301,9 @@ func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSle
 			if commentDirective(c.Text) {
 				continue
 			}
-			l := strings.ToLower(c.Text)
-			ev.commentRetry = ev.commentRetry || containsAny(l, retryCommentWords)
-			ev.pollish = ev.pollish || containsAny(l, pollWords)
+			got := commentVocab.match(lw.lower(c.Text), bit(0, !ev.commentRetry)|bit(1, !ev.pollish))
+			ev.commentRetry = ev.commentRetry || got&1 != 0
+			ev.pollish = ev.pollish || got&2 != 0
 		}
 	}
 	if fd.Doc != nil {
@@ -218,10 +327,10 @@ func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSle
 			if ev.identRetry && ev.identRetryWeak && ev.pollish {
 				break
 			}
-			w := idents.of(v.Name)
-			ev.identRetry = ev.identRetry || w&identStrong != 0
-			ev.identRetryWeak = ev.identRetryWeak || w&identWeak != 0
-			ev.pollish = ev.pollish || w&identPoll != 0
+			got := identVocab.match(lw.lower(v.Name), bit(0, !ev.identRetry)|bit(1, !ev.identRetryWeak)|bit(2, !ev.pollish))
+			ev.identRetry = ev.identRetry || got&1 != 0
+			ev.identRetryWeak = ev.identRetryWeak || got&2 != 0
+			ev.pollish = ev.pollish || got&4 != 0
 		case *ast.BasicLit:
 			if !ev.identRetry && v.Kind == token.STRING && containsAny(strings.ToLower(v.Value), retryIdentWords) {
 				ev.identRetry = true
@@ -253,17 +362,15 @@ func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSle
 				ev.stateMach = true
 			}
 		case *ast.CallExpr:
-			if ev.sleeps && ev.requeue && ev.pollish && ev.capped {
+			if direct && ev.requeue && ev.pollish && ev.capped {
 				break
 			}
 			name := calleeName(v)
 			low := strings.ToLower(name)
-			// Only sleeps visible in THIS file count: a direct Sleep call
-			// or a helper defined in the same file. Helpers in other files
-			// are invisible to a single-file reader — the paper's
-			// missing-delay FP mode (§4.3).
-			if name == "Sleep" || strings.Contains(low, "sleep") || localSleepFuncs[name] {
-				ev.sleeps = true
+			if name == "Sleep" || strings.Contains(low, "sleep") {
+				ev.sleeps, direct = true, true
+			} else if !ev.sleeps {
+				*callees = append(*callees, name)
 			}
 			if strings.Contains(low, "requeue") || strings.Contains(low, "resubmit") ||
 				((name == "Put" || name == "Enqueue" || name == "Submit") && receiverIsQueue(v)) {
@@ -283,7 +390,7 @@ func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSle
 		}
 		return true
 	})
-	return ev
+	return funcRead{ev: ev, sleepsDirectly: direct, callees: [2]int{first, len(*callees)}}
 }
 
 // loopSwitchesStatusAndPauses recognizes the error-code retry shape: a
@@ -419,32 +526,4 @@ func usesResilience(call *ast.CallExpr) bool {
 		return strings.Contains(strings.ToLower(x.Sel.Name), "policy")
 	}
 	return false
-}
-
-// localSleepFunctions returns the names of file-local functions whose own
-// bodies call a sleep — visible to a single-file reader. Helpers defined
-// in OTHER files are invisible, reproducing the paper's single-file
-// false-positive mode for missing-delay (§4.3).
-func localSleepFunctions(f *ast.File) map[string]bool {
-	out := make(map[string]bool)
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		found := false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				name := calleeName(call)
-				if name == "Sleep" || strings.Contains(strings.ToLower(name), "sleep") {
-					found = true
-				}
-			}
-			return !found
-		})
-		if found {
-			out[fd.Name.Name] = true
-		}
-	}
-	return out
 }

@@ -113,6 +113,12 @@ func FuzzEvidenceMatchesReference(f *testing.F) {
 	// Text gives: directives are left out, block markers and line
 	// breaks never join a word.
 	f.Add([]byte("package p\n\n//go:generate retry\n//line x.go:1\n//export Poll\n// back\n// off\nfunc F() {\n\t/* re-\ntry */\n\tfor i := 0; i < 3; i++ { //nolint:retry\n\t}\n}\n"))
+	// Unicode lowercasing can turn a non-ASCII letter into an ASCII
+	// one: İ becomes i plus a combining dot, the Kelvin sign becomes k.
+	f.Add([]byte("package p\n\n// RETRİES the BAC\u212aOFF\nfunc F(err error) {\n\tvar RETRİES, BAC\u212aOFF int\n\tfor err != nil {\n\t\t_, _ = RETRİES, BAC\u212aOFF\n\t}\n}\n"))
+	// A sleep helper declared after its caller, and one whose sleep
+	// follows a resilience policy call.
+	f.Add([]byte("package p\n\nfunc A(err error) {\n\tfor err != nil {\n\t\tpause()\n\t}\n}\n\nfunc pause() { time.Sleep(1) }\n\nfunc C(q Queue, err error) {\n\tif err != nil {\n\t\tq.Put(1)\n\t}\n\tresilience.NewPolicy()\n\tspin()\n\ttime.Sleep(2)\n}\n\nfunc D() { C(nil, nil) }\n"))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		diff, err := llm.DiffEvidence("fuzz.go", src)
 		if err != nil {

@@ -124,7 +124,7 @@ func referenceContainsAny(s string, words []string) bool {
 }
 
 // DiffEvidence parses src the way the source store does and compares
-// gatherEvidence with referenceEvidence for every function with a body.
+// fileEvidence with referenceEvidence for every function with a body.
 // It returns a description of the first disagreement, "" when all
 // agree, and the parse error when src does not parse.
 func DiffEvidence(name string, src []byte) (string, error) {
@@ -133,17 +133,45 @@ func DiffEvidence(name string, src []byte) (string, error) {
 		return "", err
 	}
 	sleepFuncs := localSleepFunctions(f)
-	idents := identWords{}
+	evs := fileEvidence(f)
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		got := gatherEvidence(fd, f.Comments, sleepFuncs, idents)
+		got := evs[0]
+		evs = evs[1:]
 		want := referenceEvidence(fd, f.Comments, sleepFuncs)
 		if got != want {
 			return fmt.Sprintf("%s: %s: evidence %+v, reference %+v", name, funcKey(fd), got, want), nil
 		}
 	}
 	return "", nil
+}
+
+// localSleepFunctions is the reference's pre-pass, which fileEvidence
+// folds into its read: the names of file-local functions whose own
+// bodies call a sleep.
+func localSleepFunctions(f *ast.File) map[string]bool {
+	out := make(map[string]bool)
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
+		}
+		found := false
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				name := calleeName(call)
+				if name == "Sleep" || strings.Contains(strings.ToLower(name), "sleep") {
+					found = true
+				}
+			}
+			return !found
+		})
+		if found {
+			out[fd.Name.Name] = true
+		}
+	}
+	return out
 }

@@ -340,8 +340,7 @@ func (c *Client) review(sf *source.File) FileReview {
 		return rev
 	}
 	pkg := f.Name.Name
-	sleepFuncs := localSleepFunctions(f)
-	idents := identWords{}
+	evs := fileEvidence(f)
 
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
@@ -349,7 +348,8 @@ func (c *Client) review(sf *source.File) FileReview {
 			continue
 		}
 		name := pkg + "." + funcKey(fd)
-		ev := gatherEvidence(fd, f.Comments, sleepFuncs, idents)
+		ev := evs[0]
+		evs = evs[1:]
 		// Q1's clarifications: a file that merely *defines* retry policies
 		// or passes retry parameters around is not performing retry — the
 		// model demands a re-execution shape (loop on error, re-enqueue,

@@ -66,6 +66,15 @@ func extractFacts(f *source.File) (*FileFacts, error) {
 		return nil, err
 	}
 	ff := &FileFacts{Schema: FactsSchema, Hash: f.SHA256, Pkg: syntax.Name.Name}
+	n := 0
+	for _, d := range syntax.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+			n++
+		}
+	}
+	if n > 0 {
+		ff.Funcs = make([]FuncFacts, 0, n)
+	}
 	for _, d := range syntax.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
@@ -129,20 +138,20 @@ func AnalyzeSnapshot(snap *source.Snapshot) (*Analysis, error) {
 // unconditionally, and its output is byte-identical whichever path
 // supplied the facts.
 func AnalyzeSnapshotWith(snap *source.Snapshot, store FactsStore) (*Analysis, error) {
-	a := &Analysis{
-		Files:   make(map[string]int),
-		Methods: make(map[string]*Method),
-	}
+	a := &Analysis{Files: make(map[string]int, len(snap.Files))}
 	facts := make([]*FileFacts, len(snap.Files))
+	funcs := 0
 	for i, f := range snap.Files {
 		ff, err := fileFactsOf(f, store)
 		if err != nil {
 			return nil, fmt.Errorf("sast: %w", err)
 		}
 		facts[i] = ff
+		funcs += len(ff.Funcs)
 		a.Pkg = ff.Pkg
 		a.Files[f.Name] = int(f.Size)
 	}
+	a.Methods = make(map[string]*Method, funcs)
 	for i, f := range snap.Files {
 		for j := range facts[i].Funcs {
 			fn := &facts[i].Funcs[j]
