@@ -87,7 +87,8 @@ restart-smoke:
 
 ## docs-check: fail on dangling doc references — .md paths mentioned in
 ## Go sources, relative links in README.md and docs/*.md, and internal
-## packages missing a paper-section (§) godoc reference.
+## packages missing a paper-section (§) godoc reference — and on a
+## command whose Usage synopsis disagrees with the flags it registers.
 docs-check:
 	sh scripts/docs_check.sh
 

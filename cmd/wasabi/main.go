@@ -5,7 +5,7 @@
 //
 //	wasabi [-app HD] [-workflow all|dynamic|static|if] [-workers N] [-v]
 //	       [-json] [-corpus DIR]
-//	       [-cache-dir DIR] [-cache-bytes N]
+//	       [-cache-dir DIR]
 //	       [-llm-backends name=sim[:profile];name=http:URL;...]
 //	       [-llm-hedge-after DUR]
 //	       [-metrics-out m.json] [-trace-out t.json]
@@ -26,9 +26,9 @@
 // -cache-dir enables the content-addressed analysis cache with disk
 // persistence (docs/SERVICE.md): a second invocation over unchanged
 // sources re-reads memoized reviews instead of re-spending LLM tokens,
-// and prints identical output. -cache-bytes bounds the in-memory tier.
-// Cache statistics go to stderr, so stdout stays byte-identical between
-// cold and warm runs.
+// and prints identical output. Cache statistics (hits, misses and
+// memory-tier entries) go to stderr, so stdout stays byte-identical
+// between cold and warm runs.
 //
 // -llm-backends routes reviews through an ordered backend topology with
 // per-backend circuit breakers, a shared retry budget and failover
@@ -75,7 +75,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-structure identification details")
 	jsonOut := flag.Bool("json", false, "print the canonical JSON report document instead of text")
 	cacheDir := flag.String("cache-dir", "", "enable the analysis cache, persisted in this directory (see docs/SERVICE.md)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "in-memory cache byte budget (0 = default; needs -cache-dir)")
 	backends := flag.String("llm-backends", "",
 		"route reviews across an ordered multi-backend topology: \"name=sim[:profile];name=http:URL;...\" (see docs/RESILIENCE.md); empty = no router")
 	hedgeAfter := flag.Duration("llm-hedge-after", 0,
@@ -141,7 +140,7 @@ func main() {
 	var ca *cache.Cache
 	if *cacheDir != "" {
 		var err error
-		ca, err = cache.New(cache.Options{Dir: *cacheDir, MaxBytes: *cacheBytes, Metrics: opts.Obs.Reg()})
+		ca, err = cache.New(cache.Options{Dir: *cacheDir, Metrics: opts.Obs.Reg()})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -165,8 +164,8 @@ func main() {
 		st := ca.Stats()
 		hits, misses := st.Totals()
 		fu := w.LLMUsage()
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d evictions, %d entries, %d bytes; fresh LLM spend %d calls / %d tokens\n",
-			hits, misses, st.Evictions, st.Entries, st.Bytes, fu.Calls, fu.TokensIn)
+		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d entries; fresh LLM spend %d calls / %d tokens\n",
+			hits, misses, st.Entries, fu.Calls, fu.TokensIn)
 	}
 
 	if *jsonOut {

@@ -7,9 +7,9 @@
 //
 //	wasabid [-addr :8788] [-queue 8] [-workers N] [-corpus DIR]
 //	        [-slots N] [-tenant-quota N] [-tenant-priority name=w,...]
-//	        [-cache-dir DIR] [-cache-bytes N] [-pprof]
+//	        [-cache-dir DIR] [-pprof]
 //	        [-llm-backends name=sim[:profile];name=http:URL;...]
-//	        [-llm-hedge-after DUR]
+//	        [-llm-hedge-after DUR] [-drain-timeout DUR]
 //	        [-log-format text|json] [-log-level LEVEL] [-trace-ring N]
 //	        [-version]
 //
@@ -34,10 +34,17 @@
 // while the job table keeps the job (the last -trace-ring finished
 // jobs).
 //
+// -cache-dir persists the cache's review, facts and dynamic entries, so
+// a restarted daemon replays them from disk (docs/SERVICE.md). The
+// memory tier keeps each input's newest versions, as the snapshot store
+// does, with or without it.
+//
 // The daemon prints its bound address on startup ("-addr :0" picks a
 // free port) and drains gracefully on SIGTERM/SIGINT: accepted jobs run
-// to completion, new submissions are refused with 503, then the
-// listener closes. A second signal aborts the drain.
+// to completion (for at most -drain-timeout), new submissions are
+// refused with 503, then the listener closes and the cache's hits,
+// misses and memory-tier entries go to stderr. A second signal aborts
+// the drain.
 package main
 
 import (
@@ -69,7 +76,6 @@ func main() {
 	workers := flag.Int("workers", 0, "pipeline worker pool size per job; 0 = one per CPU")
 	corpusRoot := flag.String("corpus", "", "generated corpus root (cmd/corpusgen); empty = built-in seed corpus")
 	cacheDir := flag.String("cache-dir", "", "persist the analysis cache in this directory (empty = memory only)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "in-memory cache byte budget (0 = default)")
 	backends := flag.String("llm-backends", "",
 		"route reviews across an ordered multi-backend topology: \"name=sim[:profile];name=http:URL;...\" (see docs/RESILIENCE.md); empty = no router")
 	hedgeAfter := flag.Duration("llm-hedge-after", 0,
@@ -109,7 +115,7 @@ func main() {
 		Log:             logger,
 		TraceRing:       *traceRing,
 	}
-	ca, err := cache.New(cache.Options{Dir: *cacheDir, MaxBytes: *cacheBytes, Metrics: observer.Reg()})
+	ca, err := cache.New(cache.Options{Dir: *cacheDir, Metrics: observer.Reg()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -157,8 +163,8 @@ func main() {
 	}
 	st := ca.Stats()
 	hits, misses := st.Totals()
-	fmt.Fprintf(os.Stderr, "wasabid: drained; cache %d hits, %d misses, %d evictions, %d entries, %d bytes\n",
-		hits, misses, st.Evictions, st.Entries, st.Bytes)
+	fmt.Fprintf(os.Stderr, "wasabid: drained; cache %d hits, %d misses, %d entries\n",
+		hits, misses, st.Entries)
 }
 
 // buildLogger assembles the daemon's slog handler from the -log-format

@@ -13,17 +13,17 @@
 // docs/SERVICE.md for the exact derivations. There is no TTL and no
 // explicit invalidation API; changing an input changes its key, and the
 // stale entry leaves the memory tier once Supersede has recorded
-// newer versions of that input, or when it ages out of the LRU.
+// newer versions of that input.
 //
 // The dynamic stage memoises each app's dynamic run — its injection
 // runs (§3.1.2) and oracle verdicts (§3.1.3) — keyed by the
 // executable's build identity and the run inputs (dynamic.go), so a
 // warm job against an unchanged build executes no test.
 //
-// The in-memory tier holds each entry's decoded value under a byte
-// budget with LRU eviction, costed at its encoded size (estimated
-// without encoding when no disk tier will write it); every hit returns
-// that one shared value and decodes nothing. A value passed to a Put*
+// The in-memory tier holds each entry's decoded value, and Supersede is
+// its only retention rule: it keeps each lineage's newest versions, as
+// the snapshot store keeps each path's. Every hit returns that one
+// shared value and decodes nothing. A value passed to a Put*
 // method or returned by a Get* method is therefore immutable: callers
 // read it and copy before changing anything (report.Build copies the
 // dynamic reports before sorting them). An optional disk tier
@@ -39,7 +39,6 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 
 	"wasabi/internal/llm"
@@ -63,17 +62,8 @@ const (
 	StageDynamic = "dynamic"
 )
 
-// DefaultMaxBytes is the in-memory byte budget when Options.MaxBytes is
-// unset: comfortably above one full-corpus run (~1 MB of encoded
-// reviews) while bounding a long-lived daemon.
-const DefaultMaxBytes = 64 << 20
-
 // Options configures a cache.
 type Options struct {
-	// MaxBytes is the in-memory byte budget; entries are evicted in LRU
-	// order once the total estimated cost exceeds it. Zero or negative
-	// means DefaultMaxBytes.
-	MaxBytes int64
 	// Dir, when non-empty, enables the disk tier: review entries are
 	// persisted as JSON files in this directory and survive process
 	// restarts. The directory is created if missing.
@@ -83,54 +73,36 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Cache is a content-addressed, byte-budgeted memoization store. The
-// zero value is not usable; call New. A nil *Cache is valid everywhere
-// in internal/core and disables memoization.
+// Cache is a content-addressed memoization store. The zero value is
+// not usable; call New. A nil *Cache is valid everywhere in
+// internal/core and disables memoization.
 type Cache struct {
-	maxBytes int64
-	dir      string
-	reg      *obs.Registry
+	dir string
+	reg *obs.Registry
 
-	mu      sync.Mutex // memory tier and every counter
-	diskMu  sync.Mutex // serialises disk-tier renames and removals with their accounting
-	bytes   int64
-	ll      *list.List // front = most recently used
-	entries map[string]*list.Element
+	mu     sync.Mutex // memory tier and every counter
+	diskMu sync.Mutex // serialises disk-tier renames and removals with their accounting
+	// entries is the memory tier: each key's shared decoded value.
+	entries map[string]any
 	// lineages holds each lineage's newest keys, oldest first, at most
 	// source.DefaultKeepGenerations of them (Supersede).
 	lineages map[Lineage][]string
 
 	hits, misses  map[string]int64 // by stage
-	evictions     int64
 	diskLoads     int64
 	persistErrors int64
 	diskEntries   int64 // disk-tier entry files
 	diskBytes     int64 // disk-tier byte total
 }
 
-// entry is one cached artifact: the value every hit shares, costed at
-// its encoded size, or an estimate of it when nothing encodes it
-// (analyses at their caller's estimate).
-type entry struct {
-	key   string
-	stage string
-	val   any
-	cost  int64
-}
-
 // New returns a cache with the given options. With Options.Dir set, the
 // directory is created eagerly so persistence failures surface at
 // construction rather than mid-run.
 func New(opts Options) (*Cache, error) {
-	if opts.MaxBytes <= 0 {
-		opts.MaxBytes = DefaultMaxBytes
-	}
 	c := &Cache{
-		maxBytes: opts.MaxBytes,
 		dir:      opts.Dir,
 		reg:      opts.Metrics,
-		ll:       list.New(),
-		entries:  make(map[string]*list.Element),
+		entries:  make(map[string]any),
 		lineages: make(map[Lineage][]string),
 		hits:     make(map[string]int64),
 		misses:   make(map[string]int64),
@@ -138,7 +110,6 @@ func New(opts Options) (*Cache, error) {
 	if err := c.initDir(); err != nil {
 		return nil, err
 	}
-	c.reg.Gauge("cache_max_bytes").Set(float64(c.maxBytes))
 	return c, nil
 }
 
@@ -167,7 +138,7 @@ func (c *Cache) PutReview(key string, rev llm.FileReview) {
 	// The scheduling facts are excluded from the envelope (json:"-"), so
 	// a memory hit serves them zeroed exactly as a disk load does.
 	rev.Retries, rev.Backend, rev.Shared = 0, "", false
-	c.put(StageReview, key, rev, reviewCost(key, rev), func() ([]byte, error) { return encodeReview(key, rev) })
+	c.put(key, rev, func() ([]byte, error) { return encodeReview(key, rev) })
 }
 
 // GetFacts returns the retry-facts entry for a content hash — the
@@ -197,7 +168,7 @@ func (c *Cache) PutFacts(contentSHA256 string, ff *sast.FileFacts) {
 	if c == nil || ff == nil {
 		return
 	}
-	c.put(StageFacts, FactsKey(contentSHA256), ff, factsCost(ff), func() ([]byte, error) { return sast.EncodeFacts(ff) })
+	c.put(FactsKey(contentSHA256), ff, func() ([]byte, error) { return sast.EncodeFacts(ff) })
 }
 
 // GetAnalysis returns the memoized static analysis under key. Every hit
@@ -213,17 +184,18 @@ func (c *Cache) GetAnalysis(key string) (*sast.Analysis, bool) {
 }
 
 // PutAnalysis memoizes a static analysis under key; the cache keeps a
-// itself, so it must not be mutated afterwards. cost estimates the
-// entry's memory footprint (callers pass the analyzed directory's source
-// byte total). Analyses stay memory-only: they are a cheap cross-file
-// merge whose per-file inputs already persist as facts entries, so a
-// restarted process rebuilds them from disk without parsing.
-func (c *Cache) PutAnalysis(key string, a *sast.Analysis, cost int64) {
+// itself, so it must not be mutated afterwards. Analyses stay
+// memory-only: they are a cheap cross-file merge whose per-file inputs
+// already persist as facts entries, so a restarted process rebuilds
+// them from disk without parsing. The third parameter is unused; it is
+// kept while the benchmark's replay (bench/replay.go) still calls this
+// method with it.
+func (c *Cache) PutAnalysis(key string, a *sast.Analysis, _ int64) {
 	if c == nil || a == nil {
 		return
 	}
 	c.mu.Lock()
-	c.install(&entry{key: key, stage: StageAnalysis, val: a, cost: max(cost, 1)})
+	c.install(key, a)
 	c.mu.Unlock()
 }
 
@@ -234,9 +206,7 @@ func (c *Cache) PutAnalysis(key string, a *sast.Analysis, cost int64) {
 // and read as a miss.
 func (c *Cache) get(stage, key string, decode func([]byte) (any, error)) (any, bool) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		v := el.Value.(*entry).val
+	if v, ok := c.entries[key]; ok {
 		c.hits[stage]++
 		c.mu.Unlock()
 		c.reg.Counter("cache_hits_total", "stage", stage).Inc()
@@ -249,7 +219,7 @@ func (c *Cache) get(stage, key string, decode func([]byte) (any, error)) (any, b
 				c.mu.Lock()
 				c.diskLoads++
 				c.hits[stage]++
-				c.install(&entry{key: key, stage: stage, val: v, cost: int64(len(data))})
+				c.install(key, v)
 				c.mu.Unlock()
 				c.reg.Counter("cache_hits_total", "stage", stage).Inc()
 				c.reg.Counter("cache_disk_loads_total").Inc()
@@ -269,11 +239,10 @@ func (c *Cache) get(stage, key string, decode func([]byte) (any, error)) (any, b
 }
 
 // put is the write side of every disk-backed stage. With a disk tier,
-// encode renders v, the bytes are written through, and v is installed
-// in memory at their length; an encode failure is counted and stores
-// nothing. Without one, nothing is encoded: v is installed at cost, the
-// caller's estimate of that length.
-func (c *Cache) put(stage, key string, v any, cost int64, encode func() ([]byte, error)) {
+// encode renders v and the bytes are written through; an encode failure
+// is counted and stores nothing. Without one, nothing is encoded. Then
+// v is installed in memory.
+func (c *Cache) put(key string, v any, encode func() ([]byte, error)) {
 	if c.dir != "" {
 		data, err := encode()
 		if err != nil {
@@ -281,73 +250,56 @@ func (c *Cache) put(stage, key string, v any, cost int64, encode func() ([]byte,
 			return
 		}
 		c.storeDisk(key, data)
-		cost = int64(len(data))
 	}
 	c.mu.Lock()
-	c.install(&entry{key: key, stage: stage, val: v, cost: cost})
+	c.install(key, v)
 	c.mu.Unlock()
 }
 
-// install inserts or replaces the entry and evicts LRU entries until the
-// byte budget holds again. Called with c.mu held. An entry larger than
-// the whole budget is evicted immediately after insertion — effectively
-// never cached, but accounted honestly.
-func (c *Cache) install(e *entry) {
-	if el, ok := c.entries[e.key]; ok {
-		old := el.Value.(*entry)
-		c.bytes += e.cost - old.cost
-		el.Value = e
-		c.ll.MoveToFront(el)
-	} else {
-		c.entries[e.key] = c.ll.PushFront(e)
-		c.bytes += e.cost
-	}
-	for c.bytes > c.maxBytes && c.ll.Len() > 0 {
-		c.remove(c.ll.Back())
-		c.evictions++
-		c.reg.Counter("cache_evictions_total").Inc()
-	}
+// install inserts or replaces key's value. Called with c.mu held.
+func (c *Cache) install(key string, v any) {
+	c.entries[key] = v
 	c.setOccupancy()
-}
-
-// remove drops one memory-tier entry. Called with c.mu held.
-func (c *Cache) remove(el *list.Element) {
-	victim := el.Value.(*entry)
-	c.ll.Remove(el)
-	delete(c.entries, victim.key)
-	c.bytes -= victim.cost
 }
 
 // setOccupancy publishes the memory tier's size. Called with c.mu held.
 func (c *Cache) setOccupancy() {
-	c.reg.Gauge("cache_bytes").Set(float64(c.bytes))
-	c.reg.Gauge("cache_entries").Set(float64(c.ll.Len()))
+	c.reg.Gauge("cache_entries").Set(float64(len(c.entries)))
 }
 
 // Lineage names entries that replace one another as their input
 // changes: one file's reviews under one configuration, one file's
-// facts, one directory's analyses.
+// facts, one directory's analyses, or one app's dynamic runs under one
+// build, suite and set of run options (DynamicLineage).
 type Lineage struct {
 	// Stage is the entries' stage (StageReview, StageFacts,
-	// StageAnalysis).
+	// StageAnalysis, StageDynamic).
 	Stage string
-	// Scope is the input's path: the file, or the analyzed directory.
+	// Scope is the input's path (the file, or the analyzed directory),
+	// or the app code for dynamic runs.
 	Scope string
-	// Config is the review configuration fingerprint; empty for the
-	// other stages.
+	// Config is the review configuration fingerprint, or the digest of a
+	// dynamic run's other inputs; empty for the other stages.
 	Config string
 }
 
 // Supersede records key as the newest entry of lineage l and drops
 // from the memory tier the lineage's entries older than its newest
 // source.DefaultKeepGenerations, the rule by which the snapshot store
-// evicts a path's old content versions. The disk tier keeps them, so a
-// reverted input still hits there, and a dropped entry is only ever
-// recomputed, never served wrong. Without it, a daemon whose files keep
-// changing fills the byte budget with entries for versions it no longer
-// holds. Recording a key that is already the newest does nothing.
+// evicts a path's old content versions. It is the memory tier's only
+// retention rule, so a long-lived daemon holds at most that many
+// entries per lineage it has seen. The disk tier keeps dropped entries,
+// so a reverted input still hits there, and a dropped entry is only
+// ever recomputed, never served wrong.
+//
+// Callers record a key after its Get, and after its Put when the Get
+// missed, on every return path. A key recorded first could be
+// superseded by a concurrent job before its Put installs the entry,
+// which would then sit in memory on no lineage; recorded afterwards, it
+// is back on its lineage, and any later drop removes it. Recording a key
+// that is already the newest, or the empty key, does nothing.
 func (c *Cache) Supersede(l Lineage, key string) {
-	if c == nil {
+	if c == nil || key == "" {
 		return
 	}
 	c.mu.Lock()
@@ -365,8 +317,8 @@ func (c *Cache) Supersede(l Lineage, key string) {
 	keys = append(keys, key)
 	if drop := len(keys) - source.DefaultKeepGenerations; drop > 0 {
 		for _, k := range keys[:drop] {
-			if el, ok := c.entries[k]; ok {
-				c.remove(el)
+			if _, ok := c.entries[k]; ok {
+				delete(c.entries, k)
 				c.reg.Counter("cache_superseded_total").Inc()
 			}
 		}
@@ -380,11 +332,8 @@ func (c *Cache) Supersede(l Lineage, key string) {
 // marshal with sorted keys, so equal states render equal JSON.
 type Stats struct {
 	Entries       int              `json:"entries"`
-	Bytes         int64            `json:"bytes"`
-	MaxBytes      int64            `json:"max_bytes"`
 	Hits          map[string]int64 `json:"hits"`
 	Misses        map[string]int64 `json:"misses"`
-	Evictions     int64            `json:"evictions"`
 	DiskLoads     int64            `json:"disk_loads"`
 	PersistErrors int64            `json:"persist_errors"`
 	// DiskEntries / DiskBytes describe the disk tier: entry-file count
@@ -414,16 +363,13 @@ func (c *Cache) Stats() Stats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s.Entries = c.ll.Len()
-	s.Bytes = c.bytes
-	s.MaxBytes = c.maxBytes
+	s.Entries = len(c.entries)
 	for k, v := range c.hits {
 		s.Hits[k] = v
 	}
 	for k, v := range c.misses {
 		s.Misses[k] = v
 	}
-	s.Evictions = c.evictions
 	s.DiskLoads = c.diskLoads
 	s.PersistErrors = c.persistErrors
 	s.DiskEntries = c.diskEntries

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"wasabi/internal/apps/corpus"
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/sast"
@@ -68,42 +67,8 @@ func TestReviewRoundTrip(t *testing.T) {
 	if st.Hits[StageReview] != 2 || st.Misses[StageReview] != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 2/1", st.Hits[StageReview], st.Misses[StageReview])
 	}
-	if st.Entries != 1 || st.Bytes <= 0 {
-		t.Fatalf("entries/bytes = %d/%d", st.Entries, st.Bytes)
-	}
-}
-
-// TestEvictionAtTinyBudget forces LRU eviction with a budget that holds
-// roughly one encoded review, and checks the LRU order: the least
-// recently used entry goes first.
-func TestEvictionAtTinyBudget(t *testing.T) {
-	reg := obs.NewRegistry()
-	ka, kb := ReviewKey("cfg", "a.go", "1"), ReviewKey("cfg", "b.go", "2")
-	c, err := New(Options{MaxBytes: reviewCost(ka, review("a.go", 1)) + 16, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.PutReview(ka, review("a.go", 1))
-	c.PutReview(kb, review("b.go", 2)) // budget exceeded → a.go evicted
-	if _, ok := c.GetReview(ka); ok {
-		t.Fatal("LRU entry survived past the byte budget")
-	}
-	if _, ok := c.GetReview(kb); !ok {
-		t.Fatal("MRU entry evicted")
-	}
-
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1", st.Entries)
-	}
-	if st.Bytes > st.MaxBytes {
-		t.Fatalf("bytes %d exceed budget %d", st.Bytes, st.MaxBytes)
-	}
-	if got := reg.Snapshot().Counter("cache_evictions_total"); got != 1 {
-		t.Fatalf("cache_evictions_total = %d, want 1", got)
 	}
 }
 
@@ -210,50 +175,38 @@ func TestSupersedeKeepsNewestVersions(t *testing.T) {
 	nilCache.Supersede(lin, keys[0])
 }
 
-// factsRecorder is a sast.FactsStore that keeps what it is given.
-type factsRecorder struct{ facts []*sast.FileFacts }
-
-func (r *factsRecorder) GetFacts(string) (*sast.FileFacts, bool) { return nil, false }
-func (r *factsRecorder) PutFacts(_ string, ff *sast.FileFacts)   { r.facts = append(r.facts, ff) }
-
-// TestCostEstimatesTrackEncodedSize holds the memory tier's estimates,
-// which a cache without a disk tier prices entries by, within a quarter
-// of the encoded size the disk tier would write, for every review and
-// facts entry of the seed corpus.
-func TestCostEstimatesTrackEncodedSize(t *testing.T) {
-	client := llm.NewClient(llm.DefaultConfig())
-	st := source.NewStore(nil)
-	near := func(what string, est int64, data []byte) {
-		t.Helper()
-		if n := int64(len(data)); est < n*3/4 || est > n*5/4 {
-			t.Errorf("%s: estimate %d, encoded %d bytes", what, est, n)
-		}
+// TestSupersedeAfterUseTracksInstall interleaves two jobs on one
+// lineage under the record-after-use protocol: job A misses v1, job B
+// uses and records v2 and v3, then A stores v1 and records it. A's
+// entry must be on the lineage, so a later version still drops it.
+func TestSupersedeAfterUseTracksInstall(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, app := range corpus.Apps() {
-		snap, err := st.Load(app.Dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := &factsRecorder{}
-		if _, err := sast.AnalyzeSnapshotWith(snap, rec); err != nil {
-			t.Fatal(err)
-		}
-		for _, ff := range rec.facts {
-			data, err := sast.EncodeFacts(ff)
-			if err != nil {
-				t.Fatal(err)
-			}
-			near("facts "+ff.Hash, factsCost(ff), data)
-		}
-		for _, f := range snap.Files {
-			key := ReviewKey(client.Fingerprint(), f.Path, f.SHA256)
-			rev := client.ReviewSnapshotAt(f, -1, 0)
-			data, err := encodeReview(key, rev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			near("review "+f.Name, reviewCost(key, rev), data)
-		}
+	lin := Lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg"}
+	key := func(v int) string { return ReviewKey("cfg", "/a/p.go", fmt.Sprintf("v%d", v)) }
+	if _, ok := c.GetReview(key(1)); ok {
+		t.Fatal("hit on an empty cache")
+	}
+	for v := 2; v <= 3; v++ {
+		c.PutReview(key(v), review("p.go", int64(v)))
+		c.Supersede(lin, key(v))
+	}
+	c.PutReview(key(1), review("p.go", 1))
+	c.Supersede(lin, key(1))
+	if got := c.UntrackedEntries(); len(got) != 0 {
+		t.Fatalf("untracked entries after the interleaving: %v", got)
+	}
+	for v := 4; v < 4+source.DefaultKeepGenerations; v++ {
+		c.PutReview(key(v), review("p.go", int64(v)))
+		c.Supersede(lin, key(v))
+	}
+	if _, ok := c.GetReview(key(1)); ok {
+		t.Fatal("job A's entry outlived newer versions")
+	}
+	if st := c.Stats(); st.Entries != source.DefaultKeepGenerations {
+		t.Fatalf("entries = %d, want %d", st.Entries, source.DefaultKeepGenerations)
 	}
 }
 

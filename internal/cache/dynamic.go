@@ -66,13 +66,26 @@ func DynamicKey(build, suite, app string, locs []fault.Location, howK, capK int,
 	if build == "" || suite == "" {
 		return ""
 	}
-	parts := []string{"dynamic", dynamicSchema, build, suite, app,
-		strconv.Itoa(howK), strconv.Itoa(capK),
-		strconv.Itoa(o.CapThreshold), strconv.FormatInt(int64(o.VirtualTimeout), 10)}
+	parts := dynamicParts(build, suite, app, howK, capK, o)
 	for _, l := range locs {
 		parts = append(parts, l.Coordinator, l.Retried, l.Exception)
 	}
 	return keyOf(parts...)
+}
+
+// DynamicLineage names the dynamic entries that replace one another as
+// an app's retry locations change: one app under one build, suite and
+// set of run options, which is every DynamicKey input except the
+// location list.
+func DynamicLineage(build, suite, app string, howK, capK int, o oracle.Options) Lineage {
+	return Lineage{Stage: StageDynamic, Scope: app, Config: keyOf(dynamicParts(build, suite, app, howK, capK, o)...)}
+}
+
+// dynamicParts lists the key inputs DynamicKey and DynamicLineage share.
+func dynamicParts(build, suite, app string, howK, capK int, o oracle.Options) []string {
+	return []string{"dynamic", dynamicSchema, build, suite, app,
+		strconv.Itoa(howK), strconv.Itoa(capK),
+		strconv.Itoa(o.CapThreshold), strconv.FormatInt(int64(o.VirtualTimeout), 10)}
 }
 
 // GetDynamic returns the memoised dynamic run under key. Every hit
@@ -95,10 +108,7 @@ func (c *Cache) PutDynamic(key string, run DynamicRun) {
 	if c == nil || key == "" {
 		return
 	}
-	// A dynamic entry is one per app and build, so it is priced by
-	// encoding it even without a disk tier.
-	data, err := encodeDynamic(key, run)
-	c.put(StageDynamic, key, run, int64(len(data)), func() ([]byte, error) { return data, err })
+	c.put(key, run, func() ([]byte, error) { return encodeDynamic(key, run) })
 }
 
 // encodeDynamic renders the envelope bytes stored in the disk tier.

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"sort"
+
 	"wasabi/internal/llm"
 	"wasabi/internal/sast"
 )
@@ -12,10 +14,10 @@ func (c *Cache) EncodedEntries() (map[string][]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[string][]byte, len(c.entries))
-	for key, el := range c.entries {
+	for key, val := range c.entries {
 		var data []byte
 		var err error
-		switch v := el.Value.(*entry).val.(type) {
+		switch v := val.(type) {
 		case llm.FileReview:
 			data, err = encodeReview(key, v)
 		case *sast.FileFacts:
@@ -35,3 +37,24 @@ func (c *Cache) EncodedEntries() (map[string][]byte, error) {
 
 // EntryPath is the disk address of key.
 func (c *Cache) EntryPath(key string) string { return c.entryPath(key) }
+
+// UntrackedEntries lists the memory-tier keys that no lineage holds:
+// entries Supersede can never drop.
+func (c *Cache) UntrackedEntries() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tracked := make(map[string]bool)
+	for _, keys := range c.lineages {
+		for _, k := range keys {
+			tracked[k] = true
+		}
+	}
+	var out []string
+	for k := range c.entries {
+		if !tracked[k] {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}

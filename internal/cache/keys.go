@@ -29,8 +29,8 @@ type DirManifest struct {
 	// triples — it changes iff any source file is added, removed,
 	// renamed or edited.
 	Digest string
-	// TotalBytes sums the source file sizes (the analysis-entry cost
-	// estimate).
+	// TotalBytes sums the source file sizes. The program no longer
+	// reads it; it stays while bench/replay.go still does.
 	TotalBytes int64
 }
 

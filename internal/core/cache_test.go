@@ -108,7 +108,6 @@ func delta(after, before cache.Stats) cache.Stats {
 	for k, v := range after.Misses {
 		d.Misses[k] = v - before.Misses[k]
 	}
-	d.Evictions = after.Evictions - before.Evictions
 	d.DiskLoads = after.DiskLoads - before.DiskLoads
 	return d
 }
@@ -165,9 +164,6 @@ func TestWarmRunByteIdenticalZeroSpend(t *testing.T) {
 			if d.Hits[cache.StageAnalysis] != 1 || d.Misses[cache.StageAnalysis] != 0 {
 				t.Fatalf("warm analysis hits/misses = %d/%d, want 1/0",
 					d.Hits[cache.StageAnalysis], d.Misses[cache.StageAnalysis])
-			}
-			if d.Evictions != 0 {
-				t.Fatalf("warm run evicted %d entries", d.Evictions)
 			}
 
 			// Touch one file: exactly one review re-runs; the directory

@@ -265,7 +265,8 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		akey = cache.AnalysisKey(app.Dir, man.Digest)
 		// The memory tier keeps a directory's analyses, and each file's
 		// facts and reviews, for the versions the snapshot store keeps.
-		w.cache.Supersede(cache.Lineage{Stage: cache.StageAnalysis, Scope: app.Dir}, akey)
+		// Every key is recorded after its use (cache.Supersede).
+		defer w.cache.Supersede(cache.Lineage{Stage: cache.StageAnalysis, Scope: app.Dir}, akey)
 	}
 	var analysis *sast.Analysis
 	if man != nil {
@@ -282,15 +283,17 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		}
 		var err error
 		analysis, err = sast.AnalyzeSnapshotWith(snap, facts)
-		if err != nil {
-			return nil, fmt.Errorf("identify %s: %w", app.Code, err)
-		}
+		// A failed analysis has still stored the facts of the files it
+		// extracted before the failure.
 		if man != nil {
-			w.cache.PutAnalysis(akey, analysis, man.TotalBytes)
 			for _, f := range snap.Files {
 				w.cache.Supersede(cache.Lineage{Stage: cache.StageFacts, Scope: f.Path}, cache.FactsKey(f.SHA256))
 			}
 		}
+		if err != nil {
+			return nil, fmt.Errorf("identify %s: %w", app.Code, err)
+		}
+		w.cache.PutAnalysis(akey, analysis, 0)
 	}
 	id := &Identification{
 		App:            app.Code,
@@ -365,7 +368,7 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		if w.cache != nil {
 			fp := w.llm.Fingerprint()
 			key = cache.ReviewKey(fp, sf.Path, sf.SHA256)
-			w.cache.Supersede(cache.Lineage{Stage: cache.StageReview, Scope: sf.Path, Config: fp}, key)
+			defer w.cache.Supersede(cache.Lineage{Stage: cache.StageReview, Scope: sf.Path, Config: fp}, key)
 			if rev, ok := w.cache.GetReview(key); ok {
 				reviews[i], cached[i] = rev, true
 				return
@@ -488,6 +491,9 @@ func (w *Wasabi) RunDynamic(app corpus.App, id *Identification) (*DynamicResult,
 	locs := id.Locations()
 	// Without a cache w.build is empty, so the key is too: no memo.
 	key := cache.DynamicKey(w.build, app.Suite.ID, app.Code, locs, w.opts.HowK, w.opts.CapK, w.opts.Oracle)
+	if key != "" {
+		defer w.cache.Supersede(cache.DynamicLineage(w.build, app.Suite.ID, app.Code, w.opts.HowK, w.opts.CapK, w.opts.Oracle), key)
+	}
 	run, ok := w.cache.GetDynamic(key)
 	if !ok {
 		var err error

@@ -147,16 +147,9 @@ func (s *scheduler) enqueue(j *job) (int, error) {
 	t.jobs = append(t.jobs, j)
 	s.queued++
 	s.reg.Counter("server_sched_jobs_total", "tenant", t.name).Inc()
-	s.depthGaugesLocked(t)
+	s.reg.Gauge("server_sched_queue_depth", "tenant", t.name).Set(float64(len(t.jobs)))
 	s.cond.Signal()
 	return len(t.jobs), nil
-}
-
-// depthGaugesLocked refreshes the per-tenant and aggregate queue-depth
-// gauges; s.mu must be held.
-func (s *scheduler) depthGaugesLocked(t *tenantQueue) {
-	s.reg.Gauge("server_sched_queue_depth", "tenant", t.name).Set(float64(len(t.jobs)))
-	s.reg.Gauge("server_queue_depth").Set(float64(s.queued))
 }
 
 // pickLocked selects the next runnable job by weighted round-robin:
@@ -187,7 +180,7 @@ func (s *scheduler) pickLocked() *job {
 			t.jobs = t.jobs[1:]
 			s.queued--
 			t.inflight++
-			s.depthGaugesLocked(t)
+			s.reg.Gauge("server_sched_queue_depth", "tenant", t.name).Set(float64(len(t.jobs)))
 			s.reg.Gauge("server_sched_tenant_inflight", "tenant", t.name).Set(float64(t.inflight))
 			return j
 		}

@@ -109,7 +109,15 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	// The queue-depth gauges move at enqueue time, not only when a
 	// worker dequeues — /metrics must never read stale between jobs.
-	assertGauge(t, snap, "server_queue_depth", nil, 4)
+	var queued float64
+	for _, g := range snap.Gauges {
+		if g.Name == "server_sched_queue_depth" {
+			queued += g.Value
+		}
+	}
+	if queued != 4 {
+		t.Fatalf("server_sched_queue_depth sums to %v over tenants, want 4", queued)
+	}
 	assertGauge(t, snap, "server_sched_queue_depth", []string{"tenant", "alpha"}, 2)
 	assertGauge(t, snap, "server_sched_queue_depth", []string{"tenant", "beta"}, 1)
 	assertGauge(t, snap, "server_sched_queue_depth", []string{"tenant", DefaultTenant}, 1)

@@ -39,6 +39,10 @@
 #  11. Every cmd/<name> named in README.md, DESIGN.md, EXPERIMENTS.md,
 #      docs/*.md or a Go source outside bench/ is an existing directory
 #      under cmd/ — a deleted command must not strand its references.
+#  12. For every cmd/<name>/main.go whose package comment has a
+#      "Usage:" block, every -flag in that block is registered in that
+#      file (flag.*("name", ...)), and every flag the file registers
+#      appears in the block — the synopsis must match the flag set.
 #
 # Exits non-zero listing every violation; run via `make docs-check`.
 set -u
@@ -190,6 +194,27 @@ for hit in $(
 	} | sort -u
 ); do
 	[ -d "${hit#*:}" ] || err "${hit%%:*} references ${hit#*:}, which does not exist"
+done
+
+# 12. Every command synopsis must list exactly the flags it registers.
+for main in cmd/*/main.go; do
+	usage=$(awk '
+		/^\/\/ Usage:$/ { u = 1; next }
+		u && /^\/\/\t/ { print; started = 1; next }
+		u && /^\/\/$/ { next }
+		u && started { exit }
+	' "$main")
+	[ -n "$usage" ] || continue
+	listed=$(echo "$usage" | grep -oE '(^|[[ 	])-[a-z][a-z0-9-]*' | sed -E 's/^[^-]*-//' | sort -u)
+	registered=$(grep -oE 'flag\.[A-Za-z0-9]+\("[a-z][a-z0-9-]*"' "$main" | grep -oE '"[^"]+"' | tr -d '"' | sort -u)
+	for f in $listed; do
+		echo "$registered" | grep -qxF "$f" ||
+			err "$main: Usage names -$f, which the command does not register"
+	done
+	for f in $registered; do
+		echo "$listed" | grep -qxF "$f" ||
+			err "$main: flag -$f is missing from the Usage block"
+	done
 done
 
 if [ "$fail" -ne 0 ]; then
