@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke bench-check gen-smoke chaos serve-smoke restart-smoke docs-check ci all
+.PHONY: build test vet race bench bench-smoke bench-check gen-smoke chaos serve-smoke restart-smoke examples docs-check ci all
 
 all: ci
 
@@ -25,8 +25,8 @@ race:
 ## bench: run the Go microbenchmarks used for profiling — the pipeline
 ## benchmarks (sequential vs parallel), the snapshot-store
 ## microbenchmarks (cold vs warm load), the cold per-file extraction
-## and review over the seed corpus, and the report encoder
-## (docs/PERFORMANCE.md).
+## and review over the seed corpus, the warm cross-file merge, and the
+## report encoder (docs/PERFORMANCE.md).
 ## Performance numbers come from the repository benchmark instead:
 ## `bash bench/run.sh` (bench/README.md).
 bench:
@@ -81,9 +81,17 @@ serve-smoke:
 ## byte-for-byte with zero parses, zero extractions, zero fresh LLM
 ## spend and zero injection runs — the portable retry-facts and
 ## build-keyed dynamic-tier restart guarantee (docs/PERFORMANCE.md,
-## docs/ARCHITECTURE.md).
+## docs/ARCHITECTURE.md); plus 20 launches each SIGTERMed the moment
+## the daemon announces its address, every one of which must drain
+## and exit cleanly.
 restart-smoke:
-	$(GO) test -run 'TestRestartSmokeProcess' -count=1 ./internal/server/
+	$(GO) test -run 'TestRestartSmokeProcess|TestSigtermAfterListenDrains' -count=1 ./internal/server/
+
+## examples: run every examples/* program and fail on a non-zero exit,
+## so they keep running, not just compiling (examples/quickstart is the
+## public facade's only external caller).
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
 ## docs-check: fail on dangling doc references — .md paths mentioned in
 ## Go sources, relative links in README.md and docs/*.md, and internal
@@ -93,4 +101,4 @@ docs-check:
 	sh scripts/docs_check.sh
 
 ## ci: the local gate — everything the driver checks, in one target.
-ci: build test vet race chaos serve-smoke restart-smoke bench-smoke bench-check gen-smoke docs-check
+ci: build test vet race chaos serve-smoke restart-smoke bench-smoke bench-check gen-smoke examples docs-check

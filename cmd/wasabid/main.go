@@ -142,6 +142,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The drain handler goes in before the listener opens: a SIGTERM
+	// that arrives once a client can reach the daemon must drain it,
+	// not kill it.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	srv := server.New(cfg)
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -150,7 +154,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wasabid: listening on %s (slots %s, per-tenant queue %d, cache %s)\n",
 		srv.Addr(), slotsLabel(*slots), *queue, cacheLabel(*cacheDir))
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	<-ctx.Done()
 	stop() // a second signal now kills the process instead of the drain
 	fmt.Fprintln(os.Stderr, "wasabid: draining (accepted jobs run to completion)")

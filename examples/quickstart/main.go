@@ -23,10 +23,11 @@ func main() {
 		log.Fatal(err)
 	}
 
+	cov := report.Coverage
 	fmt.Printf("analyzed %s: %d retry structures identified, %d reached by its %d unit tests\n",
-		report.App, report.StructuresTotal, report.StructuresTested, report.TestsTotal)
+		report.Code, cov.StructuresTotal, cov.StructuresTested, cov.TestsTotal)
 	fmt.Printf("fault-injection runs: %d (a naive plan would need %d)\n\n",
-		report.PlannedRuns, report.NaiveRuns)
+		cov.PlannedRuns, cov.NaiveRuns)
 
 	for _, bug := range report.Bugs {
 		fmt.Printf("[%-10s %-13s] %s\n    %s\n", bug.Workflow, bug.Kind, bug.Coordinator, bug.Details)

@@ -12,8 +12,8 @@
 // directory's manifest digest (FromSnapshot) — see keys.go and
 // docs/SERVICE.md for the exact derivations. There is no TTL and no
 // explicit invalidation API; changing an input changes its key, and the
-// stale entry leaves the memory tier once Supersede has recorded
-// newer versions of that input.
+// stale entry leaves both tiers once Supersede has recorded newer
+// versions of that input.
 //
 // The dynamic stage memoises each app's dynamic run — its injection
 // runs (§3.1.2) and oracle verdicts (§3.1.3) — keyed by the
@@ -21,9 +21,9 @@
 // warm job against an unchanged build executes no test.
 //
 // The in-memory tier holds each entry's decoded value, and Supersede is
-// its only retention rule: it keeps each lineage's newest versions, as
-// the snapshot store keeps each path's. Every hit returns that one
-// shared value and decodes nothing. A value passed to a Put*
+// the only retention rule of both tiers: it keeps each lineage's newest
+// versions, as the snapshot store keeps each path's. Every hit returns
+// that one shared value and decodes nothing. A value passed to a Put*
 // method or returned by a Get* method is therefore immutable: callers
 // read it and copy before changing anything (report.Build copies the
 // dynamic reports before sorting them). An optional disk tier
@@ -283,14 +283,24 @@ type Lineage struct {
 	Config string
 }
 
-// Supersede records key as the newest entry of lineage l and drops
-// from the memory tier the lineage's entries older than its newest
+// Supersede records key as the newest entry of lineage l and drops the
+// lineage's entries older than its newest
 // source.DefaultKeepGenerations, the rule by which the snapshot store
-// evicts a path's old content versions. It is the memory tier's only
-// retention rule, so a long-lived daemon holds at most that many
-// entries per lineage it has seen. The disk tier keeps dropped entries,
-// so a reverted input still hits there, and a dropped entry is only
-// ever recomputed, never served wrong.
+// evicts a path's old content versions. It is the only retention rule
+// of both tiers: a dropped key leaves memory, and with a disk tier its
+// file is removed too, so a long-lived daemon holds at most that many
+// entries per lineage it has seen, in memory and on disk. A dropped
+// entry is only ever recomputed, never served wrong, and that is the
+// whole cost of the rule's trades:
+//
+//   - reverting an input more than K versions back recomputes it (a
+//     review is paid for again);
+//   - keys recorded by a previous process are on no lineage, so each
+//     restart can strand up to K old versions per lineage on disk;
+//   - a facts file shared by two paths with equal content can be
+//     removed by either path's lineage;
+//   - a file removed just after a concurrent job stored it again
+//     leaves that entry in memory only.
 //
 // Callers record a key after its Get, and after its Put when the Get
 // missed, on every return path. A key recorded first could be
@@ -302,10 +312,11 @@ func (c *Cache) Supersede(l Lineage, key string) {
 	if c == nil || key == "" {
 		return
 	}
+	var dropped []string
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	keys := c.lineages[l]
 	if n := len(keys); n > 0 && keys[n-1] == key {
+		c.mu.Unlock()
 		return
 	}
 	for i, k := range keys {
@@ -322,10 +333,17 @@ func (c *Cache) Supersede(l Lineage, key string) {
 				c.reg.Counter("cache_superseded_total").Inc()
 			}
 		}
+		if c.dir != "" {
+			dropped = append(dropped, keys[:drop]...)
+		}
 		keys = append(keys[:0], keys[drop:]...)
 		c.setOccupancy()
 	}
 	c.lineages[l] = keys
+	c.mu.Unlock()
+	for _, k := range dropped {
+		c.removeDisk(k)
+	}
 }
 
 // Stats is a deterministic point-in-time summary of the cache: maps

@@ -124,7 +124,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 
 // TestSupersedeKeepsNewestVersions pins the memory tier's per-lineage
 // retention: after a file's third version, its first version's review
-// leaves memory while the disk tier still serves it, revisiting a kept
+// leaves memory and the disk tier, revisiting a kept
 // version reorders without dropping, and other lineages — another
 // path, another configuration — are untouched.
 func TestSupersedeKeepsNewestVersions(t *testing.T) {
@@ -164,15 +164,57 @@ func TestSupersedeKeepsNewestVersions(t *testing.T) {
 	if st := c.Stats(); st.DiskLoads != 0 {
 		t.Fatalf("kept versions loaded from disk %d times, want memory hits", st.DiskLoads)
 	}
-	rev, ok := c.GetReview(keys[0])
-	if !ok || rev.Spent.TokensIn != 1 {
-		t.Fatalf("superseded version: ok=%v review %+v, want the disk tier's entry", ok, rev)
+	if _, ok := c.GetReview(keys[0]); ok {
+		t.Fatal("superseded version hit, want a miss in both tiers")
 	}
-	if st := c.Stats(); st.DiskLoads != 1 {
-		t.Fatalf("disk_loads = %d, want 1 for the superseded version", st.DiskLoads)
+	if st := c.Stats(); st.DiskLoads != 0 {
+		t.Fatalf("disk_loads = %d, want 0 for the superseded version", st.DiskLoads)
 	}
 	var nilCache *Cache
 	nilCache.Supersede(lin, keys[0])
+}
+
+// TestSupersedeDropsDiskEntries holds the disk tier to the version
+// rule: three versions on one lineage leave the newest two files, and
+// a fresh cache over the directory — a restarted process — misses the
+// first and hits the other two.
+func TestSupersedeDropsDiskEntries(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	c, err := New(Options{Dir: dir, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin := Lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg"}
+	var keys []string
+	for v := 1; v <= 3; v++ {
+		k := ReviewKey("cfg", "/a/p.go", fmt.Sprintf("v%d", v))
+		keys = append(keys, k)
+		c.PutReview(k, review("p.go", int64(v)))
+		c.Supersede(lin, k)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); len(files) != 2 || st.DiskEntries != 2 {
+		t.Fatalf("%d entry files, disk_entries %d; want 2 and 2", len(files), st.DiskEntries)
+	}
+	if got := reg.Snapshot().Counter("cache_disk_drops_total"); got != 0 {
+		t.Fatalf("cache_disk_drops_total = %d, want 0: no file was corrupt", got)
+	}
+	fresh, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.GetReview(keys[0]); ok {
+		t.Fatal("superseded v1 hit after a restart")
+	}
+	for v, k := range keys[1:] {
+		if rev, ok := fresh.GetReview(k); !ok || rev.Spent.TokensIn != int64(v+2) {
+			t.Fatalf("v%d: ok=%v review %+v, want the disk entry", v+2, ok, rev)
+		}
+	}
 }
 
 // TestSupersedeAfterUseTracksInstall interleaves two jobs on one

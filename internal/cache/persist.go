@@ -11,9 +11,10 @@
 // unreadable, truncated, version-mismatched or key-mismatched file is a
 // miss — counted in cache_decode_errors_total and deleted, so one
 // corrupt file can never poison the tier or fail twice. The directory
-// is the durable tier; its entry count and byte total are observable as
-// cache_disk_entries / cache_disk_bytes, seeded by a scan at
-// construction and maintained across stores and deletions.
+// is the durable tier, bounded by the same Supersede rule as memory;
+// its entry count and byte total are observable as cache_disk_entries /
+// cache_disk_bytes, seeded by a scan at construction and maintained
+// across stores and deletions.
 package cache
 
 import (
@@ -151,26 +152,34 @@ func (c *Cache) commitDisk(tmp, key string, size int64) error {
 	return nil
 }
 
-// dropDisk deletes a disk entry that failed verification, keeping the
-// tier stats exact (c.diskMu makes stat → remove → accounting one step).
-// Dropping is what turns a corrupt file into a one-time miss instead of
-// a permanent decode error.
+// dropDisk deletes a disk entry that failed verification. Dropping is
+// what turns a corrupt file into a one-time miss instead of a permanent
+// decode error.
 func (c *Cache) dropDisk(key string) {
+	if c.removeDisk(key) {
+		c.reg.Counter("cache_disk_drops_total").Inc()
+	}
+}
+
+// removeDisk deletes key's disk entry, if there is one, keeping the
+// tier stats exact (c.diskMu makes stat → remove → accounting one
+// step). It reports whether a file was removed.
+func (c *Cache) removeDisk(key string) bool {
 	if c.dir == "" {
-		return
+		return false
 	}
 	c.diskMu.Lock()
 	defer c.diskMu.Unlock()
 	path := c.entryPath(key)
 	info, err := os.Stat(path)
 	if err != nil {
-		return
+		return false
 	}
 	if err := os.Remove(path); err != nil {
-		return
+		return false
 	}
 	c.accountDisk(-1, -info.Size())
-	c.reg.Counter("cache_disk_drops_total").Inc()
+	return true
 }
 
 // accountDisk applies a change to the disk-tier stats and publishes

@@ -130,8 +130,8 @@ func TestZeroFaultProfileMatchesNoTransport(t *testing.T) {
 // TestHardOutageDegradesGracefully: with the backend hard-down the run
 // must complete the whole corpus in static-only degraded mode — no error,
 // every file review degraded, zero files reviewed, zero LLM spend — and
-// pipeline_degraded_files_total must equal the number of LLM-skipped
-// files.
+// pipeline_degraded_reason_total, summed over reasons, must equal the
+// number of LLM-skipped files.
 func TestHardOutageDegradesGracefully(t *testing.T) {
 	cr, snap := chaosRun(t, &llm.FaultProfile{HardOutage: true}, 4)
 
@@ -162,8 +162,14 @@ func TestHardOutageDegradesGracefully(t *testing.T) {
 	if degraded != totalFiles || totalFiles == 0 {
 		t.Fatalf("degraded %d of %d files, want all (and a non-empty corpus)", degraded, totalFiles)
 	}
-	if got := snap.Counter("pipeline_degraded_files_total"); got != int64(degraded) {
-		t.Errorf("pipeline_degraded_files_total = %d, want %d (the LLM-skipped files)", got, degraded)
+	var got int64
+	for _, c := range snap.Counters {
+		if c.Name == "pipeline_degraded_reason_total" {
+			got += c.Value
+		}
+	}
+	if got != int64(degraded) {
+		t.Errorf("Σ pipeline_degraded_reason_total = %d, want %d (the LLM-skipped files)", got, degraded)
 	}
 	if h, ok := snap.HistogramPoint("llm_review_ms"); ok && h.Count != 0 {
 		t.Errorf("llm_review_ms count = %d under hard outage, want 0 (no file reviewed)", h.Count)

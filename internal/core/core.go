@@ -406,7 +406,6 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 			// failure). The merge loop is sequential in sorted file order,
 			// so these counters stay deterministic at every Workers setting.
 			id.Degraded = append(id.Degraded, DegradedFile{File: f, Reason: rev.DegradedReason})
-			w.obs.Reg().Counter("pipeline_degraded_files_total").Inc()
 			w.obs.Reg().Counter("pipeline_degraded_reason_total", "reason", rev.DegradedReason).Inc()
 			continue
 		}

@@ -21,6 +21,7 @@ import (
 	"wasabi/internal/core"
 	"wasabi/internal/llm"
 	"wasabi/internal/oracle"
+	"wasabi/internal/sast"
 )
 
 // Schema identifies the document format. Bump on any field change.
@@ -46,8 +47,8 @@ type Document struct {
 	Degraded bool `json:"degraded"`
 }
 
-// App is one application's report (the JSON shape of the facade's
-// wasabi.Report).
+// App is one application's report. The root package's wasabi.Report
+// is this type.
 type App struct {
 	Code       string      `json:"code"`
 	Name       string      `json:"name"`
@@ -121,7 +122,7 @@ func Build(cr *core.CorpusRun) *Document {
 		Schema:   Schema,
 		Apps:     make([]App, 0, len(cr.Apps)),
 		IFRatios: make([]Ratio, 0, len(cr.IFRatios)),
-		IFBugs:   make([]Bug, 0, len(cr.IFReports)),
+		IFBugs:   IFBugs(cr.IFReports),
 		Usage:    usageOf(cr.Usage),
 		Degraded: cr.Degraded,
 	}
@@ -131,19 +132,26 @@ func Build(cr *core.CorpusRun) *Document {
 	for _, r := range cr.IFRatios {
 		doc.IFRatios = append(doc.IFRatios, Ratio{Exception: r.Exception, Retried: r.Retried, Total: r.Total})
 	}
-	for _, r := range cr.IFReports {
+	return doc
+}
+
+// IFBugs renders the corpus-wide retry-ratio outliers (§3.2.2) as
+// findings. The result is never nil, so an empty list renders as [].
+func IFBugs(reports []sast.IFReport) []Bug {
+	out := make([]Bug, 0, len(reports))
+	for _, r := range reports {
 		verb := "never retried here though usually retried"
 		if r.Retried {
 			verb = "retried here though usually not"
 		}
-		doc.IFBugs = append(doc.IFBugs, Bug{
+		out = append(out, Bug{
 			Workflow:    "static-if",
 			Kind:        "wrong-policy",
 			Coordinator: r.Coordinator,
 			Details:     fmt.Sprintf("%s %s (%s)", r.Exception, verb, r.Ratio.String()),
 		})
 	}
-	return doc
+	return out
 }
 
 // buildApp converts one application's artifacts.

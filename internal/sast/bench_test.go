@@ -1,9 +1,9 @@
 package sast
 
-// bench_test measures the static tier's cold per-file path: read, hash,
-// parse and extract every file of the seed corpus. `make bench` runs it
-// for profiling; performance numbers come from the repository benchmark
-// (docs/PERFORMANCE.md).
+// bench_test measures the static tier's cold per-file path (read, hash,
+// parse and extract every file of the seed corpus) and its warm
+// cross-file merge. `make bench` runs it for profiling; performance
+// numbers come from the repository benchmark (docs/PERFORMANCE.md).
 
 import (
 	"testing"
@@ -29,6 +29,34 @@ func BenchmarkExtractFactsCold(b *testing.B) {
 				if _, err := extractFacts(f); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}
+	}
+}
+
+// BenchmarkAnalyzeSnapshotWarm runs the cross-file merge over every
+// seed-corpus snapshot of one store whose files were analyzed once
+// before timing, so each file's facts come from its memo: the work a
+// warm job would pay for each app without the whole-app analysis tier.
+func BenchmarkAnalyzeSnapshotWarm(b *testing.B) {
+	st := source.NewStore(nil)
+	var snaps []*source.Snapshot
+	for _, app := range corpus.Apps() {
+		snap, err := st.Load(app.Dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := AnalyzeSnapshot(snap); err != nil {
+			b.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, snap := range snaps {
+			if _, err := AnalyzeSnapshot(snap); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

@@ -127,6 +127,40 @@ func (d *daemon) terminate(t *testing.T) {
 	}
 }
 
+// TestSigtermAfterListenDrains sends SIGTERM the moment wasabid
+// announces its address, as a supervisor stopping a just-started daemon
+// would. Every launch must drain and exit cleanly: a signal that
+// arrives once clients can reach the daemon must not kill it.
+func TestSigtermAfterListenDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and launches a real wasabid binary")
+	}
+	bin := buildWasabid(t)
+	for i := 0; i < 20; i++ {
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0")
+		stderr, err := cmd.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			if strings.Contains(sc.Text(), "listening on") {
+				break
+			}
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, stderr)
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("launch %d: wasabid exited uncleanly on SIGTERM right after listening: %v", i, err)
+		}
+	}
+}
+
 // metricValue reads one series from a /metrics exposition. An absent
 // series reads as 0 — exactly how an aggregator would see it, and the
 // correct interpretation for counters that were never incremented.

@@ -32,9 +32,7 @@ import (
 	"wasabi/internal/core"
 	"wasabi/internal/evaluation"
 	"wasabi/internal/llm"
-	"wasabi/internal/oracle"
 	"wasabi/internal/report"
-	"wasabi/internal/sast"
 )
 
 // Config tunes a pipeline. The zero value is replaced by DefaultConfig.
@@ -58,38 +56,21 @@ func Corpus() []App { return corpus.Apps() }
 // YA, HB, HI, CA, EL).
 func AppByCode(code string) (App, error) { return corpus.ByCode(code) }
 
-// BugReport is one detector finding.
-type BugReport struct {
-	// Workflow is "dynamic", "static-llm", or "static-if".
-	Workflow string
-	// Kind is "missing-cap", "missing-delay", "how", or "wrong-policy".
-	Kind string
-	// Coordinator is the method implementing the suspect retry.
-	Coordinator string
-	// Details is a human-readable explanation.
-	Details string
-}
+// BugReport is one detector finding: its workflow ("dynamic",
+// "static-llm" or "static-if"), kind, coordinator and details.
+type BugReport = report.Bug
 
-// Report is the outcome of analyzing one application.
-type Report struct {
-	App string
-	// Identified retry structures (merged over both techniques).
-	Structures []core.Structure
-	// Bugs are the deduplicated findings of both workflows, except IF
-	// bugs, which are corpus-wide (see Pipeline.AnalyzeAll).
-	Bugs []BugReport
-	// Coverage and cost statistics.
-	TestsTotal, TestsCoveringRetry    int
-	StructuresTotal, StructuresTested int
-	PlannedRuns, NaiveRuns            int
-}
+// Report is the outcome of analyzing one application: the app section
+// of the canonical JSON document (ReportJSON), with its structures,
+// deduplicated findings in canonical order, coverage and cost
+// statistics. IF bugs are corpus-wide (see Pipeline.IFBugs).
+type Report = report.App
 
 // Pipeline runs WASABI's workflows.
 type Pipeline struct {
 	w   *core.Wasabi
 	ids []*core.Identification
-	// last is the most recent AnalyzeAll corpus run, retained for
-	// ReportJSON.
+	// last is the most recent corpus run, retained for ReportJSON.
 	last *core.CorpusRun
 }
 
@@ -99,25 +80,19 @@ func NewPipeline(cfg Config) *Pipeline {
 }
 
 // Analyze runs identification, the dynamic workflow, and the LLM static
-// workflow on one application.
+// workflow on one application: the one report of AnalyzeAll(app).
 func (p *Pipeline) Analyze(app App) (*Report, error) {
-	id, err := p.w.Identify(app)
+	reports, err := p.AnalyzeAll(app)
 	if err != nil {
-		return nil, fmt.Errorf("wasabi: %w", err)
+		return nil, err
 	}
-	p.ids = append(p.ids, id)
-	dyn, err := p.w.RunDynamic(app, id)
-	if err != nil {
-		return nil, fmt.Errorf("wasabi: %w", err)
-	}
-	st := p.w.RunStatic(app, id)
-	return buildReport(app.Code, id, dyn, st), nil
+	return reports[0], nil
 }
 
 // AnalyzeAll analyzes every given application — all of Corpus() when none
 // are named — fanning the work out over Config.Workers workers. Reports
-// come back in input order and are byte-identical to calling Analyze on
-// each app in sequence, whatever the worker count.
+// are the app sections of the canonical document, in input order and
+// byte-identical whatever the worker count.
 func (p *Pipeline) AnalyzeAll(apps ...App) ([]*Report, error) {
 	if len(apps) == 0 {
 		apps = Corpus()
@@ -127,73 +102,34 @@ func (p *Pipeline) AnalyzeAll(apps ...App) ([]*Report, error) {
 		return nil, fmt.Errorf("wasabi: %w", err)
 	}
 	p.last = cr
-	reports := make([]*Report, 0, len(cr.Apps))
-	for _, ar := range cr.Apps {
+	doc := report.Build(cr)
+	reports := make([]*Report, len(doc.Apps))
+	for i, ar := range cr.Apps {
 		p.ids = append(p.ids, ar.ID)
-		reports = append(reports, buildReport(ar.App.Code, ar.ID, ar.Dyn, ar.Static))
+		reports[i] = &doc.Apps[i]
 	}
 	return reports, nil
-}
-
-// buildReport converts one application's raw workflow results into the
-// facade report shape.
-func buildReport(app string, id *core.Identification, dyn *core.DynamicResult, st *core.StaticResult) *Report {
-	rep := &Report{
-		App:                app,
-		Structures:         id.Structures,
-		TestsTotal:         dyn.TestsTotal,
-		TestsCoveringRetry: dyn.TestsCoveringRetry,
-		StructuresTotal:    dyn.StructuresTotal,
-		StructuresTested:   dyn.StructuresTested,
-		PlannedRuns:        dyn.PlannedRuns,
-		NaiveRuns:          dyn.NaiveRuns,
-	}
-	for _, r := range dyn.Reports {
-		rep.Bugs = append(rep.Bugs, BugReport{
-			Workflow: "dynamic", Kind: string(r.Kind),
-			Coordinator: r.Coordinator, Details: r.Details,
-		})
-	}
-	for _, r := range st.WhenReports {
-		rep.Bugs = append(rep.Bugs, BugReport{
-			Workflow: "static-llm", Kind: r.Kind,
-			Coordinator: r.Coordinator, Details: "detected from source (" + r.File + ")",
-		})
-	}
-	return rep
 }
 
 // IFBugs runs the corpus-wide retry-ratio analysis over every application
 // analyzed so far and returns the outlier reports.
 func (p *Pipeline) IFBugs() []BugReport {
 	_, reports := p.w.RunIFAnalysis(p.ids)
-	var out []BugReport
-	for _, r := range reports {
-		verb := "never retried here though usually retried"
-		if r.Retried {
-			verb = "retried here though usually not"
-		}
-		out = append(out, BugReport{
-			Workflow: "static-if", Kind: "wrong-policy",
-			Coordinator: r.Coordinator,
-			Details:     fmt.Sprintf("%s %s (%s)", r.Exception, verb, r.Ratio.String()),
-		})
-	}
-	return out
+	return report.IFBugs(reports)
 }
 
 // LLMUsage reports the accumulated simulated-LLM cost (§4.3).
 func (p *Pipeline) LLMUsage() llm.Usage { return p.w.LLMUsage() }
 
-// ReportJSON renders the most recent AnalyzeAll run as the canonical,
-// schema-versioned JSON document — the deterministic encoding of every
-// Report plus the corpus-wide IF analysis, byte-identical at any worker
-// count (and across warm cache-served re-runs). It is the same encoder
-// the wasabid service returns and cmd/wasabi -json prints; see
-// docs/SERVICE.md for the schema.
+// ReportJSON renders the most recent Analyze or AnalyzeAll run as the
+// canonical, schema-versioned JSON document — the deterministic
+// encoding of every Report plus the corpus-wide IF analysis,
+// byte-identical at any worker count (and across warm cache-served
+// re-runs). It is the same encoder the wasabid service returns and
+// cmd/wasabi -json prints; see docs/SERVICE.md for the schema.
 func (p *Pipeline) ReportJSON() ([]byte, error) {
 	if p.last == nil {
-		return nil, fmt.Errorf("wasabi: ReportJSON needs a prior AnalyzeAll run")
+		return nil, fmt.Errorf("wasabi: ReportJSON needs a prior Analyze or AnalyzeAll run")
 	}
 	return report.Marshal(report.Build(p.last))
 }
@@ -201,11 +137,3 @@ func (p *Pipeline) ReportJSON() ([]byte, error) {
 // Evaluate runs the complete paper evaluation (all tables and figures)
 // over the corpus. It is the programmatic equivalent of cmd/benchreport.
 func Evaluate() (*evaluation.Evaluation, error) { return evaluation.Run() }
-
-// Re-exported result types for API consumers.
-type (
-	// OracleReport is a dynamic-workflow finding before facade conversion.
-	OracleReport = oracle.Report
-	// ExceptionRatio is a corpus-wide retry-ratio row (§3.2.2).
-	ExceptionRatio = sast.ExceptionRatio
-)

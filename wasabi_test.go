@@ -1,8 +1,14 @@
 package wasabi
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"wasabi/internal/report"
 )
 
 func TestCorpusHasEightApps(t *testing.T) {
@@ -40,7 +46,7 @@ func TestPipelineAnalyzeFindsSeededBugs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.App != "CA" || rep.StructuresTotal == 0 {
+	if rep.Code != "CA" || rep.Coverage.StructuresTotal == 0 {
 		t.Fatalf("report = %+v", rep)
 	}
 	var sawDynamic, sawStatic bool
@@ -83,6 +89,79 @@ func TestPipelineIFBugsAcrossApps(t *testing.T) {
 			t.Errorf("details should describe the outlier: %q", b.Details)
 		}
 	}
+}
+
+// TestFacadeIsCanonicalReport holds the facade to the canonical
+// document: every report AnalyzeAll returns renders exactly as its app
+// section of ReportJSON (bug order included), Analyze on a fresh
+// pipeline renders the same bytes, and IFBugs is the document's if_bugs.
+func TestFacadeIsCanonicalReport(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			p := NewPipeline(cfg)
+			reports, err := p.AnalyzeAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, err := p.ReportJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var raw struct {
+				Apps   []json.RawMessage `json:"apps"`
+				IFBugs []report.Bug      `json:"if_bugs"`
+			}
+			if err := json.Unmarshal(doc, &raw); err != nil {
+				t.Fatal(err)
+			}
+			if len(reports) != len(raw.Apps) || len(reports) != len(Corpus()) {
+				t.Fatalf("%d reports, %d document apps", len(reports), len(raw.Apps))
+			}
+			for i, rep := range reports {
+				want := compact(t, []byte(fmt.Sprintf(`{"schema":%q,"app":%s}`, report.Schema, raw.Apps[i])))
+				got := marshalApp(t, rep)
+				if !bytes.Equal(compact(t, got), want) {
+					t.Errorf("%s: AnalyzeAll report differs from the document's app section", rep.Code)
+				}
+				fresh := NewPipeline(cfg)
+				app, err := AppByCode(rep.Code)
+				if err != nil {
+					t.Fatal(err)
+				}
+				single, err := fresh.Analyze(app)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(marshalApp(t, single), got) {
+					t.Errorf("%s: Analyze on a fresh pipeline differs from AnalyzeAll", rep.Code)
+				}
+			}
+			ifBugs := p.IFBugs()
+			if ifBugs == nil || !reflect.DeepEqual(ifBugs, raw.IFBugs) {
+				t.Errorf("IFBugs = %+v\nwant the document's if_bugs %+v", ifBugs, raw.IFBugs)
+			}
+		})
+	}
+}
+
+func marshalApp(t *testing.T, rep *Report) []byte {
+	t.Helper()
+	b, err := report.MarshalApp(*rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func compact(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestEvaluateSmoke(t *testing.T) {
