@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke bench-check gen-smoke chaos serve-smoke restart-smoke examples docs-check ci all
+.PHONY: build test vet fmt-check race bench bench-smoke bench-check gen-smoke chaos serve-smoke restart-smoke examples docs-check ci all
 
 all: ci
 
@@ -16,6 +16,12 @@ test:
 vet:
 	$(GO) vet ./...
 
+## fmt-check: fail when any Go file of the repository (tracked, or new
+## and not ignored) is not gofmt-formatted; ignored build output such as
+## the benchmark's generated corpora is not checked.
+fmt-check:
+	test -z "$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go'))"
+
 ## race: run the concurrency-sensitive packages under the race detector,
 ## including the parallel-runner determinism test over the full corpus
 ## and the worker-pool bound under nesting.
@@ -26,12 +32,13 @@ race:
 ## benchmarks (sequential vs parallel), the snapshot-store
 ## microbenchmarks (cold vs warm load), the cold per-file extraction
 ## and review over the seed corpus, the warm cross-file merge, and the
-## report encoder (docs/PERFORMANCE.md).
+## report encoder, and a restarted daemon's first job in process
+## (docs/PERFORMANCE.md).
 ## Performance numbers come from the repository benchmark instead:
 ## `bash bench/run.sh` (bench/README.md).
 bench:
 	$(GO) test -bench 'BenchmarkPipeline' -benchmem -run '^$$' .
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/source/ ./internal/sast/ ./internal/llm/ ./internal/report/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/source/ ./internal/sast/ ./internal/llm/ ./internal/report/ ./internal/core/
 
 ## gen-smoke: generate a 10x synthetic corpus into a temp dir and push
 ## it through the static-only pipeline — every emitted file must parse,
@@ -44,7 +51,7 @@ gen-smoke:
 ## CI gate that keeps the benchmarks building and executable without
 ## asserting thresholds.
 bench-smoke:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/source/ ./internal/sast/ ./internal/llm/ ./internal/report/
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/source/ ./internal/sast/ ./internal/llm/ ./internal/report/ ./internal/core/
 
 ## bench-check: vet and short-test the benchmark module, so an
 ## internal/ API change that breaks the benchmark's in-process replay
@@ -101,4 +108,4 @@ docs-check:
 	sh scripts/docs_check.sh
 
 ## ci: the local gate — everything the driver checks, in one target.
-ci: build test vet race chaos serve-smoke restart-smoke bench-smoke bench-check gen-smoke examples docs-check
+ci: build test vet fmt-check race chaos serve-smoke restart-smoke bench-smoke bench-check gen-smoke examples docs-check

@@ -20,19 +20,21 @@
 // executable's build identity and the run inputs (dynamic.go), so a
 // warm job against an unchanged build executes no test.
 //
-// The in-memory tier holds each entry's decoded value, and Supersede is
-// the only retention rule of both tiers: it keeps each lineage's newest
-// versions, as the snapshot store keeps each path's. Every hit returns
-// that one shared value and decodes nothing. A value passed to a Put*
-// method or returned by a Get* method is therefore immutable: callers
-// read it and copy before changing anything (report.Build copies the
-// dynamic reports before sorting them). An optional disk tier
-// (Options.Dir) persists review, retry-facts and dynamic entries as JSON
-// files, read through (and decoded fail-closed) on memory misses and
-// written through on stores — a restarted daemon replays the expensive
-// LLM tier, the static extraction tier and the injection runs from disk
-// at zero parses and zero runs. Bytes exist only on that path. Whole-app
-// analyses are a cheap in-memory merge of facts and stay memory-only.
+// The in-memory tier holds each review, analysis and dynamic entry's
+// decoded value, and Supersede is the only retention rule of both
+// tiers: it keeps each lineage's newest versions, as the snapshot store
+// keeps each path's (source.KeepNewest). Every hit returns that one
+// shared value and decodes nothing. A value passed to a Put* method or
+// returned by a Get* method is therefore immutable: callers read it and
+// copy before changing anything (report.Build copies the dynamic
+// reports before sorting them). An optional disk tier (Options.Dir)
+// persists review, retry-facts and dynamic entries as JSON files, read
+// through (and decoded fail-closed) on memory misses and written
+// through on stores — a restarted daemon replays the expensive LLM
+// tier, the static extraction tier and the injection runs from disk at
+// zero parses and zero runs. Bytes exist only on that path. Whole-app
+// analyses stay memory-only, and retry facts disk-only: their memory
+// tier is the snapshot file's memo (source.File.MemoThrough).
 // All operations are goroutine-safe; hit/miss counts are deterministic
 // functions of the logical access sequence, so pipeline tests can assert
 // them exactly.
@@ -141,34 +143,32 @@ func (c *Cache) PutReview(key string, rev llm.FileReview) {
 	c.put(key, rev, func() ([]byte, error) { return encodeReview(key, rev) })
 }
 
-// GetFacts returns the retry-facts entry for a content hash — the
-// sast.FactsStore read side. Every hit returns the same shared
-// *FileFacts, which callers must not mutate; misses fall through to the
-// disk tier, which is what makes the static extraction tier survive a
-// process restart. A disk entry is decoded fail-closed (format version
-// and content hash verified): a corrupt one is a miss, deleted from
-// disk, never an error.
+// GetFacts returns the retry-facts entry for a content hash from the
+// disk tier alone — the sast.FactsStore read side, which is what makes
+// the static extraction tier survive a process restart. The entry is
+// decoded fail-closed (format version and content hash verified): a
+// corrupt one is a miss, deleted from disk, never an error. Without a
+// disk tier it misses at once and counts nothing.
 func (c *Cache) GetFacts(contentSHA256 string) (*sast.FileFacts, bool) {
-	if c == nil {
+	if c == nil || c.dir == "" {
 		return nil, false
 	}
-	v, _ := c.get(StageFacts, FactsKey(contentSHA256), func(data []byte) (any, error) {
+	v, _ := c.read(StageFacts, FactsKey(contentSHA256), func(data []byte) (any, error) {
 		return sast.DecodeFacts(data, contentSHA256)
 	})
 	ff, ok := v.(*sast.FileFacts)
 	return ff, ok
 }
 
-// PutFacts memoizes a retry-facts entry, writing through to the disk
-// tier — the sast.FactsStore write side. The cache keeps ff itself, so
-// it must not be mutated afterwards. Best-effort like every store: an
-// encode or persist failure degrades to recomputation, never to an
+// PutFacts writes a retry-facts entry to the disk tier, if there is
+// one — the sast.FactsStore write side. Best-effort like every store:
+// an encode or persist failure degrades to recomputation, never to an
 // analysis error.
 func (c *Cache) PutFacts(contentSHA256 string, ff *sast.FileFacts) {
 	if c == nil || ff == nil {
 		return
 	}
-	c.put(FactsKey(contentSHA256), ff, func() ([]byte, error) { return sast.EncodeFacts(ff) })
+	c.persist(FactsKey(contentSHA256), func() ([]byte, error) { return sast.EncodeFacts(ff) })
 }
 
 // GetAnalysis returns the memoized static analysis under key. Every hit
@@ -194,16 +194,12 @@ func (c *Cache) PutAnalysis(key string, a *sast.Analysis, _ int64) {
 	if c == nil || a == nil {
 		return
 	}
-	c.mu.Lock()
 	c.install(key, a)
-	c.mu.Unlock()
 }
 
-// get is the read side of every stage. A memory hit returns the shared
-// value and decodes nothing. On a memory miss, decode (nil for the
-// memory-only analysis stage) verifies and unpacks the disk tier's
-// bytes fail-closed: a file that does not decode is counted, dropped
-// and read as a miss.
+// get is the read side of the memory-backed stages. A memory hit
+// returns the shared value and decodes nothing; on a miss, what read
+// loads is installed.
 func (c *Cache) get(stage, key string, decode func([]byte) (any, error)) (any, bool) {
 	c.mu.Lock()
 	if v, ok := c.entries[key]; ok {
@@ -213,13 +209,24 @@ func (c *Cache) get(stage, key string, decode func([]byte) (any, error)) (any, b
 		return v, true
 	}
 	c.mu.Unlock()
+	v, ok := c.read(stage, key, decode)
+	if ok {
+		c.install(key, v)
+	}
+	return v, ok
+}
+
+// read is the disk half of a lookup, counted as one hit or miss of
+// stage. decode (nil for the memory-only analysis stage) verifies and
+// unpacks the disk tier's bytes fail-closed: a file that does not
+// decode is counted, dropped and read as a miss.
+func (c *Cache) read(stage, key string, decode func([]byte) (any, error)) (any, bool) {
 	if decode != nil {
 		if data, ok := c.loadDisk(key); ok {
 			if v, err := decode(data); err == nil {
 				c.mu.Lock()
 				c.diskLoads++
 				c.hits[stage]++
-				c.install(key, v)
 				c.mu.Unlock()
 				c.reg.Counter("cache_hits_total", "stage", stage).Inc()
 				c.reg.Counter("cache_disk_loads_total").Inc()
@@ -238,28 +245,36 @@ func (c *Cache) get(stage, key string, decode func([]byte) (any, error)) (any, b
 	return nil, false
 }
 
-// put is the write side of every disk-backed stage. With a disk tier,
-// encode renders v and the bytes are written through; an encode failure
-// is counted and stores nothing. Without one, nothing is encoded. Then
-// v is installed in memory.
+// put is the write side of the review and dynamic stages: v is written
+// through (persist) and, unless its encoding failed, installed.
 func (c *Cache) put(key string, v any, encode func() ([]byte, error)) {
-	if c.dir != "" {
-		data, err := encode()
-		if err != nil {
-			c.reg.Counter("cache_decode_errors_total").Inc()
-			return
-		}
-		c.storeDisk(key, data)
+	if c.persist(key, encode) {
+		c.install(key, v)
 	}
-	c.mu.Lock()
-	c.install(key, v)
-	c.mu.Unlock()
 }
 
-// install inserts or replaces key's value. Called with c.mu held.
+// persist writes encode's bytes through to the disk tier, if there is
+// one; without one, nothing is encoded. An encode failure is counted,
+// stores nothing and reports false.
+func (c *Cache) persist(key string, encode func() ([]byte, error)) bool {
+	if c.dir == "" {
+		return true
+	}
+	data, err := encode()
+	if err != nil {
+		c.reg.Counter("cache_decode_errors_total").Inc()
+		return false
+	}
+	c.storeDisk(key, data)
+	return true
+}
+
+// install inserts or replaces key's value in the memory tier.
 func (c *Cache) install(key string, v any) {
+	c.mu.Lock()
 	c.entries[key] = v
 	c.setOccupancy()
+	c.mu.Unlock()
 }
 
 // setOccupancy publishes the memory tier's size. Called with c.mu held.
@@ -285,13 +300,14 @@ type Lineage struct {
 
 // Supersede records key as the newest entry of lineage l and drops the
 // lineage's entries older than its newest
-// source.DefaultKeepGenerations, the rule by which the snapshot store
-// evicts a path's old content versions. It is the only retention rule
-// of both tiers: a dropped key leaves memory, and with a disk tier its
-// file is removed too, so a long-lived daemon holds at most that many
-// entries per lineage it has seen, in memory and on disk. A dropped
-// entry is only ever recomputed, never served wrong, and that is the
-// whole cost of the rule's trades:
+// source.DefaultKeepGenerations, by source.KeepNewest, the rule by which
+// the snapshot store evicts a path's old content versions. It is the
+// only retention rule of both tiers: a dropped key leaves memory, and
+// with a disk tier its file is removed too (a facts key has only that
+// file), so a long-lived daemon holds at most that many entries per
+// lineage it has seen, in memory and on disk. A dropped entry is only
+// ever recomputed, never served wrong, and that is the whole cost of
+// the rule's trades:
 //
 //   - reverting an input more than K versions back recomputes it (a
 //     review is paid for again);
@@ -312,34 +328,18 @@ func (c *Cache) Supersede(l Lineage, key string) {
 	if c == nil || key == "" {
 		return
 	}
-	var dropped []string
 	c.mu.Lock()
-	keys := c.lineages[l]
-	if n := len(keys); n > 0 && keys[n-1] == key {
-		c.mu.Unlock()
-		return
-	}
-	for i, k := range keys {
-		if k == key {
-			keys = append(keys[:i], keys[i+1:]...)
-			break
+	keys, dropped := source.KeepNewest(c.lineages[l], key)
+	c.lineages[l] = keys
+	for _, k := range dropped {
+		if _, ok := c.entries[k]; ok {
+			delete(c.entries, k)
+			c.reg.Counter("cache_superseded_total").Inc()
 		}
 	}
-	keys = append(keys, key)
-	if drop := len(keys) - source.DefaultKeepGenerations; drop > 0 {
-		for _, k := range keys[:drop] {
-			if _, ok := c.entries[k]; ok {
-				delete(c.entries, k)
-				c.reg.Counter("cache_superseded_total").Inc()
-			}
-		}
-		if c.dir != "" {
-			dropped = append(dropped, keys[:drop]...)
-		}
-		keys = append(keys[:0], keys[drop:]...)
+	if len(dropped) > 0 {
 		c.setOccupancy()
 	}
-	c.lineages[l] = keys
 	c.mu.Unlock()
 	for _, k := range dropped {
 		c.removeDisk(k)

@@ -401,10 +401,6 @@ func TestFactsRoundTrip(t *testing.T) {
 	if got.Pkg != "demo" || len(got.Funcs) != 1 || got.Funcs[0].Loops[0].Line != 7 {
 		t.Fatalf("round-trip mismatch: %+v", got)
 	}
-	// A memory hit decodes nothing: two hits return the same value.
-	if again, _ := c1.GetFacts(hash); again != got {
-		t.Fatal("facts hits return distinct values, want one shared value")
-	}
 
 	// The disk tier makes facts survive a restart: a fresh cache over
 	// the same directory hydrates without any Put.

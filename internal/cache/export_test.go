@@ -7,6 +7,20 @@ import (
 	"wasabi/internal/sast"
 )
 
+// FactsInMemory counts the memory-tier values that are retry facts,
+// which only the snapshot file's memo may hold.
+func (c *Cache) FactsInMemory() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, v := range c.entries {
+		if _, ok := v.(*sast.FileFacts); ok {
+			n++
+		}
+	}
+	return n
+}
+
 // EncodedEntries re-encodes every disk-backed memory-tier value into the
 // bytes its stage writes to disk, by key. A value no caller has mutated
 // re-encodes to exactly its disk entry.
@@ -20,8 +34,6 @@ func (c *Cache) EncodedEntries() (map[string][]byte, error) {
 		switch v := val.(type) {
 		case llm.FileReview:
 			data, err = encodeReview(key, v)
-		case *sast.FileFacts:
-			data, err = sast.EncodeFacts(v)
 		case DynamicRun:
 			data, err = encodeDynamic(key, v)
 		default: // analyses are memory-only

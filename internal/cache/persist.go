@@ -1,10 +1,10 @@
 // persist.go is the cache's optional disk tier: review, retry-facts and
 // dynamic entries written through as JSON files named by their key,
-// read through on memory misses. It is what makes warm re-analysis
-// survive a process restart (the serving shape §4.3's per-run cost
-// argues for) without any external storage dependency — the expensive
-// LLM tier, the cheap-but-restart-hot static extraction tier and the
-// injection runs all replay from disk.
+// read through on memory misses (facts, on every read). It is what
+// makes warm re-analysis survive a process restart (the serving shape
+// §4.3's per-run cost argues for) without any external storage — the
+// expensive LLM tier, the cheap-but-restart-hot static extraction tier
+// and the injection runs all replay from disk.
 //
 // Persistence is strictly best-effort: a failed write degrades to a
 // recomputation (counted in cache_persist_errors_total), and an

@@ -71,7 +71,7 @@ func edit(t *testing.T, path string, n int) {
 
 // TestMemoryTierTracksEveryEntry holds each stage's entries to their
 // lineage's newest source.DefaultKeepGenerations versions: dynamic runs
-// as an app's location list changes, facts stored by an analysis that
+// as an app's location list changes, the disk facts of an analysis that
 // then fails, and every entry of concurrent jobs over changing files.
 func TestMemoryTierTracksEveryEntry(t *testing.T) {
 	const keep = source.DefaultKeepGenerations
@@ -142,14 +142,14 @@ func TestMemoryTierTracksEveryEntry(t *testing.T) {
 		if err := os.WriteFile(broken, []byte("package hdfs\n\nfunc (\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ca, err := cache.New(cache.Options{})
+		ca, err := cache.New(cache.Options{Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts := core.DefaultOptions()
 		opts.Cache = ca
 		opts.Source = source.NewStore(nil)
-		var entries []int
+		var entries []int64
 		for n := 0; n <= 4; n++ {
 			if n > 0 {
 				edit(t, paths[0], n)
@@ -157,11 +157,11 @@ func TestMemoryTierTracksEveryEntry(t *testing.T) {
 			if _, err := core.New(opts).Identify(app); err == nil {
 				t.Fatal("an app with an unparseable file identified cleanly")
 			}
-			entries = append(entries, ca.Stats().Entries)
+			entries = append(entries, ca.Stats().DiskEntries)
 		}
 		for n := keep; n < len(entries); n++ {
 			if entries[n] != entries[keep-1] {
-				t.Fatalf("entries after each edit = %v, want flat from edit %d on", entries, keep-1)
+				t.Fatalf("disk entries after each edit = %v, want flat from edit %d on", entries, keep-1)
 			}
 		}
 		if got := ca.UntrackedEntries(); len(got) != 0 {
@@ -199,9 +199,9 @@ func TestMemoryTierTracksEveryEntry(t *testing.T) {
 		if got := ca.UntrackedEntries(); len(got) != 0 {
 			t.Fatalf("untracked entries: %v", got)
 		}
-		// One review and one facts lineage per file, one analysis and one
-		// dynamic lineage for the app.
-		if bound := (2*len(paths) + 2) * keep; ca.Stats().Entries > bound {
+		// One review lineage per file, one analysis and one dynamic
+		// lineage for the app: facts never enter memory.
+		if bound := (len(paths) + 2) * keep; ca.Stats().Entries > bound {
 			t.Fatalf("entries = %d, want at most %d keys per lineage (%d)", ca.Stats().Entries, keep, bound)
 		}
 	})

@@ -23,7 +23,6 @@ import (
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/report"
-	"wasabi/internal/sast"
 	"wasabi/internal/source"
 )
 
@@ -248,10 +247,10 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	if got := snap.Counter("source_parse_total"); got != 0 {
 		t.Fatalf("restart-warm run parsed %d files, want 0", got)
 	}
-	if got := snap.Counter("source_derived_computes_total", "kind", sast.ExtractKind); got != 0 {
+	if got := snap.Counter("source_derived_computes_total"); got != 0 {
 		t.Fatalf("restart-warm run extracted %d files, want 0", got)
 	}
-	if got := snap.Counter("source_derived_hydrations_total", "kind", sast.ExtractKind); got != nFiles {
+	if got := snap.Counter("source_derived_hydrations_total"); got != nFiles {
 		t.Fatalf("restart-warm run hydrated %d facts, want %d", got, nFiles)
 	}
 	// The same build ran these injection runs before the restart, so
@@ -281,7 +280,7 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	if got := editSnap.Counter("source_parse_total"); got != 1 {
 		t.Fatalf("post-restart edit parsed %d files, want 1", got)
 	}
-	if got := editSnap.Counter("source_derived_computes_total", "kind", sast.ExtractKind); got != 1 {
+	if got := editSnap.Counter("source_derived_computes_total"); got != 1 {
 		t.Fatalf("post-restart edit extracted %d files, want 1", got)
 	}
 	if d.Misses[cache.StageReview] != 1 || d.Hits[cache.StageReview] != nFiles-1 {

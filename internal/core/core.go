@@ -263,9 +263,9 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 	if w.cache != nil {
 		man = cache.FromSnapshot(snap)
 		akey = cache.AnalysisKey(app.Dir, man.Digest)
-		// The memory tier keeps a directory's analyses, and each file's
-		// facts and reviews, for the versions the snapshot store keeps.
-		// Every key is recorded after its use (cache.Supersede).
+		// The cache keeps a directory's analyses, and each file's facts
+		// and reviews, for the versions the snapshot store keeps. Every
+		// key is recorded after its use (cache.Supersede).
 		defer w.cache.Supersede(cache.Lineage{Stage: cache.StageAnalysis, Scope: app.Dir}, akey)
 	}
 	var analysis *sast.Analysis
@@ -273,16 +273,12 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		analysis, _ = w.cache.GetAnalysis(akey)
 	}
 	if analysis == nil {
-		// The cache doubles as the portable facts tier (sast.FactsStore):
-		// per-file extraction hydrates from disk by content hash, so a
-		// restarted daemon rebuilds the analysis at zero parses. The
-		// explicit nil keeps the interface nil when no cache is attached.
-		var facts sast.FactsStore
-		if w.cache != nil {
-			facts = w.cache
-		}
+		// The cache's disk tier doubles as the portable facts tier
+		// (sast.FactsStore, nil-safe): per-file extraction hydrates from
+		// disk by content hash, so a restarted daemon rebuilds the
+		// analysis at zero parses.
 		var err error
-		analysis, err = sast.AnalyzeSnapshotWith(snap, facts)
+		analysis, err = sast.AnalyzeSnapshotWith(snap, w.cache)
 		// A failed analysis has still stored the facts of the files it
 		// extracted before the failure.
 		if man != nil {

@@ -20,7 +20,6 @@ import (
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/report"
-	"wasabi/internal/sast"
 	"wasabi/internal/source"
 )
 
@@ -70,7 +69,7 @@ func TestParseOncePerRun(t *testing.T) {
 		if got := s.Counter("source_reuse_total"); got != 0 {
 			t.Fatalf("workers=%d: source_reuse_total = %d, want 0 on a cold run", workers, got)
 		}
-		if got := s.Counter("source_derived_computes_total", "kind", sast.ExtractKind); got != want {
+		if got := s.Counter("source_derived_computes_total"); got != want {
 			t.Fatalf("workers=%d: sast extractions = %d, want %d", workers, got, want)
 		}
 	}
@@ -124,7 +123,7 @@ func TestWarmDaemonSingleFileEdit(t *testing.T) {
 	if got := s0.Counter("source_parse_total"); got != nFiles {
 		t.Fatalf("cold parses = %d, want %d", got, nFiles)
 	}
-	if got := s0.Counter("source_derived_computes_total", "kind", sast.ExtractKind); got != nFiles {
+	if got := s0.Counter("source_derived_computes_total"); got != nFiles {
 		t.Fatalf("cold extractions = %d, want %d", got, nFiles)
 	}
 
@@ -145,7 +144,7 @@ func TestWarmDaemonSingleFileEdit(t *testing.T) {
 	if d := counterDelta(s1, s0, "source_reuse_total"); d != nFiles {
 		t.Fatalf("warm reuses = %d, want %d", d, nFiles)
 	}
-	if d := counterDelta(s1, s0, "source_derived_computes_total", "kind", sast.ExtractKind); d != 0 {
+	if d := counterDelta(s1, s0, "source_derived_computes_total"); d != 0 {
 		t.Fatalf("warm run re-extracted %d files, want 0", d)
 	}
 
@@ -177,10 +176,10 @@ func TestWarmDaemonSingleFileEdit(t *testing.T) {
 	if d := counterDelta(s2, s1, "source_reuse_total"); d != nFiles-1 {
 		t.Fatalf("post-edit reuses = %d, want %d", d, nFiles-1)
 	}
-	if d := counterDelta(s2, s1, "source_derived_computes_total", "kind", sast.ExtractKind); d != 1 {
+	if d := counterDelta(s2, s1, "source_derived_computes_total"); d != 1 {
 		t.Fatalf("post-edit extractions = %d, want exactly 1", d)
 	}
-	if d := counterDelta(s2, s1, "source_derived_reuse_total", "kind", sast.ExtractKind); d != nFiles-1 {
+	if d := counterDelta(s2, s1, "source_derived_reuse_total"); d != nFiles-1 {
 		t.Fatalf("post-edit extraction reuses = %d, want %d", d, nFiles-1)
 	}
 	if d := ca.Stats().Misses[cache.StageReview] - missBefore; d != 1 {

@@ -152,7 +152,7 @@ var idiomTable = []idiomInfo{
 		Name: IdiomHedgedRequest, Per98: 8,
 		Mechanism: meta.Loop, Trigger: meta.Exception, Keyworded: false,
 		WhenEligible: true,
-		Cap: 3, DelayMS: 40,
+		Cap:          3, DelayMS: 40,
 		Throws: []string{classConnect, classSocketTimeout},
 		Types: []string{"ReadRouter", "TailCutter", "MirrorSelector",
 			"StragglerGuard"},
@@ -162,8 +162,8 @@ var idiomTable = []idiomInfo{
 		Name: IdiomSagaCompensation, Per98: 6,
 		Mechanism: meta.Loop, Trigger: meta.Exception, Keyworded: false,
 		Cap: 3, DelayMS: 70, Steps: 3,
-		Throws: []string{classConnect},
-		Types:  []string{"CheckoutSaga", "ProvisionSaga", "TransferSaga"},
+		Throws:    []string{classConnect},
+		Types:     []string{"CheckoutSaga", "ProvisionSaga", "TransferSaga"},
 		CoordVerb: "Run", RetriedVerb: "step",
 	},
 	{
@@ -178,7 +178,7 @@ var idiomTable = []idiomInfo{
 		Name: IdiomQueueRequeue, Per98: 10,
 		Mechanism: meta.Queue, Trigger: meta.Exception, Keyworded: true,
 		WhenEligible: true,
-		Cap: 4, DelayMS: 60,
+		Cap:          4, DelayMS: 60,
 		Throws: []string{classConnect, classSocketTimeout},
 		Types: []string{"DispatchWorker", "ReplicationWorker",
 			"AuditWorker", "ExportWorker", "CompactWorker"},
@@ -188,23 +188,23 @@ var idiomTable = []idiomInfo{
 		Name: IdiomQueueRedispatch, Per98: 2,
 		Mechanism: meta.Queue, Trigger: meta.Exception, Keyworded: false,
 		Cap: 3, DelayMS: 50,
-		Throws: []string{classConnect},
-		Types:  []string{"RouteTable", "StandbyPublisher"},
+		Throws:    []string{classConnect},
+		Types:     []string{"RouteTable", "StandbyPublisher"},
 		CoordVerb: "Push", RetriedVerb: "publish",
 	},
 	{
 		Name: IdiomStateMachineExc, Per98: 5,
 		Mechanism: meta.StateMachine, Trigger: meta.Exception, Keyworded: true,
 		Cap: 4, DelayMS: 100, Steps: 2,
-		Throws: []string{classKeeperLoss},
-		Types:  []string{"RecoveryProc", "HandoffProc", "ReopenProc"},
+		Throws:    []string{classKeeperLoss},
+		Types:     []string{"RecoveryProc", "HandoffProc", "ReopenProc"},
 		CoordVerb: "Execute", RetriedVerb: "step",
 	},
 	{
 		Name: IdiomStateMachineCode, Per98: 4,
 		Mechanism: meta.StateMachine, Trigger: meta.ErrorCode, Keyworded: true,
 		Cap: 4, DelayMS: 100, Steps: 3,
-		Types: []string{"ShardMover", "RegionSplitter"},
+		Types:     []string{"ShardMover", "RegionSplitter"},
 		CoordVerb: "Execute", RetriedVerb: "",
 	},
 }

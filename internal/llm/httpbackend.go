@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -139,14 +140,22 @@ func (h *HTTPBackend) Do(ctx context.Context, call Call) error {
 	if err != nil {
 		return errmodel.Newf("SocketTimeoutException", "llm: read completion for %s: %v", call.Path, err)
 	}
-	var completion chatResponse
-	if err := json.Unmarshal(raw, &completion); err != nil {
-		return errmodel.Newf("MalformedCompletionException", "llm: unparseable completion for %s: %v", call.Path, err)
-	}
-	if len(completion.Choices) == 0 {
-		return errmodel.Newf("MalformedCompletionException", "llm: empty completion for %s", call.Path)
+	if _, err := decodeCompletion(raw); err != nil {
+		return errmodel.Newf("MalformedCompletionException", "llm: %v for %s", err, call.Path)
 	}
 	return nil
+}
+
+// decodeCompletion parses a completion body that must carry a choice.
+func decodeCompletion(raw []byte) (chatResponse, error) {
+	var completion chatResponse
+	if err := json.Unmarshal(raw, &completion); err != nil {
+		return chatResponse{}, fmt.Errorf("unparseable completion: %w", err)
+	}
+	if len(completion.Choices) == 0 {
+		return chatResponse{}, errors.New("empty completion")
+	}
+	return completion, nil
 }
 
 // isClientTimeout spots net/http's own timeout errors (client.Timeout
@@ -159,13 +168,11 @@ func isClientTimeout(err error) bool {
 
 // parseRetryAfter parses the delay-seconds form of a Retry-After header
 // (the HTTP-date form is ignored: simulated and stub servers speak
-// seconds, and a missing hint just falls back to local backoff).
+// seconds); a missing hint, or one too long for a time.Duration, just
+// falls back to local backoff.
 func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs <= 0 {
+	secs, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || secs <= 0 || secs > math.MaxInt64/int64(time.Second) {
 		return 0
 	}
 	return time.Duration(secs) * time.Second

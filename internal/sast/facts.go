@@ -24,7 +24,7 @@ import (
 )
 
 // FactsSchema identifies the retry-facts format, and doubles as the
-// ExtractKind version folded into facts cache keys. Bump it whenever
+// extraction version folded into facts cache keys. Bump it whenever
 // extraction output changes for unchanged input: old entries then miss
 // cleanly (their keys are never derived again) and re-extraction
 // repopulates the tier.
@@ -74,10 +74,10 @@ type LoopFacts struct {
 }
 
 // FactsStore is the persistence seam AnalyzeSnapshot hydrates extraction
-// facts through, keyed by content hash. *cache.Cache implements it (the
-// interface lives here because the cache package already depends on
-// sast); a nil store disables hydration and every file extracts from
-// its AST.
+// facts through, keyed by content hash. *cache.Cache implements it with
+// its disk tier, nil-safely (the interface lives here because the cache
+// package depends on sast); a nil store disables hydration and every
+// file extracts from its AST.
 type FactsStore interface {
 	// GetFacts returns the decoded facts for a content hash, or false —
 	// a corrupt, truncated or version-mismatched entry is a miss, never

@@ -17,10 +17,6 @@ import (
 	"wasabi/internal/source"
 )
 
-// ExtractKind is the File.Memo key of the per-file extraction artifact
-// (the source_derived_*_total{kind=...} metrics label).
-const ExtractKind = "sast-extract"
-
 // factsResult is the memoized extraction outcome: facts, or the parse
 // error that prevented them. Errors memoize too — content-addressed
 // files fail identically every time.
@@ -33,7 +29,7 @@ type factsResult struct {
 // the in-memory memo (warm run), the facts store (restart-warm run —
 // no parse), or a fresh extraction from the AST (cold run or edit).
 func fileFactsOf(f *source.File, store FactsStore) (*FileFacts, error) {
-	v := f.MemoThrough(ExtractKind,
+	v := f.MemoThrough(
 		func() (any, bool) {
 			if store == nil {
 				return nil, false

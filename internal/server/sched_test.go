@@ -331,7 +331,7 @@ func TestConcurrentJobsShareSnapshotStore(t *testing.T) {
 	if got := snap.Counter("source_parse_total"); got != want {
 		t.Fatalf("source_parse_total = %d across %d concurrent jobs, want exactly %d (one per unique file)", got, m, want)
 	}
-	if got := snap.Counter("source_derived_computes_total", "kind", "sast-extract"); got != want {
+	if got := snap.Counter("source_derived_computes_total"); got != want {
 		t.Fatalf("sast extractions = %d, want exactly %d", got, want)
 	}
 

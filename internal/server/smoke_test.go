@@ -6,7 +6,8 @@ package server_test
 // One cold job pays the LLM spend; then three tenants submit
 // concurrently and every warm job must be served entirely from the
 // cache with zero fresh spend and a byte-identical report, with
-// /metrics proving more than one scheduler slot was busy at once.
+// /metrics proving more than one scheduler slot was busy at once (a
+// gate holds the first warm job until a second has started).
 
 import (
 	"bytes"
@@ -17,6 +18,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,6 +115,25 @@ func TestServeSmoke(t *testing.T) {
 		PipelineWorkers: 2,
 		Cache:           ca,
 		Obs:             observer,
+	})
+	// The warm jobs overlap by construction: the first one to reach a
+	// slot (the second job overall, after the cold one) holds it until
+	// another warm job has started, so two slots are busy at once
+	// however loaded the machine is.
+	var starts atomic.Int32
+	secondWarm := make(chan struct{})
+	srv.WrapRunJob(func(run func()) {
+		switch starts.Add(1) {
+		case 2:
+			select {
+			case <-secondWarm:
+			case <-time.After(60 * time.Second):
+				t.Error("no second warm job started while the first held its slot")
+			}
+		case 3:
+			close(secondWarm)
+		}
+		run()
 	})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)

@@ -23,15 +23,15 @@
 // from the review cache, so nothing ever touches go/ast.
 //
 // Consumers receive a Snapshot: the directory's source files in sorted
-// order, fully loaded. Files are immutable once interned; derived
-// per-file artifacts (e.g. internal/sast's method extraction) piggyback
-// on the same content addressing through File.Memo / File.MemoThrough,
-// which is what makes the static tier file-granular and incremental.
+// order, fully loaded. Files are immutable once interned; internal/sast's
+// retry facts piggyback on the same content addressing through
+// File.MemoThrough, their only memory tier, which is what makes the
+// static tier file-granular and incremental.
 //
-// Retention is bounded per path: the store keeps the latest
+// Retention is bounded per path (KeepNewest): the store keeps the latest
 // DefaultKeepGenerations content versions of each path and evicts older
-// generations — bytes, AST, positions and memoized artifacts together
-// — so a long-lived daemon's memory plateaus under an endless edit history
+// generations — bytes, AST, positions and memoized facts together — so
+// a long-lived daemon's memory plateaus under an endless edit history
 // (source_evictions_total / source_retained_bytes account for it).
 // Evicted versions stay valid in any snapshot still holding them (Files
 // are immutable); re-loading one simply re-interns and recomputes.
@@ -108,7 +108,7 @@ type File struct {
 	parseErr  error
 
 	mu   sync.Mutex
-	memo map[string]any
+	memo any // the derived artifact (MemoThrough)
 }
 
 // Syntax returns the parsed AST, building it on first call (counted in
@@ -131,40 +131,31 @@ func (f *File) Syntax() (*ast.File, error) {
 	return f.syntax, f.parseErr
 }
 
-// Memo returns the derived artifact registered under kind, computing it
-// with compute at most once per file version. This is the hook the
-// file-granular static tier hangs off: extraction results keyed by
-// content survive across runs in a long-lived store, so a warm daemon
-// recomputes them only for files that changed. compute must be a pure
-// function of the file and must not call Memo on the same file.
-func (f *File) Memo(kind string, compute func() any) any {
-	return f.MemoThrough(kind, nil, compute)
-}
-
-// MemoThrough is Memo with an optional second chance before computing:
-// when the in-memory memo misses, load may supply the artifact from an
-// external tier (the disk facts cache) — counted in
-// source_derived_hydrations_total — and only if both miss does compute
-// run (source_derived_computes_total). load and compute run under the
-// file's memo lock and must not call back into the same file's memo.
-func (f *File) MemoThrough(kind string, load func() (any, bool), compute func() any) any {
+// MemoThrough returns the file's derived artifact (the static tier's
+// retry facts), computing it at most once per file version, so a warm
+// daemon recomputes it only for files that changed. When the memo is
+// empty, load (nil for none) may supply it from an external tier (the
+// disk facts cache), counted in source_derived_hydrations_total; only
+// if that misses too does compute run (source_derived_computes_total).
+// Both run under the file's memo lock, so concurrent jobs compute each
+// version once; they must not call back into the memo or return nil.
+func (f *File) MemoThrough(load func() (any, bool), compute func() any) any {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if v, ok := f.memo[kind]; ok {
-		f.store.reg.Counter("source_derived_reuse_total", "kind", kind).Inc()
-		return v
+	if f.memo != nil {
+		f.store.reg.Counter("source_derived_reuse_total").Inc()
+		return f.memo
 	}
 	if load != nil {
 		if v, ok := load(); ok {
-			f.memo[kind] = v
-			f.store.reg.Counter("source_derived_hydrations_total", "kind", kind).Inc()
+			f.memo = v
+			f.store.reg.Counter("source_derived_hydrations_total").Inc()
 			return v
 		}
 	}
-	v := compute()
-	f.memo[kind] = v
-	f.store.reg.Counter("source_derived_computes_total", "kind", kind).Inc()
-	return v
+	f.memo = compute()
+	f.store.reg.Counter("source_derived_computes_total").Inc()
+	return f.memo
 }
 
 // Snapshot is one directory's loaded state: every source file, sorted by
@@ -201,7 +192,7 @@ func (s *Snapshot) Names() []string {
 //
 // Per path, only the latest DefaultKeepGenerations versions are
 // retained; older versions are evicted wholesale — bytes, AST,
-// positions, memoized artifacts — under the store lock.
+// positions, memoized facts — under the store lock.
 type Store struct {
 	reg *obs.Registry
 
@@ -314,7 +305,6 @@ func (s *Store) intern(path, name string, data []byte) (*File, bool) {
 			Size:   int64(len(data)),
 			Fset:   token.NewFileSet(),
 			store:  s,
-			memo:   make(map[string]any),
 		}
 		s.entries[key] = f
 		s.retainedBytes += f.Size
@@ -330,18 +320,8 @@ func (s *Store) intern(path, name string, data []byte) (*File, bool) {
 // evicts generations beyond the retention bound, reporting whether it
 // evicted any. Called with s.mu held.
 func (s *Store) touchGeneration(key fileKey) (evicted bool) {
-	path := key.path
-	g := s.gens[path]
-	for i, k := range g {
-		if k == key {
-			g = append(g[:i], g[i+1:]...)
-			break
-		}
-	}
-	g = append(g, key)
-	for len(g) > DefaultKeepGenerations {
-		victim := g[0]
-		g = g[1:]
+	g, victims := KeepNewest(s.gens[key.path], key)
+	for _, victim := range victims {
 		if vf, ok := s.entries[victim]; ok {
 			delete(s.entries, victim)
 			s.retainedBytes -= vf.Size
@@ -349,6 +329,25 @@ func (s *Store) touchGeneration(key fileKey) (evicted bool) {
 			evicted = true
 		}
 	}
-	s.gens[path] = g
+	s.gens[key.path] = g
 	return evicted
+}
+
+// KeepNewest is the retention rule of the store and of the analysis
+// cache: it records key as the newest of a lineage's versions (oldest
+// first) and splits them into the newest DefaultKeepGenerations to keep
+// and the older ones to drop. The kept slice may share versions' array;
+// the dropped one is never written again.
+func KeepNewest[K comparable](versions []K, key K) (kept, dropped []K) {
+	for i, k := range versions {
+		if k == key {
+			versions = append(versions[:i], versions[i+1:]...)
+			break
+		}
+	}
+	versions = append(versions, key)
+	if n := len(versions) - DefaultKeepGenerations; n > 0 {
+		return versions[n:], versions[:n]
+	}
+	return versions, nil
 }

@@ -3,7 +3,7 @@ package source_test
 // source_test pins the store's contract: each (path, content) version is
 // parsed at most once — lazily, on the first Syntax call — no matter how
 // many loads or lanes touch it, edits invalidate exactly the edited
-// file, derived artifacts registered through File.Memo / MemoThrough are
+// file, the derived artifact memoized through File.MemoThrough is
 // computed at most once per file version, and per-path retention is
 // bounded to the latest K generations. Loads read through pooled
 // buffers, yet every File owns its bytes and a warm load copies none.
@@ -199,7 +199,7 @@ func TestParseErrDoesNotFailLoad(t *testing.T) {
 }
 
 // TestMemoComputesOncePerVersion: a derived artifact is computed once per
-// file version and reused afterwards, with the per-kind counters moving
+// file version and reused afterwards, with the derived counters moving
 // exactly as the incremental static tier expects.
 func TestMemoComputesOncePerVersion(t *testing.T) {
 	dir := writeDir(t, map[string]string{"a.go": "package demo\n"})
@@ -212,20 +212,20 @@ func TestMemoComputesOncePerVersion(t *testing.T) {
 	f := snap.Files[0]
 	calls := 0
 	compute := func() any { calls++; return calls }
-	if v := f.Memo("facts", compute); v.(int) != 1 {
-		t.Fatalf("first Memo = %v, want 1", v)
+	if v := f.MemoThrough(nil, compute); v.(int) != 1 {
+		t.Fatalf("first MemoThrough = %v, want 1", v)
 	}
-	if v := f.Memo("facts", compute); v.(int) != 1 {
-		t.Fatalf("second Memo = %v, want cached 1", v)
+	if v := f.MemoThrough(nil, compute); v.(int) != 1 {
+		t.Fatalf("second MemoThrough = %v, want cached 1", v)
 	}
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
 	s := observer.Reg().Snapshot()
-	if n := s.Counter("source_derived_computes_total", "kind", "facts"); n != 1 {
+	if n := s.Counter("source_derived_computes_total"); n != 1 {
 		t.Fatalf("derived computes = %d, want 1", n)
 	}
-	if n := s.Counter("source_derived_reuse_total", "kind", "facts"); n != 1 {
+	if n := s.Counter("source_derived_reuse_total"); n != 1 {
 		t.Fatalf("derived reuses = %d, want 1", n)
 	}
 }
@@ -245,23 +245,23 @@ func TestMemoThroughHydrates(t *testing.T) {
 	loads, computes := 0, 0
 	load := func() (any, bool) { loads++; return "from-disk", true }
 	compute := func() any { computes++; return "computed" }
-	if v := f.MemoThrough("facts", load, compute); v != "from-disk" {
+	if v := f.MemoThrough(load, compute); v != "from-disk" {
 		t.Fatalf("first MemoThrough = %v, want from-disk", v)
 	}
-	if v := f.MemoThrough("facts", load, compute); v != "from-disk" {
+	if v := f.MemoThrough(load, compute); v != "from-disk" {
 		t.Fatalf("second MemoThrough = %v, want memoized from-disk", v)
 	}
 	if loads != 1 || computes != 0 {
 		t.Fatalf("loads=%d computes=%d, want 1/0", loads, computes)
 	}
 	s := observer.Reg().Snapshot()
-	if n := s.Counter("source_derived_hydrations_total", "kind", "facts"); n != 1 {
+	if n := s.Counter("source_derived_hydrations_total"); n != 1 {
 		t.Fatalf("derived hydrations = %d, want 1", n)
 	}
-	if n := s.Counter("source_derived_computes_total", "kind", "facts"); n != 0 {
+	if n := s.Counter("source_derived_computes_total"); n != 0 {
 		t.Fatalf("derived computes = %d, want 0", n)
 	}
-	if n := s.Counter("source_derived_reuse_total", "kind", "facts"); n != 1 {
+	if n := s.Counter("source_derived_reuse_total"); n != 1 {
 		t.Fatalf("derived reuses = %d, want 1", n)
 	}
 }
@@ -301,6 +301,28 @@ func TestConcurrentLoadSingleParse(t *testing.T) {
 	if loaded, reused := s.Counter("source_files_loaded_total"), s.Counter("source_reuse_total"); loaded-reused != 2 {
 		t.Fatalf("loaded=%d reused=%d, want exactly 2 first-sight loads", loaded, reused)
 	}
+}
+
+// TestKeepNewest pins the one keep-newest-K rule the store and the
+// analysis cache share: a new key drops the oldest beyond K, a key
+// recorded again moves to newest, and re-recording the newest drops
+// nothing.
+func TestKeepNewest(t *testing.T) {
+	var kept []string
+	record := func(key string, wantKept, wantDropped []string) {
+		t.Helper()
+		var dropped []string
+		kept, dropped = source.KeepNewest(kept, key)
+		if !slices.Equal(kept, wantKept) || !slices.Equal(dropped, wantDropped) {
+			t.Fatalf("record %q: kept %v dropped %v, want %v and %v", key, kept, dropped, wantKept, wantDropped)
+		}
+	}
+	record("a", []string{"a"}, nil)
+	record("b", []string{"a", "b"}, nil)
+	record("b", []string{"a", "b"}, nil)
+	record("a", []string{"b", "a"}, nil)
+	record("c", []string{"a", "c"}, []string{"b"})
+	record("d", []string{"c", "d"}, []string{"a"})
 }
 
 // TestGenerationalEviction drives one path through a long edit history:
@@ -379,7 +401,7 @@ func TestEvictedGenerationRecomputes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snap.Files[0].Memo("kind", func() any { computes++; return body })
+		return snap.Files[0].MemoThrough(nil, func() any { computes++; return body })
 	}
 	for _, v := range versions {
 		if got := loadAndMemo(v); got != v {

@@ -68,9 +68,8 @@ type Report = report.App
 
 // Pipeline runs WASABI's workflows.
 type Pipeline struct {
-	w   *core.Wasabi
-	ids []*core.Identification
-	// last is the most recent corpus run, retained for ReportJSON.
+	w *core.Wasabi
+	// last is the most recent corpus run, for ReportJSON and IFBugs.
 	last *core.CorpusRun
 }
 
@@ -104,18 +103,19 @@ func (p *Pipeline) AnalyzeAll(apps ...App) ([]*Report, error) {
 	p.last = cr
 	doc := report.Build(cr)
 	reports := make([]*Report, len(doc.Apps))
-	for i, ar := range cr.Apps {
-		p.ids = append(p.ids, ar.ID)
+	for i := range doc.Apps {
 		reports[i] = &doc.Apps[i]
 	}
 	return reports, nil
 }
 
-// IFBugs runs the corpus-wide retry-ratio analysis over every application
-// analyzed so far and returns the outlier reports.
+// IFBugs returns the retry-ratio outliers of the most recent Analyze or
+// AnalyzeAll run (the document's if_bugs); the empty list before one.
 func (p *Pipeline) IFBugs() []BugReport {
-	_, reports := p.w.RunIFAnalysis(p.ids)
-	return report.IFBugs(reports)
+	if p.last == nil {
+		return report.IFBugs(nil)
+	}
+	return report.IFBugs(p.last.IFReports)
 }
 
 // LLMUsage reports the accumulated simulated-LLM cost (§4.3).

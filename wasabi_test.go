@@ -71,11 +71,13 @@ func TestPipelineAnalyzeFindsSeededBugs(t *testing.T) {
 
 func TestPipelineIFBugsAcrossApps(t *testing.T) {
 	p := NewPipeline(DefaultConfig())
+	var apps []App
 	for _, code := range []string{"HI", "CA", "HB"} {
 		app, _ := AppByCode(code)
-		if _, err := p.Analyze(app); err != nil {
-			t.Fatal(err)
-		}
+		apps = append(apps, app)
+	}
+	if _, err := p.AnalyzeAll(apps...); err != nil {
+		t.Fatal(err)
 	}
 	bugs := p.IFBugs()
 	if len(bugs) == 0 {
@@ -143,6 +145,35 @@ func TestFacadeIsCanonicalReport(t *testing.T) {
 				t.Errorf("IFBugs = %+v\nwant the document's if_bugs %+v", ifBugs, raw.IFBugs)
 			}
 		})
+	}
+}
+
+// TestIFBugsReadsLatestRun re-analyzes the seed corpus on one pipeline:
+// IFBugs covers the most recent run only, so a second AnalyzeAll does
+// not count any application twice, and it stays the document's if_bugs.
+func TestIFBugsReadsLatestRun(t *testing.T) {
+	p := NewPipeline(DefaultConfig())
+	if bugs := p.IFBugs(); bugs == nil || len(bugs) != 0 {
+		t.Fatalf("IFBugs before any run = %#v, want the empty list", bugs)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := p.AnalyzeAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc, err := p.ReportJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		IFBugs []report.Bug `json:"if_bugs"`
+	}
+	if err := json.Unmarshal(doc, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if bugs := p.IFBugs(); len(bugs) != 7 || !reflect.DeepEqual(bugs, raw.IFBugs) {
+		t.Fatalf("IFBugs after two runs = %d outliers, want the document's %d (7 over the seed corpus)",
+			len(bugs), len(raw.IFBugs))
 	}
 }
 
