@@ -102,7 +102,6 @@ func TestDynamicMemoByteIdentical(t *testing.T) {
 				// work; per-job result counters count both jobs alike.
 				for _, name := range []string{
 					"core_injection_runs_total", "fault_injections_total",
-					"oracle_evaluations_total",
 				} {
 					if counterSum(coldSnap, name) == 0 {
 						t.Fatalf("cold %s = 0", name)

@@ -64,11 +64,17 @@ func TestObservedRunRecordsEveryLayer(t *testing.T) {
 	}
 
 	reviews, _ := snap.HistogramPoint("llm_review_ms")
+	var injectionRuns int64
+	for _, c := range snap.Counters {
+		if c.Name == "core_injection_runs_total" {
+			injectionRuns += c.Value
+		}
+	}
 	checksPositive := map[string]int64{
 		"core_pool_tasks_total{level=apps}": snap.Counter("core_pool_tasks_total", "level", "apps"),
 		"llm_review_ms count":               reviews.Count,
 		"llm_tokens_in_total":               snap.Counter("llm_tokens_in_total"),
-		"oracle_evaluations_total":          snap.Counter("oracle_evaluations_total"),
+		"core_injection_runs_total":         injectionRuns,
 	}
 	for name, got := range checksPositive {
 		if got <= 0 {

@@ -140,7 +140,6 @@ type CorpusRun struct {
 func (w *Wasabi) RunCorpus(apps []corpus.App) (*CorpusRun, error) {
 	csp := w.obs.Trc().Start("corpus", "pipeline")
 	defer csp.End()
-	w.obs.Reg().Gauge("core_corpus_apps").Set(float64(len(apps)))
 	// Load every app before the fan-out, so a replayable LLM router can
 	// settle the whole run's admissions up front in (app, file) order.
 	snaps := make([]*source.Snapshot, len(apps))

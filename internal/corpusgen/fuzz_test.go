@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -78,12 +79,62 @@ func FuzzLoadSpec(f *testing.F) {
 	f.Add([]byte(`{"schema":"corpusgen-spec/v0","apps":[]}`))
 	f.Add([]byte(`{"schema":"` + SpecSchema + `","apps":[{"code":"G001","structures":[{}]}]}`))
 	f.Add([]byte(`{garbage`))
+	f.Add([]byte(`{"schema":"` + SpecSchema + `","apps":[{"code":"G001","pkg":"../../etc"}]}`))
+	f.Add([]byte(`{"schema":"` + SpecSchema + `","apps":[{"code":"G001","pkg":"a"},{"code":"G001","pkg":"b"}]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fuzzRoundTrip(t, SpecFile, raw, func(root string) (*Corpus, error) {
-			_, c, err := LoadApps(root)
+			apps, c, err := LoadApps(root)
+			codes := make(map[string]bool, len(apps))
+			for _, a := range apps {
+				if filepath.Dir(a.Dir) != root {
+					t.Fatalf("app %s: Dir %q is not a child of the root %q", a.Code, a.Dir, root)
+				}
+				if codes[a.Code] {
+					t.Fatalf("app code %s accepted twice", a.Code)
+				}
+				codes[a.Code] = true
+			}
 			return c, err
 		})
 	})
+}
+
+// TestLoadAppsRejectsUnsafeSpec: an app whose pkg would place its Dir
+// anywhere but directly under the root, or whose code repeats an
+// earlier app's, is refused, and the error names the app.
+func TestLoadAppsRejectsUnsafeSpec(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		apps  string
+		valid bool
+	}{
+		{"plain", `{"code":"G001","pkg":"gen001"},{"code":"G002","pkg":"gen002"}`, true},
+		{"parent", `{"code":"G001","pkg":"gen001"},{"code":"G002","pkg":"../../etc"}`, false},
+		{"dotdot", `{"code":"G002","pkg":".."}`, false},
+		{"dot", `{"code":"G002","pkg":"."}`, false},
+		{"empty", `{"code":"G002","pkg":""}`, false},
+		{"nested", `{"code":"G002","pkg":"a/b"}`, false},
+		{"backslash", `{"code":"G002","pkg":"a\\b"}`, false},
+		{"repeated-code", `{"code":"G002","pkg":"gen001"},{"code":"G002","pkg":"gen002"}`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			spec := `{"schema":"` + SpecSchema + `","apps":[` + tc.apps + `]}`
+			if err := os.WriteFile(filepath.Join(root, SpecFile), []byte(spec), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := LoadApps(root)
+			if tc.valid {
+				if err != nil {
+					t.Fatalf("valid spec rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), `app "G002"`) {
+				t.Fatalf("LoadApps error = %v, want a rejection naming app G002", err)
+			}
+		})
+	}
 }
 
 func FuzzLoadLedger(f *testing.F) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"wasabi/internal/apps/corpus"
 )
@@ -30,14 +31,25 @@ func Load(root string) (*Corpus, error) {
 // each app's Dir points at its emitted sources (for the SAST and LLM
 // lanes), its Suite at the interpreter (for the dynamic lane), and its
 // Manifest at the derived ground truth. The result is a drop-in
-// replacement for corpus.Apps().
+// replacement for corpus.Apps(). The spec comes from outside the
+// program, so an app whose pkg is not one clean path element (its Dir
+// would leave the root) or whose code repeats an earlier app's is an
+// error.
 func LoadApps(root string) ([]corpus.App, *Corpus, error) {
 	c, err := Load(root)
 	if err != nil {
 		return nil, nil, err
 	}
 	apps := make([]corpus.App, 0, len(c.Apps))
+	seen := make(map[string]bool, len(c.Apps))
 	for _, a := range c.Apps {
+		if a.Pkg == "" || a.Pkg == "." || a.Pkg == ".." || strings.ContainsAny(a.Pkg, `/\`) {
+			return nil, nil, fmt.Errorf("corpusgen: app %q: pkg %q is not a single path element", a.Code, a.Pkg)
+		}
+		if seen[a.Code] {
+			return nil, nil, fmt.Errorf("corpusgen: app %q: code repeated", a.Code)
+		}
+		seen[a.Code] = true
 		apps = append(apps, corpus.App{
 			Code:     a.Code,
 			Name:     a.Name,

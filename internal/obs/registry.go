@@ -212,8 +212,9 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 
 // RemoveGauge deletes the gauge with the given identity, if registered.
 // Gauges describe current state, and keeping one alive for an evicted
-// tenant would report state that no longer exists. No-op on a nil
-// registry.
+// tenant would report state that no longer exists. With FoldCounter it
+// is the only way a series leaves the registry; histograms are never
+// removed. No-op on a nil registry.
 func (r *Registry) RemoveGauge(name string, labels ...string) {
 	if r == nil {
 		return
@@ -257,22 +258,6 @@ func (r *Registry) FoldCounter(name string, from, into []string) int64 {
 		dst.c.Add(v)
 	}
 	return v
-}
-
-// RemoveHistogram deletes the histogram with the given identity, if
-// registered. Unlike counters, a retired distribution has no meaningful
-// fold into a survivor (mixed-tenant latency quantiles would answer a
-// question nobody asked), so the observations are simply dropped; the
-// caller should count the retirement if the history matters. No-op on a
-// nil registry.
-func (r *Registry) RemoveHistogram(name string, labels ...string) {
-	if r == nil {
-		return
-	}
-	id := makeLabels(labels).id(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.hists, id)
 }
 
 // Histogram returns the histogram registered under name and labels,
@@ -426,52 +411,4 @@ func (s Snapshot) HistogramPoint(name string, labels ...string) (HistogramPoint,
 		}
 	}
 	return HistogramPoint{}, false
-}
-
-// Quantile estimates the q-quantile (0 < q ≤ 1) of the recorded
-// distribution by linear interpolation inside the bucket holding the
-// rank — the same estimator Prometheus's histogram_quantile uses.
-// Observations in the +Inf bucket clamp to the last finite bound (the
-// estimate is a floor, not an extrapolation). Returns 0 on an empty
-// histogram.
-func (h HistogramPoint) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.Bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(h.Count)
-	cum := int64(0)
-	for i, c := range h.Counts {
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i >= len(h.Bounds) {
-			return h.Bounds[len(h.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.Bounds[i-1]
-		}
-		hi := h.Bounds[i]
-		prev := float64(cum - c)
-		frac := (rank - prev) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return h.Bounds[len(h.Bounds)-1]
-}
-
-// AddGauge inserts a derived gauge into the snapshot, keeping the gauges
-// section sorted by canonical identity so serialization stays
-// deterministic. It exists for render-time summaries (e.g. the scheduler
-// quantiles wasabid's /metrics derives from its latency histograms)
-// that should not live as mutable registry state.
-func (s *Snapshot) AddGauge(name string, value float64, labels ...string) {
-	p := GaugePoint{Name: name, Labels: makeLabels(labels), Value: value}
-	id := p.Labels.id(p.Name)
-	i := sort.Search(len(s.Gauges), func(i int) bool {
-		return s.Gauges[i].Labels.id(s.Gauges[i].Name) >= id
-	})
-	s.Gauges = append(s.Gauges, GaugePoint{})
-	copy(s.Gauges[i+1:], s.Gauges[i:])
-	s.Gauges[i] = p
 }

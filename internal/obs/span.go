@@ -21,8 +21,8 @@ import (
 )
 
 // Tracer collects the spans of one pipeline run. Spans are assigned
-// display lanes — the Chrome trace "tid" — on start: a root span takes
-// the lowest free lane and frees it on End, so the lane axis reads as
+// display lanes — the Chrome trace "tid" — on start: a span takes the
+// lowest free lane and frees it on End, so the lane axis reads as
 // worker-slot occupancy (lane count ≈ peak concurrency). A nil *Tracer
 // is valid and records nothing.
 type Tracer struct {
@@ -42,17 +42,16 @@ type Tracer struct {
 	procName string
 }
 
-// Span is one in-flight operation. End completes it; children inherit
-// the parent's lane and record the parent's name, so the hierarchy
-// survives into the trace file. A nil *Span is valid.
+// Span is one in-flight operation. End completes it; a span opened with
+// a "parent" arg records its parent's name, so the hierarchy survives
+// into the trace file. A nil *Span is valid.
 type Span struct {
-	tr       *Tracer
-	name     string
-	cat      string
-	lane     int
-	ownsLane bool
-	start    time.Time
-	args     map[string]string
+	tr    *Tracer
+	name  string
+	cat   string
+	lane  int
+	start time.Time
+	args  map[string]string
 }
 
 // chromeEvent is one Chrome trace-event record ("X" = complete event,
@@ -129,9 +128,9 @@ func (t *Tracer) SpanCount() int {
 	return len(t.events)
 }
 
-// Start opens a root span with the given name, category and alternating
-// key/value args, allocating the lowest free display lane. Nil tracer
-// returns a nil span.
+// Start opens a span with the given name, category and alternating
+// key/value args (a "parent" arg names the enclosing span), allocating
+// the lowest free display lane. Nil tracer returns a nil span.
 func (t *Tracer) Start(name, cat string, args ...string) *Span {
 	if t == nil {
 		return nil
@@ -141,7 +140,7 @@ func (t *Tracer) Start(name, cat string, args ...string) *Span {
 	t.mu.Unlock()
 	return &Span{
 		tr: t, name: name, cat: cat,
-		lane: lane, ownsLane: true,
+		lane:  lane,
 		start: time.Now(),
 		args:  argMap(args),
 	}
@@ -159,25 +158,6 @@ func (t *Tracer) allocLaneLocked() int {
 	return len(t.lanes) - 1
 }
 
-// Child opens a sub-span on the parent's lane, recording the parent name
-// in the args. Nil span returns nil.
-func (s *Span) Child(name, cat string, args ...string) *Span {
-	if s == nil {
-		return nil
-	}
-	m := argMap(args)
-	if m == nil {
-		m = make(map[string]string, 1)
-	}
-	m["parent"] = s.name
-	return &Span{
-		tr: s.tr, name: name, cat: cat,
-		lane:  s.lane,
-		start: time.Now(),
-		args:  m,
-	}
-}
-
 // SetArg annotates the span with one key/value arg before End — review
 // spans use it to record outcome facts (fresh token spend, cache hit,
 // retries, degradation) known only once the work finished. The span is
@@ -193,7 +173,7 @@ func (s *Span) SetArg(key, value string) {
 }
 
 // End completes the span, appending it to the tracer and freeing its
-// lane if it owns one. No-op on nil.
+// lane. No-op on nil.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -203,7 +183,7 @@ func (s *Span) End() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	args := s.args
-	if s.ownsLane && t.rootParent != "" && args["parent"] == "" && s.name != t.rootParent {
+	if t.rootParent != "" && args["parent"] == "" && s.name != t.rootParent {
 		if args == nil {
 			args = make(map[string]string, 1)
 		}
@@ -219,9 +199,7 @@ func (s *Span) End() {
 		TID:  s.lane + 1, // tid 0 is reserved for metadata
 		Args: t.mergeCommonLocked(args),
 	})
-	if s.ownsLane {
-		t.lanes[s.lane] = false
-	}
+	t.lanes[s.lane] = false
 }
 
 // Record appends an already-completed span measured externally — the

@@ -43,7 +43,7 @@ func TestScopedTracerCommonArgsAndRootParent(t *testing.T) {
 	tr.SetRootParent("run")
 
 	root := tr.Start("corpus", "pipeline")
-	child := root.Child("app:HD", "app")
+	child := tr.Start("app:HD", "app", "parent", "corpus")
 	child.SetArg("cached", "true")
 	child.End()
 	root.End()

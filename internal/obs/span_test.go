@@ -23,8 +23,8 @@ func decodeTrace(t *testing.T, b []byte) map[string]any {
 func TestSpansEmitChromeTraceJSON(t *testing.T) {
 	tr := NewTracer()
 	root := tr.Start("corpus", "pipeline")
-	app := root.Child("app:HD", "app", "app", "HD")
-	stage := app.Child("identify", "stage")
+	app := tr.Start("app:HD", "app", "app", "HD", "parent", "corpus")
+	stage := tr.Start("identify", "stage", "parent", "app:HD")
 	stage.End()
 	app.End()
 	root.End()
@@ -110,7 +110,7 @@ func TestConcurrentSpans(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				sp := tr.Start("work", "stress")
-				sp.Child("inner", "stress").End()
+				tr.Start("inner", "stress", "parent", "work").End()
 				sp.End()
 			}
 		}()

@@ -61,8 +61,7 @@ type Options struct {
 	// measured in virtual time here.
 	VirtualTimeout time.Duration
 	// Metrics, when set, receives the per-oracle verdict distribution
-	// (oracle_reports_total{oracle=…}) and an evaluation counter. Reports
-	// are a deterministic function of the trace, so the counters are
+	// (oracle_reports_total{oracle=…}). Reports are a deterministic function of the trace, so the counters are
 	// identical at every worker count.
 	Metrics *obs.Registry
 }
@@ -84,7 +83,6 @@ func Evaluate(app string, res testkit.Result, rules []fault.Rule, opts Options) 
 	out = append(out, missingCap(app, res, rules, opts)...)
 	out = append(out, missingDelay(app, res)...)
 	out = append(out, differentException(app, res, rules)...)
-	opts.Metrics.Counter("oracle_evaluations_total").Inc()
 	for _, r := range out {
 		opts.Metrics.Counter("oracle_reports_total", "oracle", string(r.Kind)).Inc()
 	}

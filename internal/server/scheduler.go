@@ -270,16 +270,14 @@ const RetiredTenant = "_retired"
 // KNOWN_ISSUES "tenant state never reclaimed" fix, completed by the
 // "counters outlive tenant eviction" follow-up: a daemon serving a long
 // tail of one-shot tenants no longer accumulates a queue struct, a
-// sorted-order slot, two gauges, three counter series and a histogram
-// per tenant forever. State gauges are simply removed (a depth gauge
-// for a tenant that isn't there would be a lie). Monotonic counters
-// cannot just vanish — Prometheus-style sums must never go backwards —
-// so they fold into the RetiredTenant series: sum-across-tenants
-// invariants (e.g. tenant token spend vs the fleet's
-// llm_tokens_in_total) keep holding over live tenants + "_retired".
-// The per-tenant latency histogram is dropped outright; distributions
-// have no meaningful fold. A returning tenant is re-created with fresh
-// round-robin credit and restarts its series from zero, which is
+// sorted-order slot, two gauges and three counter series per tenant
+// forever. State gauges are simply removed (a depth gauge for a tenant
+// that isn't there would be a lie). Monotonic counters cannot just
+// vanish — Prometheus-style sums must never go backwards — so they fold
+// into the RetiredTenant series: sum-across-tenants invariants (e.g.
+// tenant token spend vs the fleet's llm_tokens_in_total) keep holding
+// over live tenants + "_retired". A returning tenant is re-created with
+// fresh round-robin credit and restarts its series from zero, which is
 // exactly what a brand-new tenant gets. s.mu must be held.
 func (s *scheduler) evictLocked(t *tenantQueue) {
 	delete(s.tenants, t.name)
@@ -306,7 +304,6 @@ func (s *scheduler) evictLocked(t *tenantQueue) {
 		// aggregate, never the gap between.
 		s.reg.FoldCounter(name, []string{"tenant", t.name}, []string{"tenant", RetiredTenant})
 	}
-	s.reg.RemoveHistogram("server_tenant_job_ms", "tenant", t.name)
 	s.log.Info(evTenantEvicted, "tenant", t.name)
 }
 

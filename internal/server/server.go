@@ -32,8 +32,8 @@
 // that rides every structured log event (log.go), every span of the
 // job's private tracer (queue-wait → slot run → pipeline stages →
 // per-file reviews), and the per-tenant cost series
-// server_tenant_llm_tokens_total / server_tenant_job_ms that pair fair
-// scheduling with fair billing.
+// server_tenant_llm_tokens_total that pairs fair scheduling with fair
+// billing.
 package server
 
 import (
@@ -161,7 +161,8 @@ type Server struct {
 	// backend health outlives jobs and identical concurrent reviews
 	// coalesce across tenants through its singleflight group.
 	llmRouter *llm.Router
-	// started is stamped by Start; server_uptime_seconds derives from it.
+	// started is stamped by Start; the server.stop event's uptime_s
+	// derives from it.
 	started time.Time
 
 	mu     sync.Mutex
@@ -300,6 +301,7 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	s.started = time.Now()
+	s.obs.Reg().Gauge("server_start_time_seconds").Set(float64(s.started.UnixNano()) / 1e9)
 	s.sched.start(func(j *job) { s.runJob(j) })
 	go s.http.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
 	s.log.Info(evServerStart, "addr", s.Addr(), "slots", s.cfg.SchedulerSlots, "version", Version)
@@ -420,7 +422,6 @@ func (s *Server) run(j *job) {
 	// path, so the leader's tenant pays and the follower adds zero.
 	reg := s.obs.Reg()
 	reg.Counter("server_tenant_llm_tokens_total", "tenant", j.tenant).Add(fresh.TokensIn)
-	reg.Histogram("server_tenant_job_ms", obs.LatencyBuckets, "tenant", j.tenant).Observe(durMS(end.Sub(start)))
 
 	if err == nil {
 		if n := len(cr.DegradedFiles()); n > 0 {
@@ -608,7 +609,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	view := s.viewLocked(j)
 	s.mu.Unlock()
 
-	s.obs.Reg().Counter("server_jobs_total", "status", "accepted").Inc()
 	s.logJob(evJobAccepted, j, "apps", len(apps), "queue_depth", queued)
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, http.StatusAccepted, view)
@@ -714,38 +714,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// schedQuantiles is the percentile set /metrics summarizes the
-// scheduler's wait/run histograms at.
-var schedQuantiles = []float64{0.5, 0.9, 0.99}
-
-// addSchedSummaries derives quantile gauges from the scheduler's latency
-// histograms and inserts them into the snapshot (sorted, so the
-// exposition stays deterministic for a given snapshot). The source
-// histograms carry wall-clock facts, so the values vary run to run; only
-// their presence and ordering are stable.
-func addSchedSummaries(snap *obs.Snapshot) {
-	for _, name := range []string{"server_sched_job_wait_ms", "server_sched_job_run_ms"} {
-		h, ok := snap.HistogramPoint(name)
-		if !ok || h.Count == 0 {
-			continue
-		}
-		for _, q := range schedQuantiles {
-			snap.AddGauge(name+"_quantile", h.Quantile(q), "q", fmt.Sprintf("%.2f", q))
-		}
-	}
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	snap := s.obs.Reg().Snapshot()
-	addSchedSummaries(&snap)
-	// Uptime is derived at render time rather than kept as mutable
-	// registry state nothing else reads (same pattern as the scheduler
-	// quantiles).
-	if !s.started.IsZero() {
-		snap.AddGauge("server_uptime_seconds", time.Since(s.started).Seconds())
-	}
-	obs.WriteText(w, snap) //nolint:errcheck // client gone
+	obs.WriteText(w, s.obs.Reg().Snapshot()) //nolint:errcheck // client gone
 }
 
 // httpError writes a JSON error body.

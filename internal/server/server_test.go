@@ -6,6 +6,7 @@ package server
 // can be pinned without racing a live job executor.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
@@ -98,8 +99,14 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 
 	snap := reg.Reg().Snapshot()
-	if got := snap.Counter("server_jobs_total", "status", "accepted"); got != 4 {
-		t.Fatalf("accepted = %d, want 4", got)
+	accepted := int64(0)
+	for _, c := range snap.Counters {
+		if c.Name == "server_sched_jobs_total" {
+			accepted += c.Value
+		}
+	}
+	if accepted != 4 {
+		t.Fatalf("accepted = %d, want 4", accepted)
 	}
 	if got := snap.Counter("server_jobs_total", "status", "rejected"); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
@@ -219,5 +226,41 @@ func TestShutdownDrainsAcceptedJobs(t *testing.T) {
 	}
 	if len(j.view) == 0 {
 		t.Fatal("drained job has no report")
+	}
+}
+
+// TestMetricsRenderRegistryVerbatim: /metrics prints the registry as it
+// stands. Once a job has drained and the daemon is quiescent, the body
+// is byte-identical to the exposition of the registry's own snapshot —
+// no series is derived or added at scrape time.
+func TestMetricsRenderRegistryVerbatim(t *testing.T) {
+	o := obs.New()
+	s := New(Config{Addr: "127.0.0.1:0", PipelineWorkers: 2, Obs: o})
+	before := time.Now()
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(s, "POST", "/v1/analyze", `{"apps":["HD"]}`); rec.Code != 202 {
+		t.Fatalf("submit = %d, want 202", rec.Code)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rec := do(s, "GET", "/metrics", "")
+	snap := o.Reg().Snapshot()
+	var want bytes.Buffer
+	if err := obs.WriteText(&want, snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("/metrics differs from the registry snapshot:\n--- got\n%s\n--- want\n%s", rec.Body.String(), want.String())
+	}
+	if h, ok := snap.HistogramPoint("server_sched_job_run_ms"); !ok || h.Count != 1 {
+		t.Fatalf("server_sched_job_run_ms: ok=%v count=%d, want one drained job", ok, h.Count)
+	}
+	if st := snap.Gauge("server_start_time_seconds"); st < float64(before.Unix()) || st > float64(time.Now().Unix()+1) {
+		t.Fatalf("server_start_time_seconds = %v, want the Unix time Start ran", st)
 	}
 }

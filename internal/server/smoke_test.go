@@ -251,12 +251,12 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("report app = %+v", appDoc)
 	}
 
-	// Metrics exposition reflects the jobs, the cache, the per-tenant
-	// scheduler series, and the render-time latency summaries. The
-	// busy-slot high-water mark proves the warm jobs overlapped. All four
-	// one-shot tenants went idle the moment their job finished, so by now
-	// eviction has folded their counters into the reserved "_retired"
-	// tenant: 4 jobs, and the cold job's token spend.
+	// Metrics exposition reflects the jobs, the cache and the per-tenant
+	// scheduler series. The busy-slot high-water mark proves the warm
+	// jobs overlapped. All four one-shot tenants went idle the moment
+	// their job finished, so by now eviction has folded their counters
+	// into the reserved "_retired" tenant: all 4 accepted jobs, and the
+	// cold job's token spend.
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -265,19 +265,16 @@ func TestServeSmoke(t *testing.T) {
 	resp.Body.Close()
 	text := string(body)
 	for _, want := range []string{
-		`server_jobs_total{status="accepted"} 4`,
 		`server_jobs_total{status="done"} 4`,
 		`server_sched_jobs_total{tenant="_retired"} 4`,
 		`server_sched_slots 3`,
 		`cache_hits_total{stage="review"}`,
 		"# TYPE server_sched_job_wait_ms histogram",
 		"# TYPE server_sched_job_run_ms histogram",
-		`server_sched_job_wait_ms_quantile{q="0.50"}`,
-		`server_sched_job_run_ms_quantile{q="0.99"}`,
 		"# TYPE server_sched_tenant_evictions_total counter",
 		`server_tenant_llm_tokens_total{tenant="_retired"}`,
 		`wasabi_build_info{build="` + cache.BuildID() + `",go_version="` + runtime.Version() + `",version="` + server.Version + `"} 1`,
-		"# TYPE server_uptime_seconds gauge",
+		"# TYPE server_start_time_seconds gauge",
 		"server_trace_ring_entries 4",
 	} {
 		if !strings.Contains(text, want) {
@@ -285,12 +282,9 @@ func TestServeSmoke(t *testing.T) {
 		}
 	}
 	// Evicted tenants leave no per-tenant series behind — that is the
-	// point of the fold — and the per-tenant latency histogram (which has
-	// no meaningful fold) is dropped outright.
-	for _, gone := range []string{`tenant="team-a"`, "server_tenant_job_ms"} {
-		if strings.Contains(text, gone) {
-			t.Fatalf("metrics still expose %q after eviction:\n%s", gone, text)
-		}
+	// point of the fold.
+	if strings.Contains(text, `tenant="team-a"`) {
+		t.Fatalf("metrics still expose tenant team-a after eviction:\n%s", text)
 	}
 	busyMax := float64(0)
 	for _, g := range observer.Reg().Snapshot().Gauges {

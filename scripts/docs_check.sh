@@ -1,48 +1,49 @@
 #!/bin/sh
 # docs_check.sh — verify that the documentation tree is self-consistent.
 #
-# Checks, in order:
-#   1. Every *.md path mentioned in a Go source file exists (godoc
-#      comments point readers at docs; a rename must not strand them).
-#   2. Every relative markdown link in README.md and docs/*.md resolves
-#      to an existing file (anchors and absolute URLs are skipped).
-#   3. Every internal/* package states its paper section (a "§"
-#      reference) somewhere in its package documentation.
-#   4. Every metric name passed to Counter, Gauge or Histogram in
-#      non-test Go under internal/ and cmd/ (a string literal, or a
-#      constant declared there) is cataloged in docs/OBSERVABILITY.md,
-#      and every metric a catalog row names is registered that way or
-#      added at render time with Snapshot.AddGauge — the catalog must
-#      neither drift behind the code nor keep a deleted series.
-#   5. Every HTTP endpoint the server registers ("METHOD /path" mux
-#      patterns) is documented in docs/SERVICE.md.
-#   6. Every structured-log event name the server defines (the ev*
-#      constants in internal/server/log.go) is cataloged in
-#      docs/OBSERVABILITY.md — likewise the routing-layer events in
-#      internal/llm/backends.go.
-#   7. The -llm-backends / -llm-hedge-after flags are documented in
-#      docs/RESILIENCE.md, and every -llm-* flag that README.md,
-#      EXPERIMENTS.md or docs/*.md names is registered by cmd/wasabi or
-#      cmd/wasabid — a deleted flag must not linger in the docs.
-#   8. Every retry idiom the corpus generator emits (the Idiom*
-#      constants in internal/corpusgen/idioms.go) is documented in
-#      docs/CORPUSGEN.md, and every ground-truth bug class (the Bug
-#      constants in internal/apps/meta) appears in docs/CORPUS.md — an
-#      undocumented idiom or class fails the gate.
-#   9. The per-app composition table in docs/CORPUS.md matches the one
-#      computed from the manifests (`studyreport -corpus-table`) line
-#      for line — the documented table must not drift from the
-#      ground truth.
-#  10. The retry-facts format version (sast.FactsSchema) appears
-#      verbatim in docs/ARCHITECTURE.md — a version bump must update
-#      the documented format.
-#  11. Every cmd/<name> named in README.md, DESIGN.md, EXPERIMENTS.md,
-#      docs/*.md or a Go source outside bench/ is an existing directory
-#      under cmd/ — a deleted command must not strand its references.
-#  12. For every cmd/<name>/main.go whose package comment has a
-#      "Usage:" block, every -flag in that block is registered in that
-#      file (flag.*("name", ...)), and every flag the file registers
-#      appears in the block — the synopsis must match the flag set.
+# Name rows: every name a pattern pulls from non-test Go must appear as
+# a word in a named doc. One helper (documented) checks each row, and a
+# row whose pattern pulls no name fails too:
+#   metrics     names passed to Counter, Gauge or Histogram under
+#               internal/ and cmd/ (a string literal, or a constant
+#               declared there)                 → docs/OBSERVABILITY.md
+#   endpoints   "METHOD /path" mux patterns of internal/server
+#                                               → docs/SERVICE.md
+#   log events  ev* constants of internal/server/log.go and
+#               internal/llm/backends.go        → docs/OBSERVABILITY.md
+#   llm flags   -llm-* flags of cmd/wasabi and cmd/wasabid
+#                                               → docs/RESILIENCE.md
+#   idioms      Idiom* constants of internal/corpusgen/idioms.go
+#                                               → docs/CORPUSGEN.md
+#   bug classes Bug constants of internal/apps/meta → docs/CORPUS.md
+#   facts       sast.FactsSchema                → docs/ARCHITECTURE.md
+#
+# The twelve gates, each with its verdict:
+#   1. Kept: every *.md path a Go source mentions exists; no other gate
+#      checks doc paths named in Go.
+#   2. Kept: every relative link in README.md and docs/*.md resolves
+#      (anchors and absolute URLs are skipped).
+#   3. Kept: every internal/* package states its paper section (a "§"
+#      reference) in its documentation; a presence check, not a name row.
+#   4. Code→catalog merged into the metrics row. Catalog→code kept:
+#      every metric a docs/OBSERVABILITY.md catalog row names is
+#      registered. Its AddGauge and suffix rules deleted: no series is
+#      added at scrape time any more.
+#   5. Merged into the endpoints row, which now matches the method too.
+#   6. Merged into the log-events row.
+#   7. The two hard-coded flags merged into the llm-flags row, which
+#      pulls the same two from the commands. Docs→code kept: every
+#      -llm-* flag README.md, EXPERIMENTS.md or docs/*.md names is
+#      registered by cmd/wasabi or cmd/wasabid.
+#   8. Merged into the idioms and bug-classes rows.
+#   9. Kept: the per-app composition table in docs/CORPUS.md matches
+#      `studyreport -corpus-table` line for line; a table, not names.
+#  10. Merged into the facts row; its "cannot extract" error now guards
+#      every row.
+#  11. Kept: every cmd/<name> that README.md, DESIGN.md, EXPERIMENTS.md,
+#      docs/*.md or a Go source outside bench/ names exists.
+#  12. Kept: every cmd/*/main.go "Usage:" block lists exactly the flags
+#      that file registers.
 #
 # Exits non-zero listing every violation; run via `make docs-check`.
 set -u
@@ -52,6 +53,30 @@ fail=0
 err() {
 	echo "docs-check: $*" >&2
 	fail=1
+}
+
+# go_names PATTERN PATH...: the quoted literal that ends each match of
+# the extended regex PATTERN in the non-test Go under PATH, one a line.
+go_names() {
+	pattern=$1
+	shift
+	grep -rhoE --include='*.go' --exclude='*_test.go' "$pattern" "$@" | grep -oE '"[^"]*"$' | tr -d '"' | sort -u
+}
+
+# documented WHAT NAMES DOC FORMAT: every line of NAMES must appear in
+# DOC as a word; each missing one is reported with the printf FORMAT.
+# Empty NAMES fails as well (WHAT says what was looked for), so a moved
+# declaration cannot turn its row into a silent pass.
+documented() {
+	[ -n "$2" ] || {
+		err "cannot extract $1"
+		return
+	}
+	while IFS= read -r name; do
+		grep -qwF -- "$name" "$3" || err "$(printf "$4" "$name")"
+	done <<EOF
+$2
+EOF
 }
 
 # 1. .md paths referenced from Go sources must exist (relative to repo root).
@@ -83,10 +108,10 @@ for pkgdir in $(find internal -type f -name '*.go' ! -name '*_test.go' -exec dir
 		err "package $pkgdir has no paper-section (§) reference in its godoc"
 done
 
-# 4. Every metric name the code registers must be cataloged in
-# docs/OBSERVABILITY.md. A name argument is a string literal or a
-# constant (possibly package-qualified) declared under internal/ or cmd/.
-registered=""
+# Name rows (4, 5, 6, 7, 8, 10). A metric name argument is a string
+# literal or a constant (possibly package-qualified) declared under
+# internal/ or cmd/.
+metrics=""
 for arg in $(grep -rhoE --include='*.go' --exclude='*_test.go' '\.(Counter|Gauge|Histogram)\([^,)]+' internal cmd | sed -E 's/^\.[A-Za-z]+\(//' | sort -u); do
 	case $arg in
 	'"'*) metric=$(echo "$arg" | tr -d '"') ;;
@@ -98,65 +123,41 @@ for arg in $(grep -rhoE --include='*.go' --exclude='*_test.go' '\.(Counter|Gauge
 		}
 		;;
 	esac
-	registered="$registered $metric"
-	grep -qwF "$metric" docs/OBSERVABILITY.md ||
-		err "metric $metric is not cataloged in docs/OBSERVABILITY.md"
+	metrics="$metrics $metric"
 done
-# The other way: every metric named in a catalog row's first cell must
-# be registered. Render-time series count: AddGauge("name", ...) adds
-# name, and AddGauge(x+"_suffix", ...) adds a registered name plus the
-# suffix (the scheduler's *_quantile gauges).
-go_src() { grep -rhoE --include='*.go' --exclude='*_test.go' "$1" internal cmd; }
-registered="$registered $(go_src '\.AddGauge\("[a-z_]+"' | grep -oE '"[a-z_]+"' | tr -d '"')"
-for suffix in $(go_src '\.AddGauge\([A-Za-z_.]+ *\+ *"[a-z_]+"' | grep -oE '"[a-z_]+"' | tr -d '"' | sort -u); do
-	for metric in $registered; do
-		registered="$registered $metric$suffix"
-	done
-done
+metrics=$(echo $metrics | tr ' ' '\n' | sort -u)
+documented "metric names under internal/ and cmd/" "$metrics" docs/OBSERVABILITY.md \
+	"metric %s is not cataloged in docs/OBSERVABILITY.md"
+documented "HTTP endpoints from internal/server" \
+	"$(go_names 'HandleFunc\("(GET|POST|PUT|DELETE) [^"]+"' internal/server)" docs/SERVICE.md \
+	"endpoint %s (internal/server) is not documented in docs/SERVICE.md"
+documented "log events from internal/server/log.go and internal/llm/backends.go" \
+	"$(go_names 'ev[A-Za-z]+ += +"[a-z_.]+"' internal/server/log.go internal/llm/backends.go)" docs/OBSERVABILITY.md \
+	"log event %s is not cataloged in docs/OBSERVABILITY.md"
+llm_flags=$(go_names 'flag\.[A-Za-z0-9]+\("llm-[a-z-]+"' cmd/wasabi cmd/wasabid)
+documented "-llm-* flags from cmd/wasabi and cmd/wasabid" "$(echo "$llm_flags" | sed 's/^/-/')" docs/RESILIENCE.md \
+	"flag %s is not documented in docs/RESILIENCE.md"
+documented "generator idioms from internal/corpusgen/idioms.go" \
+	"$(go_names 'Idiom[A-Za-z]+ += +"[a-z-]+"' internal/corpusgen/idioms.go)" docs/CORPUSGEN.md \
+	"generator idiom %s (internal/corpusgen) is not documented in docs/CORPUSGEN.md"
+documented "bug classes from internal/apps/meta/meta.go" \
+	"$(go_names '[A-Za-z]+ Bug += +"[a-z-]+"' internal/apps/meta/meta.go)" docs/CORPUS.md \
+	"bug class %s (internal/apps/meta) is not documented in docs/CORPUS.md"
+documented "FactsSchema from internal/sast/facts.go" \
+	"$(go_names 'FactsSchema = "[^"]+"' internal/sast/facts.go)" docs/ARCHITECTURE.md \
+	"facts format version %s (internal/sast) is not documented in docs/ARCHITECTURE.md"
+
+# 4, catalog→code: every metric named in a catalog row's first cell
+# must be registered.
 for metric in $(sed -n 's/^| *\(`[^|]*\)|.*/\1/p' docs/OBSERVABILITY.md | grep -oE '`[a-z][a-z0-9_]*(\{[^}]*\})?`' | sed -E 's/`//g; s/\{.*//' | sort -u); do
-	case " $registered " in
-	*" $metric "*) ;;
-	*) err "docs/OBSERVABILITY.md catalogs metric $metric, which no non-test Go under internal/ or cmd/ registers" ;;
-	esac
+	echo "$metrics" | grep -qxF "$metric" ||
+		err "docs/OBSERVABILITY.md catalogs metric $metric, which no non-test Go under internal/ or cmd/ registers"
 done
 
-# 5. Every registered HTTP endpoint must appear in docs/SERVICE.md
-# (pprof endpoints are documented as a family via /debug/pprof/).
-for pattern in $(grep -hoE 'HandleFunc\("(GET|POST|PUT|DELETE) [^"]+"' internal/server/*.go | sed -e 's/^HandleFunc("//' -e 's/"$//' -e 's/ /|/' | sort -u); do
-	method=${pattern%%|*}
-	path=${pattern#*|}
-	grep -qF "$path" docs/SERVICE.md ||
-		err "endpoint $method $path (internal/server) is not documented in docs/SERVICE.md"
-done
-
-# 6. Every structured-log event name must be cataloged in
-# docs/OBSERVABILITY.md.
-for ev in $(grep -hoE 'ev[A-Za-z]+ += +"[a-z_.]+"' internal/server/log.go internal/llm/backends.go | grep -oE '"[a-z_.]+"' | tr -d '"' | sort -u); do
-	grep -qF "$ev" docs/OBSERVABILITY.md ||
-		err "log event $ev is not cataloged in docs/OBSERVABILITY.md"
-done
-
-# 7. Multi-backend routing flags must be documented, and every -llm-*
-# flag the docs name must exist.
-for flag in llm-backends llm-hedge-after; do
-	grep -q -- "-$flag" docs/RESILIENCE.md ||
-		err "flag -$flag is not documented in docs/RESILIENCE.md"
-done
-llm_flags=$(grep -hoE 'flag\.[A-Za-z0-9]+\("llm-[a-z-]+"' cmd/wasabi/*.go cmd/wasabid/*.go | grep -oE 'llm-[a-z-]+' | sort -u)
+# 7, docs→code: every -llm-* flag the docs name must be registered.
 for hit in $(grep -HoE -- '(^|[^A-Za-z0-9_-])-llm-[a-z]([a-z-]*[a-z])?' README.md EXPERIMENTS.md docs/*.md | sed -E 's/:[^-]*-/:/' | sort -u); do
 	echo "$llm_flags" | grep -qxF "${hit#*:}" ||
 		err "${hit%%:*} names flag -${hit#*:}, which neither cmd/wasabi nor cmd/wasabid registers"
-done
-
-# 8. Generator taxonomy: every emitted idiom must be documented in
-# docs/CORPUSGEN.md, every bug class in docs/CORPUS.md.
-for idiom in $(grep -hoE 'Idiom[A-Za-z]+ += +"[a-z-]+"' internal/corpusgen/idioms.go | grep -oE '"[a-z-]+"' | tr -d '"' | sort -u); do
-	grep -qF "$idiom" docs/CORPUSGEN.md ||
-		err "generator idiom $idiom (internal/corpusgen) is not documented in docs/CORPUSGEN.md"
-done
-for bug in $(grep -hoE '[A-Za-z]+ Bug += +"[a-z-]+"' internal/apps/meta/meta.go | grep -oE '"[a-z-]+"' | tr -d '"' | sort -u); do
-	grep -qF "$bug" docs/CORPUS.md ||
-		err "bug class $bug (internal/apps/meta) is not documented in docs/CORPUS.md"
 done
 
 # 9. The documented per-app composition table must match the manifests.
@@ -174,16 +175,6 @@ else
 		grep -qF "$line" docs/CORPUS.md || echo x
 	done)
 	[ -z "$missing" ] || fail=1
-fi
-
-# 10. The facts format version must be documented verbatim in
-# docs/ARCHITECTURE.md.
-facts_schema=$(grep -hoE 'FactsSchema = "[^"]+"' internal/sast/facts.go | grep -oE '"[^"]+"' | tr -d '"')
-if [ -z "$facts_schema" ]; then
-	err "cannot extract FactsSchema from internal/sast/facts.go"
-else
-	grep -qF "$facts_schema" docs/ARCHITECTURE.md ||
-		err "facts format version $facts_schema (internal/sast) is not documented in docs/ARCHITECTURE.md"
 fi
 
 # 11. Every named command must exist.
