@@ -1,12 +1,9 @@
 package cache
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -490,56 +487,6 @@ func TestDiskCorruptionIsMissAndDrop(t *testing.T) {
 	}
 }
 
-// FuzzDecodeReview fuzzes the review-envelope decoder at the disk trust
-// boundary. No input may panic; an accepted envelope must fail closed
-// under any other key; and its re-encoding must decode to the same
-// review and re-encode to the same bytes. Seeds are the envelope
-// fixtures of the corruption tests, and run under plain go test.
-func FuzzDecodeReview(f *testing.F) {
-	key := ReviewKey("cfg", "/a/r.go", "aaa")
-	good, err := encodeReview(key, review("r.go", 42))
-	if err != nil {
-		f.Fatal(err)
-	}
-	degraded, err := encodeReview(key, llm.FileReview{File: "d.go", Degraded: true, DegradedReason: "outage"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good, key)
-	f.Add(degraded, key)
-	f.Add(good, ReviewKey("cfg", "/a/r.go", "bbb"))
-	f.Add(good[:len(good)/2], key)
-	f.Add([]byte("{garbage"), key)
-	f.Add([]byte(`{"schema":"wasabi-review-cache/v0","key":"`+key+`","review":{}}`), key)
-	f.Fuzz(func(t *testing.T, data []byte, key string) {
-		rev, err := decodeReview(data, key)
-		if err != nil {
-			return
-		}
-		var env envelope
-		if err := json.Unmarshal(data, &env); err != nil || env.Schema != envelopeSchema || env.Key != key {
-			t.Fatalf("accepted envelope schema %q key %q (err %v)", env.Schema, env.Key, err)
-		}
-		if _, err := decodeReview(data, key+"x"); err == nil {
-			t.Fatal("envelope accepted under a different key")
-		}
-		enc, err := encodeReview(key, rev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := decodeReview(enc, key)
-		if err != nil {
-			t.Fatalf("re-encoding does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(rev, again) {
-			t.Fatalf("re-decoded review differs:\n%+v\n%+v", rev, again)
-		}
-		if enc2, err := encodeReview(key, again); err != nil || !bytes.Equal(enc, enc2) {
-			t.Fatalf("re-encoding is not a fixed point (err %v):\n%s\n%s", err, enc, enc2)
-		}
-	})
-}
-
 // TestDiskStatsAccounting tracks the entry/byte bookkeeping through the
 // full lifecycle: init scan, store, same-key replace, and drop.
 func TestDiskStatsAccounting(t *testing.T) {
@@ -591,6 +538,33 @@ func TestDiskStatsAccounting(t *testing.T) {
 	if st2 := c2.Stats(); st2.DiskEntries != st.DiskEntries || st2.DiskBytes != st.DiskBytes {
 		t.Fatalf("init scan = %d/%d, live accounting said %d/%d",
 			st2.DiskEntries, st2.DiskBytes, st.DiskEntries, st.DiskBytes)
+	}
+}
+
+// TestInitRemovesOrphanedTemps plants the temp file of a store whose
+// process died before its rename: a restart removes it and counts only
+// the entries.
+func TestInitRemovesOrphanedTemps(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PutFacts("h1", &sast.FileFacts{Schema: sast.FactsSchema, Hash: "h1", Pkg: "p"})
+	want := c.Stats()
+	orphan := filepath.Join(dir, "tmp-123")
+	if err := os.WriteFile(orphan, []byte(`{"schema":"half a store`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("orphaned temp file survived the restart (err=%v)", err)
+	}
+	if st := c2.Stats(); st.DiskEntries != 1 || st.DiskBytes != want.DiskBytes {
+		t.Fatalf("restart counts %d entries / %d bytes, want 1 / %d", st.DiskEntries, st.DiskBytes, want.DiskBytes)
 	}
 }
 

@@ -15,12 +15,12 @@ package cache
 import (
 	"debug/elf"
 	"encoding/json"
-	"fmt"
 	"os"
 	"strconv"
 	"sync"
 
 	"wasabi/internal/fault"
+	"wasabi/internal/jsonread"
 	"wasabi/internal/oracle"
 )
 
@@ -116,16 +116,35 @@ func encodeDynamic(key string, run DynamicRun) ([]byte, error) {
 	return json.Marshal(dynamicEnvelope{Schema: dynamicSchema, Key: key, Run: run})
 }
 
-// decodeDynamic parses envelope bytes, verifying schema and key.
+// decodeDynamic parses envelope bytes, verifying schema and key. It
+// reads only the form encodeDynamic writes (package jsonread).
 func decodeDynamic(data []byte, key string) (DynamicRun, error) {
-	var env dynamicEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return DynamicRun{}, fmt.Errorf("cache: decode dynamic entry: %w", err)
+	var run DynamicRun
+	err := decodeEnvelope(data, dynamicSchema, key, "run", func(r *jsonread.Reader) {
+		jsonread.Slice(r, "reports", &run.Reports, readReport)
+		jsonread.Int(r, "tests_covering_retry", &run.TestsCoveringRetry)
+		jsonread.Int(r, "structures_tested", &run.StructuresTested)
+		jsonread.Int(r, "stripped_overrides", &run.StrippedOverrides)
+		jsonread.Int(r, "plan_entries", &run.PlanEntries)
+		jsonread.Int(r, "naive_runs", &run.NaiveRuns)
+		jsonread.Int(r, "planned_runs", &run.PlannedRuns)
+		jsonread.Int(r, "injection_runs_failed", &run.InjectionRunsFailed)
+	})
+	if err != nil {
+		return DynamicRun{}, err
 	}
-	if env.Schema != dynamicSchema || env.Key != key {
-		return DynamicRun{}, fmt.Errorf("cache: dynamic entry schema/key mismatch (schema %q)", env.Schema)
-	}
-	return env.Run, nil
+	return run, nil
+}
+
+func readReport(r *jsonread.Reader, rep *oracle.Report) {
+	r.String("Kind", (*string)(&rep.Kind))
+	r.String("App", &rep.App)
+	r.String("Test", &rep.Test)
+	r.String("Coordinator", &rep.Coordinator)
+	r.String("Retried", &rep.Retried)
+	r.String("Exception", &rep.Exception)
+	r.String("GroupKey", &rep.GroupKey)
+	r.String("Details", &rep.Details)
 }
 
 // buildID memoises the executable's build ID for the process lifetime.

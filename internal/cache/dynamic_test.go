@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"bytes"
-	"encoding/json"
 	"os"
 	"reflect"
 	"runtime"
@@ -154,55 +152,4 @@ func TestBuildID(t *testing.T) {
 	if again := readBuildID(); again != id {
 		t.Fatalf("build ID unstable: %q then %q", id, again)
 	}
-}
-
-// FuzzDecodeDynamic fuzzes the dynamic-envelope decoder at the disk
-// trust boundary: no input may panic; an accepted envelope carries this
-// schema and key and fails closed under any other key; and its
-// re-encoding decodes to the same run and re-encodes to the same bytes.
-// The seeds run under plain go test.
-func FuzzDecodeDynamic(f *testing.F) {
-	key := DynamicKey("build", "seed:HB", "HB", dynLocs, 1, 100, oracle.DefaultOptions())
-	good, err := encodeDynamic(key, dynamicRun(2))
-	if err != nil {
-		f.Fatal(err)
-	}
-	empty, err := encodeDynamic(key, DynamicRun{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good, key)
-	f.Add(empty, key)
-	f.Add(good, DynamicKey("other", "seed:HB", "HB", dynLocs, 1, 100, oracle.DefaultOptions()))
-	f.Add(good[:len(good)/2], key)
-	f.Add([]byte("{garbage"), key)
-	f.Add([]byte(`{"schema":"wasabi-dynamic-cache/v0","key":"`+key+`","run":{}}`), key)
-	f.Add([]byte(`{"schema":"wasabi-review-cache/v1","key":"`+key+`","review":{}}`), key)
-	f.Fuzz(func(t *testing.T, data []byte, key string) {
-		run, err := decodeDynamic(data, key)
-		if err != nil {
-			return
-		}
-		var env dynamicEnvelope
-		if err := json.Unmarshal(data, &env); err != nil || env.Schema != dynamicSchema || env.Key != key {
-			t.Fatalf("accepted envelope schema %q key %q (err %v)", env.Schema, env.Key, err)
-		}
-		if _, err := decodeDynamic(data, key+"x"); err == nil {
-			t.Fatal("envelope accepted under a different key")
-		}
-		enc, err := encodeDynamic(key, run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := decodeDynamic(enc, key)
-		if err != nil {
-			t.Fatalf("re-encoding does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(run, again) {
-			t.Fatalf("re-decoded run differs:\n%+v\n%+v", run, again)
-		}
-		if enc2, err := encodeDynamic(key, again); err != nil || !bytes.Equal(enc, enc2) {
-			t.Fatalf("re-encoding is not a fixed point (err %v):\n%s\n%s", err, enc, enc2)
-		}
-	})
 }

@@ -70,3 +70,23 @@ func (c *Cache) UntrackedEntries() []string {
 	sort.Strings(out)
 	return out
 }
+
+// The envelope codecs, their schemas and fixtures, for the fuzz targets
+// and benchmarks of package cache_test, which run the pipeline.
+var (
+	EncodeReview, DecodeReview   = encodeReview, decodeReview
+	EncodeDynamic, DecodeDynamic = encodeDynamic, decodeDynamic
+	ReviewFixture                = review
+	DynamicFixture               = dynamicRun
+	DynamicLocs                  = dynLocs
+)
+
+const (
+	EnvelopeSchema = envelopeSchema
+	DynamicSchema  = dynamicSchema
+)
+
+type (
+	Envelope        = envelope
+	DynamicEnvelope = dynamicEnvelope
+)

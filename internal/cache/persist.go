@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"wasabi/internal/jsonread"
 	"wasabi/internal/llm"
 )
 
@@ -32,6 +33,9 @@ const envelopeSchema = "wasabi-review-cache/v1"
 
 // entrySuffix names disk-tier entry files: <key>.json.
 const entrySuffix = ".json"
+
+// tempPrefix names the temp files storeDisk renames onto entries.
+const tempPrefix = "tmp-"
 
 // envelope is the persisted form of one review entry. The key is stored
 // redundantly so a file renamed or copied to the wrong address fails
@@ -49,21 +53,66 @@ func encodeReview(key string, rev llm.FileReview) ([]byte, error) {
 	return json.Marshal(envelope{Schema: envelopeSchema, Key: key, Review: rev})
 }
 
-// decodeReview parses envelope bytes, verifying schema and key.
+// decodeReview parses envelope bytes, verifying schema and key. It
+// reads only the form encodeReview writes (package jsonread).
 func decodeReview(data []byte, key string) (llm.FileReview, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return llm.FileReview{}, fmt.Errorf("cache: decode entry: %w", err)
+	var rev llm.FileReview
+	err := decodeEnvelope(data, envelopeSchema, key, "review", func(r *jsonread.Reader) {
+		r.String("File", &rev.File)
+		jsonread.Int(r, "Size", &rev.Size)
+		r.Bool("PerformsRetry", &rev.PerformsRetry)
+		r.Bool("TruncatedContext", &rev.TruncatedContext)
+		jsonread.Slice(r, "Findings", &rev.Findings, readFinding)
+		r.Object("Spent")
+		jsonread.Int(r, "Calls", &rev.Spent.Calls)
+		jsonread.Int(r, "TokensIn", &rev.Spent.TokensIn)
+		r.Float("CostUSD", &rev.Spent.CostUSD)
+		r.Close()
+		r.Bool("Degraded", &rev.Degraded)
+		r.String("DegradedReason", &rev.DegradedReason)
+	})
+	if err != nil {
+		return llm.FileReview{}, err
 	}
-	if env.Schema != envelopeSchema || env.Key != key {
-		return llm.FileReview{}, fmt.Errorf("cache: entry schema/key mismatch (schema %q)", env.Schema)
+	return rev, nil
+}
+
+func readFinding(r *jsonread.Reader, f *llm.Finding) {
+	r.String("Coordinator", &f.Coordinator)
+	r.String("File", &f.File)
+	r.String("Mechanism", &f.Mechanism)
+	r.Bool("SleepsBeforeRetry", &f.SleepsBeforeRetry)
+	r.Bool("HasCap", &f.HasCap)
+	r.Bool("PollOrSpin", &f.PollOrSpin)
+	r.Bool("Hallucinated", &f.Hallucinated)
+}
+
+// decodeEnvelope reads `{"schema":…,"key":…,"<payload>":{…}}`, with
+// members reading the payload's members. It fails closed on malformed
+// bytes, and on a schema or key other than the wanted ones.
+func decodeEnvelope(data []byte, schema, key, payload string, members func(*jsonread.Reader)) error {
+	r := jsonread.New(data)
+	r.Open()
+	ok := r.Equal("schema", schema)
+	ok = r.Equal("key", key) && ok
+	r.Object(payload)
+	members(&r)
+	r.Close()
+	r.Close()
+	if err := r.Finish(); err != nil {
+		return fmt.Errorf("cache: decode entry: %w", err)
 	}
-	return env.Review, nil
+	if !ok {
+		return fmt.Errorf("cache: entry schema/key mismatch (want schema %q)", schema)
+	}
+	return nil
 }
 
 // initDir creates the persistence directory when one is configured and
 // seeds the disk-tier stats from its current contents, so a restarted
-// process reports the tier it inherited.
+// process reports the tier it inherited. It removes the temp files of
+// stores a killed process never renamed: the directory has one owner
+// (docs/KNOWN_ISSUES.md), so no live store is writing them.
 func (c *Cache) initDir() error {
 	if c.dir == "" {
 		return nil
@@ -77,7 +126,13 @@ func (c *Cache) initDir() error {
 	}
 	var n, size int64
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), entrySuffix) {
+		switch {
+		case e.IsDir():
+			continue
+		case strings.HasPrefix(e.Name(), tempPrefix):
+			os.Remove(filepath.Join(c.dir, e.Name()))
+			continue
+		case !strings.HasSuffix(e.Name(), entrySuffix):
 			continue
 		}
 		if info, err := e.Info(); err == nil {
@@ -114,7 +169,7 @@ func (c *Cache) storeDisk(key string, data []byte) {
 	if c.dir == "" {
 		return
 	}
-	tmp, err := os.CreateTemp(c.dir, "tmp-*")
+	tmp, err := os.CreateTemp(c.dir, tempPrefix+"*")
 	if err == nil {
 		_, err = tmp.Write(data)
 		if cerr := tmp.Close(); err == nil {

@@ -215,13 +215,21 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	}
 	cold, _, _ := runOnce(t, app, c1, 2)
 
-	c2, err := cache.New(cache.Options{Dir: dir})
+	reg := obs.NewRegistry()
+	c2, err := cache.New(cache.Options{Dir: dir, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm, fresh, snap := runOnce(t, app, c2, 2)
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("restarted warm report differs from cold")
+	}
+	// Every entry the cold run wrote decodes: a decoder that wrongly
+	// rejected one would otherwise show only as a recomputation.
+	for _, name := range []string{"cache_decode_errors_total", "cache_disk_drops_total"} {
+		if n := reg.Snapshot().Counter(name); n != 0 {
+			t.Fatalf("restart counted %s = %v, want 0", name, n)
+		}
 	}
 	if fresh != (llm.Usage{}) {
 		t.Fatalf("restarted warm run spent fresh LLM traffic: %+v", fresh)

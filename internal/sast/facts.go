@@ -21,6 +21,8 @@ package sast
 import (
 	"encoding/json"
 	"fmt"
+
+	"wasabi/internal/jsonread"
 )
 
 // FactsSchema identifies the retry-facts format, and doubles as the
@@ -95,17 +97,41 @@ func EncodeFacts(ff *FileFacts) ([]byte, error) {
 }
 
 // DecodeFacts parses facts bytes, verifying the format version and the
-// content hash they claim to describe. Any mismatch fails closed.
+// content hash they claim to describe. Any mismatch fails closed. It
+// reads only the form EncodeFacts writes (package jsonread), so a
+// reformatted or hand-edited entry is a decode error.
 func DecodeFacts(data []byte, wantHash string) (*FileFacts, error) {
-	var ff FileFacts
-	if err := json.Unmarshal(data, &ff); err != nil {
+	ff := &FileFacts{Schema: FactsSchema, Hash: wantHash}
+	r := jsonread.New(data)
+	r.Open()
+	schemaOK := r.Equal("schema", FactsSchema)
+	hashOK := r.Equal("hash", wantHash)
+	r.String("pkg", &ff.Pkg)
+	jsonread.Slice(&r, "funcs", &ff.Funcs, readFunc)
+	r.Close()
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("sast: decode facts: %w", err)
 	}
-	if ff.Schema != FactsSchema {
-		return nil, fmt.Errorf("sast: facts schema mismatch (%q, want %q)", ff.Schema, FactsSchema)
+	if !schemaOK {
+		return nil, fmt.Errorf("sast: facts schema mismatch (want %q)", FactsSchema)
 	}
-	if ff.Hash != wantHash {
+	if !hashOK {
 		return nil, fmt.Errorf("sast: facts hash mismatch")
 	}
-	return &ff, nil
+	return ff, nil
+}
+
+func readFunc(r *jsonread.Reader, fn *FuncFacts) {
+	r.String("key", &fn.Key)
+	r.Strings("throws", &fn.Throws)
+	r.Bool("has_hook", &fn.HasHook)
+	r.Strings("calls", &fn.Calls)
+	jsonread.Slice(r, "loops", &fn.Loops, readLoop)
+}
+
+func readLoop(r *jsonread.Reader, l *LoopFacts) {
+	jsonread.Int(r, "line", &l.Line)
+	r.Bool("keyworded", &l.Keyworded)
+	r.Strings("excluded", &l.Excluded)
+	r.Strings("calls", &l.Calls)
 }

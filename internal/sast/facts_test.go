@@ -2,6 +2,7 @@ package sast
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -126,12 +127,13 @@ func TestDecodeFactsFailsClosed(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFacts fuzzes the facts decoder at the disk trust boundary.
-// No input may panic; an accepted entry must carry FactsSchema and the
-// requested hash, and must fail closed under any other hash; and its
+// FuzzDecodeFacts fuzzes the facts decoder at the disk trust boundary,
+// differentially. No input may panic; an accepted entry must carry
+// FactsSchema and the requested hash, must fail closed under any other
+// hash, and must decode under encoding/json to DeepEqual facts; and its
 // re-encoding must decode to the same facts and re-encode to the same
-// bytes. Seeds are the fail-closed fixtures plus every HDFS file's
-// extracted facts, and run under plain go test.
+// bytes. Seeds are the fail-closed fixtures plus every seed-corpus
+// file's extracted facts, and run under plain go test.
 func FuzzDecodeFacts(f *testing.F) {
 	good, err := EncodeFacts(&FileFacts{
 		Schema: FactsSchema, Hash: "abc", Pkg: "demo",
@@ -146,16 +148,23 @@ func FuzzDecodeFacts(f *testing.F) {
 	f.Add([]byte("not json"), "abc")
 	f.Add([]byte(`{"schema":"wasabi-facts/v0","hash":"abc","pkg":"demo"}`), "abc")
 	f.Add([]byte(`{"schema":"wasabi-facts/v1","hash":"abc","funcs":[{"key":"F","calls":[],"loops":[{"line":3,"excluded":[]}]}]}`), "abc")
-	for _, file := range loadHDFS(f).Files {
-		ff, err := extractFacts(file)
+	store := source.NewStore(nil)
+	for _, app := range corpus.Apps() {
+		snap, err := store.Load(app.Dir)
 		if err != nil {
 			f.Fatal(err)
 		}
-		data, err := EncodeFacts(ff)
-		if err != nil {
-			f.Fatal(err)
+		for _, file := range snap.Files {
+			ff, err := extractFacts(file)
+			if err != nil {
+				f.Fatal(err)
+			}
+			data, err := EncodeFacts(ff)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data, file.SHA256)
 		}
-		f.Add(data, file.SHA256)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, hash string) {
 		ff, err := DecodeFacts(data, hash)
@@ -164,6 +173,10 @@ func FuzzDecodeFacts(f *testing.F) {
 		}
 		if ff.Schema != FactsSchema || ff.Hash != hash {
 			t.Fatalf("accepted schema %q hash %q, want %q %q", ff.Schema, ff.Hash, FactsSchema, hash)
+		}
+		var ref FileFacts
+		if err := json.Unmarshal(data, &ref); err != nil || !reflect.DeepEqual(ff, &ref) {
+			t.Fatalf("decoders differ (encoding/json err %v):\njsonread      %+v\nencoding/json %+v", err, ff, &ref)
 		}
 		if _, err := DecodeFacts(data, hash+"x"); err == nil {
 			t.Fatal("entry accepted under a different content hash")

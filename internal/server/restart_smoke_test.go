@@ -257,6 +257,14 @@ func TestRestartSmokeProcess(t *testing.T) {
 	d2 := startDaemon(t, bin, cacheDir)
 	id2 := submit(t, d2.base, "restart-smoke")
 	_, warmReport, warmFresh := await(t, d2.base, id2)
+	warmMetrics := getMetrics(t, d2.base)
+	// Every entry the cold process wrote decodes: a decoder that wrongly
+	// rejected one would otherwise show only as a recomputation.
+	for _, name := range []string{"cache_decode_errors_total", "cache_disk_drops_total"} {
+		if n := metricValue(warmMetrics, name); n != 0 {
+			t.Fatalf("restart-warm job counted %s = %v, want 0", name, n)
+		}
+	}
 	if warmFresh.TokensIn != 0 || warmFresh.Calls != 0 {
 		t.Fatalf("restart-warm job spent fresh LLM traffic: %+v", warmFresh)
 	}
@@ -264,7 +272,6 @@ func TestRestartSmokeProcess(t *testing.T) {
 		t.Fatalf("restart-warm report differs from cold: %d vs %d bytes",
 			len(warmReport), len(coldReport))
 	}
-	warmMetrics := getMetrics(t, d2.base)
 	if n := metricValue(warmMetrics, "source_parse_total"); n != 0 {
 		t.Fatalf("restart-warm job parsed %v files, want 0", n)
 	}
