@@ -12,27 +12,30 @@
 // directory's manifest digest (FromSnapshot) — see keys.go and
 // docs/SERVICE.md for the exact derivations. There is no TTL and no
 // explicit invalidation API; changing an input changes its key, and the
-// stale entry leaves both tiers once Supersede has recorded newer
-// versions of that input.
+// stale entry leaves both tiers once newer versions of that input have
+// been recorded (supersede).
 //
 // The dynamic stage memoises each app's dynamic run — its injection
 // runs (§3.1.2) and oracle verdicts (§3.1.3) — keyed by the
 // executable's build identity and the run inputs (dynamic.go), so a
 // warm job against an unchanged build executes no test.
 //
-// The in-memory tier holds each review, analysis and dynamic entry's
-// decoded value, and Supersede is the only retention rule of both
-// tiers: it keeps each lineage's newest versions, as the snapshot store
-// keeps each path's (source.KeepNewest). Every hit returns that one
-// shared value and decodes nothing. A value passed to a Put* method or
-// returned by a Get* method is therefore immutable: callers read it and
-// copy before changing anything (report.Build copies the dynamic
-// reports before sorting them). An optional disk tier (Options.Dir)
-// persists review, retry-facts and dynamic entries as JSON files, read
-// through (and decoded fail-closed) on memory misses and written
-// through on stores — a restarted daemon replays the expensive LLM
-// tier, the static extraction tier and the injection runs from disk at
-// zero parses and zero runs. Bytes exist only on that path. Whole-app
+// Callers memoize through one call per stage — Analysis, Review and
+// Dynamic — each of which derives its key and lineage, applies the
+// stage's store rule and records the key on every path. The in-memory
+// tier holds each review, analysis and dynamic entry's decoded value,
+// and supersede is the only retention rule of both tiers: it keeps
+// each lineage's newest versions, as the snapshot store keeps each
+// path's (source.KeepNewest). Every hit returns that one shared value
+// and decodes nothing. A value the cache stores or returns is
+// therefore immutable: callers read it and copy before changing
+// anything (report.Build copies the dynamic reports before sorting
+// them). An optional disk tier (Options.Dir) persists review,
+// retry-facts and dynamic entries as JSON files, read through (and
+// decoded fail-closed) on memory misses and written through on stores
+// — a restarted daemon replays the expensive LLM tier, the static
+// extraction tier and the injection runs from disk at zero parses and
+// zero runs. Bytes exist only on that path. Whole-app
 // analyses stay memory-only, and retry facts disk-only: their memory
 // tier is the snapshot file's memo (source.File.MemoThrough).
 // All operations are goroutine-safe; hit/miss counts are deterministic
@@ -76,8 +79,8 @@ type Options struct {
 }
 
 // Cache is a content-addressed memoization store. The zero value is
-// not usable; call New. A nil *Cache is valid everywhere in
-// internal/core and disables memoization.
+// not usable; call New. A nil *Cache is valid: every method is
+// nil-safe, and a nil cache memoizes nothing.
 type Cache struct {
 	dir string
 	reg *obs.Registry
@@ -87,8 +90,8 @@ type Cache struct {
 	// entries is the memory tier: each key's shared decoded value.
 	entries map[string]any
 	// lineages holds each lineage's newest keys, oldest first, at most
-	// source.DefaultKeepGenerations of them (Supersede).
-	lineages map[Lineage][]string
+	// source.DefaultKeepGenerations of them (supersede).
+	lineages map[lineage][]string
 
 	hits, misses  map[string]int64 // by stage
 	diskLoads     int64
@@ -105,7 +108,7 @@ func New(opts Options) (*Cache, error) {
 		dir:      opts.Dir,
 		reg:      opts.Metrics,
 		entries:  make(map[string]any),
-		lineages: make(map[Lineage][]string),
+		lineages: make(map[lineage][]string),
 		hits:     make(map[string]int64),
 		misses:   make(map[string]int64),
 	}
@@ -131,8 +134,8 @@ func (c *Cache) GetReview(key string) (llm.FileReview, bool) {
 // PutReview memoizes a review under key, writing through to the disk
 // tier when one is configured. The cache keeps rev itself, so neither
 // the caller nor any later reader may mutate it. Degraded reviews must
-// not be stored (they record a backend failure, not an answer); callers
-// enforce that.
+// not be stored (they record a backend failure, not an answer); Review
+// enforces that.
 func (c *Cache) PutReview(key string, rev llm.FileReview) {
 	if c == nil {
 		return
@@ -153,7 +156,7 @@ func (c *Cache) GetFacts(contentSHA256 string) (*sast.FileFacts, bool) {
 	if c == nil || c.dir == "" {
 		return nil, false
 	}
-	v, _ := c.read(StageFacts, FactsKey(contentSHA256), func(data []byte) (any, error) {
+	v, _ := c.read(StageFacts, factsKey(contentSHA256), func(data []byte) (any, error) {
 		return sast.DecodeFacts(data, contentSHA256)
 	})
 	ff, ok := v.(*sast.FileFacts)
@@ -168,7 +171,7 @@ func (c *Cache) PutFacts(contentSHA256 string, ff *sast.FileFacts) {
 	if c == nil || ff == nil {
 		return
 	}
-	c.persist(FactsKey(contentSHA256), func() ([]byte, error) { return sast.EncodeFacts(ff) })
+	c.persist(factsKey(contentSHA256), func() ([]byte, error) { return sast.EncodeFacts(ff) })
 }
 
 // GetAnalysis returns the memoized static analysis under key. Every hit
@@ -195,6 +198,57 @@ func (c *Cache) PutAnalysis(key string, a *sast.Analysis, _ int64) {
 		return
 	}
 	c.install(key, a)
+}
+
+// Analysis returns snap's static analysis, memoized under its
+// directory's content address (AnalysisKey over FromSnapshot's digest).
+// A miss analyzes the snapshot with the disk tier as its facts tier, so
+// a restarted process rebuilds the analysis at zero parses, and stores
+// the result unless the analysis failed. The analysis key is recorded
+// on every path, and after a fresh analysis every file's facts key too:
+// a failed analysis has still stored the facts of the files it
+// extracted before the failure. A nil cache analyzes afresh.
+func (c *Cache) Analysis(snap *source.Snapshot) (*sast.Analysis, error) {
+	if c == nil {
+		return sast.AnalyzeSnapshot(snap)
+	}
+	key := AnalysisKey(snap.Dir, FromSnapshot(snap).Digest)
+	defer c.supersede(lineage{Stage: StageAnalysis, Scope: snap.Dir}, key)
+	if a, ok := c.GetAnalysis(key); ok {
+		return a, nil
+	}
+	a, err := sast.AnalyzeSnapshotWith(snap, c)
+	for _, f := range snap.Files {
+		c.supersede(lineage{Stage: StageFacts, Scope: f.Path}, factsKey(f.SHA256))
+	}
+	if err != nil {
+		return nil, err
+	}
+	c.PutAnalysis(key, a, 0)
+	return a, nil
+}
+
+// Review returns file's review under the client configuration
+// fingerprint fp, and whether it was a hit. A miss returns what review
+// computes and stores it unless it is degraded: a degraded review
+// records a backend failure, not an answer, and storing one would pin
+// the failure past the fault. The stored copy drops the routing facts
+// (PutReview); the returned one keeps them. The key is recorded on
+// every path. A nil cache runs review and reports a miss.
+func (c *Cache) Review(fp string, file *source.File, review func() llm.FileReview) (llm.FileReview, bool) {
+	if c == nil {
+		return review(), false
+	}
+	key := ReviewKey(fp, file.Path, file.SHA256)
+	defer c.supersede(lineage{Stage: StageReview, Scope: file.Path, Config: fp}, key)
+	if rev, ok := c.GetReview(key); ok {
+		return rev, true
+	}
+	rev := review()
+	if !rev.Degraded {
+		c.PutReview(key, rev)
+	}
+	return rev, false
 }
 
 // get is the read side of the memory-backed stages. A memory hit
@@ -282,11 +336,11 @@ func (c *Cache) setOccupancy() {
 	c.reg.Gauge("cache_entries").Set(float64(len(c.entries)))
 }
 
-// Lineage names entries that replace one another as their input
+// lineage names entries that replace one another as their input
 // changes: one file's reviews under one configuration, one file's
 // facts, one directory's analyses, or one app's dynamic runs under one
-// build, suite and set of run options (DynamicLineage).
-type Lineage struct {
+// build, suite and set of run options (dynamicLineage).
+type lineage struct {
 	// Stage is the entries' stage (StageReview, StageFacts,
 	// StageAnalysis, StageDynamic).
 	Stage string
@@ -298,7 +352,7 @@ type Lineage struct {
 	Config string
 }
 
-// Supersede records key as the newest entry of lineage l and drops the
+// supersede records key as the newest entry of lineage l and drops the
 // lineage's entries older than its newest
 // source.DefaultKeepGenerations, by source.KeepNewest, the rule by which
 // the snapshot store evicts a path's old content versions. It is the
@@ -318,13 +372,14 @@ type Lineage struct {
 //   - a file removed just after a concurrent job stored it again
 //     leaves that entry in memory only.
 //
-// Callers record a key after its Get, and after its Put when the Get
-// missed, on every return path. A key recorded first could be
-// superseded by a concurrent job before its Put installs the entry,
-// which would then sit in memory on no lineage; recorded afterwards, it
-// is back on its lineage, and any later drop removes it. Recording a key
-// that is already the newest, or the empty key, does nothing.
-func (c *Cache) Supersede(l Lineage, key string) {
+// Analysis, Review and Dynamic record a key after its lookup, and after
+// its store when the lookup missed, on every return path. A key
+// recorded first could be superseded by a concurrent job before its
+// store installs the entry, which would then sit in memory on no
+// lineage; recorded afterwards, it is back on its lineage, and any
+// later drop removes it. Recording a key that is already the newest,
+// or the empty key, does nothing.
+func (c *Cache) supersede(l lineage, key string) {
 	if c == nil || key == "" {
 		return
 	}

@@ -130,21 +130,21 @@ func TestSupersedeKeepsNewestVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin := Lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg"}
-	other := Lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg2"}
+	lin := lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg"}
+	other := lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg2"}
 	kOther := ReviewKey("cfg2", "/a/p.go", "v1")
-	c.Supersede(other, kOther)
+	c.supersede(other, kOther)
 	c.PutReview(kOther, review("p.go", 9))
 
 	var keys []string
 	for v := 1; v <= source.DefaultKeepGenerations+1; v++ {
 		k := ReviewKey("cfg", "/a/p.go", fmt.Sprintf("v%d", v))
 		keys = append(keys, k)
-		c.Supersede(lin, k)
+		c.supersede(lin, k)
 		c.PutReview(k, review("p.go", int64(v)))
 		if v == source.DefaultKeepGenerations {
-			c.Supersede(lin, keys[0]) // a revisit is no new version
-			c.Supersede(lin, k)
+			c.supersede(lin, keys[0]) // a revisit is no new version
+			c.supersede(lin, k)
 		}
 	}
 	if got := reg.Snapshot().Counter("cache_superseded_total"); got != 1 {
@@ -168,7 +168,7 @@ func TestSupersedeKeepsNewestVersions(t *testing.T) {
 		t.Fatalf("disk_loads = %d, want 0 for the superseded version", st.DiskLoads)
 	}
 	var nilCache *Cache
-	nilCache.Supersede(lin, keys[0])
+	nilCache.supersede(lin, keys[0])
 }
 
 // TestSupersedeDropsDiskEntries holds the disk tier to the version
@@ -182,13 +182,13 @@ func TestSupersedeDropsDiskEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin := Lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg"}
+	lin := lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg"}
 	var keys []string
 	for v := 1; v <= 3; v++ {
 		k := ReviewKey("cfg", "/a/p.go", fmt.Sprintf("v%d", v))
 		keys = append(keys, k)
 		c.PutReview(k, review("p.go", int64(v)))
-		c.Supersede(lin, k)
+		c.supersede(lin, k)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -223,23 +223,23 @@ func TestSupersedeAfterUseTracksInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin := Lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg"}
+	lin := lineage{Stage: StageReview, Scope: "/a/p.go", Config: "cfg"}
 	key := func(v int) string { return ReviewKey("cfg", "/a/p.go", fmt.Sprintf("v%d", v)) }
 	if _, ok := c.GetReview(key(1)); ok {
 		t.Fatal("hit on an empty cache")
 	}
 	for v := 2; v <= 3; v++ {
 		c.PutReview(key(v), review("p.go", int64(v)))
-		c.Supersede(lin, key(v))
+		c.supersede(lin, key(v))
 	}
 	c.PutReview(key(1), review("p.go", 1))
-	c.Supersede(lin, key(1))
+	c.supersede(lin, key(1))
 	if got := c.UntrackedEntries(); len(got) != 0 {
 		t.Fatalf("untracked entries after the interleaving: %v", got)
 	}
 	for v := 4; v < 4+source.DefaultKeepGenerations; v++ {
 		c.PutReview(key(v), review("p.go", int64(v)))
-		c.Supersede(lin, key(v))
+		c.supersede(lin, key(v))
 	}
 	if _, ok := c.GetReview(key(1)); ok {
 		t.Fatal("job A's entry outlived newer versions")
@@ -441,11 +441,11 @@ func TestDiskCorruptionIsMissAndDrop(t *testing.T) {
 	if err := os.WriteFile(rpath, data[:len(data)/2], 0o644); err != nil { // truncated
 		t.Fatal(err)
 	}
-	fpath := filepath.Join(dir, FactsKey("bbb")+entrySuffix)
+	fpath := filepath.Join(dir, factsKey("bbb")+entrySuffix)
 	if err := os.WriteFile(fpath, []byte("{garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spath := filepath.Join(dir, FactsKey("ccc")+entrySuffix)
+	spath := filepath.Join(dir, factsKey("ccc")+entrySuffix)
 	stale := []byte(`{"schema":"wasabi-facts/v0","hash":"ccc","pkg":"demo"}`)
 	if err := os.WriteFile(spath, stale, 0o644); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ import (
 )
 
 // dynamicSchema identifies the dynamic-entry format; it is folded into
-// every DynamicKey, so bumping it orphans old entries instead of
+// every dynamicKey, so bumping it orphans old entries instead of
 // failing their decode.
 const dynamicSchema = "wasabi-dynamic-cache/v1"
 
@@ -56,13 +56,13 @@ type dynamicEnvelope struct {
 	Run    DynamicRun `json:"run"`
 }
 
-// DynamicKey addresses one app's dynamic run. It hashes the build
+// dynamicKey addresses one app's dynamic run. It hashes the build
 // identity, the suite identity, the app code, the exact retry-location
 // list (order included), both K settings and the oracle's cap threshold
 // and virtual timeout — nothing else; the oracle's metrics registry
 // does not change a verdict. An empty build or suite identity yields
 // the empty key, which the dynamic stage never memoises.
-func DynamicKey(build, suite, app string, locs []fault.Location, howK, capK int, o oracle.Options) string {
+func dynamicKey(build, suite, app string, locs []fault.Location, howK, capK int, o oracle.Options) string {
 	if build == "" || suite == "" {
 		return ""
 	}
@@ -73,41 +73,58 @@ func DynamicKey(build, suite, app string, locs []fault.Location, howK, capK int,
 	return keyOf(parts...)
 }
 
-// DynamicLineage names the dynamic entries that replace one another as
+// dynamicLineage names the dynamic entries that replace one another as
 // an app's retry locations change: one app under one build, suite and
-// set of run options, which is every DynamicKey input except the
+// set of run options, which is every dynamicKey input except the
 // location list.
-func DynamicLineage(build, suite, app string, howK, capK int, o oracle.Options) Lineage {
-	return Lineage{Stage: StageDynamic, Scope: app, Config: keyOf(dynamicParts(build, suite, app, howK, capK, o)...)}
+func dynamicLineage(build, suite, app string, howK, capK int, o oracle.Options) lineage {
+	return lineage{Stage: StageDynamic, Scope: app, Config: keyOf(dynamicParts(build, suite, app, howK, capK, o)...)}
 }
 
-// dynamicParts lists the key inputs DynamicKey and DynamicLineage share.
+// dynamicParts lists the key inputs dynamicKey and dynamicLineage share.
 func dynamicParts(build, suite, app string, howK, capK int, o oracle.Options) []string {
 	return []string{"dynamic", dynamicSchema, build, suite, app,
 		strconv.Itoa(howK), strconv.Itoa(capK),
 		strconv.Itoa(o.CapThreshold), strconv.FormatInt(int64(o.VirtualTimeout), 10)}
 }
 
-// GetDynamic returns the memoised dynamic run under key. Every hit
-// returns the same shared value, which callers must not mutate (its
-// Reports slice included). Misses fall through to the disk tier. The
-// empty key is a silent miss: it is neither looked up nor counted.
-func (c *Cache) GetDynamic(key string) (DynamicRun, bool) {
+// Dynamic returns app's dynamic run against locs under build and suite
+// with the given run options. A miss executes run and stores its
+// outcome unless it failed; a failed run stores nothing and returns its
+// error. The key is recorded on the app's lineage (dynamicLineage) on
+// every path. A nil cache, or an empty build or suite identity, runs
+// without a key: run executes and nothing is looked up, counted or
+// stored.
+func (c *Cache) Dynamic(build, suite, app string, locs []fault.Location, howK, capK int, o oracle.Options, run func() (DynamicRun, error)) (DynamicRun, error) {
+	key := dynamicKey(build, suite, app, locs, howK, capK, o)
 	if c == nil || key == "" {
-		return DynamicRun{}, false
+		return run()
 	}
+	defer c.supersede(dynamicLineage(build, suite, app, howK, capK, o), key)
+	if r, ok := c.getDynamic(key); ok {
+		return r, nil
+	}
+	r, err := run()
+	if err != nil {
+		return DynamicRun{}, err
+	}
+	c.putDynamic(key, r)
+	return r, nil
+}
+
+// getDynamic returns the memoised dynamic run under key. Every hit
+// returns the same shared value, which callers must not mutate (its
+// Reports slice included). Misses fall through to the disk tier.
+func (c *Cache) getDynamic(key string) (DynamicRun, bool) {
 	v, _ := c.get(StageDynamic, key, func(data []byte) (any, error) { return decodeDynamic(data, key) })
 	run, ok := v.(DynamicRun)
 	return run, ok
 }
 
-// PutDynamic memoises a dynamic run under key, writing through to the
+// putDynamic memoises a dynamic run under key, writing through to the
 // disk tier. The cache keeps run itself, so neither the caller nor any
-// later reader may mutate it. The empty key stores nothing.
-func (c *Cache) PutDynamic(key string, run DynamicRun) {
-	if c == nil || key == "" {
-		return
-	}
+// later reader may mutate it.
+func (c *Cache) putDynamic(key string, run DynamicRun) {
 	c.put(key, run, func() ([]byte, error) { return encodeDynamic(key, run) })
 }
 

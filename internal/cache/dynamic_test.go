@@ -32,13 +32,13 @@ var dynLocs = []fault.Location{
 
 func TestDynamicKeyInputs(t *testing.T) {
 	o := oracle.DefaultOptions()
-	base := DynamicKey("build", "seed:HB", "HB", dynLocs, 1, 100, o)
+	base := dynamicKey("build", "seed:HB", "HB", dynLocs, 1, 100, o)
 	if base == "" {
 		t.Fatal("identified run got no key")
 	}
 	withMetrics := o
 	withMetrics.Metrics = obs.NewRegistry()
-	if DynamicKey("build", "seed:HB", "HB", dynLocs, 1, 100, withMetrics) != base {
+	if dynamicKey("build", "seed:HB", "HB", dynLocs, 1, 100, withMetrics) != base {
 		t.Fatal("the oracle's metrics registry changed the key")
 	}
 	reordered := []fault.Location{dynLocs[1], dynLocs[0]}
@@ -46,47 +46,46 @@ func TestDynamicKeyInputs(t *testing.T) {
 	cap50.CapThreshold = 50
 	timeout.VirtualTimeout = time.Minute
 	for name, k := range map[string]string{
-		"build":     DynamicKey("other", "seed:HB", "HB", dynLocs, 1, 100, o),
-		"suite":     DynamicKey("build", "seed:HD", "HB", dynLocs, 1, 100, o),
-		"app":       DynamicKey("build", "seed:HB", "HD", dynLocs, 1, 100, o),
-		"locations": DynamicKey("build", "seed:HB", "HB", dynLocs[:1], 1, 100, o),
-		"order":     DynamicKey("build", "seed:HB", "HB", reordered, 1, 100, o),
-		"HowK":      DynamicKey("build", "seed:HB", "HB", dynLocs, 2, 100, o),
-		"CapK":      DynamicKey("build", "seed:HB", "HB", dynLocs, 1, 99, o),
-		"cap":       DynamicKey("build", "seed:HB", "HB", dynLocs, 1, 100, cap50),
-		"timeout":   DynamicKey("build", "seed:HB", "HB", dynLocs, 1, 100, timeout),
+		"build":     dynamicKey("other", "seed:HB", "HB", dynLocs, 1, 100, o),
+		"suite":     dynamicKey("build", "seed:HD", "HB", dynLocs, 1, 100, o),
+		"app":       dynamicKey("build", "seed:HB", "HD", dynLocs, 1, 100, o),
+		"locations": dynamicKey("build", "seed:HB", "HB", dynLocs[:1], 1, 100, o),
+		"order":     dynamicKey("build", "seed:HB", "HB", reordered, 1, 100, o),
+		"HowK":      dynamicKey("build", "seed:HB", "HB", dynLocs, 2, 100, o),
+		"CapK":      dynamicKey("build", "seed:HB", "HB", dynLocs, 1, 99, o),
+		"cap":       dynamicKey("build", "seed:HB", "HB", dynLocs, 1, 100, cap50),
+		"timeout":   dynamicKey("build", "seed:HB", "HB", dynLocs, 1, 100, timeout),
 	} {
 		if k == base || k == "" {
 			t.Errorf("changing %s kept the key", name)
 		}
 	}
-	if DynamicKey("", "seed:HB", "HB", dynLocs, 1, 100, o) != "" ||
-		DynamicKey("build", "", "HB", dynLocs, 1, 100, o) != "" {
+	if dynamicKey("", "seed:HB", "HB", dynLocs, 1, 100, o) != "" ||
+		dynamicKey("build", "", "HB", dynLocs, 1, 100, o) != "" {
 		t.Fatal("a run without build or suite identity got a key")
 	}
 }
 
 // TestDynamicRoundTrip stores a dynamic run, reads it from memory and,
-// through a fresh instance over the same directory, from disk; the
-// empty key is inert.
+// through a fresh instance over the same directory, from disk.
 func TestDynamicRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	key := DynamicKey("build", "seed:HB", "HB", dynLocs, 1, 100, oracle.DefaultOptions())
+	key := dynamicKey("build", "seed:HB", "HB", dynLocs, 1, 100, oracle.DefaultOptions())
 	c1, err := New(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c1.GetDynamic(key); ok {
+	if _, ok := c1.getDynamic(key); ok {
 		t.Fatal("hit on empty cache")
 	}
 	want := dynamicRun(5)
-	c1.PutDynamic(key, want)
-	got, ok := c1.GetDynamic(key)
+	c1.putDynamic(key, want)
+	got, ok := c1.getDynamic(key)
 	if !ok || !reflect.DeepEqual(got, want) {
 		t.Fatalf("memory round trip: ok=%v\n%+v", ok, got)
 	}
 	// A memory hit decodes nothing: two hits return the same value.
-	if again, _ := c1.GetDynamic(key); &again.Reports[0] != &got.Reports[0] {
+	if again, _ := c1.getDynamic(key); &again.Reports[0] != &got.Reports[0] {
 		t.Fatal("hits return distinct values, want one shared value")
 	}
 
@@ -94,23 +93,12 @@ func TestDynamicRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok = c2.GetDynamic(key)
+	got, ok = c2.getDynamic(key)
 	if !ok || !reflect.DeepEqual(got, want) {
 		t.Fatalf("disk round trip: ok=%v\n%+v", ok, got)
 	}
 	if st := c2.Stats(); st.DiskLoads != 1 || st.Hits[StageDynamic] != 1 {
 		t.Fatalf("disk loads/hits = %d/%d, want 1/1", st.DiskLoads, st.Hits[StageDynamic])
-	}
-
-	before := c2.Stats()
-	c2.PutDynamic("", want)
-	if _, ok := c2.GetDynamic(""); ok {
-		t.Fatal("empty key hit")
-	}
-	after := c2.Stats()
-	if after.Entries != before.Entries || after.Misses[StageDynamic] != before.Misses[StageDynamic] ||
-		after.DiskEntries != before.DiskEntries {
-		t.Fatalf("empty key touched the cache: %+v → %+v", before, after)
 	}
 
 	// A corrupt disk entry is a miss, and the file is dropped.
@@ -121,7 +109,7 @@ func TestDynamicRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c3.GetDynamic(key); ok {
+	if _, ok := c3.getDynamic(key); ok {
 		t.Fatal("corrupt dynamic entry served as a hit")
 	}
 	if _, err := os.Stat(c3.entryPath(key)); !os.IsNotExist(err) {

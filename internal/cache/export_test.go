@@ -51,7 +51,7 @@ func (c *Cache) EncodedEntries() (map[string][]byte, error) {
 func (c *Cache) EntryPath(key string) string { return c.entryPath(key) }
 
 // UntrackedEntries lists the memory-tier keys that no lineage holds:
-// entries Supersede can never drop.
+// entries supersede can never drop.
 func (c *Cache) UntrackedEntries() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -79,6 +79,7 @@ var (
 	ReviewFixture                = review
 	DynamicFixture               = dynamicRun
 	DynamicLocs                  = dynLocs
+	DynamicKey                   = dynamicKey
 )
 
 const (

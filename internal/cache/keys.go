@@ -67,13 +67,13 @@ func AnalysisKey(dir, manifestDigest string) string {
 	return keyOf("sast", AnalysisVersion, dir, manifestDigest)
 }
 
-// FactsKey addresses one file's retry-facts entry: the facts format
+// factsKey addresses one file's retry-facts entry: the facts format
 // version and the content hash — nothing else, because extraction is a
 // pure function of the bytes (facts are shared across paths and
 // configurations). Bumping sast.FactsSchema changes every key, so
 // stale-format entries become unreferenced files rather than decode
 // errors.
-func FactsKey(contentSHA256 string) string {
+func factsKey(contentSHA256 string) string {
 	return keyOf("facts", sast.FactsSchema, contentSHA256)
 }
 

@@ -11,7 +11,7 @@
 // unreadable, truncated, version-mismatched or key-mismatched file is a
 // miss — counted in cache_decode_errors_total and deleted, so one
 // corrupt file can never poison the tier or fail twice. The directory
-// is the durable tier, bounded by the same Supersede rule as memory;
+// is the durable tier, bounded by the same supersede rule as memory;
 // its entry count and byte total are observable as cache_disk_entries /
 // cache_disk_bytes, seeded by a scan at construction and maintained
 // across stores and deletions.

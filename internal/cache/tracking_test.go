@@ -1,6 +1,6 @@
 package cache_test
 
-// tracking_test.go checks that Supersede bounds every entry the
+// tracking_test.go checks that supersede bounds every entry the
 // pipeline puts in the memory tier: each one sits on a lineage, so a
 // newer version of its input drops it. The test lives in package
 // cache_test because it drives internal/core, which imports
@@ -16,6 +16,7 @@ import (
 	"wasabi/internal/apps/corpus"
 	"wasabi/internal/cache"
 	"wasabi/internal/core"
+	"wasabi/internal/llm"
 	"wasabi/internal/source"
 )
 
@@ -72,7 +73,8 @@ func edit(t *testing.T, path string, n int) {
 // TestMemoryTierTracksEveryEntry holds each stage's entries to their
 // lineage's newest source.DefaultKeepGenerations versions: dynamic runs
 // as an app's location list changes, the disk facts of an analysis that
-// then fails, and every entry of concurrent jobs over changing files.
+// then fails, the analyses and facts of jobs whose reviews all degrade,
+// and every entry of concurrent jobs over changing files.
 func TestMemoryTierTracksEveryEntry(t *testing.T) {
 	const keep = source.DefaultKeepGenerations
 
@@ -163,6 +165,49 @@ func TestMemoryTierTracksEveryEntry(t *testing.T) {
 			if entries[n] != entries[keep-1] {
 				t.Fatalf("disk entries after each edit = %v, want flat from edit %d on", entries, keep-1)
 			}
+		}
+		if got := ca.UntrackedEntries(); len(got) != 0 {
+			t.Fatalf("untracked entries: %v", got)
+		}
+	})
+
+	t.Run("degraded reviews", func(t *testing.T) {
+		// Under sim=sim:outage every review degrades: none is stored, each
+		// key is still recorded, and memory holds only the analyses.
+		specs, err := llm.ParseBackends("sim=sim:outage")
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, paths := seedCopy(t, "HD")
+		ca, err := cache.New(cache.Options{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Workers = 2
+		opts.Cache = ca
+		opts.Source = source.NewStore(nil)
+		opts.LLM.Backends = specs
+		versions := keep + 2
+		for n := 0; n < versions; n++ {
+			for _, p := range paths {
+				edit(t, p, n)
+			}
+			id, err := core.New(opts).Identify(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(id.Degraded) != len(paths) {
+				t.Fatalf("version %d: %d of %d reviews degraded, want all", n, len(id.Degraded), len(paths))
+			}
+		}
+		st := ca.Stats()
+		if st.Hits[cache.StageReview] != 0 || st.Misses[cache.StageReview] != int64(versions*len(paths)) {
+			t.Fatalf("review hits/misses = %d/%d, want 0/%d", st.Hits[cache.StageReview], st.Misses[cache.StageReview], versions*len(paths))
+		}
+		if st.Entries != keep || st.DiskEntries != int64(keep*len(paths)) {
+			t.Fatalf("entries %d, disk entries %d; want the newest %d analyses and their facts (%d)",
+				st.Entries, st.DiskEntries, keep, keep*len(paths))
 		}
 		if got := ca.UntrackedEntries(); len(got) != 0 {
 			t.Fatalf("untracked entries: %v", got)

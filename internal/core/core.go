@@ -255,41 +255,12 @@ func (w *Wasabi) load(app corpus.App) (*source.Snapshot, error) {
 // app's position in the run StartRun settled.
 func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Identification, error) {
 	defer w.stage("identify", app.Code)()
-	// With a cache attached, derive the manifest from the snapshot's
-	// already-computed hashes: it keys the static-analysis entry and
-	// carries the per-file content hashes the review keys need.
-	var man *cache.DirManifest
-	akey := ""
-	if w.cache != nil {
-		man = cache.FromSnapshot(snap)
-		akey = cache.AnalysisKey(app.Dir, man.Digest)
-		// The cache keeps a directory's analyses, and each file's facts
-		// and reviews, for the versions the snapshot store keeps. Every
-		// key is recorded after its use (cache.Supersede).
-		defer w.cache.Supersede(cache.Lineage{Stage: cache.StageAnalysis, Scope: app.Dir}, akey)
-	}
-	var analysis *sast.Analysis
-	if man != nil {
-		analysis, _ = w.cache.GetAnalysis(akey)
-	}
-	if analysis == nil {
-		// The cache's disk tier doubles as the portable facts tier
-		// (sast.FactsStore, nil-safe): per-file extraction hydrates from
-		// disk by content hash, so a restarted daemon rebuilds the
-		// analysis at zero parses.
-		var err error
-		analysis, err = sast.AnalyzeSnapshotWith(snap, w.cache)
-		// A failed analysis has still stored the facts of the files it
-		// extracted before the failure.
-		if man != nil {
-			for _, f := range snap.Files {
-				w.cache.Supersede(cache.Lineage{Stage: cache.StageFacts, Scope: f.Path}, cache.FactsKey(f.SHA256))
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("identify %s: %w", app.Code, err)
-		}
-		w.cache.PutAnalysis(akey, analysis, 0)
+	// The cache (nil-safe) memoizes the analysis by directory content,
+	// and its disk tier doubles as the portable facts tier, so a
+	// restarted daemon rebuilds the analysis at zero parses.
+	analysis, err := w.cache.Analysis(snap)
+	if err != nil {
+		return nil, fmt.Errorf("identify %s: %w", app.Code, err)
 	}
 	id := &Identification{
 		App:            app.Code,
@@ -358,26 +329,11 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		// One rule for every topology: a hit needs no delivery (a
 		// replayable run settled every file's delivery in StartRun, so
 		// skipping one shifts no later grant), a miss is delivered, and
-		// only a delivered answer is stored.
+		// only a delivered, non-degraded answer is stored.
 		sf := snap.Files[i]
-		key := ""
-		if w.cache != nil {
-			fp := w.llm.Fingerprint()
-			key = cache.ReviewKey(fp, sf.Path, sf.SHA256)
-			defer w.cache.Supersede(cache.Lineage{Stage: cache.StageReview, Scope: sf.Path, Config: fp}, key)
-			if rev, ok := w.cache.GetReview(key); ok {
-				reviews[i], cached[i] = rev, true
-				return
-			}
-		}
-		reviews[i] = w.llm.ReviewSnapshotAt(sf, lane, i)
-		// Degraded reviews record a backend failure, not an answer —
-		// memoizing one would pin the failure past the fault.
-		// PutReview drops the routing facts (Retries, Backend, Shared):
-		// they describe this delivery, not the answer.
-		if key != "" && !reviews[i].Degraded {
-			w.cache.PutReview(key, reviews[i])
-		}
+		reviews[i], cached[i] = w.cache.Review(w.llm.Fingerprint(), sf, func() llm.FileReview {
+			return w.llm.ReviewSnapshotAt(sf, lane, i)
+		})
 	})
 	if reg := w.obs.Reg(); reg != nil {
 		// Fresh spend only: cache hits carry their original attributed
@@ -479,23 +435,15 @@ type DynamicResult struct {
 // RunDynamic executes the dynamic workflow for one app, given its
 // identification. With a cache attached, the outcome of the app's
 // injection runs is memoised under its build, suite and run inputs
-// (cache.DynamicKey): a hit executes no test and yields the same result
+// (cache.Dynamic): a hit executes no test and yields the same result
 // a fresh run would.
 func (w *Wasabi) RunDynamic(app corpus.App, id *Identification) (*DynamicResult, error) {
 	defer w.stage("dynamic", app.Code)()
 	locs := id.Locations()
-	// Without a cache w.build is empty, so the key is too: no memo.
-	key := cache.DynamicKey(w.build, app.Suite.ID, app.Code, locs, w.opts.HowK, w.opts.CapK, w.opts.Oracle)
-	if key != "" {
-		defer w.cache.Supersede(cache.DynamicLineage(w.build, app.Suite.ID, app.Code, w.opts.HowK, w.opts.CapK, w.opts.Oracle), key)
-	}
-	run, ok := w.cache.GetDynamic(key)
-	if !ok {
-		var err error
-		if run, err = w.runSuite(app, locs); err != nil {
-			return nil, err
-		}
-		w.cache.PutDynamic(key, run)
+	run, err := w.cache.Dynamic(w.build, app.Suite.ID, app.Code, locs, w.opts.HowK, w.opts.CapK, w.opts.Oracle,
+		func() (cache.DynamicRun, error) { return w.runSuite(app, locs) })
+	if err != nil {
+		return nil, err
 	}
 	// Per-job result counters count every job, served or executed; the
 	// counters of executed work are incremented inside runSuite only.

@@ -20,8 +20,6 @@ package errmodel
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"wasabi/internal/trace"
@@ -123,21 +121,6 @@ func CauseIsClass(err error, cls string) bool {
 	return false
 }
 
-// RootCause returns the innermost error in err's cause chain.
-func RootCause(err error) error {
-	for {
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return err
-		}
-		inner := u.Unwrap()
-		if inner == nil {
-			return err
-		}
-		err = inner
-	}
-}
-
 // hierarchy is a registry of exception classes and their superclasses.
 type hierarchy struct {
 	mu     sync.RWMutex
@@ -182,62 +165,11 @@ func (h *hierarchy) isSubclass(class, super string) bool {
 	return false
 }
 
-func (h *hierarchy) classes() []string {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]string, 0, len(h.parent))
-	for c := range h.parent {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Declare registers class as a direct subclass of super. Both are created
 // if missing. Redeclaring a class updates its superclass; the corpus
 // declares its hierarchy once at init time.
 func Declare(class, super string) {
 	defaultHierarchy.declare(class, super)
-}
-
-// IsSubclass reports whether class equals super or descends from it.
-func IsSubclass(class, super string) bool {
-	return defaultHierarchy.isSubclass(class, super)
-}
-
-// Classes returns all registered exception class names, sorted.
-func Classes() []string { return defaultHierarchy.classes() }
-
-// Superclass returns the declared superclass of class ("" for the root or
-// unknown classes).
-func Superclass(class string) string {
-	defaultHierarchy.mu.RLock()
-	defer defaultHierarchy.mu.RUnlock()
-	return defaultHierarchy.parent[class]
-}
-
-// WrapChain returns the exception classes along err's cause chain,
-// outermost first. Non-Exception links appear as their error strings
-// truncated to the first token.
-func WrapChain(err error) []string {
-	var chain []string
-	for err != nil {
-		if e, ok := err.(*Exception); ok {
-			chain = append(chain, e.Class)
-		} else {
-			s := err.Error()
-			if i := strings.IndexAny(s, ": "); i > 0 {
-				s = s[:i]
-			}
-			chain = append(chain, s)
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			break
-		}
-		err = u.Unwrap()
-	}
-	return chain
 }
 
 // Standard hierarchy used across the corpus. Mirrors the Java classes that

@@ -6,6 +6,8 @@ import (
 	"go/parser"
 	"go/token"
 	"strings"
+
+	"wasabi/internal/sast"
 )
 
 // referenceEvidence is the straightforward evidence read that
@@ -143,7 +145,7 @@ func DiffEvidence(name string, src []byte) (string, error) {
 		evs = evs[1:]
 		want := referenceEvidence(fd, f.Comments, sleepFuncs)
 		if got != want {
-			return fmt.Sprintf("%s: %s: evidence %+v, reference %+v", name, funcKey(fd), got, want), nil
+			return fmt.Sprintf("%s: %s: evidence %+v, reference %+v", name, sast.FuncKey(fd), got, want), nil
 		}
 	}
 	return "", nil

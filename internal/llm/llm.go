@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"wasabi/internal/obs"
+	"wasabi/internal/sast"
 	"wasabi/internal/source"
 )
 
@@ -347,7 +348,7 @@ func (c *Client) review(sf *source.File) FileReview {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		name := pkg + "." + funcKey(fd)
+		name := pkg + "." + sast.FuncKey(fd)
 		ev := evs[0]
 		evs = evs[1:]
 		// Q1's clarifications: a file that merely *defines* retry policies
@@ -458,19 +459,4 @@ func (c *Client) bucket(path, fn, salt string, denom int) bool {
 // basename returns the final path element.
 func basename(path string) string {
 	return path[strings.LastIndex(path, "/")+1:]
-}
-
-// funcKey renders "Type.method" for methods and "func" for functions.
-func funcKey(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return fd.Name.Name
 }

@@ -91,14 +91,6 @@ type FaultProfile struct {
 	OutageAfterFiles int
 }
 
-// Zero reports whether the profile injects nothing — the machinery-on,
-// faults-off configuration whose output must be byte-identical to a run
-// with no transport at all.
-func (p FaultProfile) Zero() bool {
-	return p.TimeoutDenom == 0 && p.RateLimitDenom == 0 && p.ServerErrorDenom == 0 &&
-		p.MalformedDenom == 0 && !p.HardOutage && p.OutageAfterFiles == 0
-}
-
 // String renders the profile in ParseFaultProfile's key=value format.
 func (p FaultProfile) String() string {
 	var parts []string

@@ -45,17 +45,15 @@ func TestParseFaultProfileErrors(t *testing.T) {
 }
 
 func TestFaultProfileZeroAndString(t *testing.T) {
-	if !(FaultProfile{}).Zero() {
-		t.Error("empty profile must report Zero")
+	if got := (FaultProfile{}).String(); got != "none" {
+		t.Errorf("empty profile renders %q, want none", got)
 	}
-	p := FaultProfile{TimeoutDenom: 60, HardOutage: true}
-	if p.Zero() {
-		t.Error("non-empty profile must not report Zero")
-	}
-	// String round-trips through the parser.
-	back, err := ParseFaultProfile(p.String())
-	if err != nil || back != p {
-		t.Errorf("round trip %q → %+v (err %v), want %+v", p.String(), back, err, p)
+	// String round-trips through the parser, the zero profile included.
+	for _, p := range []FaultProfile{{}, {TimeoutDenom: 60, HardOutage: true}} {
+		back, err := ParseFaultProfile(p.String())
+		if err != nil || back != p {
+			t.Errorf("round trip %q → %+v (err %v), want %+v", p.String(), back, err, p)
+		}
 	}
 }
 

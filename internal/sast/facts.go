@@ -47,7 +47,7 @@ type FileFacts struct {
 
 // FuncFacts is one extracted function declaration.
 type FuncFacts struct {
-	// Key is the pkg-unqualified funcKey: "Type.method" or "func".
+	// Key is the pkg-unqualified FuncKey: "Type.method" or "func".
 	Key string `json:"key"`
 	// Throws lists the exception classes of the "Throws:" doc line.
 	Throws []string `json:"throws,omitempty"`

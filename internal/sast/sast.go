@@ -104,8 +104,12 @@ func AnalyzeDir(dir string) (*Analysis, error) {
 	return AnalyzeSnapshot(snap)
 }
 
-// funcKey renders "Type.method" for methods and "func" for functions.
-func funcKey(fd *ast.FuncDecl) string {
+// FuncKey renders "Type.method" for methods and "func" for functions:
+// the package-unqualified name of a coordinator. Both identification
+// techniques name functions through it, so core.identify's merge of LLM
+// findings into static structures never sees one coordinator under two
+// names.
+func FuncKey(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name
 	}

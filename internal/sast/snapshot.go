@@ -76,7 +76,7 @@ func extractFacts(f *source.File) (*FileFacts, error) {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		fn := FuncFacts{Key: funcKey(fd), Throws: parseThrows(fd.Doc)}
+		fn := FuncFacts{Key: FuncKey(fd), Throws: parseThrows(fd.Doc)}
 		// One walk of the body finds the fault hook, the callee names
 		// and the loop candidates.
 		var calls []string

@@ -114,12 +114,12 @@ func (r *Run) AdvanceAndRecordSleep(d time.Duration, stack []string) {
 	r.recordSleep(d, stack)
 }
 
-// AdvanceAndRecordSleepLazily is AdvanceAndRecordSleep for a run under
-// fault injection, with the stack taken from the caller's goroutine as
-// Callers(skip, max) would take it. A sleep's stack is read only by the
-// missing-delay oracle, and only between two injections, so the stack is
-// walked only once the run has logged a KindInjection; earlier sleeps
-// carry no stack. The walk happens under the run's lock, so whether a
+// AdvanceAndRecordSleepLazily is AdvanceAndRecordSleep with the stack
+// taken from the caller's goroutine as Callers(skip, max) would take it.
+// A sleep's stack is read only by the missing-delay oracle, and only
+// between two injections, so the stack is walked only once the run has
+// logged a KindInjection; earlier sleeps, and every sleep of a run that
+// logs none, carry no stack. The walk happens under the run's lock, so whether a
 // sleep has a stack always agrees with where it lands in the log.
 func (r *Run) AdvanceAndRecordSleepLazily(d time.Duration, skip, max int) {
 	r.mu.Lock()

@@ -4,12 +4,12 @@
 // The paper's missing-delay oracle works by intercepting standard sleep
 // APIs (Thread.sleep, TimeUnit.sleep, ...) with AspectJ and logging each
 // call with its stack (§3.1.3). In this reproduction, all corpus code
-// sleeps through vclock.Sleep, which (a) records the sleep event with a
-// normalized call stack in the run's trace (under fault injection, from the
-// run's first injection on) and (b) advances *virtual* time
-// instead of blocking, so that experiments with 100 injected faults and
-// exponential backoff complete in milliseconds of wall time while the
-// oracle still observes realistic delay/timeout behaviour.
+// sleeps through vclock.Sleep, which (a) records the sleep event in the
+// run's trace, with a normalized call stack from the run's first fault
+// injection on, and (b) advances *virtual* time instead of blocking, so
+// that experiments with 100 injected faults and exponential backoff
+// complete in milliseconds of wall time while the oracle still observes
+// realistic delay/timeout behaviour.
 //
 // There is deliberately no package-level clock: virtual time lives on the
 // per-run trace.Run reached through the context, so every test execution
@@ -23,7 +23,6 @@ import (
 	"math"
 	"time"
 
-	"wasabi/internal/fault"
 	"wasabi/internal/trace"
 )
 
@@ -37,22 +36,16 @@ const stackDepth = 8
 // This is the reproduction's stand-in for Thread.sleep and friends: the
 // missing-delay oracle looks for these events between consecutive fault
 // injections from the same retry location. That oracle is the only
-// reader of a sleep's stack, so in a run with a fault.Injector attached
-// the stack is recorded from the run's first injection on; a plain run
-// records every sleep's stack.
+// reader of a sleep's stack, so the stack is recorded from the run's
+// first injection on; a run that logs no injection (one without a fault
+// injector) records no stack.
 func Sleep(ctx context.Context, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	r := trace.From(ctx)
-	if r == nil {
-		return
+	if r := trace.From(ctx); r != nil {
+		r.AdvanceAndRecordSleepLazily(d, 1, stackDepth)
 	}
-	if fault.From(ctx) == nil {
-		r.AdvanceAndRecordSleep(d, trace.Callers(1, stackDepth))
-		return
-	}
-	r.AdvanceAndRecordSleepLazily(d, 1, stackDepth)
 }
 
 // Now returns the virtual time of the run attached to ctx, or zero.

@@ -26,21 +26,31 @@ func TestSleepRecordsEventAndAdvances(t *testing.T) {
 	if len(ev) != 1 || ev[0].Kind != trace.KindSleep || ev[0].Duration != 2*time.Second {
 		t.Errorf("events = %+v", ev)
 	}
+	// No oracle reads the stack of a sleep in a run without injections.
+	if ev[0].Stack != nil {
+		t.Errorf("a run without injections recorded stack %v", ev[0].Stack)
+	}
 }
 
 func TestSleepCapturesCallerStack(t *testing.T) {
 	ctx, r := runCtx()
-	sleepHelper(ctx)
+	logInjection(r)
+	want := sleepHelper(ctx)
 	ev := r.Events()
-	if len(ev) != 1 {
+	if len(ev) != 2 {
 		t.Fatalf("events = %+v", ev)
 	}
-	if len(ev[0].Stack) == 0 || ev[0].Stack[0] != "vclock.sleepHelper" {
-		t.Errorf("stack = %v", ev[0].Stack)
+	if len(want) == 0 || want[0] != "vclock.sleepHelper" || !reflect.DeepEqual(ev[1].Stack, want) {
+		t.Errorf("stack = %v, want %v", ev[1].Stack, want)
 	}
 }
 
-func sleepHelper(ctx context.Context) { Sleep(ctx, time.Second) }
+// sleepHelper sleeps one second and returns the stack that sleep should
+// record, as trace.Callers names it from the same frame.
+func sleepHelper(ctx context.Context) []string {
+	Sleep(ctx, time.Second)
+	return trace.Callers(0, stackDepth)
+}
 
 // injectedRunCtx is runCtx with a fault injector attached, as in every
 // injection run of the dynamic workflow.
@@ -59,16 +69,12 @@ func logInjection(r *trace.Run) {
 // TestSleepUnderInjectionRecordsStackFromFirstInjection checks the sleep
 // attribution rule: with an injector attached, a sleep before the run's
 // first injection — which no oracle reads — records no stack, and a sleep
-// after it records the same stack a plain run does.
+// after it records its caller's stack.
 func TestSleepUnderInjectionRecordsStackFromFirstInjection(t *testing.T) {
 	ctx, r := injectedRunCtx()
 	sleepHelper(ctx)
 	logInjection(r)
-	sleepHelper(ctx)
-
-	plainCtx, plain := runCtx()
-	sleepHelper(plainCtx)
-	want := plain.Events()[0].Stack
+	want := sleepHelper(ctx)
 
 	ev := r.Events()
 	if len(ev) != 3 || ev[0].Kind != trace.KindSleep || ev[2].Kind != trace.KindSleep {
@@ -78,7 +84,7 @@ func TestSleepUnderInjectionRecordsStackFromFirstInjection(t *testing.T) {
 		t.Errorf("sleep before the first injection recorded stack %v", ev[0].Stack)
 	}
 	if len(want) == 0 || want[0] != "vclock.sleepHelper" || !reflect.DeepEqual(ev[2].Stack, want) {
-		t.Errorf("sleep after the first injection recorded %v, a plain run %v", ev[2].Stack, want)
+		t.Errorf("sleep after the first injection recorded %v, want %v", ev[2].Stack, want)
 	}
 	if r.VNow() != 2*time.Second {
 		t.Errorf("VNow = %v: every sleep advances virtual time", r.VNow())
@@ -90,8 +96,9 @@ func TestSleepUnderInjectionRecordsStackFromFirstInjection(t *testing.T) {
 func TestSleepAfterInjectionAllocs(t *testing.T) {
 	ctx, r := injectedRunCtx()
 	logInjection(r)
-	sleepHelper(ctx) // warm: names the PCs
-	if n := testing.AllocsPerRun(100, func() { sleepHelper(ctx) }); n > 1 {
+	sleep := func() { Sleep(ctx, time.Second) }
+	sleep() // warm: names the PCs
+	if n := testing.AllocsPerRun(100, sleep); n > 1 {
 		t.Errorf("%v allocs per sleep, want at most 1 (the stack)", n)
 	}
 }
