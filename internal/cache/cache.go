@@ -276,8 +276,8 @@ func (c *Cache) get(stage, key string, decode func([]byte) (any, error)) (any, b
 // decode is counted, dropped and read as a miss.
 func (c *Cache) read(stage, key string, decode func([]byte) (any, error)) (any, bool) {
 	if decode != nil {
-		if data, ok := c.loadDisk(key); ok {
-			if v, err := decode(data); err == nil {
+		if v, found, err := c.loadDisk(key, decode); found {
+			if err == nil {
 				c.mu.Lock()
 				c.diskLoads++
 				c.hits[stage]++

@@ -95,6 +95,51 @@ func factsHash(tb testing.TB, data []byte) string {
 	return ff.Hash
 }
 
+// TestDecodedEntriesOwnTheirBytes decodes every entry of a cold run's
+// disk tier from one reused buffer, as the disk tier's pooled reads do:
+// each facts, review and dynamic value must stay equal to a decode of
+// its own pristine copy after the buffer has been overwritten by every
+// later entry.
+func TestDecodedEntriesOwnTheirBytes(t *testing.T) {
+	decoders := map[string]func(data []byte, key string) (any, error){
+		cache.StageFacts: func(data []byte, _ string) (any, error) {
+			return sast.DecodeFacts(data, factsHash(t, data))
+		},
+		cache.StageReview:  func(data []byte, key string) (any, error) { return cache.DecodeReview(data, key) },
+		cache.StageDynamic: func(data []byte, key string) (any, error) { return cache.DecodeDynamic(data, key) },
+	}
+	type decoded struct {
+		stage string
+		e     entry
+		v     any
+	}
+	var buf []byte
+	var all []decoded
+	for stage, decode := range decoders {
+		for _, e := range seedEntries(t, stage) {
+			buf = append(buf[:0], e.data...)
+			v, err := decode(buf, e.key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, decoded{stage, e, v})
+		}
+	}
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		buf[i] = 'x'
+	}
+	for _, d := range all {
+		want, err := decoders[d.stage](bytes.Clone(d.e.data), d.e.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d.v, want) {
+			t.Fatalf("%s entry %s changed when its buffer was reused:\ngot  %+v\nwant %+v", d.stage, d.e.key, d.v, want)
+		}
+	}
+}
+
 // FuzzDecodeReview fuzzes the review-envelope decoder at the disk trust
 // boundary, differentially: no input may panic; an accepted envelope
 // carries this schema and key, fails closed under any other key, and

@@ -23,9 +23,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"wasabi/internal/jsonread"
 	"wasabi/internal/llm"
+	"wasabi/internal/source"
 )
 
 // envelopeSchema identifies the on-disk review-entry format.
@@ -149,18 +151,27 @@ func (c *Cache) entryPath(key string) string {
 	return filepath.Join(c.dir, key+entrySuffix)
 }
 
-// loadDisk reads the persisted bytes for key, if the disk tier is
-// enabled and has them. Whatever comes back is untrusted: callers must
-// decode fail-closed and dropDisk entries that do not verify.
-func (c *Cache) loadDisk(key string) ([]byte, bool) {
+// diskBufs pools the buffers loadDisk reads entries into. The decoders
+// copy every string they keep (package jsonread), so a buffer is free
+// again as soon as its entry is decoded.
+var diskBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+
+// loadDisk reads the persisted bytes for key into a pooled buffer, if
+// the disk tier is enabled and has them (found), and returns what
+// decode makes of them. Whatever comes back is untrusted: decode must
+// fail closed, and callers dropDisk entries that do not verify. decode
+// must not keep the bytes, which the next read reuses.
+func (c *Cache) loadDisk(key string, decode func([]byte) (any, error)) (v any, found bool, err error) {
 	if c.dir == "" {
-		return nil, false
+		return nil, false, nil
 	}
-	data, err := os.ReadFile(c.entryPath(key))
-	if err != nil {
-		return nil, false
+	buf := diskBufs.Get().(*[]byte)
+	defer diskBufs.Put(buf)
+	if *buf, err = source.ReadFile(c.entryPath(key), *buf); err != nil {
+		return nil, false, nil
 	}
-	return data, true
+	v, err = decode(*buf)
+	return v, true, err
 }
 
 // storeDisk persists entry bytes via write-to-temp + rename, so readers

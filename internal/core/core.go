@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -405,11 +406,11 @@ func dedupLocations(locs []fault.Location) []fault.Location {
 			out = append(out, l)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Retried != out[j].Retried {
-			return out[i].Retried < out[j].Retried
+	slices.SortFunc(out, func(a, b fault.Location) int {
+		if c := strings.Compare(a.Retried, b.Retried); c != 0 {
+			return c
 		}
-		return out[i].Exception < out[j].Exception
+		return strings.Compare(a.Exception, b.Exception)
 	})
 	return out
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"wasabi/internal/apps/corpus"
 	"wasabi/internal/cache"
@@ -81,25 +82,19 @@ func counterDelta(after, before obs.Snapshot, name string, labels ...string) int
 	return after.Counter(name, labels...) - before.Counter(name, labels...)
 }
 
-// TestWarmDaemonSingleFileEdit drives the daemon configuration — one
-// observer, one store, one cache across runs — through the cold → warm →
-// single-edit trajectory and asserts the incremental contract exactly:
-// the warm run parses nothing, and after editing one file only that file
-// re-parses, re-extracts, and re-reviews.
-func TestWarmDaemonSingleFileEdit(t *testing.T) {
-	app := copyApp(t, "HD")
-	nFiles := countSourceFiles(t, app.Dir)
-	if nFiles < 2 {
-		t.Fatalf("need ≥2 source files to distinguish one from all, have %d", nFiles)
-	}
-
+// warmDaemon returns the daemon configuration over app — one observer,
+// one store and one cache shared across runs — as a function that runs
+// a job and returns its report bytes and fresh LLM spend.
+func warmDaemon(t *testing.T, app corpus.App) (*obs.Observer, *cache.Cache, func() ([]byte, llm.Usage)) {
+	t.Helper()
 	observer := obs.New()
 	ca, err := cache.New(cache.Options{Metrics: observer.Reg()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := source.NewStore(observer.Reg())
-	run := func() ([]byte, llm.Usage) {
+	return observer, ca, func() ([]byte, llm.Usage) {
+		t.Helper()
 		opts := core.DefaultOptions()
 		opts.Workers = 2
 		opts.Cache = ca
@@ -116,6 +111,19 @@ func TestWarmDaemonSingleFileEdit(t *testing.T) {
 		}
 		return data, w.LLMUsage()
 	}
+}
+
+// TestWarmDaemonSingleFileEdit drives the daemon configuration through
+// the cold → warm → single-edit trajectory and asserts the incremental
+// contract exactly: the warm run parses nothing, and after editing one
+// file only that file re-parses, re-extracts, and re-reviews.
+func TestWarmDaemonSingleFileEdit(t *testing.T) {
+	app := copyApp(t, "HD")
+	nFiles := countSourceFiles(t, app.Dir)
+	if nFiles < 2 {
+		t.Fatalf("need ≥2 source files to distinguish one from all, have %d", nFiles)
+	}
+	observer, ca, run := warmDaemon(t, app)
 
 	// Cold: every file parses and extracts once.
 	cold, _ := run()
@@ -187,5 +195,93 @@ func TestWarmDaemonSingleFileEdit(t *testing.T) {
 	}
 	if editFresh.TokensIn == 0 {
 		t.Fatal("edited file was not re-reviewed")
+	}
+}
+
+// TestWarmDaemonStatCheck runs the daemon configuration over files
+// older than the store's trust window: a warm job reads no byte of
+// them, serves every file from its stat record and reproduces the cold
+// report. A same-size edit in place whose old mtime is put back still
+// changes the file's ctime, so the next job re-reads, re-parses,
+// re-extracts and re-reviews exactly that file.
+func TestWarmDaemonStatCheck(t *testing.T) {
+	app := copyApp(t, "HD")
+	copied := time.Now()
+	nFiles := countSourceFiles(t, app.Dir)
+	observer, ca, run := warmDaemon(t, app)
+	cold, _ := run()
+
+	// The cold run read files too recent to trust. Once the window has
+	// passed, the next run's reads make trusted records.
+	time.Sleep(time.Until(copied.Add(time.Second + 100*time.Millisecond)))
+	run()
+	s0 := observer.Reg().Snapshot()
+	warm, warmFresh := run()
+	s1 := observer.Reg().Snapshot()
+	if !bytes.Equal(cold, warm) {
+		t.Fatal("warm report differs from cold")
+	}
+	if warmFresh != (llm.Usage{}) {
+		t.Fatalf("warm run spent fresh LLM traffic: %+v", warmFresh)
+	}
+	for name, want := range map[string]int64{
+		"source_bytes_total":        0,
+		"source_files_loaded_total": 0,
+		"source_stat_reuse_total":   nFiles,
+		"source_reuse_total":        nFiles,
+		"source_parse_total":        0,
+	} {
+		if d := counterDelta(s1, s0, name); d != want {
+			t.Fatalf("warm run: %s moved %d, want %d", name, d, want)
+		}
+	}
+
+	// Rewrite one byte of a comment in place and restore the mtime.
+	entries, err := os.ReadDir(app.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edited string
+	for _, e := range entries {
+		if !e.IsDir() && source.IsSourceFile(e.Name()) {
+			edited = filepath.Join(app.Dir, e.Name())
+			break
+		}
+	}
+	src, err := os.ReadFile(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(src, []byte("// ")) + len("// ")
+	if i < len("// ") || i >= len(src) || !('a' <= src[i]|0x20 && src[i]|0x20 <= 'z') {
+		t.Fatalf("%s has no comment starting with a letter to edit", edited)
+	}
+	src[i] ^= 0x20 // the letter's other case
+	info, err := os.Stat(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(edited, src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(edited, info.ModTime(), info.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	missBefore := ca.Stats().Misses[cache.StageReview]
+	run()
+	s2 := observer.Reg().Snapshot()
+	for name, want := range map[string]int64{
+		"source_files_loaded_total":     1,
+		"source_bytes_total":            int64(len(src)),
+		"source_stat_reuse_total":       nFiles - 1,
+		"source_parse_total":            1,
+		"source_derived_computes_total": 1,
+	} {
+		if d := counterDelta(s2, s1, name); d != want {
+			t.Fatalf("after a same-size edit: %s moved %d, want %d", name, d, want)
+		}
+	}
+	if d := ca.Stats().Misses[cache.StageReview] - missBefore; d != 1 {
+		t.Fatalf("after a same-size edit: review misses = %d, want exactly 1", d)
 	}
 }

@@ -195,11 +195,11 @@ func (a *Analysis) CalleesOf(coordinator string) []Triplet {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Retried != out[j].Retried {
-			return out[i].Retried < out[j].Retried
+	slices.SortFunc(out, func(a, b Triplet) int {
+		if c := strings.Compare(a.Retried, b.Retried); c != 0 {
+			return c
 		}
-		return out[i].Exception < out[j].Exception
+		return strings.Compare(a.Exception, b.Exception)
 	})
 	return out
 }

@@ -1,8 +1,8 @@
 package source_test
 
 // bench_test measures the snapshot store's load path, cold (every file
-// read and hashed) and warm (the daemon steady state, every parsed
-// artifact reused). `make bench` runs these for profiling; performance
+// read and hashed) and warm (the daemon steady state, every file served
+// from its stat record). `make bench` runs these for profiling; performance
 // numbers come from the repository benchmark (docs/PERFORMANCE.md).
 
 import (
@@ -37,8 +37,9 @@ func BenchmarkSnapshotLoadCold(b *testing.B) {
 }
 
 // BenchmarkSnapshotLoadWarm measures the daemon steady state: one store
-// across iterations, so loads re-read and re-hash bytes but reuse every
-// parsed artifact.
+// across iterations over files last changed more than the trust window
+// before the first load (a checkout's), so each load stats the
+// directory and every file and reads none.
 func BenchmarkSnapshotLoadWarm(b *testing.B) {
 	dir := benchDir(b)
 	st := source.NewStore(nil)

@@ -12,8 +12,23 @@
 //
 // Loading reads each file into a pooled buffer and hashes it there; a
 // File owns a copy of its bytes, made only when its content version is
-// new. A warm load of an unchanged directory therefore copies no file
-// bytes at all, and no File ever aliases a pooled buffer.
+// new. No File ever aliases a pooled buffer.
+//
+// A warm load of an unchanged file reads nothing at all. The store
+// keeps, per file path and per listed directory, a record of the stat
+// identity (device, inode, size, mtime, ctime) fstat reported just
+// before the last read, and a later load that stats the same identity
+// reuses the interned File (or the directory's source-file list)
+// without reading or hashing. A record is kept only when it is trusted:
+// its mtime and ctime are both more than statWindow older than the
+// start of the read that made it (git's "racily clean" rule). Any later
+// write then carries a newer ctime, which user space cannot set back,
+// so a same-size rewrite is seen even within one timestamp tick of the
+// read, and even with its mtime restored. A file with no record, or
+// whose identity changed, is read and hashed as before, and everything
+// downstream keys on the SHA-256 of the bytes last read. Only Linux
+// reports an identity; elsewhere every load reads every file
+// (docs/KNOWN_ISSUES.md lists what the stat check cannot see).
 //
 // Parsing is lazy: interning a file costs a read and a hash, and the
 // AST is built only when a consumer actually asks for it via
@@ -56,8 +71,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"wasabi/internal/obs"
 )
@@ -195,17 +212,57 @@ func (s *Snapshot) Names() []string {
 // positions, memoized facts — under the store lock.
 type Store struct {
 	reg *obs.Registry
+	now func() time.Time // the clock trust is judged by; tests move it
 
 	mu            sync.Mutex
 	entries       map[fileKey]*File
 	gens          map[string][]fileKey // path → entry keys, oldest first
 	retainedBytes int64
+	files         map[string]fileRecord // path → trusted record of its last read
+	dirs          map[string]dirRecord  // dir → trusted record of its last listing
 }
 
 // fileKey identifies one content version of one path.
 type fileKey struct {
 	path string
 	sum  [sha256.Size]byte
+}
+
+// statWindow is how much older than the start of a read a file's mtime
+// and ctime must both be for the read's record to be trusted. A write
+// after a trusted read gets a ctime at least this much newer than the
+// record's, far beyond any timestamp tick, so it cannot match the
+// record.
+const statWindow = time.Second
+
+// statID is the stat identity of a file or directory. The zero value
+// means the platform reported none; it is never trusted.
+type statID struct {
+	dev, ino     uint64
+	size         int64
+	mtime, ctime int64 // nanoseconds since the epoch
+}
+
+// trusted reports whether a read that started at start and saw id may
+// serve later loads whose stat returns id again.
+func trusted(id statID, start time.Time) bool {
+	limit := start.Add(-statWindow).UnixNano()
+	return id != statID{} && id.mtime < limit && id.ctime < limit
+}
+
+// fileRecord is a trusted read of one path: the identity fstat reported
+// before it and the version it interned.
+type fileRecord struct {
+	id   statID
+	file *File
+}
+
+// dirRecord is one listing of a directory: the paths of its source
+// files in sorted order, and the identity fstat reported before the
+// listing.
+type dirRecord struct {
+	id    statID
+	paths []string
 }
 
 // readBufs pools the buffers Load reads files into. A buffer is free
@@ -218,42 +275,52 @@ var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return 
 func NewStore(reg *obs.Registry) *Store {
 	return &Store{
 		reg:     reg,
+		now:     time.Now,
 		entries: make(map[fileKey]*File),
 		gens:    make(map[string][]fileKey),
+		files:   make(map[string]fileRecord),
+		dirs:    make(map[string]dirRecord),
 	}
 }
 
-// Load reads every source file of dir — exactly once each — and returns
-// the snapshot. Bytes are read and hashed on every call (that is how
-// change detection works); the interned artifact and everything derived
-// from it are reused when the content hash matches a previously interned
-// version. Nothing is parsed here: unparseable files surface their error
+// Load returns the snapshot of dir's source files. A file whose
+// trusted record still matches a fresh stat is served from the store
+// without reading it (source_stat_reuse_total); any other file is read
+// and hashed (source_files_loaded_total, source_bytes_total), and the
+// interned artifact and everything derived from it are reused when the
+// content hash matches a version already interned. Both kinds of reuse
+// count in source_reuse_total. The directory listing is reused the same
+// way. Nothing is parsed here: unparseable files surface their error
 // from Syntax, and each consumer decides (sast fails, llm degrades to
 // "no answer").
 func (s *Store) Load(dir string) (*Snapshot, error) {
-	entries, err := os.ReadDir(dir)
+	listing, err := s.list(dir)
 	if err != nil {
 		return nil, fmt.Errorf("source: %w", err)
 	}
 	loaded := s.reg.Counter("source_files_loaded_total")
 	read := s.reg.Counter("source_bytes_total")
 	reused := s.reg.Counter("source_reuse_total")
+	statReused := s.reg.Counter("source_stat_reuse_total")
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
-	snap := &Snapshot{Dir: dir}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !IsSourceFile(name) {
+	snap := &Snapshot{Dir: dir, Files: make([]*File, 0, len(listing.paths))}
+	for _, path := range listing.paths {
+		if f := s.statHit(path); f != nil {
+			statReused.Inc()
+			reused.Inc()
+			snap.Files = append(snap.Files, f)
 			continue
 		}
-		path := filepath.Join(dir, name)
-		*buf, err = readFile(path, *buf)
+		start := s.now()
+		var id statID
+		*buf, id, err = readFile(path, *buf)
 		if err != nil {
 			return nil, fmt.Errorf("source: %w", err)
 		}
 		loaded.Inc()
 		read.Add(int64(len(*buf)))
-		f, ok := s.intern(path, name, *buf)
+		f, ok := s.intern(path, filepath.Base(path), *buf, id, trusted(id, start))
 		if ok {
 			reused.Inc()
 		}
@@ -262,26 +329,94 @@ func (s *Store) Load(dir string) (*Snapshot, error) {
 	return snap, nil
 }
 
-// readFile reads the file at path into buf, reusing its capacity and
-// growing it as needed, and returns the filled slice.
-func readFile(path string, buf []byte) ([]byte, error) {
+// statHit returns the File path's trusted record holds when a fresh
+// stat still reports the record's identity, and nil otherwise. A path
+// without a trusted record is not stat'd: it is read right away.
+func (s *Store) statHit(path string) *File {
+	s.mu.Lock()
+	rec, ok := s.files[path]
+	s.mu.Unlock()
+	if ok && pathID(path) == rec.id {
+		return rec.file
+	}
+	return nil
+}
+
+// list returns dir's source files in sorted order, from its trusted
+// record when a fresh stat still reports the record's identity, and
+// otherwise by reading the directory.
+func (s *Store) list(dir string) (dirRecord, error) {
+	s.mu.Lock()
+	rec, ok := s.dirs[dir]
+	s.mu.Unlock()
+	if ok && pathID(dir) == rec.id {
+		return rec, nil
+	}
+	start := s.now()
+	d, err := os.Open(dir)
+	if err != nil {
+		return dirRecord{}, err
+	}
+	defer d.Close()
+	rec = dirRecord{id: fileID(d)}
+	entries, err := d.ReadDir(-1)
+	if err != nil {
+		return dirRecord{}, err
+	}
+	names := make([]string, 0, len(entries))
+	for _, e := range entries {
+		if !e.IsDir() && IsSourceFile(e.Name()) {
+			names = append(names, e.Name())
+		}
+	}
+	slices.Sort(names)
+	rec.paths = make([]string, len(names))
+	for i, name := range names {
+		rec.paths[i] = filepath.Join(dir, name)
+	}
+	s.mu.Lock()
+	if trusted(rec.id, start) {
+		s.dirs[dir] = rec
+	} else {
+		delete(s.dirs, dir)
+	}
+	s.mu.Unlock()
+	return rec, nil
+}
+
+// ReadFile reads the regular file at path into buf, reusing its
+// capacity and growing it as needed, and returns the filled slice: one
+// open, fstat, read and close for a file that does not grow while it is
+// read, since a short read that reaches the size fstat reported is
+// taken as the end of the file.
+func ReadFile(path string, buf []byte) ([]byte, error) {
+	buf, _, err := readFile(path, buf)
+	return buf, err
+}
+
+// readFile is ReadFile, also returning the stat identity the open file
+// had before the read.
+func readFile(path string, buf []byte) ([]byte, statID, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return buf, err
+		return buf, statID{}, err
 	}
 	defer f.Close()
-	buf = buf[:0]
+	id := fileID(f)
+	buf = slices.Grow(buf[:0], int(id.size)+1)
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
 		n, err := f.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
+		switch {
+		case err == io.EOF:
+			return buf, id, nil
+		case err != nil:
+			return buf, id, err
+		case id != statID{} && len(buf) >= int(id.size) && len(buf) < cap(buf):
+			return buf, id, nil
 		}
 	}
 }
@@ -290,8 +425,10 @@ func readFile(path string, buf []byte) ([]byte, error) {
 // was already interned. On first sight of a content version it copies
 // data into a new File; afterwards the interned artifact is reused and
 // data is not retained. Interning a new version beyond the retention
-// bound evicts the path's oldest generation.
-func (s *Store) intern(path, name string, data []byte) (*File, bool) {
+// bound evicts the path's oldest generation. The read of data, which
+// saw id before it, becomes path's record if it is trusted; otherwise
+// path keeps no record.
+func (s *Store) intern(path, name string, data []byte, id statID, trust bool) (*File, bool) {
 	key := fileKey{path: path, sum: sha256.Sum256(data)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -308,6 +445,11 @@ func (s *Store) intern(path, name string, data []byte) (*File, bool) {
 		}
 		s.entries[key] = f
 		s.retainedBytes += f.Size
+	}
+	if trust {
+		s.files[path] = fileRecord{id: id, file: f}
+	} else {
+		delete(s.files, path)
 	}
 	if evicted := s.touchGeneration(key); evicted || !ok {
 		s.reg.Gauge("source_store_files").Set(float64(len(s.entries)))

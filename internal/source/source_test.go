@@ -59,8 +59,8 @@ func TestIsSourceFile(t *testing.T) {
 // TestLoadParsesOncePerVersion is the core contract: loading N files
 // parses nothing (parse is lazy), the first Syntax calls parse each file
 // exactly once, and a second load of the unchanged dir re-reads bytes
-// (that is how change detection works) but reuses every artifact —
-// including the parses.
+// (files this recent are never trusted to the stat check) but reuses
+// every artifact — including the parses.
 func TestLoadParsesOncePerVersion(t *testing.T) {
 	dir := writeDir(t, map[string]string{
 		"a.go":      "package demo\n\nfunc A() {}\n",
