@@ -35,13 +35,14 @@ race:
 ## microbenchmarks (cold vs warm load), the cold per-file extraction
 ## and review over the seed corpus, the warm cross-file merge, the
 ## report encoder, the disk-entry decoders beside their encoding/json
-## reference, and a restarted daemon's first job in process
-## (docs/PERFORMANCE.md).
+## reference, a restarted daemon's first job in process, registry
+## lookups and span recording, and one warm job through the daemon's
+## job path (docs/PERFORMANCE.md).
 ## Performance numbers come from the repository benchmark instead:
 ## `bash bench/run.sh` (bench/README.md).
 bench:
 	$(GO) test -bench 'BenchmarkPipeline' -benchmem -run '^$$' .
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/source/ ./internal/sast/ ./internal/llm/ ./internal/report/ ./internal/cache/ ./internal/core/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/source/ ./internal/sast/ ./internal/llm/ ./internal/report/ ./internal/cache/ ./internal/core/ ./internal/obs/ ./internal/server/
 
 ## gen-smoke: generate a 10x synthetic corpus into a temp dir and push
 ## it through the static-only pipeline — every emitted file must parse,
@@ -54,7 +55,7 @@ gen-smoke:
 ## CI gate that keeps the benchmarks building and executable without
 ## asserting thresholds.
 bench-smoke:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/source/ ./internal/sast/ ./internal/llm/ ./internal/report/ ./internal/cache/ ./internal/core/
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/source/ ./internal/sast/ ./internal/llm/ ./internal/report/ ./internal/cache/ ./internal/core/ ./internal/obs/ ./internal/server/
 
 ## bench-check: vet and short-test the benchmark module, so an
 ## internal/ API change that breaks the benchmark's in-process replay

@@ -13,6 +13,7 @@
 package cache
 
 import (
+	"crypto/sha256"
 	"debug/elf"
 	"encoding/json"
 	"os"
@@ -66,11 +67,14 @@ func dynamicKey(build, suite, app string, locs []fault.Location, howK, capK int,
 	if build == "" || suite == "" {
 		return ""
 	}
-	parts := dynamicParts(build, suite, app, howK, capK, o)
+	h := sha256.New()
+	var stack [512]byte
+	h.Write(appendDynamicParts(stack[:0], build, suite, app, howK, capK, o))
 	for _, l := range locs {
-		parts = append(parts, l.Coordinator, l.Retried, l.Exception)
+		h.Write(appendParts(stack[:0], l.Coordinator, l.Retried, l.Exception))
 	}
-	return keyOf(parts...)
+	var sum [sha256.Size]byte
+	return hexKey(h.Sum(sum[:0]))
 }
 
 // dynamicLineage names the dynamic entries that replace one another as
@@ -78,14 +82,19 @@ func dynamicKey(build, suite, app string, locs []fault.Location, howK, capK int,
 // set of run options, which is every dynamicKey input except the
 // location list.
 func dynamicLineage(build, suite, app string, howK, capK int, o oracle.Options) lineage {
-	return lineage{Stage: StageDynamic, Scope: app, Config: keyOf(dynamicParts(build, suite, app, howK, capK, o)...)}
+	var stack [512]byte
+	sum := sha256.Sum256(appendDynamicParts(stack[:0], build, suite, app, howK, capK, o))
+	return lineage{Stage: StageDynamic, Scope: app, Config: hexKey(sum[:])}
 }
 
-// dynamicParts lists the key inputs dynamicKey and dynamicLineage share.
-func dynamicParts(build, suite, app string, howK, capK int, o oracle.Options) []string {
-	return []string{"dynamic", dynamicSchema, build, suite, app,
-		strconv.Itoa(howK), strconv.Itoa(capK),
-		strconv.Itoa(o.CapThreshold), strconv.FormatInt(int64(o.VirtualTimeout), 10)}
+// appendDynamicParts appends the NUL-terminated key inputs dynamicKey
+// and dynamicLineage share to b.
+func appendDynamicParts(b []byte, build, suite, app string, howK, capK int, o oracle.Options) []byte {
+	b = appendParts(b, "dynamic", dynamicSchema, build, suite, app)
+	for _, n := range [...]int64{int64(howK), int64(capK), int64(o.CapThreshold), int64(o.VirtualTimeout)} {
+		b = append(strconv.AppendInt(b, n, 10), 0)
+	}
+	return b
 }
 
 // Dynamic returns app's dynamic run against locs under build and suite

@@ -8,7 +8,7 @@ package cache
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"wasabi/internal/sast"
 	"wasabi/internal/source"
@@ -40,14 +40,21 @@ type DirManifest struct {
 // the static workflows analyze, in sorted name order, so the manifest
 // digest addresses exactly the inputs of both the static analysis and
 // the per-file LLM reviews.
+//
+// Each file's triple is rendered into a stack buffer and streamed into
+// one digest, so the manifest costs the same few allocations at any
+// file count.
 func FromSnapshot(snap *source.Snapshot) *DirManifest {
 	m := &DirManifest{Dir: snap.Dir}
 	h := sha256.New()
+	var stack [256]byte
 	for _, f := range snap.Files {
 		m.TotalBytes += f.Size
-		fmt.Fprintf(h, "%s\x00%s\x00%d\x00", f.Name, f.SHA256, f.Size)
+		b := appendParts(stack[:0], f.Name, f.SHA256)
+		h.Write(append(strconv.AppendInt(b, f.Size, 10), 0))
 	}
-	m.Digest = hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	m.Digest = hexKey(h.Sum(sum[:0]))
 	return m
 }
 
@@ -77,15 +84,28 @@ func factsKey(contentSHA256 string) string {
 	return keyOf("facts", sast.FactsSchema, contentSHA256)
 }
 
-// keyOf hashes the NUL-joined parts into a hex key. Keys are plain hex
-// strings so the disk tier can use them directly as file names.
+// keyOf hashes the NUL-terminated parts into a hex key. Keys are plain
+// hex strings so the disk tier can use them directly as file names.
+// When the parts fit its stack buffer, the returned string is its only
+// allocation.
 func keyOf(parts ...string) string {
 	var stack [256]byte
-	buf := stack[:0]
+	sum := sha256.Sum256(appendParts(stack[:0], parts...))
+	return hexKey(sum[:])
+}
+
+// appendParts appends each part and its NUL terminator to b.
+func appendParts(b []byte, parts ...string) []byte {
 	for _, p := range parts {
-		buf = append(buf, p...)
-		buf = append(buf, 0)
+		b = append(append(b, p...), 0)
 	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
+	return b
+}
+
+// hexKey renders a SHA-256 sum as a key: hex-encoded on the stack, so
+// the string is the only allocation.
+func hexKey(sum []byte) string {
+	var b [2 * sha256.Size]byte
+	hex.Encode(b[:], sum)
+	return string(b[:])
 }

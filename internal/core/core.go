@@ -17,7 +17,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -219,7 +218,14 @@ type DegradedFile struct {
 
 // Locations returns every injectable triplet across all structures.
 func (id *Identification) Locations() []fault.Location {
-	var out []fault.Location
+	n := 0
+	for _, s := range id.Structures {
+		n += len(s.Triplets)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]fault.Location, 0, n)
 	for _, s := range id.Structures {
 		out = append(out, s.Triplets...)
 	}
@@ -269,23 +275,6 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		KeywordedLoops: len(analysis.Loops),
 		Analysis:       analysis,
 	}
-	merged := make(map[string]*Structure)
-
-	// Technique 1: control-flow + naming (CodeQL analogue).
-	for _, loop := range analysis.Loops {
-		s := merged[loop.Coordinator]
-		if s == nil {
-			s = &Structure{Coordinator: loop.Coordinator, File: loop.File, Mechanism: "loop"}
-			merged[loop.Coordinator] = s
-		}
-		s.FoundBy.CodeQL = true
-		for _, t := range loop.Triplets {
-			s.Triplets = append(s.Triplets, fault.Location{
-				Coordinator: t.Coordinator, Retried: t.Retried, Exception: t.Exception,
-			})
-		}
-	}
-
 	// Technique 2: LLM fuzzy comprehension, with callee/throws resolution
 	// delegated back to traditional analysis. Reviews are pure per-file
 	// functions consuming the snapshot's bytes and AST (no re-read, no
@@ -295,9 +284,9 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 	files := snap.Names()
 	reviews := make([]llm.FileReview, len(files))
 	cached := make([]bool, len(files))
+	parent := "identify:" + app.Code
 	w.parallelFor("reviews", len(files), func(i int) {
-		sp := w.obs.Trc().Start("review:"+files[i], "review",
-			"app", app.Code, "parent", "identify:"+app.Code)
+		sp := w.obs.Trc().Start("review:"+files[i], "review", "app", app.Code, "parent", parent)
 		// The span records the review's outcome facts ("Daemon tracing"
 		// in docs/OBSERVABILITY.md): whether it was served from cache,
 		// what it freshly spent, and how the resilient client fared —
@@ -351,6 +340,35 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 	if len(reviews) > 0 {
 		id.Reviews = reviews
 	}
+	// Merge both techniques into one structure per coordinator:
+	// technique 1's loops first, then the findings of every review that
+	// answered, in sorted file order, so the first technique to name a
+	// coordinator sets its file. The first pass creates the structures
+	// and counts their triplets; the second fills each structure's share
+	// of one triplet array.
+	n := len(analysis.Loops)
+	for _, rev := range reviews {
+		n += len(rev.Findings)
+	}
+	index := make(map[string]int, n)
+	structures := make([]Structure, 0, n)
+	counts := make([]int, 0, n)
+	structure := func(coordinator, file, mechanism string) int {
+		i, ok := index[coordinator]
+		if !ok {
+			i = len(structures)
+			index[coordinator] = i
+			structures = append(structures, Structure{Coordinator: coordinator, File: file, Mechanism: mechanism})
+			counts = append(counts, 0)
+		}
+		return i
+	}
+	// Technique 1: control-flow + naming (CodeQL analogue).
+	for _, loop := range analysis.Loops {
+		i := structure(loop.Coordinator, loop.File, "loop")
+		structures[i].FoundBy.CodeQL = true
+		counts[i] += len(loop.Triplets)
+	}
 	for i, f := range files {
 		rev := reviews[i]
 		if rev.Degraded {
@@ -367,52 +385,68 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 			continue
 		}
 		for _, find := range rev.Findings {
-			s := merged[find.Coordinator]
-			if s == nil {
-				s = &Structure{Coordinator: find.Coordinator, File: find.File, Mechanism: find.Mechanism}
-				merged[find.Coordinator] = s
-			}
+			i := structure(find.Coordinator, find.File, find.Mechanism)
+			s := &structures[i]
 			s.FoundBy.LLM = true
 			if s.Mechanism == "loop" && find.Mechanism != "loop" {
 				s.Mechanism = find.Mechanism
 			}
-			for _, t := range analysis.CalleesOf(find.Coordinator) {
-				s.Triplets = append(s.Triplets, fault.Location{
-					Coordinator: t.Coordinator, Retried: t.Retried, Exception: t.Exception,
-				})
-			}
+			counts[i] += len(analysis.CalleesOf(find.Coordinator))
 		}
 	}
-
-	if len(merged) > 0 {
-		id.Structures = make([]Structure, 0, len(merged))
+	if len(structures) == 0 {
+		return id, nil
 	}
-	for _, s := range merged {
-		s.Triplets = dedupLocations(s.Triplets)
-		id.Structures = append(id.Structures, *s)
+	total := 0
+	for _, c := range counts {
+		total += c
 	}
-	sort.Slice(id.Structures, func(i, j int) bool {
-		return id.Structures[i].Coordinator < id.Structures[j].Coordinator
-	})
+	triplets := make([]fault.Location, 0, total)
+	for i, c := range counts {
+		if c > 0 {
+			structures[i].Triplets = triplets[len(triplets) : len(triplets) : len(triplets)+c]
+			triplets = triplets[:len(triplets)+c]
+		}
+	}
+	add := func(coordinator string, ts []sast.Triplet) {
+		s := &structures[index[coordinator]]
+		for _, t := range ts {
+			s.Triplets = append(s.Triplets, fault.Location{Coordinator: t.Coordinator, Retried: t.Retried, Exception: t.Exception})
+		}
+	}
+	for _, loop := range analysis.Loops {
+		add(loop.Coordinator, loop.Triplets)
+	}
+	for _, rev := range reviews {
+		if rev.Degraded || rev.TruncatedContext {
+			continue
+		}
+		for _, find := range rev.Findings {
+			add(find.Coordinator, analysis.CalleesOf(find.Coordinator))
+		}
+	}
+	for i := range structures {
+		structures[i].Triplets = dedupLocations(structures[i].Triplets)
+	}
+	slices.SortFunc(structures, func(a, b Structure) int { return strings.Compare(a.Coordinator, b.Coordinator) })
+	id.Structures = structures
 	return id, nil
 }
 
+// dedupLocations sorts one structure's locations by (retried,
+// exception) and drops repeats, in place. Every location of a structure
+// names the structure's coordinator.
 func dedupLocations(locs []fault.Location) []fault.Location {
-	seen := make(map[fault.Location]bool, len(locs))
-	var out []fault.Location
-	for _, l := range locs {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	slices.SortFunc(out, func(a, b fault.Location) int {
+	slices.SortFunc(locs, func(a, b fault.Location) int {
 		if c := strings.Compare(a.Retried, b.Retried); c != 0 {
 			return c
 		}
-		return strings.Compare(a.Exception, b.Exception)
+		if c := strings.Compare(a.Exception, b.Exception); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Coordinator, b.Coordinator)
 	})
-	return out
+	return slices.Compact(locs)
 }
 
 // DynamicResult is the outcome of the repurposed-unit-testing workflow on
@@ -568,11 +602,11 @@ func (w *Wasabi) RunStatic(app corpus.App, id *Identification) *StaticResult {
 	for _, r := range reports {
 		w.obs.Reg().Counter("llm_when_reports_total", "kind", r.Kind).Inc()
 	}
-	sort.Slice(reports, func(i, j int) bool {
-		if reports[i].Coordinator != reports[j].Coordinator {
-			return reports[i].Coordinator < reports[j].Coordinator
+	slices.SortFunc(reports, func(a, b llm.WhenReport) int {
+		if c := strings.Compare(a.Coordinator, b.Coordinator); c != 0 {
+			return c
 		}
-		return reports[i].Kind < reports[j].Kind
+		return strings.Compare(a.Kind, b.Kind)
 	})
 	return &StaticResult{App: app.Code, WhenReports: reports, Usage: usage}
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -66,14 +65,23 @@ type Label struct {
 	Value string `json:"value"`
 }
 
-// makeLabels canonicalizes alternating key/value strings. An odd
-// trailing key gets an empty value rather than being dropped, so the
-// mistake is visible in the snapshot.
+// makeLabels canonicalizes alternating key/value strings into a label
+// set of its own. An odd trailing key gets an empty value rather than
+// being dropped, so the mistake is visible in the snapshot.
 func makeLabels(kv []string) labelSet {
 	if len(kv) == 0 {
 		return nil
 	}
-	ls := make(labelSet, 0, (len(kv)+1)/2)
+	return appendLabels(make(labelSet, 0, (len(kv)+1)/2), kv)
+}
+
+// appendLabels appends the labels kv names to ls and sorts them by key
+// with a stable insertion sort (label lists are a handful long), so a
+// repeated key keeps its argument order. Every lookup canonicalizes
+// through it, into a stack array, and registration through makeLabels,
+// so both see one order.
+func appendLabels(ls labelSet, kv []string) labelSet {
+	base := len(ls)
 	for i := 0; i < len(kv); i += 2 {
 		l := Label{Key: kv[i]}
 		if i+1 < len(kv) {
@@ -81,25 +89,43 @@ func makeLabels(kv []string) labelSet {
 		}
 		ls = append(ls, l)
 	}
-	if len(ls) > 1 {
-		slices.SortFunc(ls, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	for i := base + 1; i < len(ls); i++ {
+		for j := i; j > base && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
 	}
 	return ls
 }
 
-// id renders the canonical instrument identity "name{k=v,…}".
-func (ls labelSet) id(name string) string {
+// appendID appends the canonical instrument identity "name{k=v,…}" to b.
+func appendID(b []byte, name string, ls labelSet) []byte {
+	b = append(b, name...)
 	if len(ls) == 0 {
-		return name
+		return b
 	}
-	out := name + "{"
+	b = append(b, '{')
 	for i, l := range ls {
 		if i > 0 {
-			out += ","
+			b = append(b, ',')
 		}
-		out += l.Key + "=" + l.Value
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = append(b, l.Value...)
 	}
-	return out + "}"
+	return append(b, '}')
+}
+
+// id renders the canonical instrument identity "name{k=v,…}".
+func (ls labelSet) id(name string) string {
+	return string(appendID(nil, name, ls))
+}
+
+// lookupKey renders the identity of (name, kv) into buf, canonicalizing
+// the labels into a stack array, so that a map index with
+// string(lookupKey(…)) allocates nothing when the identity fits buf.
+func lookupKey(buf []byte, name string, kv []string) []byte {
+	var stack [4]Label
+	return appendID(buf, name, appendLabels(stack[:0], kv))
 }
 
 // Counter is a monotonically increasing integer. Counters count logical
@@ -180,14 +206,14 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	ls := makeLabels(labels)
-	id := ls.id(name)
+	var buf [128]byte
+	key := lookupKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.counters[id]
+	e, ok := r.counters[string(key)]
 	if !ok {
-		e = counterEntry{name: name, labels: ls, c: &Counter{}}
-		r.counters[id] = e
+		e = counterEntry{name: name, labels: makeLabels(labels), c: &Counter{}}
+		r.counters[string(key)] = e
 	}
 	return e.c
 }
@@ -198,14 +224,14 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	ls := makeLabels(labels)
-	id := ls.id(name)
+	var buf [128]byte
+	key := lookupKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.gauges[id]
+	e, ok := r.gauges[string(key)]
 	if !ok {
-		e = gaugeEntry{name: name, labels: ls, g: &Gauge{}}
-		r.gauges[id] = e
+		e = gaugeEntry{name: name, labels: makeLabels(labels), g: &Gauge{}}
+		r.gauges[string(key)] = e
 	}
 	return e.g
 }
@@ -219,10 +245,11 @@ func (r *Registry) RemoveGauge(name string, labels ...string) {
 	if r == nil {
 		return
 	}
-	id := makeLabels(labels).id(name)
+	var buf [128]byte
+	key := lookupKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.gauges, id)
+	delete(r.gauges, string(key))
 }
 
 // FoldCounter retires the counter identified by (name, from) and adds
@@ -238,22 +265,22 @@ func (r *Registry) FoldCounter(name string, from, into []string) int64 {
 	if r == nil {
 		return 0
 	}
-	fromID := makeLabels(from).id(name)
-	intoLS := makeLabels(into)
-	intoID := intoLS.id(name)
+	var fromBuf, intoBuf [128]byte
+	fromKey := lookupKey(fromBuf[:0], name, from)
+	intoKey := lookupKey(intoBuf[:0], name, into)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.counters[fromID]
+	e, ok := r.counters[string(fromKey)]
 	if !ok {
 		return 0
 	}
-	delete(r.counters, fromID)
+	delete(r.counters, string(fromKey))
 	v := e.c.Value()
 	if v > 0 {
-		dst, ok := r.counters[intoID]
+		dst, ok := r.counters[string(intoKey)]
 		if !ok {
-			dst = counterEntry{name: name, labels: intoLS, c: &Counter{}}
-			r.counters[intoID] = dst
+			dst = counterEntry{name: name, labels: makeLabels(into), c: &Counter{}}
+			r.counters[string(intoKey)] = dst
 		}
 		dst.c.Add(v)
 	}
@@ -268,16 +295,16 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 	if r == nil {
 		return nil
 	}
-	ls := makeLabels(labels)
-	id := ls.id(name)
+	var buf [128]byte
+	key := lookupKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.hists[id]
+	e, ok := r.hists[string(key)]
 	if !ok {
 		b := append([]float64(nil), bounds...)
 		sort.Float64s(b)
-		e = histEntry{name: name, labels: ls, h: &Histogram{bounds: b, cells: make([]int64, len(b)+1)}}
-		r.hists[id] = e
+		e = histEntry{name: name, labels: makeLabels(labels), h: &Histogram{bounds: b, cells: make([]int64, len(b)+1)}}
+		r.hists[string(key)] = e
 	}
 	return e.h
 }
@@ -335,13 +362,16 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, e := range r.counters {
+	for _, id := range sortedIDs(r.counters) {
+		e := r.counters[id]
 		snap.Counters = append(snap.Counters, CounterPoint{Name: e.name, Labels: e.labels, Value: e.c.Value()})
 	}
-	for _, e := range r.gauges {
+	for _, id := range sortedIDs(r.gauges) {
+		e := r.gauges[id]
 		snap.Gauges = append(snap.Gauges, GaugePoint{Name: e.name, Labels: e.labels, Value: e.g.Value()})
 	}
-	for _, e := range r.hists {
+	for _, id := range sortedIDs(r.hists) {
+		e := r.hists[id]
 		h := e.h
 		h.mu.Lock()
 		p := HistogramPoint{
@@ -354,16 +384,17 @@ func (r *Registry) Snapshot() Snapshot {
 		h.mu.Unlock()
 		snap.Histograms = append(snap.Histograms, p)
 	}
-	sort.Slice(snap.Counters, func(i, j int) bool {
-		return snap.Counters[i].Labels.id(snap.Counters[i].Name) < snap.Counters[j].Labels.id(snap.Counters[j].Name)
-	})
-	sort.Slice(snap.Gauges, func(i, j int) bool {
-		return snap.Gauges[i].Labels.id(snap.Gauges[i].Name) < snap.Gauges[j].Labels.id(snap.Gauges[j].Name)
-	})
-	sort.Slice(snap.Histograms, func(i, j int) bool {
-		return snap.Histograms[i].Labels.id(snap.Histograms[i].Name) < snap.Histograms[j].Labels.id(snap.Histograms[j].Name)
-	})
 	return snap
+}
+
+// sortedIDs lists a registry map's identities in order.
+func sortedIDs[E any](m map[string]E) []string {
+	ids := make([]string, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // MarshalIndent renders the snapshot as indented JSON.

@@ -270,12 +270,56 @@ func TestFoldCounterAtomicUnderScrape(t *testing.T) {
 }
 
 // TestLabelledLookupAllocs pins the cost of looking up an existing
-// one-label counter, the pipeline's hottest registry call: the label
-// set and its identity string, with no sort machinery.
+// instrument, the pipeline's hottest registry call: with up to two
+// label pairs, given in either order, it allocates nothing — the label
+// set and identity are rendered on the stack and only a first
+// registration keeps a copy.
 func TestLabelledLookupAllocs(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("events_total", "kind", "a")
-	if n := testing.AllocsPerRun(100, func() { r.Counter("events_total", "kind", "a").Inc() }); n > 3 {
-		t.Fatalf("one-label counter lookup allocates %v objects, want at most 3", n)
+	lookups := map[string][][]string{
+		"none": {nil},
+		"one":  {{"kind", "a"}},
+		"two":  {{"kind", "a", "app", "HD"}, {"app", "HD", "kind", "a"}},
+	}
+	for name, orders := range lookups {
+		for _, labels := range orders {
+			c, g, h := r.Counter("events_total", labels...), r.Gauge("level", labels...), r.Histogram("ms", LatencyBuckets, labels...)
+			n := testing.AllocsPerRun(100, func() {
+				if r.Counter("events_total", labels...) != c || r.Gauge("level", labels...) != g ||
+					r.Histogram("ms", LatencyBuckets, labels...) != h {
+					t.Fatalf("%s labels %q: lookup returned a different instrument", name, labels)
+				}
+			})
+			if n != 0 {
+				t.Fatalf("%s labels %q: lookup of existing instruments allocates %v objects, want 0", name, labels, n)
+			}
+		}
+	}
+	// The literal call shape the pipeline uses, variadic args included.
+	r.Counter("events_total", "kind", "a", "app", "HD")
+	if n := testing.AllocsPerRun(100, func() { r.Counter("events_total", "app", "HD", "kind", "a").Inc() }); n != 0 {
+		t.Fatalf("two-label counter lookup allocates %v objects, want 0", n)
+	}
+}
+
+// BenchmarkRegistryLookup prices a lookup of an existing instrument by
+// label count.
+func BenchmarkRegistryLookup(b *testing.B) {
+	r := NewRegistry()
+	for _, bc := range []struct {
+		name   string
+		labels []string
+	}{
+		{"labels=0", nil},
+		{"labels=1", []string{"kind", "a"}},
+		{"labels=2", []string{"kind", "a", "app", "HD"}},
+	} {
+		r.Counter("events_total", bc.labels...)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.Counter("events_total", bc.labels...).Inc()
+			}
+		})
 	}
 }

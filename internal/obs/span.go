@@ -28,15 +28,16 @@ import (
 type Tracer struct {
 	mu     sync.Mutex
 	start  time.Time
-	events []chromeEvent
+	events []spanEvent
 	lanes  []bool // lane i occupied?
-	// common is merged into every span's args at completion (explicit
-	// args win) — the per-job correlation identity.
+	// common is merged into every span's args when the trace is encoded
+	// (explicit args win) — the per-job correlation identity.
 	common map[string]string
-	// rootParent, when set, is recorded as the parent of every root span
+	// rootParent, when set, is written as the parent of every root span
 	// opened via Start that carries no explicit parent arg, so a scoped
 	// trace stays one connected tree (the daemon sets it to its "run"
 	// span; spans recorded via Record keep their explicit parentage).
+	// Like common, it is applied when the trace is encoded.
 	rootParent string
 	// procName overrides the process_name metadata event.
 	procName string
@@ -51,7 +52,25 @@ type Span struct {
 	cat   string
 	lane  int
 	start time.Time
-	args  map[string]string
+	// args are the key/value pairs given to Start and SetArg, in order
+	// (a later pair wins a repeated key). They live in inline while they
+	// fit, so a span with a few args is one allocation.
+	args   []string
+	inline [8]string
+}
+
+// spanEvent is one completed span as recorded: its args are the pairs
+// it was given, and the tracer's common args and root parent join them
+// only when the trace is encoded (WriteJSON), so recording a span
+// builds no map.
+type spanEvent struct {
+	name, cat string
+	ts, dur   int64
+	tid       int
+	args      []string
+	// started marks a span opened via Start, which alone may adopt the
+	// root parent.
+	started bool
 }
 
 // chromeEvent is one Chrome trace-event record ("X" = complete event,
@@ -73,8 +92,11 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
+// now is the tracer's clock; tests pin it to make traces reproducible.
+var now = time.Now
+
 // NewTracer returns an empty tracer anchored at the current time.
-func NewTracer() *Tracer { return &Tracer{start: time.Now()} }
+func NewTracer() *Tracer { return &Tracer{start: now()} }
 
 // NewTracerAt returns an empty tracer anchored at the given time — the
 // daemon anchors a job's tracer at submission so the queue-wait span
@@ -82,9 +104,9 @@ func NewTracer() *Tracer { return &Tracer{start: time.Now()} }
 func NewTracerAt(start time.Time) *Tracer { return &Tracer{start: start} }
 
 // SetCommonArgs installs alternating key/value args merged into every
-// span the tracer records (explicit span args win on collision). The
-// daemon stamps job_id/tenant/trace_id here so every span of a job's
-// trace carries its correlation identity. No-op on nil.
+// span of the trace (explicit span args win on collision) when it is
+// encoded. The daemon stamps job_id/tenant/trace_id here so every span
+// of a job's trace carries its correlation identity. No-op on nil.
 func (t *Tracer) SetCommonArgs(args ...string) {
 	if t == nil {
 		return
@@ -138,12 +160,10 @@ func (t *Tracer) Start(name, cat string, args ...string) *Span {
 	t.mu.Lock()
 	lane := t.allocLaneLocked()
 	t.mu.Unlock()
-	return &Span{
-		tr: t, name: name, cat: cat,
-		lane:  lane,
-		start: time.Now(),
-		args:  argMap(args),
-	}
+	s := &Span{tr: t, name: name, cat: cat, lane: lane, start: now()}
+	// An odd trailing key has no value and is dropped, as in Record.
+	s.args = append(s.inline[:0], args[:len(args)&^1]...)
+	return s
 }
 
 // allocLaneLocked takes the lowest free lane; t.mu must be held.
@@ -166,10 +186,7 @@ func (s *Span) SetArg(key, value string) {
 	if s == nil {
 		return
 	}
-	if s.args == nil {
-		s.args = make(map[string]string, 1)
-	}
-	s.args[key] = value
+	s.args = append(s.args, key, value)
 }
 
 // End completes the span, appending it to the tracer and freeing its
@@ -178,26 +195,18 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	now := time.Now()
+	end := now()
 	t := s.tr
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	args := s.args
-	if t.rootParent != "" && args["parent"] == "" && s.name != t.rootParent {
-		if args == nil {
-			args = make(map[string]string, 1)
-		}
-		args["parent"] = t.rootParent
-	}
-	t.events = append(t.events, chromeEvent{
-		Name: s.name,
-		Cat:  s.cat,
-		Ph:   "X",
-		TS:   s.start.Sub(t.start).Microseconds(),
-		Dur:  maxI64(now.Sub(s.start).Microseconds(), 1),
-		PID:  1,
-		TID:  s.lane + 1, // tid 0 is reserved for metadata
-		Args: t.mergeCommonLocked(args),
+	t.events = append(t.events, spanEvent{
+		name:    s.name,
+		cat:     s.cat,
+		ts:      s.start.Sub(t.start).Microseconds(),
+		dur:     max(end.Sub(s.start).Microseconds(), 1),
+		tid:     s.lane + 1, // tid 0 is reserved for metadata
+		args:    s.args,
+		started: true,
 	})
 	t.lanes[s.lane] = false
 }
@@ -215,21 +224,28 @@ func (t *Tracer) Record(name, cat string, start, end time.Time, args ...string) 
 	defer t.mu.Unlock()
 	lane := t.allocLaneLocked()
 	t.lanes[lane] = false // retrospective: occupies no wall-clock
-	t.events = append(t.events, chromeEvent{
-		Name: name,
-		Cat:  cat,
-		Ph:   "X",
-		TS:   start.Sub(t.start).Microseconds(),
-		Dur:  maxI64(end.Sub(start).Microseconds(), 1),
-		PID:  1,
-		TID:  lane + 1,
-		Args: t.mergeCommonLocked(argMap(args)),
+	t.events = append(t.events, spanEvent{
+		name: name,
+		cat:  cat,
+		ts:   start.Sub(t.start).Microseconds(),
+		dur:  max(end.Sub(start).Microseconds(), 1),
+		tid:  lane + 1,
+		args: append([]string(nil), args[:len(args)&^1]...),
 	})
 }
 
-// mergeCommonLocked folds the tracer's common args into m (explicit keys
-// win); t.mu must be held.
-func (t *Tracer) mergeCommonLocked(m map[string]string) map[string]string {
+// argsLocked renders ev's encoded args: its own pairs (a later pair wins
+// a repeated key), the root parent for a parentless Start span not
+// itself named like it, then every common arg the span does not set.
+// t.mu must be held.
+func (t *Tracer) argsLocked(ev spanEvent) map[string]string {
+	m := argMap(ev.args)
+	if ev.started && t.rootParent != "" && m["parent"] == "" && ev.name != t.rootParent {
+		if m == nil {
+			m = make(map[string]string, 1+len(t.common))
+		}
+		m["parent"] = t.rootParent
+	}
 	if len(t.common) == 0 {
 		return m
 	}
@@ -250,7 +266,7 @@ func (s *Span) SinceMS() float64 {
 	if s == nil {
 		return 0
 	}
-	return float64(time.Since(s.start)) / float64(time.Millisecond)
+	return float64(now().Sub(s.start)) / float64(time.Millisecond)
 }
 
 // WriteJSON serializes the recorded spans in Chrome trace-event JSON
@@ -262,24 +278,28 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	trace := chromeTrace{DisplayTimeUnit: "ms"}
 	if t != nil {
 		t.mu.Lock()
-		events := append([]chromeEvent(nil), t.events...)
+		recorded := append([]spanEvent(nil), t.events...)
+		// Stable output for a given set of spans: order by start, then
+		// lane, then name (End order depends on scheduling).
+		sort.Slice(recorded, func(i, j int) bool {
+			a, b := recorded[i], recorded[j]
+			if a.ts != b.ts {
+				return a.ts < b.ts
+			}
+			if a.tid != b.tid {
+				return a.tid < b.tid
+			}
+			return a.name < b.name
+		})
+		events := make([]chromeEvent, len(recorded))
+		for i, ev := range recorded {
+			events[i] = chromeEvent{Name: ev.name, Cat: ev.cat, Ph: "X", TS: ev.ts, Dur: ev.dur, PID: 1, TID: ev.tid, Args: t.argsLocked(ev)}
+		}
 		lanes := len(t.lanes)
 		if t.procName != "" {
 			proc = t.procName
 		}
 		t.mu.Unlock()
-		// Stable output for a given set of spans: order by start, then
-		// lane, then name (End order depends on scheduling).
-		sort.Slice(events, func(i, j int) bool {
-			a, b := events[i], events[j]
-			if a.TS != b.TS {
-				return a.TS < b.TS
-			}
-			if a.TID != b.TID {
-				return a.TID < b.TID
-			}
-			return a.Name < b.Name
-		})
 		trace.TraceEvents = append(trace.TraceEvents, chromeEvent{
 			Name: "process_name", Ph: "M", PID: 1, Args: map[string]string{"name": proc},
 		})
@@ -310,11 +330,4 @@ func argMap(kv []string) map[string]string {
 		m[kv[i]] = kv[i+1]
 	}
 	return m
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -21,6 +21,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"wasabi/internal/source"
 )
@@ -89,6 +90,10 @@ type Analysis struct {
 	// byShort indexes Methods by bare method name (indexShortNames);
 	// read-only once the constructor returns.
 	byShort map[string][]*Method
+	// callees memoizes CalleesOf by coordinator: the analysis never
+	// changes once built, so each coordinator's triplets are resolved
+	// once however many jobs share it.
+	callees sync.Map // string → []Triplet
 }
 
 // AnalyzeDir loads every non-test Go file in dir into a one-shot
@@ -174,11 +179,24 @@ func (a *Analysis) indexShortNames() {
 // Callee names were recorded at extraction time (facts.go); resolution
 // against the corpus method index happens here, so the result reflects
 // the whole analysis even when every file's facts hydrated from disk.
+// Each coordinator is resolved once per Analysis; every later call, from
+// any goroutine, returns the same slice, which callers must not mutate.
 func (a *Analysis) CalleesOf(coordinator string) []Triplet {
+	if ts, ok := a.callees.Load(coordinator); ok {
+		return ts.([]Triplet)
+	}
 	m := a.Methods[coordinator]
 	if m == nil {
 		return nil
 	}
+	ts, _ := a.callees.LoadOrStore(coordinator, a.resolveCallees(coordinator, m))
+	return ts.([]Triplet)
+}
+
+// resolveCallees lists the throwing corpus methods coordinator's
+// method m calls, with their declared exceptions, sorted by (retried,
+// exception).
+func (a *Analysis) resolveCallees(coordinator string, m *Method) []Triplet {
 	var out []Triplet
 	seen := make(map[Triplet]bool)
 	for _, name := range m.calls {

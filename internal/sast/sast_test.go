@@ -254,6 +254,20 @@ func TestCalleesOfAllocsIndependentOfMethodCount(t *testing.T) {
 	}
 }
 
+// TestCalleesOfResolvedOnce: a coordinator's triplets are resolved
+// once per Analysis, so a warm job's lookups allocate nothing.
+func TestCalleesOfResolvedOnce(t *testing.T) {
+	a := calleesFixture(t, 1)
+	first := a.CalleesOf("pkg.run")
+	if n := testing.AllocsPerRun(100, func() {
+		if got := a.CalleesOf("pkg.run"); &got[0] != &first[0] {
+			t.Fatal("CalleesOf re-resolved a coordinator it had already resolved")
+		}
+	}); n != 0 {
+		t.Fatalf("a repeated CalleesOf allocates %v objects, want 0", n)
+	}
+}
+
 // TestCalleesOfConcurrent: the analysis cache shares one *Analysis
 // across concurrent jobs, so CalleesOf must be safe to call from many
 // goroutines at once (run under -race by make race).

@@ -397,18 +397,18 @@ func ReadFile(path string, buf []byte) ([]byte, error) {
 // readFile is ReadFile, also returning the stat identity the open file
 // had before the read.
 func readFile(path string, buf []byte) ([]byte, statID, error) {
-	f, err := os.Open(path)
+	f, err := openRead(path)
 	if err != nil {
 		return buf, statID{}, err
 	}
-	defer f.Close()
-	id := fileID(f)
+	defer f.close()
+	id := f.id()
 	buf = slices.Grow(buf[:0], int(id.size)+1)
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := f.Read(buf[len(buf):cap(buf)])
+		n, err := f.read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		switch {
 		case err == io.EOF:
