@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race bench bench-smoke bench-check gen-smoke chaos serve-smoke restart-smoke examples docs-check ci all
+.PHONY: build test vet fmt-check race bench bench-smoke bench-check fuzz-smoke gen-smoke chaos serve-smoke restart-smoke examples docs-check ci all
 
 all: ci
 
@@ -57,6 +57,14 @@ gen-smoke:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/source/ ./internal/sast/ ./internal/llm/ ./internal/report/ ./internal/cache/ ./internal/core/ ./internal/obs/ ./internal/server/
 
+## fuzz-smoke: fuzz the two hand-written JSON encoders against
+## encoding/json for a few seconds each: the report document
+## (FuzzAppendIndent) and the daemon's job views (FuzzJobView), whose
+## tenant, app codes and error text come from requests.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendIndent$$' -fuzztime 5s ./internal/report/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobView$$' -fuzztime 5s ./internal/server/
+
 ## bench-check: vet and short-test the benchmark module, so an
 ## internal/ API change that breaks the benchmark's in-process replay
 ## (bench/replay.go) fails here rather than only in `bash bench/run.sh`.
@@ -112,4 +120,4 @@ docs-check:
 	sh scripts/docs_check.sh
 
 ## ci: the local gate — everything the driver checks, in one target.
-ci: build test vet fmt-check race chaos serve-smoke restart-smoke bench-smoke bench-check gen-smoke examples docs-check
+ci: build test vet fmt-check race chaos serve-smoke restart-smoke bench-smoke bench-check fuzz-smoke gen-smoke examples docs-check

@@ -29,8 +29,8 @@
 // path's (source.KeepNewest). Every hit returns that one shared value
 // and decodes nothing. A value the cache stores or returns is
 // therefore immutable: callers read it and copy before changing
-// anything (report.Build copies the dynamic reports before sorting
-// them). An optional disk tier (Options.Dir) persists review,
+// anything (report.Build sorts the positions of the dynamic reports,
+// not the reports). An optional disk tier (Options.Dir) persists review,
 // retry-facts and dynamic entries as JSON files, read through (and
 // decoded fail-closed) on memory misses and written through on stores
 // — a restarted daemon replays the expensive LLM tier, the static
@@ -201,7 +201,8 @@ func (c *Cache) PutAnalysis(key string, a *sast.Analysis, _ int64) {
 }
 
 // Analysis returns snap's static analysis, memoized under its
-// directory's content address (AnalysisKey over FromSnapshot's digest).
+// directory's content address (AnalysisKey over FromSnapshot's digest),
+// which is derived once per snapshot (source.Snapshot.KeyThrough).
 // A miss analyzes the snapshot with the disk tier as its facts tier, so
 // a restarted process rebuilds the analysis at zero parses, and stores
 // the result unless the analysis failed. The analysis key is recorded
@@ -212,7 +213,7 @@ func (c *Cache) Analysis(snap *source.Snapshot) (*sast.Analysis, error) {
 	if c == nil {
 		return sast.AnalyzeSnapshot(snap)
 	}
-	key := AnalysisKey(snap.Dir, FromSnapshot(snap).Digest)
+	key := snap.KeyThrough(AnalysisVersion, func() string { return AnalysisKey(snap.Dir, FromSnapshot(snap).Digest) })
 	defer c.supersede(lineage{Stage: StageAnalysis, Scope: snap.Dir}, key)
 	if a, ok := c.GetAnalysis(key); ok {
 		return a, nil
@@ -233,13 +234,14 @@ func (c *Cache) Analysis(snap *source.Snapshot) (*sast.Analysis, error) {
 // computes and stores it unless it is degraded: a degraded review
 // records a backend failure, not an answer, and storing one would pin
 // the failure past the fault. The stored copy drops the routing facts
-// (PutReview); the returned one keeps them. The key is recorded on
-// every path. A nil cache runs review and reports a miss.
+// (PutReview); the returned one keeps them. The key is derived once
+// per file version and fingerprint (source.File.KeyThrough) and
+// recorded on every path. A nil cache runs review and reports a miss.
 func (c *Cache) Review(fp string, file *source.File, review func() llm.FileReview) (llm.FileReview, bool) {
 	if c == nil {
 		return review(), false
 	}
-	key := ReviewKey(fp, file.Path, file.SHA256)
+	key := file.KeyThrough(fp, func() string { return ReviewKey(fp, file.Path, file.SHA256) })
 	defer c.supersede(lineage{Stage: StageReview, Scope: file.Path, Config: fp}, key)
 	if rev, ok := c.GetReview(key); ok {
 		return rev, true

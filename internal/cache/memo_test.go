@@ -64,6 +64,31 @@ func TestMemoCallsOnNilCache(t *testing.T) {
 	}
 }
 
+// TestReviewKeyPerFingerprint: the review key a file version keeps is
+// the one of the fingerprint asked for, however the fingerprints
+// alternate, and a warm hit derives nothing.
+func TestReviewKeyPerFingerprint(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := snapshotOf(t, map[string]string{"a.go": goodSrc}).Files[0]
+	for i, fp := range []string{"fp1", "fp2", "fp1", "fp1", "fp2"} {
+		rev, hit := c.Review(fp, f, func() llm.FileReview { return review(fp, int64(i)) })
+		if wantHit := i >= 2; hit != wantHit || rev.File != fp {
+			t.Fatalf("call %d (%s): hit=%v review of %q, want hit=%v and the %s review", i, fp, hit, rev.File, wantHit, fp)
+		}
+		if key := ReviewKey(fp, f.Path, f.SHA256); key != f.KeyThrough(fp, func() string { return "stale" }) {
+			t.Fatalf("call %d (%s): the file keeps a key other than ReviewKey", i, fp)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		c.Review("fp1", f, func() llm.FileReview { t.Fatal("a warm review recomputed"); return llm.FileReview{} })
+	}); n != 0 {
+		t.Fatalf("a warm Review hit allocates %v objects, want 0", n)
+	}
+}
+
 // TestMemoCallsHitWithoutComputing: a second call with the same inputs
 // returns the stored value and never calls the computation.
 func TestMemoCallsHitWithoutComputing(t *testing.T) {

@@ -22,7 +22,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -201,26 +202,31 @@ func (c *CorpusRun) DegradedFiles() []DegradedFile {
 	return out
 }
 
-// SortReports orders oracle reports by (app, coordinator, kind, group key,
-// test) — a total order over distinct reports, so the result is the same
-// no matter what order the input arrived in.
+// SortReports orders oracle reports by CompareReports — a total order
+// over distinct reports, so the result is the same no matter what
+// order the input arrived in.
 func SortReports(reports []oracle.Report) {
-	sort.Slice(reports, func(i, j int) bool {
-		a, b := reports[i], reports[j]
-		if a.App != b.App {
-			return a.App < b.App
-		}
-		if a.Coordinator != b.Coordinator {
-			return a.Coordinator < b.Coordinator
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.GroupKey != b.GroupKey {
-			return a.GroupKey < b.GroupKey
-		}
-		return a.Test < b.Test
-	})
+	// slices.SortFunc, not sort.Slice, whose reflective swapper
+	// allocates on every call.
+	slices.SortFunc(reports, func(a, b oracle.Report) int { return CompareReports(&a, &b) })
+}
+
+// CompareReports orders two reports by (app, coordinator, kind, group
+// key, test).
+func CompareReports(a, b *oracle.Report) int {
+	if c := strings.Compare(a.App, b.App); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Coordinator, b.Coordinator); c != 0 {
+		return c
+	}
+	if c := strings.Compare(string(a.Kind), string(b.Kind)); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.GroupKey, b.GroupKey); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Test, b.Test)
 }
 
 // MergedReports flattens every application's deduplicated dynamic reports

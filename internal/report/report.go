@@ -16,11 +16,13 @@ package report
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"sync"
 
 	"wasabi/internal/core"
+	"wasabi/internal/jsonwrite"
 	"wasabi/internal/llm"
-	"wasabi/internal/oracle"
 	"wasabi/internal/sast"
 )
 
@@ -139,16 +141,24 @@ func Build(cr *core.CorpusRun) *Document {
 // findings. The result is never nil, so an empty list renders as [].
 func IFBugs(reports []sast.IFReport) []Bug {
 	out := make([]Bug, 0, len(reports))
+	var stack [256]byte
 	for _, r := range reports {
-		verb := "never retried here though usually retried"
+		verb := " never retried here though usually retried ("
 		if r.Retried {
-			verb = "retried here though usually not"
+			verb = " retried here though usually not ("
 		}
+		// "<exception> <verb> (<ratio>)", the ratio as
+		// sast.ExceptionRatio.String renders it, written on the stack
+		// so the string is its one allocation.
+		d := append(append(stack[:0], r.Exception...), verb...)
+		d = append(append(d, r.Ratio.Exception...), " retried "...)
+		d = append(strconv.AppendInt(d, int64(r.Ratio.Retried), 10), '/')
+		d = append(strconv.AppendInt(d, int64(r.Ratio.Total), 10), ')')
 		out = append(out, Bug{
 			Workflow:    "static-if",
 			Kind:        "wrong-policy",
 			Coordinator: r.Coordinator,
-			Details:     fmt.Sprintf("%s %s (%s)", r.Exception, verb, r.Ratio.String()),
+			Details:     string(d),
 		})
 	}
 	return out
@@ -186,12 +196,19 @@ func buildApp(ar core.AppRun) App {
 			Triplets:    len(s.Triplets),
 		})
 	}
-	dyn := append([]oracle.Report(nil), ar.Dyn.Reports...)
-	core.SortReports(dyn)
+	// The dynamic reports are the cache's shared value: sort their
+	// positions, not a copy (core.SortReports' order).
+	dyn := ar.Dyn.Reports
+	order := make([]int, len(dyn))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int { return core.CompareReports(&dyn[i], &dyn[j]) })
 	if n := len(dyn) + len(ar.Static.WhenReports); n > 0 {
 		a.Bugs = make([]Bug, 0, n)
 	}
-	for _, r := range dyn {
+	for _, i := range order {
+		r := &dyn[i]
 		a.Bugs = append(a.Bugs, Bug{
 			Workflow: "dynamic", Kind: string(r.Kind),
 			Coordinator: r.Coordinator, Details: r.Details,
@@ -244,13 +261,10 @@ func Render(head []byte, doc *Document, depth int, tail string) ([]byte, error) 
 
 // MarshalApp renders one application section as indented JSON with a
 // trailing newline (the GET /v1/reports/{app} body).
-func MarshalApp(app App) ([]byte, error) {
-	w := writer{}
-	w.open('{')
-	w.key("schema")
-	w.str(Schema)
-	w.key("app")
-	w.app(&app)
-	w.close('}')
-	return append(w.buf, '\n'), nil
+func MarshalApp(a App) ([]byte, error) {
+	var w jsonwrite.Writer
+	b := w.Open(nil, '{')
+	b = str(w.Key(b, "schema"), Schema)
+	b = app(w.Key(b, "app"), &w, &a)
+	return append(w.Close(b, '}'), '\n'), nil
 }

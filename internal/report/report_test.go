@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"wasabi/internal/apps/corpus"
 	"wasabi/internal/core"
+	"wasabi/internal/oracle"
+	"wasabi/internal/sast"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -116,5 +120,52 @@ func TestMarshalApp(t *testing.T) {
 	}
 	if wrapped.Schema != Schema || wrapped.App.Code != "HD" {
 		t.Fatalf("wrapper = %q / %q", wrapped.Schema, wrapped.App.Code)
+	}
+}
+
+// TestIFBugsDetails: an IF finding's details read "<exception> <verb>
+// (<ratio>)" with the ratio as sast.ExceptionRatio.String renders it,
+// for both verbs.
+func TestIFBugsDetails(t *testing.T) {
+	ratio := sast.ExceptionRatio{Exception: "IOException", Retried: 17, Total: 20}
+	reports := []sast.IFReport{
+		{Exception: "IOException", Coordinator: "a.B.run", Retried: false, Ratio: ratio},
+		{Exception: "Illegal<&>", Coordinator: "c.D.loop", Retried: true, Ratio: sast.ExceptionRatio{Exception: "Illegal<&>", Retried: 1, Total: 12345}},
+	}
+	verbs := []string{"never retried here though usually retried", "retried here though usually not"}
+	bugs := IFBugs(reports)
+	for i, r := range reports {
+		want := Bug{Workflow: "static-if", Kind: "wrong-policy", Coordinator: r.Coordinator,
+			Details: fmt.Sprintf("%s %s (%s)", r.Exception, verbs[i], r.Ratio.String())}
+		if bugs[i] != want {
+			t.Fatalf("IF bug %d = %+v, want %+v", i, bugs[i], want)
+		}
+	}
+}
+
+// TestBuildOrdersDynamicBugsAsSortReports: Build lists an app's dynamic
+// bugs in core.SortReports' order without sorting the shared reports,
+// ties between reports with equal sort keys included.
+func TestBuildOrdersDynamicBugsAsSortReports(t *testing.T) {
+	var reports []oracle.Report
+	for i := 0; i < 60; i++ {
+		reports = append(reports, oracle.Report{
+			Kind: []oracle.Kind{oracle.MissingCap, oracle.MissingDelay}[i%2], App: "HD",
+			Coordinator: fmt.Sprintf("c%d", i*7%5), GroupKey: fmt.Sprintf("g%d", i%3), Test: fmt.Sprintf("t%d", i%4),
+			Details: fmt.Sprintf("report %d", i),
+		})
+	}
+	shared := append([]oracle.Report(nil), reports...)
+	orig := append([]oracle.Report(nil), reports...)
+	id := &core.Identification{}
+	a := Build(&core.CorpusRun{Apps: []core.AppRun{{ID: id, Dyn: &core.DynamicResult{Reports: shared}, Static: &core.StaticResult{}}}}).Apps[0]
+	core.SortReports(reports)
+	for i, r := range reports {
+		if a.Bugs[i].Details != r.Details {
+			t.Fatalf("bug %d is %q, want %q", i, a.Bugs[i].Details, r.Details)
+		}
+	}
+	if !reflect.DeepEqual(shared, orig) {
+		t.Fatal("Build reordered the shared reports")
 	}
 }

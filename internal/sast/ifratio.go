@@ -2,7 +2,8 @@ package sast
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // ExceptionRatio summarizes corpus-wide retry policy for one exception
@@ -57,10 +58,40 @@ func DefaultRatioOptions() RatioOptions {
 }
 
 // RatioAnalysis computes per-exception retry ratios over the keyword-
-// filtered retry loops of all analyzed applications and reports outliers.
+// filtered retry loops of all analyzed applications and reports
+// outliers. Each analysis contributes its retry table, built once per
+// Analysis, so a warm job only merges one table per application. The
+// ratios may share their coordinator lists with those tables: callers
+// must not mutate them.
 func RatioAnalysis(analyses []*Analysis, opts RatioOptions) ([]ExceptionRatio, []IFReport) {
-	byExc := make(map[string]*ExceptionRatio)
-	for _, a := range analyses {
+	ratios := mergeTables(analyses)
+	var reports []IFReport
+	for _, r := range ratios {
+		if r.Total < opts.MinLoops || r.Retried == 0 || r.Retried == r.Total {
+			continue
+		}
+		switch ratio := r.Ratio(); {
+		case ratio >= opts.HighRatio:
+			for _, c := range r.SkippedIn {
+				reports = append(reports, IFReport{Exception: r.Exception, Coordinator: c, Retried: false, Ratio: r})
+			}
+		case ratio <= 1-opts.HighRatio:
+			for _, c := range r.RetriedIn {
+				reports = append(reports, IFReport{Exception: r.Exception, Coordinator: c, Retried: true, Ratio: r})
+			}
+		}
+	}
+	return ratios, reports
+}
+
+// retryTable returns the analysis's retry table: one ExceptionRatio per
+// exception thrown in its retry loops, sorted by exception, each with
+// its sorted coordinator lists. The analysis never changes once built,
+// so the table is built on first use and shared by every later job;
+// callers must not mutate it.
+func (a *Analysis) retryTable() []ExceptionRatio {
+	a.tableOnce.Do(func() {
+		byExc := make(map[string]*ExceptionRatio)
 		for _, loop := range a.Loops {
 			for exc, retried := range loop.ThrownHere {
 				r := byExc[exc]
@@ -77,32 +108,95 @@ func RatioAnalysis(analyses []*Analysis, opts RatioOptions) ([]ExceptionRatio, [
 				}
 			}
 		}
-	}
-	var ratios []ExceptionRatio
-	var reports []IFReport
-	excs := make([]string, 0, len(byExc))
-	for e := range byExc {
-		excs = append(excs, e)
-	}
-	sort.Strings(excs)
-	for _, e := range excs {
-		r := *byExc[e]
-		sort.Strings(r.RetriedIn)
-		sort.Strings(r.SkippedIn)
-		ratios = append(ratios, r)
-		if r.Total < opts.MinLoops || r.Retried == 0 || r.Retried == r.Total {
-			continue
+		a.table = make([]ExceptionRatio, 0, len(byExc))
+		for _, r := range byExc {
+			slices.Sort(r.RetriedIn)
+			slices.Sort(r.SkippedIn)
+			a.table = append(a.table, *r)
 		}
-		switch ratio := r.Ratio(); {
-		case ratio >= opts.HighRatio:
-			for _, c := range r.SkippedIn {
-				reports = append(reports, IFReport{Exception: e, Coordinator: c, Retried: false, Ratio: r})
-			}
-		case ratio <= 1-opts.HighRatio:
-			for _, c := range r.RetriedIn {
-				reports = append(reports, IFReport{Exception: e, Coordinator: c, Retried: true, Ratio: r})
-			}
+		slices.SortFunc(a.table, byException)
+	})
+	return a.table
+}
+
+func byException(x, y ExceptionRatio) int { return strings.Compare(x.Exception, y.Exception) }
+
+// mergeTables merges the analyses' retry tables into one, sorted by
+// exception, walking the sorted tables side by side. An exception that
+// only one analysis throws keeps that table's entry as it is; the
+// others get merged, sorted lists.
+func mergeTables(analyses []*Analysis) []ExceptionRatio {
+	tables := make([][]ExceptionRatio, 0, len(analyses))
+	n := 0
+	for _, a := range analyses {
+		if t := a.retryTable(); len(t) > 0 {
+			tables = append(tables, t)
+			n += len(t)
 		}
 	}
-	return ratios, reports
+	if n == 0 {
+		return nil
+	}
+	out := make([]ExceptionRatio, 0, n)
+	heads := make([]ExceptionRatio, 0, len(tables))
+	for {
+		least, found := "", false
+		for _, t := range tables {
+			if len(t) > 0 && (!found || t[0].Exception < least) {
+				least, found = t[0].Exception, true
+			}
+		}
+		if !found {
+			return out
+		}
+		heads = heads[:0]
+		for i, t := range tables {
+			if len(t) > 0 && t[0].Exception == least {
+				heads = append(heads, t[0])
+				tables[i] = t[1:]
+			}
+		}
+		if len(heads) == 1 {
+			out = append(out, heads[0])
+		} else {
+			out = append(out, merge(heads))
+		}
+	}
+}
+
+// merge sums one exception's entries from several tables and merges
+// their sorted coordinator lists, each allocated once at its final
+// size.
+func merge(run []ExceptionRatio) ExceptionRatio {
+	r := ExceptionRatio{Exception: run[0].Exception}
+	for _, o := range run {
+		r.Retried += o.Retried
+		r.Total += o.Total
+	}
+	if r.Retried > 0 {
+		r.RetriedIn = make([]string, 0, r.Retried)
+	}
+	if r.Total > r.Retried {
+		r.SkippedIn = make([]string, 0, r.Total-r.Retried)
+	}
+	for _, o := range run {
+		r.RetriedIn = mergeSorted(r.RetriedIn, o.RetriedIn)
+		r.SkippedIn = mergeSorted(r.SkippedIn, o.SkippedIn)
+	}
+	return r
+}
+
+// mergeSorted merges the sorted src into the sorted dst, which has the
+// capacity for both, from the back.
+func mergeSorted(dst, src []string) []string {
+	i, j := len(dst)-1, len(src)-1
+	dst = dst[:len(dst)+len(src)]
+	for k := len(dst) - 1; j >= 0; k-- {
+		if i >= 0 && dst[i] > src[j] {
+			dst[k], i = dst[i], i-1
+		} else {
+			dst[k], j = src[j], j-1
+		}
+	}
+	return dst
 }

@@ -94,6 +94,9 @@ type Analysis struct {
 	// changes once built, so each coordinator's triplets are resolved
 	// once however many jobs share it.
 	callees sync.Map // string → []Triplet
+	// table is the analysis's retry table (retryTable), built once.
+	tableOnce sync.Once
+	table     []ExceptionRatio
 }
 
 // AnalyzeDir loads every non-test Go file in dir into a one-shot

@@ -1,0 +1,47 @@
+package server
+
+import (
+	"runtime"
+	"testing"
+)
+
+// The ceilings of TestWarmJobAllocCeiling: what one warm seed-corpus
+// job allocated when they were set, plus 10%. Before the report, the
+// views and the derived tables stopped being rebuilt per job, the same
+// job allocated about 232 KB in 920 objects.
+const (
+	warmJobBytesCeiling  = 223_359 // 203,054 measured
+	warmJobAllocsCeiling = 684     // 622 measured
+)
+
+// TestWarmJobAllocCeiling: a warm job through Server.run is all cache
+// hits, so what it allocates is its report bytes, its trace and the
+// bookkeeping of its lookups. A change that brings a per-job rebuild
+// of something the caches already hold back fails here.
+func TestWarmJobAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the seed corpus")
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random, so a job's allocations vary")
+	}
+	job := warmJobs(t, Config{PipelineWorkers: 1})
+	// As testing.AllocsPerRun does, count on one P so that nothing but
+	// the jobs allocates in between.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	job()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		job()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("a warm seed-corpus job allocates %d B in %d objects", bytes, allocs)
+	if bytes > warmJobBytesCeiling || allocs > warmJobAllocsCeiling {
+		t.Fatalf("a warm seed-corpus job allocates %d B in %d objects, want at most %d B in %d",
+			bytes, allocs, warmJobBytesCeiling, warmJobAllocsCeiling)
+	}
+}

@@ -45,10 +45,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -56,6 +58,7 @@ import (
 	"wasabi/internal/apps/corpus"
 	"wasabi/internal/cache"
 	"wasabi/internal/core"
+	"wasabi/internal/jsonwrite"
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/report"
@@ -191,6 +194,9 @@ type job struct {
 	// carry it, so external systems can join on either.
 	traceID string
 	apps    []corpus.App
+	// codes are the apps' short codes in order (nil for none), which
+	// every view of the job lists.
+	codes []string
 	// submitted and started bound the queue-wait; started is stamped by
 	// the scheduler when a slot picks the job.
 	submitted time.Time
@@ -389,9 +395,9 @@ func (s *Server) run(j *job) {
 	var view []byte
 	if err == nil {
 		doc = report.Build(cr)
-		v := jobView{ID: j.id, State: "done", Tenant: j.tenant, TraceID: j.traceID, Apps: appCodes(j.apps), Build: cache.BuildID(),
+		v := jobView{ID: j.id, State: "done", Tenant: j.tenant, TraceID: j.traceID, Apps: j.codes, Build: cache.BuildID(),
 			FreshLLM: &freshUsage{Calls: fresh.Calls, TokensIn: fresh.TokensIn, CostUSD: fresh.CostUSD}}
-		view, err = renderDoneView(v, doc)
+		view, err = renderDoneView(&v, doc)
 	}
 
 	end := time.Now()
@@ -518,7 +524,9 @@ func parseAnalyzeRequest(body []byte) (analyzeRequest, error) {
 }
 
 // jobView is the wire shape of a job (also the POST /v1/analyze
-// response, minus report).
+// response, minus report). appendViewHead writes it field by field, in
+// this order and with these names; the view tests hold the two to
+// encoding/json's bytes.
 type jobView struct {
 	ID      string   `json:"id"`
 	State   string   `json:"state"`
@@ -534,7 +542,9 @@ type jobView struct {
 	// a fully cache-served run, unlike the report's attributed usage.
 	FreshLLM *freshUsage `json:"fresh_llm,omitempty"`
 	// Report is the canonical JSON document (internal/report), present
-	// once the job is done.
+	// once the job is done. renderDoneView writes it from the document,
+	// so the daemon never sets it; it names the member for clients that
+	// decode a view.
 	Report json.RawMessage `json:"report,omitempty"`
 }
 
@@ -587,6 +597,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		tenant:    tenant,
 		traceID:   newTraceID(),
 		apps:      apps,
+		codes:     appCodes(apps),
 		submitted: time.Now(),
 		state:     "queued",
 	}
@@ -611,7 +622,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	s.logJob(evJobAccepted, j, "apps", len(apps), "queue_depth", queued)
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, view)
+	writeView(w, http.StatusAccepted, &view)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -631,13 +642,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	view := s.viewLocked(j)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, view)
+	writeView(w, http.StatusOK, &view)
 }
 
 // viewLocked renders the wire shape of a job that is not done (done jobs
 // carry their rendered view); s.mu must be held.
 func (s *Server) viewLocked(j *job) jobView {
-	return jobView{ID: j.id, State: j.state, Tenant: j.tenant, TraceID: j.traceID, Apps: appCodes(j.apps), Error: j.err, Build: cache.BuildID()}
+	return jobView{ID: j.id, State: j.state, Tenant: j.tenant, TraceID: j.traceID, Apps: j.codes, Error: j.err, Build: cache.BuildID()}
 }
 
 // appCodes lists the apps' short codes in order (nil for none, which
@@ -650,19 +661,55 @@ func appCodes(apps []corpus.App) []string {
 	return out
 }
 
+// appendViewHead appends v's members up to its report, as
+// json.MarshalIndent(v, "", "  ") writes them, and leaves the object
+// open; v.Report is not written.
+func appendViewHead(b []byte, w *jsonwrite.Writer, v *jobView) []byte {
+	b = w.Open(b, '{')
+	b = jsonwrite.AppendString(w.Key(b, "id"), v.ID)
+	b = jsonwrite.AppendString(w.Key(b, "state"), v.State)
+	b = jsonwrite.AppendString(w.Key(b, "tenant"), v.Tenant)
+	b = jsonwrite.AppendString(w.Key(b, "trace_id"), v.TraceID)
+	b = jsonwrite.Strings(w.Key(b, "apps"), w, v.Apps)
+	if v.Error != "" {
+		b = jsonwrite.AppendString(w.Key(b, "error"), v.Error)
+	}
+	b = jsonwrite.AppendString(w.Key(b, "build"), v.Build)
+	if u := v.FreshLLM; u != nil {
+		b = w.Open(w.Key(b, "fresh_llm"), '{')
+		b = strconv.AppendInt(w.Key(b, "calls"), int64(u.Calls), 10)
+		b = strconv.AppendInt(w.Key(b, "tokens_in"), u.TokensIn, 10)
+		b = jsonwrite.AppendFloat(w.Key(b, "cost_usd"), u.CostUSD)
+		b = w.Close(b, '}')
+	}
+	return b
+}
+
+// writeView writes a queued, running or failed job's view: writeJSON's
+// bytes for v, whose Report is empty.
+func writeView(rw http.ResponseWriter, code int, v *jobView) {
+	rw.Header().Set("Content-Type", "application/json")
+	rw.WriteHeader(code)
+	var stack [512]byte
+	var w jsonwrite.Writer
+	rw.Write(append(w.Close(appendViewHead(stack[:0], &w, v), '}'), '\n'))
+}
+
 // renderDoneView renders a done job's GET /v1/jobs/{id} body: exactly
 // writeJSON's bytes for v with Report set to doc's report.Marshal
-// output, where v.Report is empty. Report is jobView's last field, so
-// the view without it is marshalled and the document is written in
-// after it at depth 1 by report.Render, which produces the bytes the
-// encoder would have nested there. Render sizes the result exactly,
-// which matters because the job table retains every view.
-func renderDoneView(v jobView, doc *report.Document) ([]byte, error) {
-	head, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
+// output, where v.Report is empty. Report is jobView's last member, so
+// report.Render writes the document at depth 1 after the view's other
+// members, which produces the bytes the encoder would have nested
+// there. Render sizes the result exactly, which matters because the job
+// table retains every view. A non-finite fresh cost is an error, as it
+// is for encoding/json.
+func renderDoneView(v *jobView, doc *report.Document) ([]byte, error) {
+	if u := v.FreshLLM; u != nil && (math.IsNaN(u.CostUSD) || math.IsInf(u.CostUSD, 0)) {
+		return nil, fmt.Errorf("server: render view: unsupported cost_usd %v", u.CostUSD)
 	}
-	head = append(head[:len(head)-len("\n}")], ",\n  \"report\": "...)
+	var stack [512]byte
+	var w jsonwrite.Writer
+	head := w.Key(appendViewHead(stack[:0], &w, v), "report")
 	return report.Render(head, doc, 1, "\n}\n")
 }
 

@@ -1,13 +1,15 @@
 package server
 
-// view_test.go pins the bytes of a finished job's bodies: the done view
-// is rendered once by writing the report into the view
-// (renderDoneView) and must equal what writeJSON would have encoded,
-// and GET /v1/reports/{app} marshals a retained section on demand.
+// view_test.go pins the bytes of a job's bodies: every view is written
+// field by field (writeView, and renderDoneView, which writes the
+// report into the done view once) and must equal what writeJSON would
+// have encoded, and GET /v1/reports/{app} marshals a retained section
+// on demand.
 
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"os"
 	"testing"
@@ -18,14 +20,47 @@ import (
 	"wasabi/internal/report"
 )
 
-// writeJSONBody is the done view as writeJSON encodes it.
-func writeJSONBody(t *testing.T, v jobView) []byte {
+// writeJSONBody is the view as writeJSON encodes it:
+// json.MarshalIndent(v, "", "  ") and a newline.
+func writeJSONBody(t testing.TB, v jobView) []byte {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	writeJSON(rec, 200, v)
 	return rec.Body.Bytes()
 }
 
+// checkView asserts that v renders, as writeView writes it for every
+// state and as renderDoneView writes it done with doc, to writeJSON's
+// bytes. raw is doc as the reference nests it.
+func checkView(t testing.TB, v jobView, doc *report.Document, raw []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	writeView(rec, 200, &v)
+	if want := writeJSONBody(t, v); !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("%s view differs from writeJSON\ngot:\n%s\nwant:\n%s", v.State, rec.Body.Bytes(), want)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("%s view: Content-Type = %q", v.State, ct)
+	}
+	if doc == nil {
+		return
+	}
+	got, err := renderDoneView(&v, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Report = raw
+	if want := writeJSONBody(t, v); !bytes.Equal(got, want) {
+		t.Fatalf("done view differs from writeJSON\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if len(got) != cap(got) {
+		t.Fatalf("done view has len %d but cap %d; the job table retains it", len(got), cap(got))
+	}
+}
+
+// TestRenderDoneViewMatchesWriteJSON: every view the daemon writes —
+// queued, running, failed with an error, done — is json.MarshalIndent's
+// bytes and a newline.
 func TestRenderDoneViewMatchesWriteJSON(t *testing.T) {
 	golden, err := os.ReadFile("../report/testdata/report_HD.golden.json")
 	if err != nil {
@@ -52,6 +87,8 @@ func TestRenderDoneViewMatchesWriteJSON(t *testing.T) {
 			FreshLLM: &freshUsage{Calls: 3, TokensIn: 1200, CostUSD: 0.036}},
 		{ID: "job-2", State: "done", Tenant: "t<&>", TraceID: "trace-unavailable", Build: "",
 			FreshLLM: &freshUsage{}},
+		{ID: "job-3", State: "done", Tenant: "t", TraceID: "x", Apps: []string{}, Build: "b",
+			FreshLLM: &freshUsage{CostUSD: 1e-7}},
 	}
 	for name, doc := range map[string]*report.Document{"golden-HD": goldenDoc, "seed-corpus": report.Build(cr), "escaped": escaped} {
 		raw, err := json.MarshalIndent(doc, "", "  ")
@@ -62,19 +99,64 @@ func TestRenderDoneViewMatchesWriteJSON(t *testing.T) {
 			raw = golden
 		}
 		for _, v := range views {
-			got, err := renderDoneView(v, doc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v.Report = raw
-			if want := writeJSONBody(t, v); !bytes.Equal(got, want) {
-				t.Fatalf("%s/%s: rendered view differs from writeJSON\ngot:\n%s\nwant:\n%s", name, v.ID, got, want)
-			}
-			if len(got) != cap(got) {
-				t.Fatalf("%s/%s: view has len %d but cap %d; the job table retains it", name, v.ID, len(got), cap(got))
-			}
+			checkView(t, v, doc, raw)
 		}
 	}
+	for _, v := range []jobView{
+		{ID: "job-4", State: "queued", Tenant: "shared", TraceID: "0123456789abcdef", Apps: []string{"HD", "HB"}, Build: cache.BuildID()},
+		{ID: "job-5", State: "running", Tenant: "alpha", TraceID: "trace-unavailable", Build: cache.BuildID()},
+		{ID: "job-6", State: "failed", Tenant: "t\u2028<", TraceID: "x", Apps: []string{"G001"}, Build: "",
+			Error: "app HD: source: open /x/\"y\".go: no such file or directory"},
+	} {
+		checkView(t, v, nil, nil)
+	}
+}
+
+// TestRenderDoneViewRejectsNonFiniteCost: a fresh cost json.Marshal
+// cannot encode fails the view, as it failed encoding/json.
+func TestRenderDoneViewRejectsNonFiniteCost(t *testing.T) {
+	doc := &report.Document{Schema: report.Schema}
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		v := jobView{ID: "job-1", State: "done", FreshLLM: &freshUsage{CostUSD: c}}
+		if _, err := json.MarshalIndent(v, "", "  "); err == nil {
+			t.Fatalf("cost %v: json.MarshalIndent succeeded", c)
+		}
+		if _, err := renderDoneView(&v, doc); err == nil {
+			t.Fatalf("cost %v: renderDoneView succeeded, want an error as json.MarshalIndent gives", c)
+		}
+	}
+}
+
+// FuzzJobView checks the view writers against encoding/json over the
+// tenant, the app codes and the error text: the tenant and the codes
+// arrive in the request, and an error can quote either.
+func FuzzJobView(f *testing.F) {
+	f.Add("shared", "HD", "", uint8(0))
+	f.Add(`t"q\`, "<HB>", "a <b> & c", uint8(1))
+	f.Add("\u2028\u2029", "é", "\x00\x1f\n\t\x7f", uint8(2))
+	f.Add("\xff\xfe", "\xc3", "bad \xed\xa0\x80 utf-8", uint8(3))
+	f.Add("", "", "", uint8(4))
+	doc := &report.Document{Schema: report.Schema, Apps: []report.App{{Code: "HD"}}, IFRatios: []report.Ratio{}, IFBugs: []report.Bug{}}
+	raw, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, tenant, code, errText string, shape uint8) {
+		v := jobView{ID: "job-1", State: "queued", Tenant: tenant, TraceID: tenant + code, Error: errText, Build: code}
+		switch shape % 3 {
+		case 1:
+			v.Apps = []string{}
+		case 2:
+			v.Apps = []string{code, tenant, errText}
+		}
+		if shape&4 != 0 {
+			v.State = "failed"
+		}
+		checkView(t, v, nil, nil)
+		v.State, v.Error = "done", ""
+		v.FreshLLM = &freshUsage{Calls: len(tenant), TokensIn: int64(len(errText)) << 40, CostUSD: float64(len(code)) / 3}
+		checkView(t, v, doc, raw)
+	})
 }
 
 // TestDoneViewAndAppReportsServed: a finished job's view is the bytes

@@ -74,6 +74,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wasabi/internal/obs"
@@ -126,6 +127,33 @@ type File struct {
 
 	mu   sync.Mutex
 	memo any // the derived artifact (MemoThrough)
+
+	key keyMemo // the review cache key (KeyThrough)
+}
+
+// KeyThrough returns the key derive gives the file under config,
+// calling derive only when the file's last key was derived under
+// another config: a file version keeps one key, so a daemon whose
+// config does not change derives each file's key (the review cache
+// key) once however many jobs load it. derive must be a pure function
+// of the file's content and path and of config.
+func (f *File) KeyThrough(config string, derive func() string) string {
+	return f.key.through(config, derive)
+}
+
+// keyMemo holds the last key derived from an immutable value and the
+// configuration it was derived under.
+type keyMemo struct{ last atomic.Pointer[derivedKey] }
+
+type derivedKey struct{ config, key string }
+
+func (m *keyMemo) through(config string, derive func() string) string {
+	if k := m.last.Load(); k != nil && k.config == config {
+		return k.key
+	}
+	k := &derivedKey{config: config, key: derive()}
+	m.last.Store(k)
+	return k.key
 }
 
 // Syntax returns the parsed AST, building it on first call (counted in
@@ -177,11 +205,22 @@ func (f *File) MemoThrough(load func() (any, bool), compute func() any) any {
 
 // Snapshot is one directory's loaded state: every source file, sorted by
 // name. Positions in Files[i].Syntax() resolve against Files[i].Fset.
+// A snapshot is immutable: a load that finds the directory as the
+// store's last snapshot of it returns that snapshot again.
 type Snapshot struct {
 	// Dir is the directory the snapshot describes.
 	Dir string
 	// Files are the directory's source files in sorted name order.
 	Files []*File
+
+	key keyMemo // the analysis cache key (KeyThrough)
+}
+
+// KeyThrough is File.KeyThrough for a whole snapshot: a directory
+// whose files do not change keeps one snapshot, so its key (the
+// analysis cache key) is derived once however many jobs load it.
+func (s *Snapshot) KeyThrough(config string, derive func() string) string {
+	return s.key.through(config, derive)
 }
 
 // TotalBytes sums the snapshot's file sizes.
@@ -251,18 +290,31 @@ func trusted(id statID, start time.Time) bool {
 }
 
 // fileRecord is a trusted read of one path: the identity fstat reported
-// before it and the version it interned.
+// before it, the version it interned, and the path NUL-terminated for
+// the stat that checks it.
 type fileRecord struct {
-	id   statID
-	file *File
+	id    statID
+	file  *File
+	cpath []byte
 }
 
 // dirRecord is one listing of a directory: the paths of its source
-// files in sorted order, and the identity fstat reported before the
-// listing.
+// files in sorted order, the identity fstat reported before the
+// listing, the directory NUL-terminated for the stat that checks it,
+// and the last snapshot loaded from this listing, if any.
 type dirRecord struct {
 	id    statID
 	paths []string
+	cpath []byte
+	last  *Snapshot
+}
+
+// cPath returns path NUL-terminated, as the stat system call takes it.
+// A record keeps its path in this form, so a warm stat copies nothing.
+func cPath(path string) []byte {
+	b := make([]byte, len(path)+1)
+	copy(b, path)
+	return b
 }
 
 // readBufs pools the buffers Load reads files into. A buffer is free
@@ -290,9 +342,12 @@ func NewStore(reg *obs.Registry) *Store {
 // interned artifact and everything derived from it are reused when the
 // content hash matches a version already interned. Both kinds of reuse
 // count in source_reuse_total. The directory listing is reused the same
-// way. Nothing is parsed here: unparseable files surface their error
-// from Syntax, and each consumer decides (sast fails, llm degrades to
-// "no answer").
+// way, and so is the snapshot: when a trusted listing's files are all
+// the versions its last snapshot holds, that snapshot is returned, so
+// what is derived from it (the analysis cache key) is derived once.
+// Nothing is parsed here: unparseable files surface their error from
+// Syntax, and each consumer decides (sast fails, llm degrades to "no
+// answer").
 func (s *Store) Load(dir string) (*Snapshot, error) {
 	listing, err := s.list(dir)
 	if err != nil {
@@ -304,28 +359,53 @@ func (s *Store) Load(dir string) (*Snapshot, error) {
 	statReused := s.reg.Counter("source_stat_reuse_total")
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
-	snap := &Snapshot{Dir: dir, Files: make([]*File, 0, len(listing.paths))}
-	for _, path := range listing.paths {
-		if f := s.statHit(path); f != nil {
+	// files stays nil while every file is the one of the listing's last
+	// snapshot, which is then returned as it is.
+	var files []*File
+	for i, path := range listing.paths {
+		f := s.statHit(path)
+		if f != nil {
 			statReused.Inc()
 			reused.Inc()
-			snap.Files = append(snap.Files, f)
+		} else {
+			start := s.now()
+			var id statID
+			*buf, id, err = readFile(path, *buf)
+			if err != nil {
+				return nil, fmt.Errorf("source: %w", err)
+			}
+			loaded.Inc()
+			read.Add(int64(len(*buf)))
+			var ok bool
+			f, ok = s.intern(path, filepath.Base(path), *buf, id, trusted(id, start))
+			if ok {
+				reused.Inc()
+			}
+		}
+		if files == nil && listing.last != nil && listing.last.Files[i] == f {
 			continue
 		}
-		start := s.now()
-		var id statID
-		*buf, id, err = readFile(path, *buf)
-		if err != nil {
-			return nil, fmt.Errorf("source: %w", err)
+		if files == nil {
+			files = make([]*File, 0, len(listing.paths))
+			if i > 0 {
+				files = append(files, listing.last.Files[:i]...)
+			}
 		}
-		loaded.Inc()
-		read.Add(int64(len(*buf)))
-		f, ok := s.intern(path, filepath.Base(path), *buf, id, trusted(id, start))
-		if ok {
-			reused.Inc()
-		}
-		snap.Files = append(snap.Files, f)
+		files = append(files, f)
 	}
+	if files == nil && listing.last != nil {
+		return listing.last, nil
+	}
+	snap := &Snapshot{Dir: dir, Files: files}
+	if snap.Files == nil {
+		snap.Files = []*File{}
+	}
+	s.mu.Lock()
+	if rec, ok := s.dirs[dir]; ok && slices.Equal(rec.paths, listing.paths) {
+		rec.last = snap
+		s.dirs[dir] = rec
+	}
+	s.mu.Unlock()
 	return snap, nil
 }
 
@@ -336,7 +416,7 @@ func (s *Store) statHit(path string) *File {
 	s.mu.Lock()
 	rec, ok := s.files[path]
 	s.mu.Unlock()
-	if ok && pathID(path) == rec.id {
+	if ok && pathID(rec.cpath) == rec.id {
 		return rec.file
 	}
 	return nil
@@ -349,7 +429,7 @@ func (s *Store) list(dir string) (dirRecord, error) {
 	s.mu.Lock()
 	rec, ok := s.dirs[dir]
 	s.mu.Unlock()
-	if ok && pathID(dir) == rec.id {
+	if ok && pathID(rec.cpath) == rec.id {
 		return rec, nil
 	}
 	start := s.now()
@@ -376,6 +456,7 @@ func (s *Store) list(dir string) (dirRecord, error) {
 	}
 	s.mu.Lock()
 	if trusted(rec.id, start) {
+		rec.cpath = cPath(dir)
 		s.dirs[dir] = rec
 	} else {
 		delete(s.dirs, dir)
@@ -447,7 +528,11 @@ func (s *Store) intern(path, name string, data []byte, id statID, trust bool) (*
 		s.retainedBytes += f.Size
 	}
 	if trust {
-		s.files[path] = fileRecord{id: id, file: f}
+		cpath := s.files[path].cpath
+		if cpath == nil {
+			cpath = cPath(path)
+		}
+		s.files[path] = fileRecord{id: id, file: f, cpath: cpath}
 	} else {
 		delete(s.files, path)
 	}

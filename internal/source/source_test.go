@@ -230,6 +230,62 @@ func TestMemoComputesOncePerVersion(t *testing.T) {
 	}
 }
 
+// TestKeyThroughDerivesOncePerConfig: a file version derives its key
+// once per config, derives again when the config changes, and a new
+// version of the path derives its own. Concurrent callers all get the
+// derived key (run under -race by make race).
+func TestKeyThroughDerivesOncePerConfig(t *testing.T) {
+	dir := writeDir(t, map[string]string{"a.go": "package demo\n"})
+	st := source.NewStore(nil)
+	snap, err := st.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := snap.Files[0]
+	calls := 0
+	derive := func(config string) string {
+		return f.KeyThrough(config, func() string { calls++; return config + "/" + f.SHA256 })
+	}
+	for i, c := range []struct {
+		config string
+		calls  int
+	}{{"fp1", 1}, {"fp1", 1}, {"fp2", 2}, {"fp2", 2}, {"fp1", 3}} {
+		if got := derive(c.config); got != c.config+"/"+f.SHA256 || calls != c.calls {
+			t.Fatalf("call %d (%s): key %q after %d derivations, want %d", i, c.config, got, calls, c.calls)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { derive("fp1") }); n != 0 {
+		t.Fatalf("a repeated KeyThrough allocates %v objects, want 0", n)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte("package demo // edited\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err = st.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := snap.Files[0]
+	if got := g.KeyThrough("fp1", func() string { return "new" }); got != "new" {
+		t.Fatalf("an edited file's KeyThrough = %q, want its own key", got)
+	}
+	var wg sync.WaitGroup
+	keys := make([]string, 8)
+	for i := range keys {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			config := fmt.Sprintf("c%d", i%2)
+			keys[i] = g.KeyThrough(config, func() string { return config })
+		}(i)
+	}
+	wg.Wait()
+	for i, k := range keys {
+		if want := fmt.Sprintf("c%d", i%2); k != want {
+			t.Fatalf("goroutine %d: key %q, want %q", i, k, want)
+		}
+	}
+}
+
 // TestMemoThroughHydrates: when the in-memory memo misses, the external
 // load supplies the artifact (counted as a hydration, not a compute);
 // later accesses reuse it; compute never runs.

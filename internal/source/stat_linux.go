@@ -16,11 +16,11 @@ func fileID(f *os.File) statID {
 	return toStatID(&st)
 }
 
-// pathID returns the stat identity of the file at path, or the zero
-// statID if stat fails.
-func pathID(path string) statID {
+// pathID returns the stat identity of the file at the NUL-terminated
+// path cpath (cPath), or the zero statID if stat fails.
+func pathID(cpath []byte) statID {
 	var st syscall.Stat_t
-	if syscall.Stat(path, &st) != nil {
+	if fstatat(cpath, &st) != nil {
 		return statID{}
 	}
 	return toStatID(&st)

@@ -9,7 +9,7 @@ import "os"
 func fileID(*os.File) statID { return statID{} }
 
 // pathID reports no identity outside Linux (fileID).
-func pathID(string) statID { return statID{} }
+func pathID([]byte) statID { return statID{} }
 
 // readHandle is a file opened for one read through package os.
 type readHandle struct{ f *os.File }

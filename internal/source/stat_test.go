@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -245,5 +246,92 @@ func TestStatCheckConcurrent(t *testing.T) {
 	}
 	if got := string(snap.Files[0].Bytes); got != version(versions-1) {
 		t.Fatalf("after the writer stopped, v.go loads as %q, want %q", got, version(versions-1))
+	}
+}
+
+// TestWarmStatAllocs: on Linux a warm load stats each record's kept
+// NUL-terminated path and, finding every file as the directory's last
+// snapshot holds it, returns that snapshot: it allocates nothing.
+func TestWarmStatAllocs(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("only Linux reports a stat identity")
+	}
+	files := map[string]string{}
+	for i := 0; i < 12; i++ {
+		files[fmt.Sprintf("f%02d.go", i)] = fmt.Sprintf("package demo // %d\n", i)
+	}
+	dir := writeDir(t, files)
+	reg := obs.NewRegistry()
+	st := source.NewStore(reg)
+	source.PassWindow(st)
+	first, err := st.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if snap, err := st.Load(dir); err != nil || snap != first {
+			t.Fatalf("warm load = %p (err %v), want the first snapshot %p", snap, err, first)
+		}
+	})
+	if reused := reg.Snapshot().Counter("source_stat_reuse_total"); reused != 21*12 {
+		t.Fatalf("stat reuses = %d, want every file of the 21 warm loads (%d)", reused, 21*12)
+	}
+	if n != 0 {
+		t.Fatalf("a warm load of %d files allocates %v objects, want 0", len(files), n)
+	}
+}
+
+// TestSnapshotReusedUntilChanged: a load returns the directory's last
+// snapshot while every file is the version it holds, and a new one
+// once a file is edited, added or removed, sharing the unchanged Files.
+func TestSnapshotReusedUntilChanged(t *testing.T) {
+	for _, trust := range []bool{false, true} {
+		t.Run(fmt.Sprintf("trusted=%v", trust), func(t *testing.T) {
+			dir := writeDir(t, map[string]string{"a.go": "package demo\n", "b.go": "package demo // b\n", "c.go": "package demo // c\n"})
+			st := source.NewStore(nil)
+			if trust {
+				source.PassWindow(st)
+			}
+			load := func() *source.Snapshot {
+				t.Helper()
+				snap, err := st.Load(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return snap
+			}
+			write := func(name, body string) {
+				t.Helper()
+				settle(t, t.TempDir())
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				settle(t, t.TempDir())
+			}
+			first := load()
+			if again := load(); trust != (again == first) {
+				t.Fatalf("unchanged directory: same snapshot = %v, want %v (only a trusted listing keeps one)", again == first, trust)
+			}
+			write("b.go", "package demo // b edited\n")
+			edited := load()
+			if edited == first || edited.Files[0] != first.Files[0] || edited.Files[1] == first.Files[1] || edited.Files[2] != first.Files[2] {
+				t.Fatal("after editing b.go: want a new snapshot sharing a.go and c.go")
+			}
+			if again := load(); trust != (again == edited) {
+				t.Fatalf("after the edit: same snapshot = %v, want %v", again == edited, trust)
+			}
+			write("d.go", "package demo // d\n")
+			added := load()
+			if added == edited || len(added.Files) != 4 || added.Files[3].Name != "d.go" {
+				t.Fatalf("after adding d.go: got %v", added.Names())
+			}
+			if err := os.Remove(filepath.Join(dir, "a.go")); err != nil {
+				t.Fatal(err)
+			}
+			settle(t, t.TempDir())
+			if removed := load(); removed == added || !slices.Equal(removed.Names(), []string{"b.go", "c.go", "d.go"}) {
+				t.Fatalf("after removing a.go: got %v", removed.Names())
+			}
+		})
 	}
 }
