@@ -78,7 +78,9 @@ bench-check:
 ## byte-identical output, every all-sim topology must replay
 ## byte-identically, counters included, at any worker count, and a
 ## warm run under any topology must reproduce the cold report from the
-## review cache with zero fresh tokens (docs/RESILIENCE.md).
+## review cache with zero fresh tokens (docs/RESILIENCE.md), and a
+## backend that degrades reviews and recovers must get the healthy
+## report back, never a memoized degraded merge.
 chaos:
 	$(GO) test -race -run 'Chaos|ZeroFaultProfile|HardOutage|BudgetExhaustion|Failover|PrimaryOutage|SingleHealthyBackend|SimTopology|ReviewCacheServesEveryTopology' ./internal/core/
 	$(GO) test -race ./internal/resilience/ ./internal/llm/
@@ -90,9 +92,10 @@ chaos:
 ## (docs/SERVICE.md, docs/SCHEDULING.md); plus the scheduler's
 ## wall-clock overlap, fairness, and shared-snapshot-store concurrency
 ## proofs, and the per-job trace-isolation and structured-log
-## correlation proofs (docs/OBSERVABILITY.md).
+## correlation proofs (docs/OBSERVABILITY.md), and two slots running
+## warm jobs over the same derive-once memos (docs/ARCHITECTURE.md).
 serve-smoke:
-	$(GO) test -race -run 'TestServeSmoke|TestJobsOverlapWallClock|TestSlowTenantCannotStarveFast|TestConcurrentJobsShareSnapshotStore|TestJobTraceIsolationUnderConcurrency|TestStructuredLogCorrelation' -count=1 ./internal/server/
+	$(GO) test -race -run 'TestServeSmoke|TestJobsOverlapWallClock|TestSlowTenantCannotStarveFast|TestConcurrentJobsShareSnapshotStore|TestConcurrentWarmJobsShareMemo|TestJobTraceIsolationUnderConcurrency|TestStructuredLogCorrelation' -count=1 ./internal/server/
 
 ## restart-smoke: cold-start a real wasabid binary with a persistent
 ## cache directory, run one job, SIGTERM-drain it, relaunch over the

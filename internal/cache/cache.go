@@ -93,7 +93,10 @@ type Cache struct {
 	// source.DefaultKeepGenerations of them (supersede).
 	lineages map[lineage][]string
 
-	hits, misses  map[string]int64 // by stage
+	hits, misses map[string]int64 // by stage
+	// hitCounters holds each stage's cache_hits_total series once a hit
+	// has registered it, so a hit looks nothing up in the registry.
+	hitCounters   map[string]*obs.Counter
 	diskLoads     int64
 	persistErrors int64
 	diskEntries   int64 // disk-tier entry files
@@ -105,12 +108,13 @@ type Cache struct {
 // construction rather than mid-run.
 func New(opts Options) (*Cache, error) {
 	c := &Cache{
-		dir:      opts.Dir,
-		reg:      opts.Metrics,
-		entries:  make(map[string]any),
-		lineages: make(map[lineage][]string),
-		hits:     make(map[string]int64),
-		misses:   make(map[string]int64),
+		dir:         opts.Dir,
+		reg:         opts.Metrics,
+		entries:     make(map[string]any),
+		lineages:    make(map[lineage][]string),
+		hits:        make(map[string]int64),
+		misses:      make(map[string]int64),
+		hitCounters: make(map[string]*obs.Counter),
 	}
 	if err := c.initDir(); err != nil {
 		return nil, err
@@ -118,16 +122,28 @@ func New(opts Options) (*Cache, error) {
 	return c, nil
 }
 
-// GetReview returns the memoized review under key. Every hit returns
-// the same shared value, which callers must not mutate (its Findings
-// slice included). Misses fall through to the disk tier when one is
-// configured.
+// GetReview returns a copy of the memoized review under key; its
+// Findings slice is the shared entry's, which callers must not mutate.
+// Misses fall through to the disk tier when one is configured.
 func (c *Cache) GetReview(key string) (llm.FileReview, bool) {
-	if c == nil {
-		return llm.FileReview{}, false
+	if rev, ok := c.getReview(key); ok {
+		return *rev, true
 	}
-	v, _ := c.get(StageReview, key, func(data []byte) (any, error) { return decodeReview(data, key) })
-	rev, ok := v.(llm.FileReview)
+	return llm.FileReview{}, false
+}
+
+// getReview returns the memoized review entry under key itself: every
+// hit on one entry returns the same pointer, so what a caller derives
+// from a review can be validated by the entry's identity.
+func (c *Cache) getReview(key string) (*llm.FileReview, bool) {
+	if c == nil {
+		return nil, false
+	}
+	v, _ := c.get(StageReview, key, func(data []byte) (any, error) {
+		rev, err := decodeReview(data, key)
+		return &rev, err
+	})
+	rev, ok := v.(*llm.FileReview)
 	return rev, ok
 }
 
@@ -143,7 +159,7 @@ func (c *Cache) PutReview(key string, rev llm.FileReview) {
 	// The scheduling facts are excluded from the envelope (json:"-"), so
 	// a memory hit serves them zeroed exactly as a disk load does.
 	rev.Retries, rev.Backend, rev.Shared = 0, "", false
-	c.put(key, rev, func() ([]byte, error) { return encodeReview(key, rev) })
+	c.put(key, &rev, func() ([]byte, error) { return encodeReview(key, rev) })
 }
 
 // GetFacts returns the retry-facts entry for a content hash from the
@@ -230,27 +246,33 @@ func (c *Cache) Analysis(snap *source.Snapshot) (*sast.Analysis, error) {
 }
 
 // Review returns file's review under the client configuration
-// fingerprint fp, and whether it was a hit. A miss returns what review
-// computes and stores it unless it is degraded: a degraded review
-// records a backend failure, not an answer, and storing one would pin
-// the failure past the fault. The stored copy drops the routing facts
-// (PutReview); the returned one keeps them. The key is derived once
-// per file version and fingerprint (source.File.KeyThrough) and
-// recorded on every path. A nil cache runs review and reports a miss.
-func (c *Cache) Review(fp string, file *source.File, review func() llm.FileReview) (llm.FileReview, bool) {
+// fingerprint fp, and whether it was a hit. A hit returns the cache's
+// entry itself, the same pointer on every hit until the entry is
+// superseded; it is immutable. A miss returns what review computes,
+// in a review of its own, and stores it unless it is degraded: a
+// degraded review records a backend failure, not an answer, and
+// storing one would pin the failure past the fault. The stored copy
+// drops the routing facts (PutReview); the returned one keeps them. So
+// an entry's pointer is never one a miss returned, and a value derived
+// from reviews and validated by their pointers is never served for a
+// degraded or recomputed review. The key is derived once per file
+// version and fingerprint (source.File.KeyThrough) and recorded on
+// every path. A nil cache runs review and reports a miss.
+func (c *Cache) Review(fp string, file *source.File, review func() llm.FileReview) (*llm.FileReview, bool) {
 	if c == nil {
-		return review(), false
+		rev := review()
+		return &rev, false
 	}
 	key := file.KeyThrough(fp, func() string { return ReviewKey(fp, file.Path, file.SHA256) })
 	defer c.supersede(lineage{Stage: StageReview, Scope: file.Path, Config: fp}, key)
-	if rev, ok := c.GetReview(key); ok {
+	if rev, ok := c.getReview(key); ok {
 		return rev, true
 	}
 	rev := review()
 	if !rev.Degraded {
 		c.PutReview(key, rev)
 	}
-	return rev, false
+	return &rev, false
 }
 
 // get is the read side of the memory-backed stages. A memory hit
@@ -260,8 +282,9 @@ func (c *Cache) get(stage, key string, decode func([]byte) (any, error)) (any, b
 	c.mu.Lock()
 	if v, ok := c.entries[key]; ok {
 		c.hits[stage]++
+		hits := c.hitCounterLocked(stage)
 		c.mu.Unlock()
-		c.reg.Counter("cache_hits_total", "stage", stage).Inc()
+		hits.Inc()
 		return v, true
 	}
 	c.mu.Unlock()
@@ -283,8 +306,9 @@ func (c *Cache) read(stage, key string, decode func([]byte) (any, error)) (any, 
 				c.mu.Lock()
 				c.diskLoads++
 				c.hits[stage]++
+				hits := c.hitCounterLocked(stage)
 				c.mu.Unlock()
-				c.reg.Counter("cache_hits_total", "stage", stage).Inc()
+				hits.Inc()
 				c.reg.Counter("cache_disk_loads_total").Inc()
 				return v, true
 			}
@@ -299,6 +323,18 @@ func (c *Cache) read(stage, key string, decode func([]byte) (any, error)) (any, 
 	c.mu.Unlock()
 	c.reg.Counter("cache_misses_total", "stage", stage).Inc()
 	return nil, false
+}
+
+// hitCounterLocked returns stage's cache_hits_total series, looking it
+// up in the registry only on the stage's first hit. Called with c.mu
+// held.
+func (c *Cache) hitCounterLocked(stage string) *obs.Counter {
+	h, ok := c.hitCounters[stage]
+	if !ok {
+		h = c.reg.Counter("cache_hits_total", "stage", stage)
+		c.hitCounters[stage] = h
+	}
+	return h
 }
 
 // put is the write side of the review and dynamic stages: v is written

@@ -19,6 +19,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"wasabi/internal/fault"
 	"wasabi/internal/jsonread"
@@ -97,19 +98,63 @@ func appendDynamicParts(b []byte, build, suite, app string, howK, capK int, o or
 	return b
 }
 
+// DynamicKeys memoizes the key and lineage of one app's dynamic run
+// over one location list, which the caller must never change while it
+// keeps the memo: both are derived once per set of the other inputs
+// (build, suite, app, K settings, oracle options), which the memo
+// compares by value. The zero value is ready to use; a nil memo derives
+// both afresh on every call.
+type DynamicKeys struct{ last atomic.Pointer[dynamicKeys] }
+
+// dynamicKeys is the key and lineage derived under one set of inputs.
+type dynamicKeys struct {
+	build, suite, app string
+	howK, capK        int
+	capThreshold      int
+	timeout           int64
+	key               string
+	lineage           lineage
+}
+
+// through returns the key and lineage of a dynamic run over locs.
+func (m *DynamicKeys) through(build, suite, app string, locs []fault.Location, howK, capK int, o oracle.Options) (string, lineage) {
+	var last *dynamicKeys
+	if m != nil {
+		last = m.last.Load()
+	}
+	if last != nil && last.build == build && last.suite == suite && last.app == app && last.howK == howK &&
+		last.capK == capK && last.capThreshold == o.CapThreshold && last.timeout == int64(o.VirtualTimeout) {
+		return last.key, last.lineage
+	}
+	k := &dynamicKeys{build: build, suite: suite, app: app, howK: howK, capK: capK,
+		capThreshold: o.CapThreshold, timeout: int64(o.VirtualTimeout),
+		key: dynamicKey(build, suite, app, locs, howK, capK, o)}
+	if k.key != "" {
+		k.lineage = dynamicLineage(build, suite, app, howK, capK, o)
+	}
+	if m != nil {
+		m.last.Store(k)
+	}
+	return k.key, k.lineage
+}
+
 // Dynamic returns app's dynamic run against locs under build and suite
 // with the given run options. A miss executes run and stores its
 // outcome unless it failed; a failed run stores nothing and returns its
 // error. The key is recorded on the app's lineage (dynamicLineage) on
-// every path. A nil cache, or an empty build or suite identity, runs
-// without a key: run executes and nothing is looked up, counted or
-// stored.
-func (c *Cache) Dynamic(build, suite, app string, locs []fault.Location, howK, capK int, o oracle.Options, run func() (DynamicRun, error)) (DynamicRun, error) {
-	key := dynamicKey(build, suite, app, locs, howK, capK, o)
-	if c == nil || key == "" {
+// every path; keys (nil for none) memoizes both for a caller that
+// keeps locs unchanged. A nil cache, or an empty build or suite
+// identity, runs without a key: run executes and nothing is looked up,
+// counted or stored.
+func (c *Cache) Dynamic(keys *DynamicKeys, build, suite, app string, locs []fault.Location, howK, capK int, o oracle.Options, run func() (DynamicRun, error)) (DynamicRun, error) {
+	if c == nil {
 		return run()
 	}
-	defer c.supersede(dynamicLineage(build, suite, app, howK, capK, o), key)
+	key, lin := keys.through(build, suite, app, locs, howK, capK, o)
+	if key == "" {
+		return run()
+	}
+	defer c.supersede(lin, key)
 	if r, ok := c.getDynamic(key); ok {
 		return r, nil
 	}

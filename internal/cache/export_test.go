@@ -32,8 +32,8 @@ func (c *Cache) EncodedEntries() (map[string][]byte, error) {
 		var data []byte
 		var err error
 		switch v := val.(type) {
-		case llm.FileReview:
-			data, err = encodeReview(key, v)
+		case *llm.FileReview:
+			data, err = encodeReview(key, *v)
 		case DynamicRun:
 			data, err = encodeDynamic(key, v)
 		default: // analyses are memory-only

@@ -39,7 +39,7 @@ const goodSrc = "package demo\n\nfunc Run() {}\n"
 
 // dynamicOf is a Dynamic call over the shared fixture inputs.
 func dynamicOf(c *Cache, build, suite string, run func() (DynamicRun, error)) (DynamicRun, error) {
-	return c.Dynamic(build, suite, "HB", dynLocs, 1, 100, oracle.DefaultOptions(), run)
+	return c.Dynamic(nil, build, suite, "HB", dynLocs, 1, 100, oracle.DefaultOptions(), run)
 }
 
 // TestMemoCallsOnNilCache: a nil cache runs every computation and

@@ -11,17 +11,20 @@ import (
 )
 
 // warmJobAllocCeiling bounds what one warm seed-corpus run allocates
-// (TestWarmRunAllocCeiling): the measured 506 objects plus 10%. Before
+// (TestWarmRunAllocCeiling): the measured 72 objects plus 10%. Before
 // metric lookups, span args and cache keys stopped making garbage, the
 // same run allocated 2,488; before review keys, analysis keys,
 // snapshots and retry tables were derived once per version instead of
-// once per run, 725.
-const warmJobAllocCeiling = 556
+// once per run, 725; before identify's merge, the WHEN and IF results,
+// the dynamic result and the span names were kept between runs and
+// spans came from one chunk, 506.
+const warmJobAllocCeiling = 79
 
 // TestWarmRunAllocCeiling: a warm run over a shared cache, snapshot
-// store and registry, traced like a daemon job, is all cache hits, so
-// what it allocates is bookkeeping and the results it returns. A
-// change that brings per-lookup or per-span garbage back fails here.
+// store and registry, traced like a daemon job, is all cache and memo
+// hits, so what it allocates is bookkeeping: its spans, its review
+// slots and its worker-pool tasks. A change that brings per-lookup,
+// per-span or per-run derivation garbage back fails here.
 func TestWarmRunAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the seed corpus")

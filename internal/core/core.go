@@ -143,23 +143,24 @@ func New(opts Options) *Wasabi {
 	return w
 }
 
-// stage opens a stage span (named "stage:app", parented under the app
-// span when one exists) and returns the function that closes it,
-// recording the stage wall-time histogram, whose count is the stage's
-// run count. All of it is a no-op when the run is unobserved.
-func (w *Wasabi) stage(stage, app string) func() {
-	name := stage
-	parent := "corpus"
-	if app != "" {
-		name = stage + ":" + app
-		parent = "app:" + app
-	}
-	sp := w.obs.Trc().Start(name, "stage", "app", app, "parent", parent)
-	reg := w.obs.Reg()
-	return func() {
-		reg.Histogram(obs.StageMetric, obs.LatencyBuckets, "stage", stage).Observe(sp.SinceMS())
-		sp.End()
-	}
+// stage opens a stage span named name under parent and returns it;
+// its end closes the span and records the stage wall-time histogram,
+// whose count is the stage's run count. All of it is a no-op when the
+// run is unobserved.
+func (w *Wasabi) stage(stage, name, parent, app string) stageSpan {
+	return stageSpan{w: w, stage: stage, sp: w.obs.Trc().Start(name, "stage", "app", app, "parent", parent)}
+}
+
+// stageSpan is an open stage span.
+type stageSpan struct {
+	w     *Wasabi
+	stage string
+	sp    *obs.Span
+}
+
+func (s stageSpan) end() {
+	s.w.obs.Reg().Histogram(obs.StageMetric, obs.LatencyBuckets, "stage", s.stage).Observe(s.sp.SinceMS())
+	s.sp.End()
 }
 
 // LLMUsage reports accumulated simulated-GPT-4 usage.
@@ -207,6 +208,12 @@ type Identification struct {
 	// Reviews are the raw per-file LLM reviews (reused by static WHEN
 	// detection).
 	Reviews []llm.FileReview
+
+	// memo is what later jobs reuse of this identification (memo.go);
+	// nil for one no memo holds. A memoized identification is shared by
+	// every job that identifies the same inputs, so no caller may
+	// mutate it.
+	memo *identMemo
 }
 
 // DegradedFile is one file whose LLM review was degraded away by backend
@@ -235,7 +242,9 @@ func (id *Identification) Locations() []fault.Location {
 // Identify runs both retry-identification techniques (§3.1.1) on the app.
 // It is a run of one app: load its sources, settle the run's LLM
 // admissions (StartRun, a no-op unless the router is replayable), then
-// identify.
+// identify. Over unchanged inputs the identification may be the one an
+// earlier run over the same snapshot store returned (memo.go), so
+// callers must not mutate it.
 func (w *Wasabi) Identify(app corpus.App) (*Identification, error) {
 	snap, err := w.load(app)
 	if err != nil {
@@ -259,9 +268,14 @@ func (w *Wasabi) load(app corpus.App) (*source.Snapshot, error) {
 }
 
 // identify is the identify stage over a loaded snapshot; lane is the
-// app's position in the run StartRun settled.
+// app's position in the run StartRun settled. Every job looks up the
+// analysis and each file's review, with the review's span and the
+// counters; the merge of the two is reused from the snapshot's memo
+// when the analysis and every review entry are the ones it was merged
+// from (memo.go).
 func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Identification, error) {
-	defer w.stage("identify", app.Code)()
+	am := appMemoOf(app, snap)
+	defer w.stage("identify", am.names.identify, am.names.app, app.Code).end()
 	// The cache (nil-safe) memoizes the analysis by directory content,
 	// and its disk tier doubles as the portable facts tier, so a
 	// restarted daemon rebuilds the analysis at zero parses.
@@ -269,24 +283,17 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 	if err != nil {
 		return nil, fmt.Errorf("identify %s: %w", app.Code, err)
 	}
-	id := &Identification{
-		App:            app.Code,
-		CandidateLoops: analysis.CandidateLoops,
-		KeywordedLoops: len(analysis.Loops),
-		Analysis:       analysis,
-	}
 	// Technique 2: LLM fuzzy comprehension, with callee/throws resolution
 	// delegated back to traditional analysis. Reviews are pure per-file
 	// functions consuming the snapshot's bytes and AST (no re-read, no
-	// re-parse), so they fan out across the worker pool; the merge below
-	// stays sequential in sorted file order, which keeps the identification
-	// byte-identical at every Workers setting.
-	files := snap.Names()
-	reviews := make([]llm.FileReview, len(files))
-	cached := make([]bool, len(files))
-	parent := "identify:" + app.Code
-	w.parallelFor("reviews", len(files), func(i int) {
-		sp := w.obs.Trc().Start("review:"+files[i], "review", "app", app.Code, "parent", parent)
+	// re-parse), so they fan out across the worker pool; the merge
+	// stays sequential in sorted file order, which keeps the
+	// identification byte-identical at every Workers setting.
+	reviews := make([]*llm.FileReview, len(snap.Files))
+	cached := make([]bool, len(snap.Files))
+	fp := w.llm.Fingerprint()
+	w.parallelFor("reviews", len(snap.Files), func(i int) {
+		sp := w.obs.Trc().Start(am.names.reviews[i], "review", "app", app.Code, "parent", am.names.identify)
 		// The span records the review's outcome facts ("Daemon tracing"
 		// in docs/OBSERVABILITY.md): whether it was served from cache,
 		// what it freshly spent, and how the resilient client fared —
@@ -300,7 +307,11 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 			if !cached[i] && !rev.Shared {
 				fresh = rev.Spent.TokensIn
 			}
-			sp.SetArg("cached", strconv.FormatBool(cached[i]))
+			if cached[i] {
+				sp.SetArg("cached", "true")
+			} else {
+				sp.SetArg("cached", "false")
+			}
 			sp.SetArg("fresh_tokens", strconv.FormatInt(fresh, 10))
 			if rev.Backend != "" {
 				sp.SetArg("backend", rev.Backend)
@@ -321,7 +332,7 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		// skipping one shifts no later grant), a miss is delivered, and
 		// only a delivered, non-degraded answer is stored.
 		sf := snap.Files[i]
-		reviews[i], cached[i] = w.cache.Review(w.llm.Fingerprint(), sf, func() llm.FileReview {
+		reviews[i], cached[i] = w.cache.Review(fp, sf, func() llm.FileReview {
 			return w.llm.ReviewSnapshotAt(sf, lane, i)
 		})
 	})
@@ -335,17 +346,37 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 				tokens += rev.Spent.TokensIn
 			}
 		}
-		reg.Counter("core_app_llm_tokens_total", "app", app.Code).Add(tokens)
+		am.tokenCounter(reg).Add(tokens)
+	}
+	id := am.identification(snap, analysis, reviews)
+	// The files the backend never answered for: the pipeline carried on
+	// with static-only signal for them (graceful degradation, not
+	// failure). They are counted on every job, in sorted file order.
+	for _, d := range id.Degraded {
+		w.obs.Reg().Counter("pipeline_degraded_reason_total", "reason", d.Reason).Inc()
+	}
+	return id, nil
+}
+
+// merge merges both identification techniques over one app into one
+// structure per coordinator: technique 1's loops first, then the
+// findings of every review that answered, in sorted file order, so the
+// first technique to name a coordinator sets its file. The first pass
+// creates the structures and counts their triplets; the second fills
+// each structure's share of one triplet array.
+func merge(app string, snap *source.Snapshot, analysis *sast.Analysis, reviews []*llm.FileReview) *Identification {
+	id := &Identification{
+		App:            app,
+		CandidateLoops: analysis.CandidateLoops,
+		KeywordedLoops: len(analysis.Loops),
+		Analysis:       analysis,
 	}
 	if len(reviews) > 0 {
-		id.Reviews = reviews
+		id.Reviews = make([]llm.FileReview, len(reviews))
+		for i, rev := range reviews {
+			id.Reviews[i] = *rev
+		}
 	}
-	// Merge both techniques into one structure per coordinator:
-	// technique 1's loops first, then the findings of every review that
-	// answered, in sorted file order, so the first technique to name a
-	// coordinator sets its file. The first pass creates the structures
-	// and counts their triplets; the second fills each structure's share
-	// of one triplet array.
 	n := len(analysis.Loops)
 	for _, rev := range reviews {
 		n += len(rev.Findings)
@@ -369,15 +400,10 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		structures[i].FoundBy.CodeQL = true
 		counts[i] += len(loop.Triplets)
 	}
-	for i, f := range files {
-		rev := reviews[i]
+	for i, rev := range reviews {
+		f := snap.Files[i].Name
 		if rev.Degraded {
-			// The backend never answered for this file: record the gap and
-			// carry on with static-only signal (graceful degradation, not
-			// failure). The merge loop is sequential in sorted file order,
-			// so these counters stay deterministic at every Workers setting.
 			id.Degraded = append(id.Degraded, DegradedFile{File: f, Reason: rev.DegradedReason})
-			w.obs.Reg().Counter("pipeline_degraded_reason_total", "reason", rev.DegradedReason).Inc()
 			continue
 		}
 		if rev.TruncatedContext {
@@ -395,7 +421,7 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 		}
 	}
 	if len(structures) == 0 {
-		return id, nil
+		return id
 	}
 	total := 0
 	for _, c := range counts {
@@ -430,7 +456,7 @@ func (w *Wasabi) identify(app corpus.App, snap *source.Snapshot, lane int) (*Ide
 	}
 	slices.SortFunc(structures, func(a, b Structure) int { return strings.Compare(a.Coordinator, b.Coordinator) })
 	id.Structures = structures
-	return id, nil
+	return id
 }
 
 // dedupLocations sorts one structure's locations by (retried,
@@ -471,11 +497,23 @@ type DynamicResult struct {
 // identification. With a cache attached, the outcome of the app's
 // injection runs is memoised under its build, suite and run inputs
 // (cache.Dynamic): a hit executes no test and yields the same result
-// a fresh run would.
+// a fresh run would. For a memoized identification, the locations, the
+// dynamic key and the result built from one cached run are derived
+// once (memo.go).
 func (w *Wasabi) RunDynamic(app corpus.App, id *Identification) (*DynamicResult, error) {
-	defer w.stage("dynamic", app.Code)()
-	locs := id.Locations()
-	run, err := w.cache.Dynamic(w.build, app.Suite.ID, app.Code, locs, w.opts.HowK, w.opts.CapK, w.opts.Oracle,
+	im := id.memoFor(app)
+	var name, parent string
+	var keys *cache.DynamicKeys
+	var locs []fault.Location
+	if im != nil {
+		name, parent = im.names.dynamic, im.names.app
+		keys, locs = &im.dynKeys, im.locs
+	} else {
+		name, parent = stageNames("dynamic", app.Code)
+		locs = id.Locations()
+	}
+	defer w.stage("dynamic", name, parent, app.Code).end()
+	run, err := w.cache.Dynamic(keys, w.build, app.Suite.ID, app.Code, locs, w.opts.HowK, w.opts.CapK, w.opts.Oracle,
 		func() (cache.DynamicRun, error) { return w.runSuite(app, locs) })
 	if err != nil {
 		return nil, err
@@ -485,10 +523,19 @@ func (w *Wasabi) RunDynamic(app corpus.App, id *Identification) (*DynamicResult,
 	reg := w.obs.Reg()
 	reg.Counter("core_plan_entries_total", "app", app.Code).Add(int64(run.PlanEntries))
 	reg.Counter("core_distinct_bugs_total", "app", app.Code).Add(int64(len(run.Reports)))
+	if im != nil {
+		return im.dynamicResult(&run, len(app.Suite.Tests)), nil
+	}
+	return newDynamicResult(app.Code, id, &run, len(app.Suite.Tests)), nil
+}
+
+// newDynamicResult is the dynamic result of one run of a suite of tests
+// tests over id's structures.
+func newDynamicResult(app string, id *Identification, run *cache.DynamicRun, tests int) *DynamicResult {
 	return &DynamicResult{
-		App:                 app.Code,
+		App:                 app,
 		Reports:             run.Reports,
-		TestsTotal:          len(app.Suite.Tests),
+		TestsTotal:          tests,
 		TestsCoveringRetry:  run.TestsCoveringRetry,
 		StructuresTotal:     len(id.Structures),
 		StructuresTested:    run.StructuresTested,
@@ -497,7 +544,13 @@ func (w *Wasabi) RunDynamic(app corpus.App, id *Identification) (*DynamicResult,
 		NaiveRuns:           run.NaiveRuns,
 		PlannedRuns:         run.PlannedRuns,
 		InjectionRunsFailed: run.InjectionRunsFailed,
-	}, nil
+	}
+}
+
+// stageNames are the span name and parent of an app's stage that no
+// memo names.
+func stageNames(stage, app string) (name, parent string) {
+	return stage + ":" + app, "app:" + app
 }
 
 // runSuite executes the app's suite against its retry locations: the
@@ -590,17 +643,35 @@ type StaticResult struct {
 }
 
 // RunStatic executes the LLM-based WHEN-bug detection for one app using
-// the reviews gathered during identification.
+// the reviews gathered during identification. A memoized
+// identification derives its result once and counts its reports by
+// kind on every job.
 func (w *Wasabi) RunStatic(app corpus.App, id *Identification) *StaticResult {
-	defer w.stage("static", app.Code)()
+	var res *StaticResult
+	var kinds []kindCount
+	if im := id.memoFor(app); im != nil {
+		defer w.stage("static", im.names.static, im.names.app, app.Code).end()
+		res, kinds = im.staticResult()
+	} else {
+		name, parent := stageNames("static", app.Code)
+		defer w.stage("static", name, parent, app.Code).end()
+		res, kinds = deriveStatic(app.Code, id.Reviews)
+	}
+	for _, k := range kinds {
+		w.obs.Reg().Counter("llm_when_reports_total", "kind", k.kind).Add(k.n)
+	}
+	return res
+}
+
+// deriveStatic derives an app's WHEN reports from its reviews, in
+// (coordinator, kind) order, with how many there are of each kind, in
+// kind order.
+func deriveStatic(app string, reviews []llm.FileReview) (*StaticResult, []kindCount) {
 	var reports []llm.WhenReport
 	var usage llm.Usage
-	for _, rev := range id.Reviews {
+	for _, rev := range reviews {
 		reports = append(reports, llm.DetectWhenBugs(rev)...)
 		usage.Add(rev.Spent)
-	}
-	for _, r := range reports {
-		w.obs.Reg().Counter("llm_when_reports_total", "kind", r.Kind).Inc()
 	}
 	slices.SortFunc(reports, func(a, b llm.WhenReport) int {
 		if c := strings.Compare(a.Coordinator, b.Coordinator); c != 0 {
@@ -608,18 +679,26 @@ func (w *Wasabi) RunStatic(app corpus.App, id *Identification) *StaticResult {
 		}
 		return strings.Compare(a.Kind, b.Kind)
 	})
-	return &StaticResult{App: app.Code, WhenReports: reports, Usage: usage}
+	var kinds []kindCount
+	for _, r := range reports {
+		i := slices.IndexFunc(kinds, func(k kindCount) bool { return k.kind == r.Kind })
+		if i < 0 {
+			i = len(kinds)
+			kinds = append(kinds, kindCount{kind: r.Kind})
+		}
+		kinds[i].n++
+	}
+	slices.SortFunc(kinds, func(a, b kindCount) int { return strings.Compare(a.kind, b.kind) })
+	return &StaticResult{App: app, WhenReports: reports, Usage: usage}, kinds
 }
 
 // RunIFAnalysis runs the corpus-wide retry-ratio IF-bug detection over the
-// given identifications (§3.2.2).
+// given identifications (§3.2.2). The first memoized identification
+// keeps the last result (memo.go), so a warm job over unchanged apps
+// derives nothing; the reports are counted on every job.
 func (w *Wasabi) RunIFAnalysis(ids []*Identification) ([]sast.ExceptionRatio, []sast.IFReport) {
-	defer w.stage("if", "")()
-	var analyses []*sast.Analysis
-	for _, id := range ids {
-		analyses = append(analyses, id.Analysis)
-	}
-	ratios, reports := sast.RatioAnalysis(analyses, w.opts.Ratio)
+	defer w.stage("if", "if", "corpus", "").end()
+	ratios, reports := ratioAnalysis(ids, w.opts.Ratio)
 	w.obs.Reg().Counter("core_if_reports_total").Add(int64(len(reports)))
 	return ratios, reports
 }

@@ -64,10 +64,11 @@ var inFlightBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 func (w *Wasabi) parallelFor(level string, n int, fn func(int)) {
 	reg := w.obs.Reg()
 	reg.Counter("core_pool_tasks_total", "level", level).Add(int64(n))
-	if reg != nil {
+	if reg != nil && n > 0 {
 		inner := fn
+		inFlight := reg.Histogram("core_pool_tasks_in_flight", inFlightBuckets)
 		fn = func(i int) {
-			reg.Histogram("core_pool_tasks_in_flight", inFlightBuckets).Observe(float64(w.active.Add(1)))
+			inFlight.Observe(float64(w.active.Add(1)))
 			defer w.active.Add(-1)
 			inner(i)
 		}
@@ -78,6 +79,7 @@ func (w *Wasabi) parallelFor(level string, n int, fn func(int)) {
 		}
 		return
 	}
+	poolWait := reg.Histogram("core_pool_wait_ms", obs.LatencyBuckets)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var submitted time.Time
@@ -90,14 +92,13 @@ func (w *Wasabi) parallelFor(level string, n int, fn func(int)) {
 			go func(i int) {
 				defer func() { <-w.sem; wg.Done() }()
 				if reg != nil {
-					wait := float64(time.Since(submitted)) / float64(time.Millisecond)
-					reg.Histogram("core_pool_wait_ms", obs.LatencyBuckets).Observe(wait)
+					poolWait.Observe(float64(time.Since(submitted)) / float64(time.Millisecond))
 				}
 				fn(i)
 			}(i)
 		default:
 			// Pool saturated: the caller is the worker, at zero wait.
-			reg.Histogram("core_pool_wait_ms", obs.LatencyBuckets).Observe(0)
+			poolWait.Observe(0)
 			fn(i)
 		}
 	}
@@ -144,19 +145,25 @@ func (w *Wasabi) RunCorpus(apps []corpus.App) (*CorpusRun, error) {
 	// Load every app before the fan-out, so a replayable LLM router can
 	// settle the whole run's admissions up front in (app, file) order.
 	snaps := make([]*source.Snapshot, len(apps))
+	// The rest of the run's spans: the IF stage, and per app its own,
+	// its three stages and a review per file (plus any injection entry
+	// a dynamic miss runs, which the tracer records beyond this).
+	spans := 1
 	for i, app := range apps {
 		snap, err := w.load(app)
 		if err != nil {
 			return nil, err
 		}
 		snaps[i] = snap
+		spans += 4 + len(snap.Files)
 	}
+	w.obs.Trc().Reserve(spans)
 	w.llm.StartRun(snaps)
 	runs := make([]AppRun, len(apps))
 	errs := make([]error, len(apps))
 	w.parallelFor("apps", len(apps), func(i int) {
 		app := apps[i]
-		asp := w.obs.Trc().Start("app:"+app.Code, "app", "parent", "corpus")
+		asp := w.obs.Trc().Start(appMemoOf(app, snaps[i]).names.app, "app", "parent", "corpus")
 		defer asp.End()
 		id, err := w.identify(app, snaps[i], i)
 		if err != nil {

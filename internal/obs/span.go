@@ -26,10 +26,19 @@ import (
 // worker-slot occupancy (lane count ≈ peak concurrency). A nil *Tracer
 // is valid and records nothing.
 type Tracer struct {
-	mu     sync.Mutex
-	start  time.Time
-	events []spanEvent
-	lanes  []bool // lane i occupied?
+	mu    sync.Mutex
+	start time.Time
+	// events are the completed spans in completion order; each points
+	// into its span's record.
+	events []*spanEvent
+	// chunk is the block the next span records are drawn from, so a
+	// job's spans cost one allocation between them, not one each.
+	chunk []Span
+	// reserved counts the spans Reserve announced that have no record
+	// yet, and expect those not yet completed: they size the next chunk
+	// and, on the first completion, events.
+	reserved, expect int
+	lanes            []bool // lane i occupied?
 	// common is merged into every span's args when the trace is encoded
 	// (explicit args win) — the per-job correlation identity.
 	common map[string]string
@@ -43,19 +52,21 @@ type Tracer struct {
 	procName string
 }
 
+// minChunk is how many span records a chunk holds at least.
+const minChunk = 16
+
 // Span is one in-flight operation. End completes it; a span opened with
 // a "parent" arg records its parent's name, so the hierarchy survives
 // into the trace file. A nil *Span is valid.
 type Span struct {
 	tr    *Tracer
-	name  string
-	cat   string
 	lane  int
 	start time.Time
-	// args are the key/value pairs given to Start and SetArg, in order
-	// (a later pair wins a repeated key). They live in inline while they
-	// fit, so a span with a few args is one allocation.
-	args   []string
+	// ev is the span's record; its args are the key/value pairs given to
+	// Start and SetArg, in order (a later pair wins a repeated key). They
+	// live in inline while they fit, so a span with a few args costs no
+	// allocation of its own.
+	ev     spanEvent
 	inline [8]string
 }
 
@@ -150,6 +161,23 @@ func (t *Tracer) SpanCount() int {
 	return len(t.events)
 }
 
+// Reserve announces n more spans (Start or Record), so that their
+// records come from one chunk and the completed-span list is sized
+// once. It is a hint: more spans than announced still record, at the
+// cost of another chunk. No-op on nil.
+func (t *Tracer) Reserve(n int) {
+	if t == nil || n <= 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.expect += n
+	t.reserved += n
+	if cap(t.events) > 0 && cap(t.events) < len(t.events)+t.expect {
+		t.events = append(make([]*spanEvent, 0, len(t.events)+t.expect), t.events...)
+	}
+}
+
 // Start opens a span with the given name, category and alternating
 // key/value args (a "parent" arg names the enclosing span), allocating
 // the lowest free display lane. Nil tracer returns a nil span.
@@ -158,12 +186,38 @@ func (t *Tracer) Start(name, cat string, args ...string) *Span {
 		return nil
 	}
 	t.mu.Lock()
-	lane := t.allocLaneLocked()
+	s := t.spanLocked()
+	s.lane = t.allocLaneLocked()
 	t.mu.Unlock()
-	s := &Span{tr: t, name: name, cat: cat, lane: lane, start: now()}
+	s.start = now()
+	s.ev = spanEvent{name: name, cat: cat, started: true}
 	// An odd trailing key has no value and is dropped, as in Record.
-	s.args = append(s.inline[:0], args[:len(args)&^1]...)
+	s.ev.args = append(s.inline[:0], args[:len(args)&^1]...)
 	return s
+}
+
+// spanLocked draws the next span record from the tracer's chunk,
+// starting a chunk sized for the spans still announced when the last
+// one is full; t.mu must be held.
+func (t *Tracer) spanLocked() *Span {
+	if len(t.chunk) == cap(t.chunk) {
+		t.chunk = make([]Span, 0, max(t.reserved, minChunk))
+	}
+	t.reserved = max(t.reserved-1, 0)
+	t.chunk = t.chunk[:len(t.chunk)+1]
+	s := &t.chunk[len(t.chunk)-1]
+	s.tr = t
+	return s
+}
+
+// recordLocked appends a completed span record; t.mu must be held. The
+// first completion sizes the list for every span announced.
+func (t *Tracer) recordLocked(ev *spanEvent) {
+	if t.events == nil && t.expect > 0 {
+		t.events = make([]*spanEvent, 0, t.expect)
+	}
+	t.expect = max(t.expect-1, 0)
+	t.events = append(t.events, ev)
 }
 
 // allocLaneLocked takes the lowest free lane; t.mu must be held.
@@ -186,7 +240,7 @@ func (s *Span) SetArg(key, value string) {
 	if s == nil {
 		return
 	}
-	s.args = append(s.args, key, value)
+	s.ev.args = append(s.ev.args, key, value)
 }
 
 // End completes the span, appending it to the tracer and freeing its
@@ -199,15 +253,10 @@ func (s *Span) End() {
 	t := s.tr
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.events = append(t.events, spanEvent{
-		name:    s.name,
-		cat:     s.cat,
-		ts:      s.start.Sub(t.start).Microseconds(),
-		dur:     max(end.Sub(s.start).Microseconds(), 1),
-		tid:     s.lane + 1, // tid 0 is reserved for metadata
-		args:    s.args,
-		started: true,
-	})
+	s.ev.ts = s.start.Sub(t.start).Microseconds()
+	s.ev.dur = max(end.Sub(s.start).Microseconds(), 1)
+	s.ev.tid = s.lane + 1 // tid 0 is reserved for metadata
+	t.recordLocked(&s.ev)
 	t.lanes[s.lane] = false
 }
 
@@ -224,14 +273,17 @@ func (t *Tracer) Record(name, cat string, start, end time.Time, args ...string) 
 	defer t.mu.Unlock()
 	lane := t.allocLaneLocked()
 	t.lanes[lane] = false // retrospective: occupies no wall-clock
-	t.events = append(t.events, spanEvent{
+	s := t.spanLocked()
+	s.ev = spanEvent{
 		name: name,
 		cat:  cat,
 		ts:   start.Sub(t.start).Microseconds(),
 		dur:  max(end.Sub(start).Microseconds(), 1),
 		tid:  lane + 1,
-		args: append([]string(nil), args[:len(args)&^1]...),
-	})
+		// An odd trailing key has no value and is dropped.
+		args: append(s.inline[:0], args[:len(args)&^1]...),
+	}
+	t.recordLocked(&s.ev)
 }
 
 // argsLocked renders ev's encoded args: its own pairs (a later pair wins
@@ -278,7 +330,10 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	trace := chromeTrace{DisplayTimeUnit: "ms"}
 	if t != nil {
 		t.mu.Lock()
-		recorded := append([]spanEvent(nil), t.events...)
+		recorded := make([]spanEvent, len(t.events))
+		for i, ev := range t.events {
+			recorded[i] = *ev
+		}
 		// Stable output for a given set of spans: order by start, then
 		// lane, then name (End order depends on scheduling).
 		sort.Slice(recorded, func(i, j int) bool {

@@ -8,15 +8,17 @@ import (
 // The ceilings of TestWarmJobAllocCeiling: what one warm seed-corpus
 // job allocated when they were set, plus 10%. Before the report, the
 // views and the derived tables stopped being rebuilt per job, the same
-// job allocated about 232 KB in 920 objects.
+// job allocated about 232 KB in 920 objects; before identify's merge,
+// the WHEN and IF results, the dynamic key and the report were kept
+// between jobs and spans came from one chunk, 203 KB in 622.
 const (
-	warmJobBytesCeiling  = 223_359 // 203,054 measured
-	warmJobAllocsCeiling = 684     // 622 measured
+	warmJobBytesCeiling  = 43_363 // 39,421 measured
+	warmJobAllocsCeiling = 105    // 96 measured
 )
 
 // TestWarmJobAllocCeiling: a warm job through Server.run is all cache
-// hits, so what it allocates is its report bytes, its trace and the
-// bookkeeping of its lookups. A change that brings a per-job rebuild
+// and memo hits, so what it allocates is its view's head, its trace
+// and the bookkeeping of its lookups. A change that brings a per-job rebuild
 // of something the caches already hold back fails here.
 func TestWarmJobAllocCeiling(t *testing.T) {
 	if testing.Short() {

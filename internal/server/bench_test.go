@@ -39,7 +39,7 @@ func warmJobs(tb testing.TB, cfg Config) func() {
 }
 
 // BenchmarkWarmJob prices one warm seed-corpus job through the daemon's
-// job path (Server.run: core RunCorpus, report.Build, renderDoneView,
+// job path (Server.run: core RunCorpus, report.Build, the done view,
 // the job's envelope spans and retirement) over a daemon-lifetime
 // cache, snapshot store and registry that a first job warmed. Every
 // stage is a cache hit, so what is left is the per-job bookkeeping:

@@ -205,9 +205,10 @@ type job struct {
 	// Guarded by Server.mu after submission.
 	state string // "queued" | "running" | "done" | "failed"
 	err   string
-	// view is the rendered GET /v1/jobs/{id} body once the job is done
-	// (renderDoneView) — the job's only copy of its report bytes.
-	view []byte
+	// view and report are the rendered GET /v1/jobs/{id} body once the
+	// job is done: the job's own members (renderDoneHead), then the
+	// report, which jobs served the same kept document share.
+	view, report []byte
 	// trace is the finished job's span tree and index row (trace.go),
 	// published with its done or failed state; nil before that.
 	trace *traceEntry
@@ -371,6 +372,8 @@ func (s *Server) run(j *job) {
 	tr.SetProcessName("wasabid " + j.id)
 	tr.SetCommonArgs("job_id", j.id, "tenant", j.tenant, "trace_id", j.traceID)
 	tr.SetRootParent("run")
+	// The queue-wait, run and job spans recorded below.
+	tr.Reserve(3)
 
 	opts := core.DefaultOptions()
 	opts.Workers = s.cfg.PipelineWorkers
@@ -392,12 +395,14 @@ func (s *Server) run(j *job) {
 	// publication needs it.
 	fresh := w.LLMUsage()
 	var doc *report.Document
-	var view []byte
+	var view, body []byte
 	if err == nil {
 		doc = report.Build(cr)
 		v := jobView{ID: j.id, State: "done", Tenant: j.tenant, TraceID: j.traceID, Apps: j.codes, Build: cache.BuildID(),
 			FreshLLM: &freshUsage{Calls: fresh.Calls, TokensIn: fresh.TokensIn, CostUSD: fresh.CostUSD}}
-		view, err = renderDoneView(&v, doc)
+		if view, err = renderDoneHead(&v); err == nil {
+			body, err = report.Body(cr, doc, 1, doneViewTail)
+		}
 	}
 
 	end := time.Now()
@@ -412,7 +417,7 @@ func (s *Server) run(j *job) {
 	tr.Record("queue-wait", "sched", j.submitted, start, "parent", "job")
 	tr.Record("run", "sched", start, end, "parent", "job")
 	tr.Record("job", "job", j.submitted, end, "state", state,
-		"fresh_tokens", fmt.Sprintf("%d", fresh.TokensIn))
+		"fresh_tokens", strconv.FormatInt(fresh.TokensIn, 10))
 	trace := &traceEntry{tr: tr, meta: traceMeta{
 		JobID: j.id, Tenant: j.tenant, TraceID: j.traceID, State: state,
 		Spans: tr.SpanCount(), DurationMS: durMS(end.Sub(j.submitted)),
@@ -444,7 +449,7 @@ func (s *Server) run(j *job) {
 		s.logJob(evJobFinish, j, "state", state, "run_ms", durMS(end.Sub(start)), "error", err.Error())
 		return
 	}
-	j.view = view
+	j.view, j.report = view, body
 	for _, app := range doc.Apps {
 		s.appReports[app.Code] = app
 	}
@@ -542,7 +547,7 @@ type jobView struct {
 	// a fully cache-served run, unlike the report's attributed usage.
 	FreshLLM *freshUsage `json:"fresh_llm,omitempty"`
 	// Report is the canonical JSON document (internal/report), present
-	// once the job is done. renderDoneView writes it from the document,
+	// once the job is done. The done view is written from the document,
 	// so the daemon never sets it; it names the member for clients that
 	// decode a view.
 	Report json.RawMessage `json:"report,omitempty"`
@@ -633,11 +638,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	if done := j.view; done != nil {
+	if head, body := j.view, j.report; head != nil {
 		s.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		w.Write(done)
+		w.Write(head)
+		w.Write(body)
 		return
 	}
 	view := s.viewLocked(j)
@@ -695,22 +701,30 @@ func writeView(rw http.ResponseWriter, code int, v *jobView) {
 	rw.Write(append(w.Close(appendViewHead(stack[:0], &w, v), '}'), '\n'))
 }
 
-// renderDoneView renders a done job's GET /v1/jobs/{id} body: exactly
-// writeJSON's bytes for v with Report set to doc's report.Marshal
-// output, where v.Report is empty. Report is jobView's last member, so
-// report.Render writes the document at depth 1 after the view's other
-// members, which produces the bytes the encoder would have nested
-// there. Render sizes the result exactly, which matters because the job
-// table retains every view. A non-finite fresh cost is an error, as it
-// is for encoding/json.
-func renderDoneView(v *jobView, doc *report.Document) ([]byte, error) {
+// A done job's GET /v1/jobs/{id} body is its head (renderDoneHead)
+// followed by its report's body, report.Body(cr, doc, 1,
+// doneViewTail): exactly writeJSON's bytes for the view with Report
+// set to doc's report.Marshal output. Report is jobView's last member,
+// so the document rendered at depth 1 after the view's other members,
+// and then the view's close, are the bytes the encoder would have
+// written. The body does not depend on the view: jobs served the same
+// kept document share it, so a warm job allocates only its head.
+const doneViewTail = "\n}\n"
+
+// renderDoneHead renders a done job's view up to its report member, v
+// without its Report, sized exactly because the job table retains
+// every view. A non-finite fresh cost is an error, as it is for
+// encoding/json.
+func renderDoneHead(v *jobView) ([]byte, error) {
 	if u := v.FreshLLM; u != nil && (math.IsNaN(u.CostUSD) || math.IsInf(u.CostUSD, 0)) {
 		return nil, fmt.Errorf("server: render view: unsupported cost_usd %v", u.CostUSD)
 	}
 	var stack [512]byte
 	var w jsonwrite.Writer
-	head := w.Key(appendViewHead(stack[:0], &w, v), "report")
-	return report.Render(head, doc, 1, "\n}\n")
+	b := w.Key(appendViewHead(stack[:0], &w, v), "report")
+	head := make([]byte, len(b))
+	copy(head, b)
+	return head, nil
 }
 
 // handleJobTrace serves a completed job's span tree as Chrome

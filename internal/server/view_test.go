@@ -1,10 +1,9 @@
 package server
 
 // view_test.go pins the bytes of a job's bodies: every view is written
-// field by field (writeView, and renderDoneView, which writes the
-// report into the done view once) and must equal what writeJSON would
-// have encoded, and GET /v1/reports/{app} marshals a retained section
-// on demand.
+// field by field (writeView, and renderDoneHead with the report's body
+// for a done view) and must equal what writeJSON would have encoded,
+// and GET /v1/reports/{app} marshals a retained section on demand.
 
 import (
 	"bytes"
@@ -30,8 +29,8 @@ func writeJSONBody(t testing.TB, v jobView) []byte {
 }
 
 // checkView asserts that v renders, as writeView writes it for every
-// state and as renderDoneView writes it done with doc, to writeJSON's
-// bytes. raw is doc as the reference nests it.
+// state and as renderDoneHead and doc's body write it done, to
+// writeJSON's bytes. raw is doc as the reference nests it.
 func checkView(t testing.TB, v jobView, doc *report.Document, raw []byte) {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -45,16 +44,21 @@ func checkView(t testing.TB, v jobView, doc *report.Document, raw []byte) {
 	if doc == nil {
 		return
 	}
-	got, err := renderDoneView(&v, doc)
+	head, err := renderDoneHead(&v)
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := report.Render(nil, doc, 1, doneViewTail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := append(append([]byte(nil), head...), body...)
 	v.Report = raw
 	if want := writeJSONBody(t, v); !bytes.Equal(got, want) {
 		t.Fatalf("done view differs from writeJSON\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if len(got) != cap(got) {
-		t.Fatalf("done view has len %d but cap %d; the job table retains it", len(got), cap(got))
+	if len(head) != cap(head) {
+		t.Fatalf("done view head has len %d but cap %d; the job table retains it", len(head), cap(head))
 	}
 }
 
@@ -115,14 +119,13 @@ func TestRenderDoneViewMatchesWriteJSON(t *testing.T) {
 // TestRenderDoneViewRejectsNonFiniteCost: a fresh cost json.Marshal
 // cannot encode fails the view, as it failed encoding/json.
 func TestRenderDoneViewRejectsNonFiniteCost(t *testing.T) {
-	doc := &report.Document{Schema: report.Schema}
 	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		v := jobView{ID: "job-1", State: "done", FreshLLM: &freshUsage{CostUSD: c}}
 		if _, err := json.MarshalIndent(v, "", "  "); err == nil {
 			t.Fatalf("cost %v: json.MarshalIndent succeeded", c)
 		}
-		if _, err := renderDoneView(&v, doc); err == nil {
-			t.Fatalf("cost %v: renderDoneView succeeded, want an error as json.MarshalIndent gives", c)
+		if _, err := renderDoneHead(&v); err == nil {
+			t.Fatalf("cost %v: renderDoneHead succeeded, want an error as json.MarshalIndent gives", c)
 		}
 	}
 }

@@ -213,8 +213,24 @@ type Snapshot struct {
 	// Files are the directory's source files in sorted name order.
 	Files []*File
 
-	key keyMemo // the analysis cache key (KeyThrough)
+	key  keyMemo             // the analysis cache key (KeyThrough)
+	memo atomic.Pointer[any] // what a consumer derived from the snapshot (Memo)
 }
+
+// Memo returns the value last kept on the snapshot (Keep), or nil. A
+// directory whose files do not change keeps one snapshot, so a consumer
+// keeps there what it derives from the snapshot for every later load,
+// and validates it itself before reusing it: the snapshot holds one
+// such value, and the last Keep wins.
+func (s *Snapshot) Memo() any {
+	if v := s.memo.Load(); v != nil {
+		return *v
+	}
+	return nil
+}
+
+// Keep replaces the value Memo returns with v.
+func (s *Snapshot) Keep(v any) { s.memo.Store(&v) }
 
 // KeyThrough is File.KeyThrough for a whole snapshot: a directory
 // whose files do not change keeps one snapshot, so its key (the
@@ -259,6 +275,15 @@ type Store struct {
 	retainedBytes int64
 	files         map[string]fileRecord // path → trusted record of its last read
 	dirs          map[string]dirRecord  // dir → trusted record of its last listing
+
+	// counters are Load's series, looked up in reg on the first Load.
+	countersOnce sync.Once
+	counters     loadCounters
+}
+
+// loadCounters are the series every Load counts into.
+type loadCounters struct {
+	loaded, read, reused, statReused *obs.Counter
 }
 
 // fileKey identifies one content version of one path.
@@ -353,10 +378,15 @@ func (s *Store) Load(dir string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("source: %w", err)
 	}
-	loaded := s.reg.Counter("source_files_loaded_total")
-	read := s.reg.Counter("source_bytes_total")
-	reused := s.reg.Counter("source_reuse_total")
-	statReused := s.reg.Counter("source_stat_reuse_total")
+	s.countersOnce.Do(func() {
+		s.counters = loadCounters{
+			loaded:     s.reg.Counter("source_files_loaded_total"),
+			read:       s.reg.Counter("source_bytes_total"),
+			reused:     s.reg.Counter("source_reuse_total"),
+			statReused: s.reg.Counter("source_stat_reuse_total"),
+		}
+	})
+	loaded, read, reused, statReused := s.counters.loaded, s.counters.read, s.counters.reused, s.counters.statReused
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
 	// files stays nil while every file is the one of the listing's last
