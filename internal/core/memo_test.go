@@ -35,7 +35,6 @@ import (
 // universes count the same events. Stores report into no registry:
 // what a long-lived store reuses is not a derivation.
 type universe struct {
-	memo bool
 	// workers is the jobs' Workers setting.
 	workers int
 	ca      *cache.Cache
@@ -51,7 +50,7 @@ func newUniverse(t *testing.T, memo bool) *universe {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := &universe{memo: memo, workers: 2, ca: ca, reg: reg}
+	u := &universe{workers: 2, ca: ca, reg: reg}
 	if memo {
 		u.store = source.NewStore(nil)
 	}
