@@ -16,10 +16,11 @@
 //     so neither can match);
 //   - on the identMemo: the locations, the WHEN reports with their
 //     per-kind counts, the dynamic key (cache.DynamicKeys), the dynamic
-//     result for one cached dynamic run, one value a consumer derives
-//     from the whole app run (AppRun.Derived, report.Build's section),
-//     and the IF analysis of a run this app comes first in, for one
-//     ordered list of analyses and one set of ratio options.
+//     result for one cached dynamic run, the IF analysis of a run this
+//     app comes first in, for one ordered list of analyses and one set
+//     of ratio options, and one value a consumer keeps for such runs
+//     (CorpusRun.Keep, report.Build's document), which its keeper
+//     validates.
 //
 // A memo miss runs the code a memo-free run runs and stores the
 // result, so there is one derivation, not two. Every counter and span
@@ -111,7 +112,9 @@ type identMemo struct {
 	static     *StaticResult
 	kinds      []kindCount
 	dyn        atomic.Pointer[dynMemo]
-	derived    atomic.Pointer[derivedMemo]
+	// kept is the value a consumer kept for runs this app comes first
+	// in (CorpusRun.Keep).
+	kept atomic.Pointer[keptValue]
 	// ratios is the last IF analysis of a run whose first app this is.
 	ratios atomic.Pointer[ratioMemo]
 }
@@ -183,32 +186,39 @@ func (im *identMemo) dynamicResult(run *cache.DynamicRun, tests int) *DynamicRes
 	return res
 }
 
-// derivedMemo is one value derived from an app run.
-type derivedMemo struct {
-	dyn        *DynamicResult
-	static     *StaticResult
-	code, name string
-	v          any
+// keptValue is a value a consumer keeps for later runs (CorpusRun.Keep).
+type keptValue struct{ v any }
+
+// Kept returns the value Keep last kept for a run with cr's first app's
+// memoized identification, or nil when none is kept or that
+// identification is not memoized. A kept value is shared by later runs:
+// its keeper validates it against the run at hand before using it, and
+// no one may mutate it.
+func (cr *CorpusRun) Kept() any {
+	if len(cr.Apps) == 0 {
+		return nil
+	}
+	if im := cr.Apps[0].ID.memoFor(cr.Apps[0].App); im != nil {
+		if k := im.kept.Load(); k != nil {
+			return k.v
+		}
+	}
+	return nil
 }
 
-// Derived returns what derive makes of ar, kept on ar's memoized
-// identification while ar is the run it was derived from: the same
-// identification, the same dynamic and static results (by identity)
-// and the same app code and name. The identification keeps one such
-// value; report.Build keeps the app's report section there. Without a
-// memoized identification, derive runs on every call. The value is
-// shared by every later caller, which must not mutate it.
-func (ar *AppRun) Derived(derive func() any) any {
-	im := ar.ID.memoFor(ar.App)
-	if im == nil {
-		return derive()
+// Keep keeps v on cr's first app's memoized identification, replacing
+// what was kept there, when every app of cr has a memoized
+// identification. A run with one no memo holds (a copy a caller may
+// change) keeps nothing. report.Build keeps its document there.
+func (cr *CorpusRun) Keep(v any) {
+	for i := range cr.Apps {
+		if cr.Apps[i].ID.memoFor(cr.Apps[i].App) == nil {
+			return
+		}
 	}
-	if d := im.derived.Load(); d != nil && d.dyn == ar.Dyn && d.static == ar.Static && d.code == ar.App.Code && d.name == ar.App.Name {
-		return d.v
+	if len(cr.Apps) > 0 {
+		cr.Apps[0].ID.memo.kept.Store(&keptValue{v})
 	}
-	v := derive()
-	im.derived.Store(&derivedMemo{dyn: ar.Dyn, static: ar.Static, code: ar.App.Code, name: ar.App.Name, v: v})
-	return v
 }
 
 // ratioMemo is one IF analysis and the analyses, in order, and options

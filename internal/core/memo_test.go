@@ -31,8 +31,9 @@ import (
 // memos, one long-lived snapshot store. The memo-free universe loads
 // every job through a fresh store, so no snapshot carries a memo and
 // every job derives its identification, its results, its IF analysis
-// and its report afresh; its cache sees the same operations, so both
-// universes count the same events. Stores report into no registry:
+// and its report afresh, and renders the report with report.Marshal,
+// not the body kept with it; its cache sees the same operations, so
+// both universes count the same events. Stores report into no registry:
 // what a long-lived store reuses is not a derivation.
 type universe struct {
 	// workers is the jobs' Workers setting.
@@ -65,8 +66,7 @@ type jobResult struct {
 }
 
 // job runs one traced job over apps, as the daemon does, and returns
-// its report bytes (report.Body, shared between runs of one kept
-// document), its counter increments and its span names.
+// its report bytes, its counter increments and its span names.
 func (u *universe) job(t *testing.T, apps []corpus.App, backends []llm.BackendSpec) jobResult {
 	t.Helper()
 	before := counters(u.reg)
@@ -86,8 +86,15 @@ func (u *universe) job(t *testing.T, apps []corpus.App, backends []llm.BackendSp
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The memoized universe serves the daemon's body, kept with its
+	// document; the memo-free one renders the document it built.
 	doc := report.Build(cr)
-	body, err := report.Body(cr, doc, 0, "\n")
+	var body []byte
+	if u.store != nil {
+		body, err = report.Body(cr, doc, 0, "\n")
+	} else {
+		body, err = report.Marshal(doc)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,10 +35,6 @@ type Writer struct {
 // written at depth 1 can be copied into an enclosing indented value.
 func At(depth int) Writer { return Writer{level: depth} }
 
-// Level returns the writer's depth: the one At takes to write a value
-// where the writer is.
-func (w *Writer) Level() int { return w.level }
-
 // newlines is a newline followed by the indent of the deepest level
 // written as one slice; deeper levels are rare and written in parts.
 const newlines = "\n                                                                "

@@ -17,35 +17,17 @@ import (
 // Marshal report an error otherwise.
 func AppendIndent(dst []byte, doc *Document, depth int) []byte {
 	w := jsonwrite.At(depth)
-	return document(dst, &w, doc, nil, nil)
+	return document(dst, &w, doc)
 }
 
 // str and num append a string and an integer value.
 func str(b []byte, s string) []byte { return jsonwrite.AppendString(b, s) }
 func num(b []byte, v int) []byte    { return strconv.AppendInt(b, int64(v), 10) }
 
-// document writes doc. With sections, its apps are kept sections
-// (memo.go): one already rendered at this depth is copied, any other is
-// written, and at receives where each began and ended in b.
-func document(b []byte, w *jsonwrite.Writer, doc *Document, sections []*section, at []int) []byte {
+func document(b []byte, w *jsonwrite.Writer, doc *Document) []byte {
 	b = w.Open(b, '{')
 	b = str(w.Key(b, "schema"), doc.Schema)
-	if sections != nil {
-		b = w.Open(w.Key(b, "apps"), '[')
-		for i, s := range sections {
-			b = w.Elem(b)
-			at[2*i] = len(b)
-			if r := s.rendered.Load(); r != nil && r.depth == w.Level() {
-				b = append(b, r.b...)
-			} else {
-				b = app(b, w, &s.app)
-			}
-			at[2*i+1] = len(b)
-		}
-		b = w.Close(b, ']')
-	} else {
-		b = jsonwrite.List(w.Key(b, "apps"), w, doc.Apps, app)
-	}
+	b = jsonwrite.List(w.Key(b, "apps"), w, doc.Apps, app)
 	b = jsonwrite.List(w.Key(b, "if_ratios"), w, doc.IFRatios, ratio)
 	b = jsonwrite.List(w.Key(b, "if_bugs"), w, doc.IFBugs, bug)
 	b = w.Open(w.Key(b, "llm_usage"), '{')

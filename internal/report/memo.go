@@ -1,17 +1,13 @@
 package report
 
 // memo.go keeps what Build derives from a memoized corpus run, so a warm
-// run over unchanged inputs renders nothing again (docs/ARCHITECTURE.md,
-// "Derived once"). Each memo is validated by the identity of its
-// inputs:
-//
-//   - a section, kept on its memoized app run (core.AppRun.Derived):
-//     the app's App and its bytes in the last document body rendered
-//     with it, for that body's depth;
-//   - a docMemo, kept on the first app's section: the document of the
-//     same sections, the same IF results (by identity), usage and
-//     degradation, and its rendered body for the last depth and tail
-//     asked for.
+// run over unchanged inputs builds and renders nothing again
+// (docs/ARCHITECTURE.md, "Derived once"). The memo is a docMemo, kept
+// for the run's first app (core.CorpusRun.Keep): the document built
+// from the same apps, compared by the identity of each app's
+// identification, dynamic and static results and by its code and name,
+// the same IF results (by identity), usage and degradation, and its
+// rendered body for the last depth and tail asked for.
 
 import (
 	"sync/atomic"
@@ -21,14 +17,28 @@ import (
 	"wasabi/internal/sast"
 )
 
-// section is one app's report section.
-type section struct {
-	app App
-	// rendered is the section as the last document written with it
-	// wrote it, a slice of that document's body.
-	rendered atomic.Pointer[rendering]
-	// doc is the last document whose first app this is.
-	doc atomic.Pointer[docMemo]
+// docMemo is one document and the run values it was built from.
+type docMemo struct {
+	apps      []appInputs
+	ifRatios  []sast.ExceptionRatio
+	ifReports []sast.IFReport
+	usage     llm.Usage
+	degraded  bool
+	doc       *Document
+	rendered  atomic.Pointer[rendering]
+}
+
+// appInputs is what buildApp reads of one app run: memoized results,
+// compared by identity, and the app's code and name.
+type appInputs struct {
+	id         *core.Identification
+	dyn        *core.DynamicResult
+	static     *core.StaticResult
+	code, name string
+}
+
+func inputsOf(ar *core.AppRun) appInputs {
+	return appInputs{id: ar.ID, dyn: ar.Dyn, static: ar.Static, code: ar.App.Code, name: ar.App.Name}
 }
 
 // rendering is some bytes rendered at one depth, followed by one tail.
@@ -38,31 +48,24 @@ type rendering struct {
 	b     []byte
 }
 
-// sectionOf returns ar's section, built once per memoized app run.
-func sectionOf(ar *core.AppRun) *section {
-	return ar.Derived(func() any { return &section{app: buildApp(*ar)} }).(*section)
-}
-
-// docMemo is one document and the run values it was built from.
-type docMemo struct {
-	sections  []*section
-	ifRatios  []sast.ExceptionRatio
-	ifReports []sast.IFReport
-	usage     llm.Usage
-	degraded  bool
-	doc       *Document
-	rendered  atomic.Pointer[rendering]
+func newDocMemo(cr *core.CorpusRun, doc *Document) *docMemo {
+	m := &docMemo{apps: make([]appInputs, len(cr.Apps)), ifRatios: cr.IFRatios, ifReports: cr.IFReports,
+		usage: cr.Usage, degraded: cr.Degraded, doc: doc}
+	for i := range cr.Apps {
+		m.apps[i] = inputsOf(&cr.Apps[i])
+	}
+	return m
 }
 
 // matches reports whether cr is made of the values m's document was
 // built from.
 func (m *docMemo) matches(cr *core.CorpusRun) bool {
-	if len(cr.Apps) != len(m.sections) || cr.Usage != m.usage || cr.Degraded != m.degraded ||
+	if len(cr.Apps) != len(m.apps) || cr.Usage != m.usage || cr.Degraded != m.degraded ||
 		!sameSlice(cr.IFRatios, m.ifRatios) || !sameSlice(cr.IFReports, m.ifReports) {
 		return false
 	}
 	for i := range cr.Apps {
-		if sectionOf(&cr.Apps[i]) != m.sections[i] {
+		if inputsOf(&cr.Apps[i]) != m.apps[i] {
 			return false
 		}
 	}
@@ -76,12 +79,12 @@ func sameSlice[T any](a, b []T) bool {
 }
 
 // body renders the memo's document at depth followed by tail, once per
-// depth and tail, writing each app's kept section.
+// depth and tail.
 func (m *docMemo) body(depth int, tail string) ([]byte, error) {
 	if r := m.rendered.Load(); r != nil && r.depth == depth && r.tail == tail {
 		return r.b, nil
 	}
-	b, err := render(nil, m.doc, m.sections, depth, tail)
+	b, err := Render(nil, m.doc, depth, tail)
 	if err != nil {
 		return nil, err
 	}

@@ -119,40 +119,32 @@ type Usage struct {
 }
 
 // Build converts a finished corpus run into the canonical document.
-// What it converts from memoized values is derived once (memo.go): each
-// app's section is kept on its memoized app run, and the document on
-// the first app's section while the run is made of the same sections,
-// IF results, usage and degradation. A document Build returns may so
-// be shared with later runs, and no caller may mutate it.
+// The document of a memoized run is built once (memo.go): it is kept
+// for the run's first app and served again while the run is made of the
+// same app results, IF results, usage and degradation. A document Build
+// returns may so be shared with later runs, and no caller may mutate
+// it.
 func Build(cr *core.CorpusRun) *Document {
-	if len(cr.Apps) == 0 {
-		return build(cr, nil)
-	}
-	first := sectionOf(&cr.Apps[0])
-	if m := first.doc.Load(); m != nil && m.matches(cr) {
+	if m, ok := cr.Kept().(*docMemo); ok && m.matches(cr) {
 		return m.doc
 	}
-	sections := make([]*section, len(cr.Apps))
-	for i := range cr.Apps {
-		sections[i] = sectionOf(&cr.Apps[i])
-	}
-	doc := build(cr, sections)
-	first.doc.Store(&docMemo{sections: sections, ifRatios: cr.IFRatios, ifReports: cr.IFReports, usage: cr.Usage, degraded: cr.Degraded, doc: doc})
+	doc := build(cr)
+	cr.Keep(newDocMemo(cr, doc))
 	return doc
 }
 
-// build converts cr, taking each app's section from sections.
-func build(cr *core.CorpusRun, sections []*section) *Document {
+// build converts cr.
+func build(cr *core.CorpusRun) *Document {
 	doc := &Document{
 		Schema:   Schema,
-		Apps:     make([]App, len(cr.Apps)),
+		Apps:     make([]App, 0, len(cr.Apps)),
 		IFRatios: make([]Ratio, 0, len(cr.IFRatios)),
 		IFBugs:   IFBugs(cr.IFReports),
 		Usage:    usageOf(cr.Usage),
 		Degraded: cr.Degraded,
 	}
-	for i := range sections {
-		doc.Apps[i] = sections[i].app
+	for _, ar := range cr.Apps {
+		doc.Apps = append(doc.Apps, buildApp(ar))
 	}
 	for _, r := range cr.IFRatios {
 		doc.IFRatios = append(doc.IFRatios, Ratio{Exception: r.Exception, Retried: r.Retried, Total: r.Total})
@@ -269,36 +261,16 @@ var scratch = sync.Pool{New: func() any { return new([]byte) }}
 // allocation however large the document grows. A non-finite cost_usd is
 // an error, as it is for encoding/json.
 func Render(head []byte, doc *Document, depth int, tail string) ([]byte, error) {
-	return render(head, doc, nil, depth, tail)
-}
-
-// render is Render writing doc's apps from their kept sections, when
-// sections is not nil. A section without a rendering at this depth
-// keeps its bytes in the result, which is immutable once returned.
-func render(head []byte, doc *Document, sections []*section, depth int, tail string) ([]byte, error) {
 	if c := doc.Usage.CostUSD; math.IsNaN(c) || math.IsInf(c, 0) {
 		return nil, fmt.Errorf("report: marshal: unsupported cost_usd %v", c)
 	}
 	buf := scratch.Get().(*[]byte)
 	defer scratch.Put(buf)
 	b := append((*buf)[:0], head...)
-	w := jsonwrite.At(depth)
-	var at []int
-	if sections != nil {
-		at = make([]int, 2*len(sections))
-	}
-	b = append(document(b, &w, doc, sections, at), tail...)
+	b = append(AppendIndent(b, doc, depth), tail...)
 	*buf = b
 	out := make([]byte, len(b))
 	copy(out, b)
-	// The apps are elements of a list in the document: two levels below
-	// it.
-	level := depth + 2
-	for i, s := range sections {
-		if r := s.rendered.Load(); r == nil || r.depth != level {
-			s.rendered.Store(&rendering{depth: level, b: out[at[2*i]:at[2*i+1]:at[2*i+1]]})
-		}
-	}
 	return out, nil
 }
 
@@ -308,10 +280,8 @@ func render(head []byte, doc *Document, sections []*section, depth int, tail str
 // document shares one body: the bytes are immutable, and callers must
 // not change them.
 func Body(cr *core.CorpusRun, doc *Document, depth int, tail string) ([]byte, error) {
-	if len(cr.Apps) > 0 {
-		if m := sectionOf(&cr.Apps[0]).doc.Load(); m != nil && m.doc == doc {
-			return m.body(depth, tail)
-		}
+	if m, ok := cr.Kept().(*docMemo); ok && m.doc == doc {
+		return m.body(depth, tail)
 	}
 	return Render(nil, doc, depth, tail)
 }

@@ -17,6 +17,7 @@ import (
 	"wasabi/internal/cache"
 	"wasabi/internal/core"
 	"wasabi/internal/report"
+	"wasabi/internal/source"
 )
 
 // writeJSONBody is the view as writeJSON encodes it:
@@ -29,9 +30,11 @@ func writeJSONBody(t testing.TB, v jobView) []byte {
 }
 
 // checkView asserts that v renders, as writeView writes it for every
-// state and as renderDoneHead and doc's body write it done, to
-// writeJSON's bytes. raw is doc as the reference nests it.
-func checkView(t testing.TB, v jobView, doc *report.Document, raw []byte) {
+// state and as renderDoneHead and each of bodies write it done, to
+// writeJSON's bytes. raw is the report as the reference nests it, and
+// bodies are its bodies as a done job renders them (doneBody, or
+// report.Body as the daemon serves them).
+func checkView(t testing.TB, v jobView, raw []byte, bodies ...[]byte) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	writeView(rec, 200, &v)
@@ -41,25 +44,71 @@ func checkView(t testing.TB, v jobView, doc *report.Document, raw []byte) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("%s view: Content-Type = %q", v.State, ct)
 	}
-	if doc == nil {
+	if len(bodies) == 0 {
 		return
 	}
 	head, err := renderDoneHead(&v)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(head) != cap(head) {
+		t.Fatalf("done view head has len %d but cap %d; the job table retains it", len(head), cap(head))
+	}
+	v.Report = raw
+	want := writeJSONBody(t, v)
+	for i, body := range bodies {
+		if got := append(append([]byte(nil), head...), body...); !bytes.Equal(got, want) {
+			t.Fatalf("done view with body %d differs from writeJSON\ngot:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+}
+
+// doneBody is doc's body in a done view, rendered without a memo.
+func doneBody(t testing.TB, doc *report.Document) []byte {
+	t.Helper()
 	body, err := report.Render(nil, doc, 1, doneViewTail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := append(append([]byte(nil), head...), body...)
-	v.Report = raw
-	if want := writeJSONBody(t, v); !bytes.Equal(got, want) {
-		t.Fatalf("done view differs from writeJSON\ngot:\n%s\nwant:\n%s", got, want)
+	return body
+}
+
+// servedBodies runs the seed corpus over one snapshot store and cache,
+// as the daemon does, and returns its document and the bodies
+// report.Body serves it with: a cold job's, a warm job's, kept with
+// the document and served again to the next, and a job's after a job
+// over some of its apps replaced the document kept for its first app.
+func servedBodies(t testing.TB) (*report.Document, [][]byte) {
+	t.Helper()
+	ca, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(head) != cap(head) {
-		t.Fatalf("done view head has len %d but cap %d; the job table retains it", len(head), cap(head))
+	opts := core.DefaultOptions()
+	opts.Cache = ca
+	opts.Source = source.NewStore(nil)
+	run := func(apps []corpus.App) (*report.Document, []byte) {
+		cr, err := core.New(opts).RunCorpus(apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := report.Build(cr)
+		body, err := report.Body(cr, doc, 1, doneViewTail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc, body
 	}
+	// The cold job merges its reviews of its own; the first warm job
+	// merges the cache's entries, and the next one reuses its body.
+	doc, cold := run(corpus.Apps())
+	_, warm := run(corpus.Apps())
+	if _, again := run(corpus.Apps()); &again[0] != &warm[0] {
+		t.Fatal("a warm job over unchanged apps rendered its body again")
+	}
+	run(corpus.Apps()[:3])
+	_, after := run(corpus.Apps())
+	return doc, [][]byte{cold, warm, after}
 }
 
 // TestRenderDoneViewMatchesWriteJSON: every view the daemon writes —
@@ -74,10 +123,7 @@ func TestRenderDoneViewMatchesWriteJSON(t *testing.T) {
 	if err := json.Unmarshal(golden, goldenDoc); err != nil {
 		t.Fatal(err)
 	}
-	cr, err := core.New(core.DefaultOptions()).RunCorpus(corpus.Apps())
-	if err != nil {
-		t.Fatal(err)
-	}
+	seedDoc, served := servedBodies(t)
 	// Empty slices render as [] and stay compact; <, > and & inside
 	// strings are HTML-escaped by both encoders.
 	escaped := &report.Document{
@@ -94,16 +140,20 @@ func TestRenderDoneViewMatchesWriteJSON(t *testing.T) {
 		{ID: "job-3", State: "done", Tenant: "t", TraceID: "x", Apps: []string{}, Build: "b",
 			FreshLLM: &freshUsage{CostUSD: 1e-7}},
 	}
-	for name, doc := range map[string]*report.Document{"golden-HD": goldenDoc, "seed-corpus": report.Build(cr), "escaped": escaped} {
+	for name, doc := range map[string]*report.Document{"golden-HD": goldenDoc, "seed-corpus": seedDoc, "escaped": escaped} {
 		raw, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name == "golden-HD" {
+		bodies := [][]byte{doneBody(t, doc)}
+		switch name {
+		case "golden-HD":
 			raw = golden
+		case "seed-corpus":
+			bodies = append(bodies, served...)
 		}
 		for _, v := range views {
-			checkView(t, v, doc, raw)
+			checkView(t, v, raw, bodies...)
 		}
 	}
 	for _, v := range []jobView{
@@ -112,7 +162,7 @@ func TestRenderDoneViewMatchesWriteJSON(t *testing.T) {
 		{ID: "job-6", State: "failed", Tenant: "t\u2028<", TraceID: "x", Apps: []string{"G001"}, Build: "",
 			Error: "app HD: source: open /x/\"y\".go: no such file or directory"},
 	} {
-		checkView(t, v, nil, nil)
+		checkView(t, v, nil)
 	}
 }
 
@@ -144,6 +194,7 @@ func FuzzJobView(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	body := doneBody(f, doc)
 	f.Fuzz(func(t *testing.T, tenant, code, errText string, shape uint8) {
 		v := jobView{ID: "job-1", State: "queued", Tenant: tenant, TraceID: tenant + code, Error: errText, Build: code}
 		switch shape % 3 {
@@ -155,10 +206,10 @@ func FuzzJobView(f *testing.F) {
 		if shape&4 != 0 {
 			v.State = "failed"
 		}
-		checkView(t, v, nil, nil)
+		checkView(t, v, nil)
 		v.State, v.Error = "done", ""
 		v.FreshLLM = &freshUsage{Calls: len(tenant), TokensIn: int64(len(errText)) << 40, CostUSD: float64(len(code)) / 3}
-		checkView(t, v, doc, raw)
+		checkView(t, v, raw, body)
 	})
 }
 
