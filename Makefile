@@ -13,10 +13,13 @@ test:
 	$(GO) test ./...
 
 ## vet: run go vet over every package, and over internal/source as
-## built for darwin, so its non-Linux stat helper keeps compiling.
+## built for darwin, so its non-Linux stubs keep compiling, and for
+## linux/arm64, so its Linux watcher and the stat helper of other Linux
+## architectures are vetted off amd64 too.
 vet:
 	$(GO) vet ./...
 	GOOS=darwin $(GO) vet ./internal/source/
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/source/
 
 ## fmt-check: fail when any Go file of the repository (tracked, or new
 ## and not ignored) is not gofmt-formatted; ignored build output such as
@@ -60,10 +63,13 @@ bench-smoke:
 ## fuzz-smoke: fuzz the two hand-written JSON encoders against
 ## encoding/json for a few seconds each: the report document
 ## (FuzzAppendIndent) and the daemon's job views (FuzzJobView), whose
-## tenant, app codes and error text come from requests.
+## tenant, app codes and error text come from requests; and the decoder
+## of the kernel's inotify records against a reference encoder
+## (FuzzInotifyEvents).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendIndent$$' -fuzztime 5s ./internal/report/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobView$$' -fuzztime 5s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzInotifyEvents$$' -fuzztime 5s ./internal/source/
 
 ## bench-check: vet and short-test the benchmark module, so an
 ## internal/ API change that breaks the benchmark's in-process replay

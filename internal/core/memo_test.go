@@ -14,7 +14,6 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wasabi/internal/apps/corpus"
 	"wasabi/internal/cache"
@@ -223,11 +222,6 @@ func TestWarmMemoMatchesFreshDerivation(t *testing.T) {
 			t.Fatal(err)
 		}
 		apps := gen[:4]
-		// Wait out the snapshot store's stat window, so that the new
-		// directories are trusted as a checkout's are: a trusted listing
-		// whose files are unchanged yields the same snapshot, which is
-		// what carries the memos between jobs.
-		time.Sleep(1100 * time.Millisecond)
 		files, err := filepath.Glob(filepath.Join(apps[1].Dir, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("no sources in %s: %v", apps[1].Dir, err)

@@ -10,14 +10,15 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"wasabi/internal/apps/corpus"
 	"wasabi/internal/cache"
 	"wasabi/internal/core"
+	"wasabi/internal/corpusgen"
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/report"
@@ -198,23 +199,16 @@ func TestWarmDaemonSingleFileEdit(t *testing.T) {
 	}
 }
 
-// TestWarmDaemonStatCheck runs the daemon configuration over files
-// older than the store's trust window: a warm job reads no byte of
-// them, serves every file from its stat record and reproduces the cold
-// report. A same-size edit in place whose old mtime is put back still
-// changes the file's ctime, so the next job re-reads, re-parses,
-// re-extracts and re-reviews exactly that file.
+// TestWarmDaemonStatCheck runs the daemon configuration over files it
+// has just copied: a warm job reads no byte of them, serves every file
+// from its record and reproduces the cold report. A same-size edit in
+// place whose old mtime is put back still raises an event, so the next
+// job re-reads, re-parses, re-extracts and re-reviews exactly that file.
 func TestWarmDaemonStatCheck(t *testing.T) {
 	app := copyApp(t, "HD")
-	copied := time.Now()
 	nFiles := countSourceFiles(t, app.Dir)
 	observer, ca, run := warmDaemon(t, app)
 	cold, _ := run()
-
-	// The cold run read files too recent to trust. Once the window has
-	// passed, the next run's reads make trusted records.
-	time.Sleep(time.Until(copied.Add(time.Second + 100*time.Millisecond)))
-	run()
 	s0 := observer.Reg().Snapshot()
 	warm, warmFresh := run()
 	s1 := observer.Reg().Snapshot()
@@ -283,5 +277,75 @@ func TestWarmDaemonStatCheck(t *testing.T) {
 	}
 	if d := ca.Stats().Misses[cache.StageReview] - missBefore; d != 1 {
 		t.Fatalf("after a same-size edit: review misses = %d, want exactly 1", d)
+	}
+}
+
+// TestEditJobsReadOnlyTheEditedFile pins the front end of the
+// benchmark's edit-app workload in process: 600 daemon jobs over one
+// generated app, each after a same-size rewrite in place of the next of
+// its files, read 600 files between them, the edited one each. A store
+// that trusted a file only once it was a second old read all 13 of the
+// app's files on every job, 7,800 in all.
+func TestEditJobsReadOnlyTheEditedFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 600 jobs")
+	}
+	root := t.TempDir()
+	c, err := corpusgen.Generate(corpusgen.Config{Seed: 7, Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := corpusgen.Write(c, root, 1); err != nil {
+		t.Fatal(err)
+	}
+	gen, _, err := corpusgen.LoadApps(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := gen[0]
+	// Each file gets a fixed-width trailing comment, which every edit
+	// rewrites, so no edit changes a file's size or what it analyzes.
+	marker := func(n int) []byte { return []byte(fmt.Sprintf("// edit %06d\n", n)) }
+	var paths []string
+	at := map[string]int64{}
+	entries, err := os.ReadDir(app.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() || !source.IsSourceFile(e.Name()) {
+			continue
+		}
+		path := filepath.Join(app.Dir, e.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, marker(0)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths, at[path] = append(paths, path), int64(len(data))
+	}
+	observer, _, run := warmDaemon(t, app)
+	run()
+	before := observer.Reg().Snapshot()
+	const jobs = 600
+	for i := 1; i <= jobs; i++ {
+		path := paths[i%len(paths)]
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(marker(i), at[path]); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		run()
+	}
+	after := observer.Reg().Snapshot()
+	if d := counterDelta(after, before, "source_files_loaded_total"); d != jobs {
+		t.Fatalf("%d one-file edits of an app of %d files read %d files, want %d", jobs, len(paths), d, jobs)
 	}
 }

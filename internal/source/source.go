@@ -14,21 +14,26 @@
 // File owns a copy of its bytes, made only when its content version is
 // new. No File ever aliases a pooled buffer.
 //
-// A warm load of an unchanged file reads nothing at all. The store
-// keeps, per file path and per listed directory, a record of the stat
-// identity (device, inode, size, mtime, ctime) fstat reported just
-// before the last read, and a later load that stats the same identity
-// reuses the interned File (or the directory's source-file list)
-// without reading or hashing. A record is kept only when it is trusted:
-// its mtime and ctime are both more than statWindow older than the
-// start of the read that made it (git's "racily clean" rule). Any later
-// write then carries a newer ctime, which user space cannot set back,
-// so a same-size rewrite is seen even within one timestamp tick of the
-// read, and even with its mtime restored. A file with no record, or
-// whose identity changed, is read and hashed as before, and everything
-// downstream keys on the SHA-256 of the bytes last read. Only Linux
-// reports an identity; elsewhere every load reads every file
-// (docs/KNOWN_ISSUES.md lists what the stat check cannot see).
+// A warm load of an unchanged file reads nothing at all: the store asks
+// the kernel what changed instead of looking. Before it first lists a
+// directory, a load arms an inotify watch on it, on the process's one
+// inotify instance, bound to the directory's (device, inode). Each
+// read of a file then leaves a record of the version it interned, and
+// each listing a record of the directory's source files. Every load
+// first drains the queued events, stamping what they name with a new
+// sequence number, and stats the directory alone, to check that its
+// path still leads to the watched directory. A record stays current,
+// and serves the load without reading, while no event has named its
+// file (for a listing: no child was created, deleted or renamed) since
+// the drain before its read, and the watch has neither gone nor
+// overflowed. The kernel queues an event before the write that caused
+// it returns, so a finished write is seen by the next load. Where no
+// watch can be armed (outside Linux, past the watch limit, on a network
+// or FUSE file system), and for a file with more than one link, whose
+// writes through another directory raise no event here, no record is
+// kept and every load reads and hashes the file. Everything downstream
+// keys on the SHA-256 of the bytes last read (docs/KNOWN_ISSUES.md
+// lists what the watch cannot see).
 //
 // Parsing is lazy: interning a file costs a read and a hash, and the
 // AST is built only when a consumer actually asks for it via
@@ -69,13 +74,13 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wasabi/internal/obs"
 )
@@ -267,18 +272,19 @@ func (s *Snapshot) Names() []string {
 // positions, memoized facts — under the store lock.
 type Store struct {
 	reg *obs.Registry
-	now func() time.Time // the clock trust is judged by; tests move it
 
 	mu            sync.Mutex
 	entries       map[fileKey]*File
 	gens          map[string][]fileKey // path → entry keys, oldest first
 	retainedBytes int64
-	files         map[string]fileRecord // path → trusted record of its last read
-	dirs          map[string]dirRecord  // dir → trusted record of its last listing
+	files         map[string]fileRecord // path → record of its last read
+	dirs          map[string]dirRecord  // dir → record of its last listing
 
-	// counters are Load's series, looked up in reg on the first Load.
-	countersOnce sync.Once
-	counters     loadCounters
+	// once sets up, on the first Load, Load's series in reg and w.
+	once     sync.Once
+	counters loadCounters
+	// w is the process's watcher, or nil when loads keep no records.
+	w *watcher
 }
 
 // loadCounters are the series every Load counts into.
@@ -292,44 +298,32 @@ type fileKey struct {
 	sum  [sha256.Size]byte
 }
 
-// statWindow is how much older than the start of a read a file's mtime
-// and ctime must both be for the read's record to be trusted. A write
-// after a trusted read gets a ctime at least this much newer than the
-// record's, far beyond any timestamp tick, so it cannot match the
-// record.
-const statWindow = time.Second
-
-// statID is the stat identity of a file or directory. The zero value
-// means the platform reported none; it is never trusted.
+// statID is what stat reports of a file or directory that the store
+// uses. The zero value means the platform reported nothing.
 type statID struct {
-	dev, ino     uint64
-	size         int64
-	mtime, ctime int64 // nanoseconds since the epoch
+	dev, ino uint64
+	size     int64
+	nlink    uint64
 }
 
-// trusted reports whether a read that started at start and saw id may
-// serve later loads whose stat returns id again.
-func trusted(id statID, start time.Time) bool {
-	limit := start.Add(-statWindow).UnixNano()
-	return id != statID{} && id.mtime < limit && id.ctime < limit
-}
-
-// fileRecord is a trusted read of one path: the identity fstat reported
-// before it, the version it interned, and the path NUL-terminated for
-// the stat that checks it.
+// fileRecord is one read of a path: the version it interned, the watch
+// of its directory and the sequence number of the drain before it.
 type fileRecord struct {
-	id    statID
 	file  *File
-	cpath []byte
+	watch *dirWatch
+	seq   uint64
 }
 
 // dirRecord is one listing of a directory: the paths of its source
-// files in sorted order, the identity fstat reported before the
-// listing, the directory NUL-terminated for the stat that checks it,
-// and the last snapshot loaded from this listing, if any.
+// files in sorted order and which of them are symbolic links, the watch
+// and drain it was made under, the directory NUL-terminated for the
+// stat that checks the watch, and the last snapshot loaded from this
+// listing, if any.
 type dirRecord struct {
-	id    statID
 	paths []string
+	links []bool
+	watch *dirWatch
+	seq   uint64
 	cpath []byte
 	last  *Snapshot
 }
@@ -352,7 +346,6 @@ var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return 
 func NewStore(reg *obs.Registry) *Store {
 	return &Store{
 		reg:     reg,
-		now:     time.Now,
 		entries: make(map[fileKey]*File),
 		gens:    make(map[string][]fileKey),
 		files:   make(map[string]fileRecord),
@@ -360,32 +353,28 @@ func NewStore(reg *obs.Registry) *Store {
 	}
 }
 
-// Load returns the snapshot of dir's source files. A file whose
-// trusted record still matches a fresh stat is served from the store
-// without reading it (source_stat_reuse_total); any other file is read
-// and hashed (source_files_loaded_total, source_bytes_total), and the
-// interned artifact and everything derived from it are reused when the
-// content hash matches a version already interned. Both kinds of reuse
-// count in source_reuse_total. The directory listing is reused the same
-// way, and so is the snapshot: when a trusted listing's files are all
-// the versions its last snapshot holds, that snapshot is returned, so
-// what is derived from it (the analysis cache key) is derived once.
-// Nothing is parsed here: unparseable files surface their error from
-// Syntax, and each consumer decides (sast fails, llm degrades to "no
-// answer").
+// Load returns the snapshot of dir's source files. A file whose record
+// is still current is served from the store without reading it
+// (source_stat_reuse_total); any other file is read and hashed
+// (source_files_loaded_total, source_bytes_total), and the interned
+// artifact and everything derived from it are reused when the content
+// hash matches a version already interned. Both kinds of reuse count in
+// source_reuse_total. The directory listing is reused the same way, and
+// so is the snapshot: when a current listing's files are all the
+// versions its last snapshot holds, that snapshot is returned, so what
+// is derived from it (the analysis cache key) is derived once. Nothing
+// is parsed here: unparseable files surface their error from Syntax,
+// and each consumer decides (sast fails, llm degrades to "no answer").
 func (s *Store) Load(dir string) (*Snapshot, error) {
-	listing, err := s.list(dir)
+	s.once.Do(func() { s.start(sharedWatcher()) })
+	var seq uint64
+	if s.w != nil {
+		seq = s.w.drain()
+	}
+	listing, err := s.list(dir, seq)
 	if err != nil {
 		return nil, fmt.Errorf("source: %w", err)
 	}
-	s.countersOnce.Do(func() {
-		s.counters = loadCounters{
-			loaded:     s.reg.Counter("source_files_loaded_total"),
-			read:       s.reg.Counter("source_bytes_total"),
-			reused:     s.reg.Counter("source_reuse_total"),
-			statReused: s.reg.Counter("source_stat_reuse_total"),
-		}
-	})
 	loaded, read, reused, statReused := s.counters.loaded, s.counters.read, s.counters.reused, s.counters.statReused
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
@@ -393,12 +382,11 @@ func (s *Store) Load(dir string) (*Snapshot, error) {
 	// snapshot, which is then returned as it is.
 	var files []*File
 	for i, path := range listing.paths {
-		f := s.statHit(path)
+		f := s.recorded(path)
 		if f != nil {
 			statReused.Inc()
 			reused.Inc()
 		} else {
-			start := s.now()
 			var id statID
 			*buf, id, err = readFile(path, *buf)
 			if err != nil {
@@ -406,8 +394,14 @@ func (s *Store) Load(dir string) (*Snapshot, error) {
 			}
 			loaded.Inc()
 			read.Add(int64(len(*buf)))
+			// A file linked from elsewhere can change without an event
+			// here: only a file with this one name is recorded.
+			rec := fileRecord{watch: listing.watch, seq: seq}
+			if id.nlink != 1 || listing.links != nil && listing.links[i] {
+				rec.watch = nil
+			}
 			var ok bool
-			f, ok = s.intern(path, filepath.Base(path), *buf, id, trusted(id, start))
+			f, ok = s.intern(path, filepath.Base(path), *buf, rec)
 			if ok {
 				reused.Inc()
 			}
@@ -439,54 +433,84 @@ func (s *Store) Load(dir string) (*Snapshot, error) {
 	return snap, nil
 }
 
-// statHit returns the File path's trusted record holds when a fresh
-// stat still reports the record's identity, and nil otherwise. A path
-// without a trusted record is not stat'd: it is read right away.
-func (s *Store) statHit(path string) *File {
+// start looks up Load's series and takes w as the store's watcher.
+func (s *Store) start(w *watcher) {
+	s.w = w
+	s.counters = loadCounters{
+		loaded:     s.reg.Counter("source_files_loaded_total"),
+		read:       s.reg.Counter("source_bytes_total"),
+		reused:     s.reg.Counter("source_reuse_total"),
+		statReused: s.reg.Counter("source_stat_reuse_total"),
+	}
+}
+
+// recorded returns the File path's record holds while the record is
+// current, and nil otherwise.
+func (s *Store) recorded(path string) *File {
 	s.mu.Lock()
 	rec, ok := s.files[path]
 	s.mu.Unlock()
-	if ok && pathID(rec.cpath) == rec.id {
+	if ok && s.w.current(rec.watch, rec.file.Name, rec.seq) {
 		return rec.file
 	}
 	return nil
 }
 
-// list returns dir's source files in sorted order, from its trusted
-// record when a fresh stat still reports the record's identity, and
-// otherwise by reading the directory.
-func (s *Store) list(dir string) (dirRecord, error) {
+// list returns dir's source files in sorted order: from its record
+// while the directory is still the watched one and the record is
+// current, and otherwise by arming a watch on the directory and then
+// reading it. seq is the load's drain.
+func (s *Store) list(dir string, seq uint64) (dirRecord, error) {
 	s.mu.Lock()
 	rec, ok := s.dirs[dir]
 	s.mu.Unlock()
-	if ok && pathID(rec.cpath) == rec.id {
-		return rec, nil
+	if ok {
+		if !rec.watch.holds(pathID(rec.cpath)) {
+			s.w.disarm(rec.watch)
+		} else if s.w.current(rec.watch, "", rec.seq) {
+			return rec, nil
+		}
 	}
-	start := s.now()
+	cpath := rec.cpath
+	if cpath == nil {
+		cpath = cPath(dir)
+	}
+	var watch *dirWatch
+	if s.w != nil {
+		watch = s.w.arm(dir, cpath)
+	}
 	d, err := os.Open(dir)
 	if err != nil {
 		return dirRecord{}, err
 	}
 	defer d.Close()
-	rec = dirRecord{id: fileID(d)}
 	entries, err := d.ReadDir(-1)
 	if err != nil {
 		return dirRecord{}, err
 	}
+	links := map[string]bool{}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
 		if !e.IsDir() && IsSourceFile(e.Name()) {
 			names = append(names, e.Name())
+			if e.Type()&fs.ModeSymlink != 0 {
+				links[e.Name()] = true
+			}
 		}
 	}
 	slices.Sort(names)
-	rec.paths = make([]string, len(names))
+	rec = dirRecord{paths: make([]string, len(names)), watch: watch, seq: seq, cpath: cpath}
 	for i, name := range names {
 		rec.paths[i] = filepath.Join(dir, name)
+		if links[name] {
+			if rec.links == nil {
+				rec.links = make([]bool, len(names))
+			}
+			rec.links[i] = true
+		}
 	}
 	s.mu.Lock()
-	if trusted(rec.id, start) {
-		rec.cpath = cPath(dir)
+	if watch != nil {
 		s.dirs[dir] = rec
 	} else {
 		delete(s.dirs, dir)
@@ -505,8 +529,8 @@ func ReadFile(path string, buf []byte) ([]byte, error) {
 	return buf, err
 }
 
-// readFile is ReadFile, also returning the stat identity the open file
-// had before the read.
+// readFile is ReadFile, also returning what fstat reported of the open
+// file before the read.
 func readFile(path string, buf []byte) ([]byte, statID, error) {
 	f, err := openRead(path)
 	if err != nil {
@@ -536,10 +560,9 @@ func readFile(path string, buf []byte) ([]byte, statID, error) {
 // was already interned. On first sight of a content version it copies
 // data into a new File; afterwards the interned artifact is reused and
 // data is not retained. Interning a new version beyond the retention
-// bound evicts the path's oldest generation. The read of data, which
-// saw id before it, becomes path's record if it is trusted; otherwise
-// path keeps no record.
-func (s *Store) intern(path, name string, data []byte, id statID, trust bool) (*File, bool) {
+// bound evicts the path's oldest generation. The read of data becomes
+// path's record when rec has a watch; otherwise path keeps no record.
+func (s *Store) intern(path, name string, data []byte, rec fileRecord) (*File, bool) {
 	key := fileKey{path: path, sum: sha256.Sum256(data)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -557,12 +580,9 @@ func (s *Store) intern(path, name string, data []byte, id statID, trust bool) (*
 		s.entries[key] = f
 		s.retainedBytes += f.Size
 	}
-	if trust {
-		cpath := s.files[path].cpath
-		if cpath == nil {
-			cpath = cPath(path)
-		}
-		s.files[path] = fileRecord{id: id, file: f, cpath: cpath}
+	if rec.watch != nil {
+		rec.file = f
+		s.files[path] = rec
 	} else {
 		delete(s.files, path)
 	}

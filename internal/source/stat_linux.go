@@ -6,17 +6,7 @@ import (
 	"syscall"
 )
 
-// fileID returns the stat identity of the open file f, or the zero
-// statID if fstat fails.
-func fileID(f *os.File) statID {
-	var st syscall.Stat_t
-	if syscall.Fstat(int(f.Fd()), &st) != nil {
-		return statID{}
-	}
-	return toStatID(&st)
-}
-
-// pathID returns the stat identity of the file at the NUL-terminated
+// pathID returns what stat reports of the file at the NUL-terminated
 // path cpath (cPath), or the zero statID if stat fails.
 func pathID(cpath []byte) statID {
 	var st syscall.Stat_t
@@ -31,8 +21,7 @@ func toStatID(st *syscall.Stat_t) statID {
 		dev:   uint64(st.Dev),
 		ino:   uint64(st.Ino),
 		size:  int64(st.Size),
-		mtime: st.Mtim.Nano(),
-		ctime: st.Ctim.Nano(),
+		nlink: uint64(st.Nlink),
 	}
 }
 
@@ -60,8 +49,8 @@ func openRead(path string) (readHandle, error) {
 	}
 }
 
-// id returns the open file's stat identity, or the zero statID if fstat
-// fails.
+// id returns what fstat reports of the open file, or the zero statID if
+// fstat fails.
 func (h readHandle) id() statID {
 	var st syscall.Stat_t
 	if syscall.Fstat(h.fd, &st) != nil {

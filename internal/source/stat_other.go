@@ -4,11 +4,7 @@ package source
 
 import "os"
 
-// fileID reports no identity outside Linux, so the store keeps no
-// records there and reads every file on every load.
-func fileID(*os.File) statID { return statID{} }
-
-// pathID reports no identity outside Linux (fileID).
+// pathID reports nothing outside Linux, where no watch is armed.
 func pathID([]byte) statID { return statID{} }
 
 // readHandle is a file opened for one read through package os.
@@ -19,7 +15,8 @@ func openRead(path string) (readHandle, error) {
 	return readHandle{f}, err
 }
 
-// id reports no identity outside Linux (fileID).
+// id reports nothing outside Linux: ReadFile reads to the end of the
+// file.
 func (h readHandle) id() statID { return statID{} }
 
 func (h readHandle) read(p []byte) (int, error) { return h.f.Read(p) }

@@ -1,51 +1,26 @@
+//go:build linux
+
 package source_test
 
-// stat_test is the differential oracle of the stat check: whatever mix
-// of edits lands between loads, every loaded File holds exactly what
-// os.ReadFile returns for its path, and every snapshot lists exactly
-// the directory's source files. It runs each edit sequence twice: on
-// the real clock, where the files it just wrote are too recent to be
-// trusted, and with the trust window passed, where every settled file
-// is served from its stat record until an edit changes its identity.
+// stat_test is the differential oracle of the store's records: whatever
+// mix of edits lands between loads, every loaded File holds exactly what
+// os.ReadFile returns for its path, and every snapshot lists exactly the
+// directory's source files. It runs each edit sequence twice: on a
+// store that watches its directories, which reads exactly the files an
+// edit named, and on one that cannot watch them, which reads every file
+// on every load.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"wasabi/internal/obs"
 	"wasabi/internal/source"
 )
-
-// settle waits until the file system stamps a write with a later time
-// than any write made before the call, so the next write's ctime
-// differs from every ctime already on disk.
-func settle(t *testing.T, probeDir string) {
-	t.Helper()
-	probe := filepath.Join(probeDir, "probe")
-	stamp := func() time.Time {
-		if err := os.WriteFile(probe, nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		info, err := os.Stat(probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.ModTime()
-	}
-	first := stamp()
-	for deadline := time.Now().Add(5 * time.Second); !stamp().After(first); {
-		if time.Now().After(deadline) {
-			t.Fatal("file system timestamps did not advance in 5s")
-		}
-	}
-}
 
 // sourceNames lists dir's source files as os.ReadDir sees them.
 func sourceNames(t *testing.T, dir string) []string {
@@ -70,80 +45,156 @@ func TestStatCheckMatchesDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Each edit leaves a.go, b.go and c.go's sizes alone unless it says
-	// otherwise, so only the bytes (and the stat identity) tell.
+	// version returns a new body for a file; every body has the same
+	// size, so only the bytes (and the events) tell versions apart.
+	n := 0
+	version := func() string {
+		n++
+		return fmt.Sprintf("package demo\n\nvar V = \"v%03d\"\n", n)
+	}
+	rename := func(t *testing.T, from, to string) {
+		t.Helper()
+		if err := os.Rename(from, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// freshCopy makes dir anew with the files of from, changed rewritten.
+	freshCopy := func(t *testing.T, from, dir, changed string) {
+		t.Helper()
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(from, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Name() == changed {
+				data = []byte(version())
+			}
+			write(t, filepath.Join(dir, e.Name()), string(data))
+		}
+	}
+	// The loaded directory is base/tree/app; base/other holds a hard
+	// link. reads is how many files the watched store reads in the
+	// loads of the edit: exactly the files it named, or, for -1, every
+	// file, after an edit that leaves no record current.
 	edits := []struct {
-		name string
-		edit func(t *testing.T, dir string, load func())
+		name  string
+		reads int
+		edit  func(t *testing.T, base, dir string, load func())
 	}{
-		{"none", func(*testing.T, string, func()) {}},
-		{"same-size rewrite", func(t *testing.T, dir string, _ func()) {
-			write(t, filepath.Join(dir, "a.go"), "package demo\n\nvar A = \"a2\"\n")
+		{"none", 0, func(*testing.T, string, string, func()) {}},
+		{"same-size rewrite", 1, func(t *testing.T, _, dir string, _ func()) {
+			write(t, filepath.Join(dir, "a.go"), version())
 		}},
-		{"same-size rewrite, mtime restored", func(t *testing.T, dir string, _ func()) {
+		{"same-size rewrite, mtime restored", 1, func(t *testing.T, _, dir string, _ func()) {
 			path := filepath.Join(dir, "b.go")
 			info, err := os.Stat(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			write(t, path, "package demo\n\nvar B = \"b2\"\n")
+			write(t, path, version())
 			if err := os.Chtimes(path, info.ModTime(), info.ModTime()); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"second write right after a load", func(t *testing.T, dir string, load func()) {
+		{"second write right after a load", 2, func(t *testing.T, _, dir string, load func()) {
 			path := filepath.Join(dir, "a.go")
-			write(t, path, "package demo\n\nvar A = \"a3\"\n")
+			write(t, path, version())
 			load()
-			write(t, path, "package demo\n\nvar A = \"a4\"\n")
+			write(t, path, version())
 		}},
-		{"rename over", func(t *testing.T, dir string, _ func()) {
+		{"rename over", 1, func(t *testing.T, _, dir string, _ func()) {
 			tmp := filepath.Join(dir, "c.go.tmp")
-			write(t, tmp, "package demo\n\nvar C = \"c2\"\n")
-			if err := os.Rename(tmp, filepath.Join(dir, "c.go")); err != nil {
-				t.Fatal(err)
-			}
+			write(t, tmp, version())
+			rename(t, tmp, filepath.Join(dir, "c.go"))
 		}},
-		{"delete", func(t *testing.T, dir string, _ func()) {
+		{"delete", 0, func(t *testing.T, _, dir string, _ func()) {
 			if err := os.Remove(filepath.Join(dir, "b.go")); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"create", func(t *testing.T, dir string, _ func()) {
-			write(t, filepath.Join(dir, "d.go"), "package demo\n\nvar D = \"d1\"\n")
+		{"create", 1, func(t *testing.T, _, dir string, _ func()) {
+			write(t, filepath.Join(dir, "d.go"), version())
 		}},
-		{"truncate", func(t *testing.T, dir string, _ func()) {
+		{"truncate", 1, func(t *testing.T, _, dir string, _ func()) {
 			if err := os.Truncate(filepath.Join(dir, "a.go"), int64(len("package demo\n"))); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"none again", func(*testing.T, string, func()) {}},
+		// A file linked from another directory is read on every load:
+		// a write through that link raises no event here.
+		{"hard link from another directory, file rewritten", 1, func(t *testing.T, base, dir string, _ func()) {
+			if err := os.Link(filepath.Join(dir, "a.go"), filepath.Join(base, "other", "a.go")); err != nil {
+				t.Fatal(err)
+			}
+			write(t, filepath.Join(dir, "a.go"), version())
+		}},
+		{"write through the hard link", 1, func(t *testing.T, base, _ string, _ func()) {
+			write(t, filepath.Join(base, "other", "a.go"), version())
+		}},
+		{"hard link removed", 1, func(t *testing.T, base, _ string, _ func()) {
+			if err := os.Remove(filepath.Join(base, "other", "a.go")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"none after the link", 0, func(*testing.T, string, string, func()) {}},
+		{"directory renamed, fresh copy at the old path", -1, func(t *testing.T, _, dir string, _ func()) {
+			rename(t, dir, dir+".old")
+			freshCopy(t, dir+".old", dir, "c.go")
+		}},
+		// No event reaches the directory's watch: only the stat of its
+		// path shows that another directory is there.
+		{"parent renamed, fresh copy at the old path", -1, func(t *testing.T, base, dir string, _ func()) {
+			tree := filepath.Dir(dir)
+			rename(t, tree, tree+".old")
+			freshCopy(t, filepath.Join(tree+".old", filepath.Base(dir)), dir, "d.go")
+		}},
+		{"directory deleted and recreated", -1, func(t *testing.T, _, dir string, _ func()) {
+			moved := dir + ".gone"
+			rename(t, dir, moved)
+			freshCopy(t, moved, dir, "a.go")
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			freshCopy(t, moved, dir, "c.go")
+		}},
+		{"queue overflow", -1, func(t *testing.T, _, dir string, _ func()) {
+			write(t, filepath.Join(dir, "a.go"), version())
+			source.Overflow()
+		}},
+		{"none again", 0, func(*testing.T, string, string, func()) {}},
 	}
-	for _, passed := range []bool{false, true} {
-		name := "real clock"
-		if passed {
-			name = "window passed"
+	for _, watched := range []bool{true, false} {
+		name := "watched"
+		if !watched {
+			name = "unwatched"
 		}
 		t.Run(name, func(t *testing.T) {
-			created := time.Now()
-			dir := writeDir(t, map[string]string{
-				"a.go":      "package demo\n\nvar A = \"a1\"\n",
-				"b.go":      "package demo\n\nvar B = \"b1\"\n",
-				"c.go":      "package demo\n\nvar C = \"c1\"\n",
-				"notes.txt": "not source",
-			})
-			probeDir := t.TempDir()
+			base := t.TempDir()
+			dir := filepath.Join(base, "tree", "app")
+			for _, d := range []string{dir, filepath.Join(base, "other")} {
+				if err := os.MkdirAll(d, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, name := range []string{"a.go", "b.go", "c.go"} {
+				write(t, filepath.Join(dir, name), version())
+			}
+			write(t, filepath.Join(dir, "notes.txt"), "not source")
 			observer := obs.New()
 			st := source.NewStore(observer.Reg())
-			if passed {
-				source.PassWindow(st)
+			if !watched {
+				source.Unwatched(st)
 			}
-			var served, last int64
+			var served int64
 			load := func() {
 				t.Helper()
-				if passed {
-					settle(t, probeDir)
-				}
 				snap, err := st.Load(dir)
 				if err != nil {
 					t.Fatal(err)
@@ -160,8 +211,7 @@ func TestStatCheckMatchesDisk(t *testing.T) {
 						t.Fatalf("%s: loaded %q, disk holds %q", f.Name, f.Bytes, disk)
 					}
 				}
-				last = int64(len(snap.Files))
-				served += last
+				served += int64(len(snap.Files))
 				s := observer.Reg().Snapshot()
 				if got := s.Counter("source_files_loaded_total") + s.Counter("source_stat_reuse_total"); got != served {
 					t.Fatalf("loaded + stat reuse = %d, want the %d files served", got, served)
@@ -169,19 +219,16 @@ func TestStatCheckMatchesDisk(t *testing.T) {
 			}
 			load()
 			for _, e := range edits {
-				before := observer.Reg().Snapshot()
-				e.edit(t, dir, load)
+				before, servedBefore := observer.Reg().Snapshot(), served
+				e.edit(t, base, dir, load)
 				load()
-				after := observer.Reg().Snapshot()
-				read := after.Counter("source_files_loaded_total") - before.Counter("source_files_loaded_total")
-				switch {
-				case !strings.HasPrefix(e.name, "none"):
-				case passed && read != 0:
-					t.Fatalf("%s: read %d files with the window passed, want every file from its stat record", e.name, read)
-				case !passed && time.Since(created) < time.Second/2 && read != last:
-					// Files written within the window are never trusted,
-					// so each load reads them all again.
-					t.Fatalf("%s: read %d files written %v ago, want all %d", e.name, read, time.Since(created), last)
+				read := observer.Reg().Snapshot().Counter("source_files_loaded_total") - before.Counter("source_files_loaded_total")
+				want := int64(e.reads)
+				if !watched || want < 0 {
+					want = served - servedBefore
+				}
+				if read != want {
+					t.Fatalf("%s: read %d files, want %d", e.name, read, want)
 				}
 			}
 		})
@@ -189,16 +236,12 @@ func TestStatCheckMatchesDisk(t *testing.T) {
 }
 
 // TestStatCheckConcurrent loads one directory from several goroutines
-// with the trust window passed while another renames same-size versions
-// over one of its files: every load must return a version that was
+// while another renames same-size versions over one of its files: every load must return a version that was
 // written, and once the writer stops, a load returns the last one.
 func TestStatCheckConcurrent(t *testing.T) {
 	version := func(i int) string { return fmt.Sprintf("package demo\n\nvar V = %03d\n", i) }
 	dir := writeDir(t, map[string]string{"v.go": version(0), "w.go": "package demo\n"})
-	probeDir := t.TempDir()
-	settle(t, probeDir)
 	st := source.NewStore(obs.New().Reg())
-	source.PassWindow(st)
 	const versions = 50
 	written := map[string]bool{version(0): true}
 	for i := 1; i < versions; i++ {
@@ -239,7 +282,6 @@ func TestStatCheckConcurrent(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	settle(t, probeDir)
 	snap, err := st.Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -249,13 +291,11 @@ func TestStatCheckConcurrent(t *testing.T) {
 	}
 }
 
-// TestWarmStatAllocs: on Linux a warm load stats each record's kept
-// NUL-terminated path and, finding every file as the directory's last
-// snapshot holds it, returns that snapshot: it allocates nothing.
+// TestWarmStatAllocs: a warm load drains the watcher's empty queue,
+// stats the directory's kept NUL-terminated path and, finding every
+// file's record current and as the directory's last snapshot holds it,
+// returns that snapshot: it allocates nothing.
 func TestWarmStatAllocs(t *testing.T) {
-	if runtime.GOOS != "linux" {
-		t.Skip("only Linux reports a stat identity")
-	}
 	files := map[string]string{}
 	for i := 0; i < 12; i++ {
 		files[fmt.Sprintf("f%02d.go", i)] = fmt.Sprintf("package demo // %d\n", i)
@@ -263,7 +303,6 @@ func TestWarmStatAllocs(t *testing.T) {
 	dir := writeDir(t, files)
 	reg := obs.NewRegistry()
 	st := source.NewStore(reg)
-	source.PassWindow(st)
 	first, err := st.Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -284,13 +323,14 @@ func TestWarmStatAllocs(t *testing.T) {
 // TestSnapshotReusedUntilChanged: a load returns the directory's last
 // snapshot while every file is the version it holds, and a new one
 // once a file is edited, added or removed, sharing the unchanged Files.
+// Only a store that keeps records (trusted) keeps a snapshot.
 func TestSnapshotReusedUntilChanged(t *testing.T) {
 	for _, trust := range []bool{false, true} {
 		t.Run(fmt.Sprintf("trusted=%v", trust), func(t *testing.T) {
 			dir := writeDir(t, map[string]string{"a.go": "package demo\n", "b.go": "package demo // b\n", "c.go": "package demo // c\n"})
 			st := source.NewStore(nil)
-			if trust {
-				source.PassWindow(st)
+			if !trust {
+				source.Unwatched(st)
 			}
 			load := func() *source.Snapshot {
 				t.Helper()
@@ -302,15 +342,13 @@ func TestSnapshotReusedUntilChanged(t *testing.T) {
 			}
 			write := func(name, body string) {
 				t.Helper()
-				settle(t, t.TempDir())
 				if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				settle(t, t.TempDir())
 			}
 			first := load()
 			if again := load(); trust != (again == first) {
-				t.Fatalf("unchanged directory: same snapshot = %v, want %v (only a trusted listing keeps one)", again == first, trust)
+				t.Fatalf("unchanged directory: same snapshot = %v, want %v (only a recorded listing keeps one)", again == first, trust)
 			}
 			write("b.go", "package demo // b edited\n")
 			edited := load()
@@ -328,7 +366,6 @@ func TestSnapshotReusedUntilChanged(t *testing.T) {
 			if err := os.Remove(filepath.Join(dir, "a.go")); err != nil {
 				t.Fatal(err)
 			}
-			settle(t, t.TempDir())
 			if removed := load(); removed == added || !slices.Equal(removed.Names(), []string{"b.go", "c.go", "d.go"}) {
 				t.Fatalf("after removing a.go: got %v", removed.Names())
 			}
