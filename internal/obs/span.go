@@ -34,11 +34,18 @@ type Tracer struct {
 	// chunk is the block the next span records are drawn from, so a
 	// job's spans cost one allocation between them, not one each.
 	chunk []Span
+	// slab is the block span args are drawn from: each span's args are
+	// one run of it, and tail is the span whose run ends it, which alone
+	// grows its run in place.
+	slab []string
+	tail *Span
 	// reserved counts the spans Reserve announced that have no record
 	// yet, and expect those not yet completed: they size the next chunk
 	// and, on the first completion, events.
 	reserved, expect int
 	lanes            []bool // lane i occupied?
+	// laneBuf holds lanes while they fit, as they do for a job.
+	laneBuf [8]bool
 	// common is merged into every span's args when the trace is encoded
 	// (explicit args win) — the per-job correlation identity.
 	common map[string]string
@@ -52,22 +59,24 @@ type Tracer struct {
 	procName string
 }
 
-// minChunk is how many span records a chunk holds at least.
-const minChunk = 16
+// minChunk is how many span records a chunk holds at least, and
+// argsPerSpan how many args a slab holds per span announced.
+const (
+	minChunk    = 16
+	argsPerSpan = 8
+)
 
 // Span is one in-flight operation. End completes it; a span opened with
 // a "parent" arg records its parent's name, so the hierarchy survives
 // into the trace file. A nil *Span is valid.
 type Span struct {
-	tr    *Tracer
-	lane  int
-	start time.Time
+	tr *Tracer
+	// at is when the span started, after the tracer's start.
+	at time.Duration
 	// ev is the span's record; its args are the key/value pairs given to
-	// Start and SetArg, in order (a later pair wins a repeated key). They
-	// live in inline while they fit, so a span with a few args costs no
-	// allocation of its own.
-	ev     spanEvent
-	inline [8]string
+	// Start and SetArg, in order (a later pair wins a repeated key), in a
+	// run of the tracer's slab.
+	ev spanEvent
 }
 
 // spanEvent is one completed span as recorded: its args are the pairs
@@ -77,8 +86,10 @@ type Span struct {
 type spanEvent struct {
 	name, cat string
 	ts, dur   int64
-	tid       int
 	args      []string
+	// tid is the span's display lane plus one (tid 0 is reserved for
+	// metadata).
+	tid int32
 	// started marks a span opened via Start, which alone may adopt the
 	// root parent.
 	started bool
@@ -107,12 +118,16 @@ type chromeTrace struct {
 var now = time.Now
 
 // NewTracer returns an empty tracer anchored at the current time.
-func NewTracer() *Tracer { return &Tracer{start: now()} }
+func NewTracer() *Tracer { return NewTracerAt(now()) }
 
 // NewTracerAt returns an empty tracer anchored at the given time — the
 // daemon anchors a job's tracer at submission so the queue-wait span
 // starts at timestamp zero.
-func NewTracerAt(start time.Time) *Tracer { return &Tracer{start: start} }
+func NewTracerAt(start time.Time) *Tracer {
+	t := &Tracer{start: start}
+	t.lanes = t.laneBuf[:0]
+	return t
+}
 
 // SetCommonArgs installs alternating key/value args merged into every
 // span of the trace (explicit span args win on collision) when it is
@@ -187,12 +202,10 @@ func (t *Tracer) Start(name, cat string, args ...string) *Span {
 	}
 	t.mu.Lock()
 	s := t.spanLocked()
-	s.lane = t.allocLaneLocked()
-	t.mu.Unlock()
-	s.start = now()
-	s.ev = spanEvent{name: name, cat: cat, started: true}
 	// An odd trailing key has no value and is dropped, as in Record.
-	s.ev.args = append(s.inline[:0], args[:len(args)&^1]...)
+	s.ev = spanEvent{name: name, cat: cat, tid: int32(t.allocLaneLocked() + 1), started: true, args: t.runLocked(s, args[:len(args)&^1], 0)}
+	t.mu.Unlock()
+	s.at = now().Sub(t.start)
 	return s
 }
 
@@ -208,6 +221,20 @@ func (t *Tracer) spanLocked() *Span {
 	s := &t.chunk[len(t.chunk)-1]
 	s.tr = t
 	return s
+}
+
+// runLocked returns a new run of the slab for s: args, then room for
+// extra more. The run ends the slab, which starts anew, sized for the
+// spans still announced, when it has no room. t.mu must be held.
+func (t *Tracer) runLocked(s *Span, args []string, extra int) []string {
+	n := len(args) + extra
+	if cap(t.slab)-len(t.slab) < n {
+		t.slab = make([]string, 0, max(n, argsPerSpan*max(t.reserved, minChunk)))
+	}
+	i := len(t.slab)
+	t.slab = append(t.slab, args...)[:i+n]
+	t.tail = s
+	return t.slab[i : i+n : i+n]
 }
 
 // recordLocked appends a completed span record; t.mu must be held. The
@@ -234,13 +261,24 @@ func (t *Tracer) allocLaneLocked() int {
 
 // SetArg annotates the span with one key/value arg before End — review
 // spans use it to record outcome facts (fresh token spend, cache hit,
-// retries, degradation) known only once the work finished. The span is
-// owned by one goroutine until End, so no locking. No-op on nil.
+// retries, degradation) known only once the work finished. The span's
+// run grows in place while it ends the slab, and moves to its end
+// otherwise. No-op on nil.
 func (s *Span) SetArg(key, value string) {
 	if s == nil {
 		return
 	}
-	s.ev.args = append(s.ev.args, key, value)
+	t := s.tr
+	t.mu.Lock()
+	if n := len(s.ev.args); t.tail == s && cap(t.slab)-len(t.slab) >= 2 {
+		t.slab = append(t.slab, key, value)
+		s.ev.args = t.slab[len(t.slab)-n-2 : len(t.slab) : len(t.slab)]
+	} else {
+		run := t.runLocked(s, s.ev.args, 2)
+		run[len(run)-2], run[len(run)-1] = key, value
+		s.ev.args = run
+	}
+	t.mu.Unlock()
 }
 
 // End completes the span, appending it to the tracer and freeing its
@@ -249,15 +287,14 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	end := now()
 	t := s.tr
+	end := now().Sub(t.start)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s.ev.ts = s.start.Sub(t.start).Microseconds()
-	s.ev.dur = max(end.Sub(s.start).Microseconds(), 1)
-	s.ev.tid = s.lane + 1 // tid 0 is reserved for metadata
+	s.ev.ts = s.at.Microseconds()
+	s.ev.dur = max((end - s.at).Microseconds(), 1)
 	t.recordLocked(&s.ev)
-	t.lanes[s.lane] = false
+	t.lanes[s.ev.tid-1] = false
 }
 
 // Record appends an already-completed span measured externally — the
@@ -279,18 +316,18 @@ func (t *Tracer) Record(name, cat string, start, end time.Time, args ...string) 
 		cat:  cat,
 		ts:   start.Sub(t.start).Microseconds(),
 		dur:  max(end.Sub(start).Microseconds(), 1),
-		tid:  lane + 1,
+		tid:  int32(lane + 1),
 		// An odd trailing key has no value and is dropped.
-		args: append(s.inline[:0], args[:len(args)&^1]...),
+		args: t.runLocked(s, args[:len(args)&^1], 0),
 	}
 	t.recordLocked(&s.ev)
 }
 
-// argsLocked renders ev's encoded args: its own pairs (a later pair wins
+// encodedArgsLocked renders ev's encoded args: its own pairs (a later pair wins
 // a repeated key), the root parent for a parentless Start span not
 // itself named like it, then every common arg the span does not set.
 // t.mu must be held.
-func (t *Tracer) argsLocked(ev spanEvent) map[string]string {
+func (t *Tracer) encodedArgsLocked(ev spanEvent) map[string]string {
 	m := argMap(ev.args)
 	if ev.started && t.rootParent != "" && m["parent"] == "" && ev.name != t.rootParent {
 		if m == nil {
@@ -318,7 +355,7 @@ func (s *Span) SinceMS() float64 {
 	if s == nil {
 		return 0
 	}
-	return float64(now().Sub(s.start)) / float64(time.Millisecond)
+	return float64(now().Sub(s.tr.start)-s.at) / float64(time.Millisecond)
 }
 
 // WriteJSON serializes the recorded spans in Chrome trace-event JSON
@@ -348,7 +385,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		})
 		events := make([]chromeEvent, len(recorded))
 		for i, ev := range recorded {
-			events[i] = chromeEvent{Name: ev.name, Cat: ev.cat, Ph: "X", TS: ev.ts, Dur: ev.dur, PID: 1, TID: ev.tid, Args: t.argsLocked(ev)}
+			events[i] = chromeEvent{Name: ev.name, Cat: ev.cat, Ph: "X", TS: ev.ts, Dur: ev.dur, PID: 1, TID: int(ev.tid), Args: t.encodedArgsLocked(ev)}
 		}
 		lanes := len(t.lanes)
 		if t.procName != "" {

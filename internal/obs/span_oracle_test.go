@@ -39,7 +39,7 @@ func oracleTrace(t *testing.T) []byte {
 	review.SetArg("app", "HD-late") // SetArg after Start wins
 	review.SetArg("job_id", "span-job")
 	review.SetArg("backend", "sim")
-	review.SetArg("retries", "2") // beyond the inline pairs
+	review.SetArg("retries", "2") // a sixth pair
 	review.End()
 	odd := tr.Start("odd", "stage", "dangling") // an odd trailing key is dropped
 	odd.SetArg("k", "v")
