@@ -200,15 +200,17 @@ func TestWarmDaemonSingleFileEdit(t *testing.T) {
 }
 
 // TestWarmDaemonStatCheck runs the daemon configuration over files it
-// has just copied: a warm job reads no byte of them, serves every file
-// from its record and reproduces the cold report. A same-size edit in
-// place whose old mtime is put back still raises an event, so the next
-// job re-reads, re-parses, re-extracts and re-reviews exactly that file.
+// has just copied: once the second job has armed the directory's watch,
+// a warm job reads no byte of them, serves every file from its record
+// and reproduces the cold report. A same-size edit in place whose old
+// mtime is put back still raises an event, so the next job re-reads,
+// re-parses, re-extracts and re-reviews exactly that file.
 func TestWarmDaemonStatCheck(t *testing.T) {
 	app := copyApp(t, "HD")
 	nFiles := countSourceFiles(t, app.Dir)
 	observer, ca, run := warmDaemon(t, app)
 	cold, _ := run()
+	run()
 	s0 := observer.Reg().Snapshot()
 	warm, warmFresh := run()
 	s1 := observer.Reg().Snapshot()
@@ -328,6 +330,7 @@ func TestEditJobsReadOnlyTheEditedFile(t *testing.T) {
 	}
 	observer, _, run := warmDaemon(t, app)
 	run()
+	run() // arms the directory's watch
 	before := observer.Reg().Snapshot()
 	const jobs = 600
 	for i := 1; i <= jobs; i++ {

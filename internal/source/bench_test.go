@@ -47,8 +47,10 @@ func BenchmarkSnapshotLoadCold(b *testing.B) {
 func BenchmarkSnapshotLoadWarm(b *testing.B) {
 	dir := benchDir(b)
 	st := source.NewStore(nil)
-	if _, err := st.Load(dir); err != nil {
-		b.Fatal(err)
+	for range 2 { // the second load arms the directory's watch
+		if _, err := st.Load(dir); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -75,8 +77,10 @@ func BenchmarkSnapshotLoadEdited(b *testing.B) {
 		}
 	}
 	st := source.NewStore(nil)
-	if _, err := st.Load(dir); err != nil {
-		b.Fatal(err)
+	for range 2 { // the second load arms the directory's watch
+		if _, err := st.Load(dir); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -29,9 +29,10 @@
 // overflowed. The kernel queues an event before the write that caused
 // it returns, so a finished write is seen by the next load. Where no
 // watch can be armed (outside Linux, past the watch limit, on a network
-// or FUSE file system), and for a file with more than one link, whose
-// writes through another directory raise no event here, no record is
-// kept and every load reads and hashes the file. Everything downstream
+// or FUSE file system), and for a file with more than one link or
+// reached through a symbolic link, which can be written through another
+// directory without an event here, no record is kept and every load
+// reads and hashes the file. Everything downstream
 // keys on the SHA-256 of the bytes last read (docs/KNOWN_ISSUES.md
 // lists what the watch cannot see).
 //
@@ -382,7 +383,7 @@ func (s *Store) Load(dir string) (*Snapshot, error) {
 	// snapshot, which is then returned as it is.
 	var files []*File
 	for i, path := range listing.paths {
-		f := s.recorded(path)
+		f := s.recorded(path, listing.watch)
 		if f != nil {
 			statReused.Inc()
 			reused.Inc()
@@ -445,12 +446,13 @@ func (s *Store) start(w *watcher) {
 }
 
 // recorded returns the File path's record holds while the record is
-// current, and nil otherwise.
-func (s *Store) recorded(path string) *File {
+// current and was made under watch, the one this load checked its
+// directory against, and nil otherwise.
+func (s *Store) recorded(path string, watch *dirWatch) *File {
 	s.mu.Lock()
 	rec, ok := s.files[path]
 	s.mu.Unlock()
-	if ok && s.w.current(rec.watch, rec.file.Name, rec.seq) {
+	if ok && watch != nil && rec.watch == watch && s.w.current(watch, rec.file.Name, rec.seq) {
 		return rec.file
 	}
 	return nil
@@ -458,13 +460,18 @@ func (s *Store) recorded(path string) *File {
 
 // list returns dir's source files in sorted order: from its record
 // while the directory is still the watched one and the record is
-// current, and otherwise by arming a watch on the directory and then
-// reading it. seq is the load's drain.
+// current, and otherwise by reading the directory, after arming a watch
+// on it if it was listed before. seq is the load's drain.
+//
+// A directory is watched from its second load on: a process that loads
+// it once, a command-line run or a daemon started for one job, arms no
+// watch, and so does not wait at exit for the kernel to tear its watches
+// down, which takes milliseconds.
 func (s *Store) list(dir string, seq uint64) (dirRecord, error) {
 	s.mu.Lock()
 	rec, ok := s.dirs[dir]
 	s.mu.Unlock()
-	if ok {
+	if ok && rec.watch != nil {
 		if !rec.watch.holds(pathID(rec.cpath)) {
 			s.w.disarm(rec.watch)
 		} else if s.w.current(rec.watch, "", rec.seq) {
@@ -476,7 +483,7 @@ func (s *Store) list(dir string, seq uint64) (dirRecord, error) {
 		cpath = cPath(dir)
 	}
 	var watch *dirWatch
-	if s.w != nil {
+	if ok && s.w != nil {
 		watch = s.w.arm(dir, cpath)
 	}
 	d, err := os.Open(dir)
@@ -499,6 +506,7 @@ func (s *Store) list(dir string, seq uint64) (dirRecord, error) {
 		}
 	}
 	slices.Sort(names)
+	prev := rec
 	rec = dirRecord{paths: make([]string, len(names)), watch: watch, seq: seq, cpath: cpath}
 	for i, name := range names {
 		rec.paths[i] = filepath.Join(dir, name)
@@ -509,12 +517,11 @@ func (s *Store) list(dir string, seq uint64) (dirRecord, error) {
 			rec.links[i] = true
 		}
 	}
-	s.mu.Lock()
-	if watch != nil {
-		s.dirs[dir] = rec
-	} else {
-		delete(s.dirs, dir)
+	if slices.Equal(rec.paths, prev.paths) {
+		rec.last = prev.last
 	}
+	s.mu.Lock()
+	s.dirs[dir] = rec
 	s.mu.Unlock()
 	return rec, nil
 }

@@ -79,8 +79,8 @@ func TestStatCheckMatchesDisk(t *testing.T) {
 			write(t, filepath.Join(dir, e.Name()), string(data))
 		}
 	}
-	// The loaded directory is base/tree/app; base/other holds a hard
-	// link. reads is how many files the watched store reads in the
+	// The loaded directory is base/tree/app; base/other holds the
+	// targets of links. reads is how many files the watched store reads in the
 	// loads of the edit: exactly the files it named, or, for -1, every
 	// file, after an edit that leaves no record current.
 	edits := []struct {
@@ -144,6 +144,22 @@ func TestStatCheckMatchesDisk(t *testing.T) {
 			}
 		}},
 		{"none after the link", 0, func(*testing.T, string, string, func()) {}},
+		// So is a file reached through a symbolic link.
+		{"symbolic link to another directory", 1, func(t *testing.T, base, dir string, _ func()) {
+			target := filepath.Join(base, "other", "e.go")
+			write(t, target, version())
+			if err := os.Symlink(target, filepath.Join(dir, "e.go")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"write through the link's target", 1, func(t *testing.T, base, _ string, _ func()) {
+			write(t, filepath.Join(base, "other", "e.go"), version())
+		}},
+		{"symbolic link removed", 0, func(t *testing.T, _, dir string, _ func()) {
+			if err := os.Remove(filepath.Join(dir, "e.go")); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"directory renamed, fresh copy at the old path", -1, func(t *testing.T, _, dir string, _ func()) {
 			rename(t, dir, dir+".old")
 			freshCopy(t, dir+".old", dir, "c.go")
@@ -217,6 +233,8 @@ func TestStatCheckMatchesDisk(t *testing.T) {
 					t.Fatalf("loaded + stat reuse = %d, want the %d files served", got, served)
 				}
 			}
+			// A store watches a directory from its second load on.
+			load()
 			load()
 			for _, e := range edits {
 				before, servedBefore := observer.Reg().Snapshot(), served
@@ -291,10 +309,11 @@ func TestStatCheckConcurrent(t *testing.T) {
 	}
 }
 
-// TestWarmStatAllocs: a warm load drains the watcher's empty queue,
-// stats the directory's kept NUL-terminated path and, finding every
-// file's record current and as the directory's last snapshot holds it,
-// returns that snapshot: it allocates nothing.
+// TestWarmStatAllocs: a warm load, once the second load has armed the
+// directory's watch, drains the watcher's empty queue, stats the
+// directory's kept NUL-terminated path and, finding every file's record
+// current and as the directory's last snapshot holds it, returns that
+// snapshot: it allocates nothing.
 func TestWarmStatAllocs(t *testing.T) {
 	files := map[string]string{}
 	for i := 0; i < 12; i++ {
@@ -306,6 +325,9 @@ func TestWarmStatAllocs(t *testing.T) {
 	first, err := st.Load(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if armed, err := st.Load(dir); err != nil || armed != first {
+		t.Fatalf("second load = %p (err %v), want the first snapshot %p", armed, err, first)
 	}
 	n := testing.AllocsPerRun(20, func() {
 		if snap, err := st.Load(dir); err != nil || snap != first {
@@ -323,7 +345,8 @@ func TestWarmStatAllocs(t *testing.T) {
 // TestSnapshotReusedUntilChanged: a load returns the directory's last
 // snapshot while every file is the version it holds, and a new one
 // once a file is edited, added or removed, sharing the unchanged Files.
-// Only a store that keeps records (trusted) keeps a snapshot.
+// A store that keeps no records reads every file again, and still
+// returns the last snapshot when it finds the same versions.
 func TestSnapshotReusedUntilChanged(t *testing.T) {
 	for _, trust := range []bool{false, true} {
 		t.Run(fmt.Sprintf("trusted=%v", trust), func(t *testing.T) {
@@ -347,16 +370,16 @@ func TestSnapshotReusedUntilChanged(t *testing.T) {
 				}
 			}
 			first := load()
-			if again := load(); trust != (again == first) {
-				t.Fatalf("unchanged directory: same snapshot = %v, want %v (only a recorded listing keeps one)", again == first, trust)
+			if again := load(); again != first {
+				t.Fatal("unchanged directory: want the same snapshot")
 			}
 			write("b.go", "package demo // b edited\n")
 			edited := load()
 			if edited == first || edited.Files[0] != first.Files[0] || edited.Files[1] == first.Files[1] || edited.Files[2] != first.Files[2] {
 				t.Fatal("after editing b.go: want a new snapshot sharing a.go and c.go")
 			}
-			if again := load(); trust != (again == edited) {
-				t.Fatalf("after the edit: same snapshot = %v, want %v", again == edited, trust)
+			if again := load(); again != edited {
+				t.Fatal("after the edit: want the same snapshot again")
 			}
 			write("d.go", "package demo // d\n")
 			added := load()
