@@ -15,11 +15,12 @@
 // new. No File ever aliases a pooled buffer.
 //
 // A warm load of an unchanged file reads nothing at all: the store asks
-// the kernel what changed instead of looking. Before it first lists a
-// directory, a load arms an inotify watch on it, on the process's one
-// inotify instance, bound to the directory's (device, inode). Each
-// read of a file then leaves a record of the version it interned, and
-// each listing a record of the directory's source files. Every load
+// the kernel what changed instead of looking. From a directory's second
+// load on (a process that loads it once has no use for a watch), a load
+// arms an inotify watch on it before listing it, on the process's one
+// inotify instance, bound to the directory's (device, inode). Each read
+// of a file then leaves a record of the version it interned, and each
+// listing a record of the directory's source files. Every load
 // first drains the queued events, stamping what they name with a new
 // sequence number, and stats the directory alone, to check that its
 // path still leads to the watched directory. A record stays current,
@@ -32,9 +33,9 @@
 // or FUSE file system), and for a file with more than one link or
 // reached through a symbolic link, which can be written through another
 // directory without an event here, no record is kept and every load
-// reads and hashes the file. Everything downstream
-// keys on the SHA-256 of the bytes last read (docs/KNOWN_ISSUES.md
-// lists what the watch cannot see).
+// reads and hashes the file. Everything downstream keys on the SHA-256
+// of the bytes last read (docs/KNOWN_ISSUES.md lists what the watch
+// cannot see).
 //
 // Parsing is lazy: interning a file costs a read and a hash, and the
 // AST is built only when a consumer actually asks for it via
@@ -452,7 +453,7 @@ func (s *Store) recorded(path string, watch *dirWatch) *File {
 	s.mu.Lock()
 	rec, ok := s.files[path]
 	s.mu.Unlock()
-	if ok && watch != nil && rec.watch == watch && s.w.current(watch, rec.file.Name, rec.seq) {
+	if ok && rec.watch == watch && s.w.current(watch, rec.file.Name, rec.seq) {
 		return rec.file
 	}
 	return nil
@@ -495,12 +496,15 @@ func (s *Store) list(dir string, seq uint64) (dirRecord, error) {
 	if err != nil {
 		return dirRecord{}, err
 	}
-	links := map[string]bool{}
+	var links map[string]bool // the source files that are symbolic links
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
 		if !e.IsDir() && IsSourceFile(e.Name()) {
 			names = append(names, e.Name())
 			if e.Type()&fs.ModeSymlink != 0 {
+				if links == nil {
+					links = make(map[string]bool)
+				}
 				links[e.Name()] = true
 			}
 		}

@@ -164,7 +164,7 @@ func (w *watcher) dropLocked(d *dirWatch, remove bool) {
 	if w.watches[d.wd] == d {
 		delete(w.watches, d.wd)
 		if remove {
-			syscall.InotifyRmWatch(w.fd, uint32(d.wd))
+			syscall.InotifyRmWatch(w.fd, uint32(d.wd)) //nolint:errcheck // fails only if the kernel removed it already
 		}
 	}
 }
@@ -199,7 +199,7 @@ func (w *watcher) arm(dir string, cpath []byte) *dirWatch {
 	d := w.watches[int32(wd)]
 	if after := pathID(cpath); after.dev != before.dev || after.ino != before.ino {
 		if d == nil {
-			syscall.InotifyRmWatch(w.fd, uint32(wd))
+			syscall.InotifyRmWatch(w.fd, uint32(wd)) //nolint:errcheck // fails only if the kernel removed it already
 		}
 		return nil
 	}
