@@ -323,11 +323,11 @@ func (t *Tracer) Record(name, cat string, start, end time.Time, args ...string) 
 	t.recordLocked(&s.ev)
 }
 
-// encodedArgsLocked renders ev's encoded args: its own pairs (a later pair wins
+// argsLocked renders ev's encoded args: its own pairs (a later pair wins
 // a repeated key), the root parent for a parentless Start span not
 // itself named like it, then every common arg the span does not set.
 // t.mu must be held.
-func (t *Tracer) encodedArgsLocked(ev spanEvent) map[string]string {
+func (t *Tracer) argsLocked(ev spanEvent) map[string]string {
 	m := argMap(ev.args)
 	if ev.started && t.rootParent != "" && m["parent"] == "" && ev.name != t.rootParent {
 		if m == nil {
@@ -385,7 +385,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		})
 		events := make([]chromeEvent, len(recorded))
 		for i, ev := range recorded {
-			events[i] = chromeEvent{Name: ev.name, Cat: ev.cat, Ph: "X", TS: ev.ts, Dur: ev.dur, PID: 1, TID: int(ev.tid), Args: t.encodedArgsLocked(ev)}
+			events[i] = chromeEvent{Name: ev.name, Cat: ev.cat, Ph: "X", TS: ev.ts, Dur: ev.dur, PID: 1, TID: int(ev.tid), Args: t.argsLocked(ev)}
 		}
 		lanes := len(t.lanes)
 		if t.procName != "" {

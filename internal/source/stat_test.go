@@ -80,9 +80,9 @@ func TestStatCheckMatchesDisk(t *testing.T) {
 		}
 	}
 	// The loaded directory is base/tree/app; base/other holds the
-	// targets of links. reads is how many files the watched store reads in the
-	// loads of the edit: exactly the files it named, or, for -1, every
-	// file, after an edit that leaves no record current.
+	// targets of links. reads is how many files the watched store reads
+	// in the loads of the edit: exactly the files it named, or, for -1,
+	// every file, after an edit that leaves no record current.
 	edits := []struct {
 		name  string
 		reads int
@@ -253,8 +253,9 @@ func TestStatCheckMatchesDisk(t *testing.T) {
 }
 
 // TestStatCheckConcurrent loads one directory from several goroutines
-// while another renames same-size versions over one of its files: every load must return a version that was
-// written, and once the writer stops, a load returns the last one.
+// while another renames same-size versions over one of its files: every
+// load must return a version that was written, and once the writer
+// stops, a load returns the last one.
 func TestStatCheckConcurrent(t *testing.T) {
 	version := func(i int) string { return fmt.Sprintf("package demo\n\nvar V = %03d\n", i) }
 	dir := writeDir(t, map[string]string{"v.go": version(0), "w.go": "package demo\n"})
