@@ -63,13 +63,17 @@ bench-smoke:
 ## fuzz-smoke: fuzz the two hand-written JSON encoders against
 ## encoding/json for a few seconds each: the report document
 ## (FuzzAppendIndent) and the daemon's job views (FuzzJobView), whose
-## tenant, app codes and error text come from requests; and the decoder
+## tenant, app codes and error text come from requests; the decoder
 ## of the kernel's inotify records against a reference encoder
-## (FuzzInotifyEvents).
+## (FuzzInotifyEvents); and the one-walk evidence and facts reads of a
+## parsed file against their reference reads (FuzzEvidenceMatchesReference,
+## FuzzFactsMatchReference).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendIndent$$' -fuzztime 5s ./internal/report/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobView$$' -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzInotifyEvents$$' -fuzztime 5s ./internal/source/
+	$(GO) test -run '^$$' -fuzz '^FuzzEvidenceMatchesReference$$' -fuzztime 5s ./internal/llm/
+	$(GO) test -run '^$$' -fuzz '^FuzzFactsMatchReference$$' -fuzztime 5s ./internal/sast/
 
 ## bench-check: vet and short-test the benchmark module, so an
 ## internal/ API change that breaks the benchmark's in-process replay

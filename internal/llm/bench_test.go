@@ -1,11 +1,13 @@
 package llm
 
 // bench_test measures the model's cold per-file path: read, hash, parse
-// and review every file of the seed corpus. `make bench` runs it for
-// profiling; performance numbers come from the repository benchmark
+// and review every file of the seed corpus, and the evidence pass over
+// files parsed before timing. `make bench` runs it for profiling;
+// performance numbers come from the repository benchmark
 // (docs/PERFORMANCE.md).
 
 import (
+	"go/ast"
 	"testing"
 
 	"wasabi/internal/apps/corpus"
@@ -29,6 +31,34 @@ func BenchmarkReviewCold(b *testing.B) {
 			for _, f := range snap.Files {
 				c.ReviewSnapshotAt(f, -1, 0)
 			}
+		}
+	}
+}
+
+// BenchmarkEvidenceParsed reads every seed-corpus file for evidence from
+// ASTs parsed before timing: the evidence pass alone, which the load and
+// parse in BenchmarkReviewCold would hide.
+func BenchmarkEvidenceParsed(b *testing.B) {
+	st := source.NewStore(nil)
+	var files []*ast.File
+	for _, app := range corpus.Apps() {
+		snap, err := st.Load(app.Dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range snap.Files {
+			syntax, err := f.Syntax()
+			if err != nil {
+				b.Fatal(err)
+			}
+			files = append(files, syntax)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range files {
+			fileEvidence(f)
 		}
 	}
 }

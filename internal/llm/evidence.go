@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"sort"
 	"strings"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -95,87 +96,186 @@ var pollWords = []string{
 // attemptWords name the counters a cap check compares (attemptComparison).
 var attemptWords = []string{"attempt", "tries", "retry", "retrie", "count"}
 
-// lowerer lowercases text into one reusable buffer, so reading a
-// file's comments and identifiers for vocabulary allocates nothing for
-// ASCII text.
-type lowerer struct{ buf []byte }
+// The word lists text is matched against, one bit each in a match, in
+// the order of vocabLists. The first five are the vocabularies above;
+// the rest are the words single checks look for in a call's or an
+// operand's name.
+const (
+	listRetryComment uint16 = 1 << iota
+	listRetryIdent
+	listWeakIdent
+	listPoll
+	listAttempt
+	listSleep   // a call that pauses
+	listRequeue // a call that re-submits
+	listCAS     // a compare-and-swap call
+	listState   // a switch over a state
+	listQueue   // a queue receiver
+	listPolicy  // a resilience policy receiver
+)
 
-// lower returns s lowercased as strings.ToLower would, in the buffer,
-// valid until the next call.
-func (lw *lowerer) lower(s string) []byte {
-	lw.buf = lw.buf[:0]
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= utf8.RuneSelf {
-			// Unicode lowercasing can yield ASCII letters (U+212A
-			// KELVIN SIGN becomes k), so non-ASCII text takes the
-			// general path.
-			lw.buf = append(lw.buf[:0], strings.ToLower(s)...)
-			return lw.buf
-		}
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		lw.buf = append(lw.buf, c)
-	}
-	return lw.buf
+// vocabLists are the word lists, list i under bit i.
+var vocabLists = [][]string{
+	retryCommentWords,
+	retryIdentWords,
+	weakIdentWords,
+	pollWords,
+	attemptWords,
+	{"sleep"},
+	{"requeue", "resubmit"},
+	{"compareandswap", "compareandset"},
+	{"state"},
+	{"queue"},
+	{"policy"},
 }
 
-// vocabularies matches lowercased text against several word lists in
-// one pass: list i sets bit i of the result when one of its words
-// occurs in the text, exactly as containsAny would report it.
+// vocab returns the automaton that matches text against every word list
+// at once. It is built on first use, so a process that reads no file for
+// evidence, such as a daemon restarted over a populated cache, does not
+// build it.
+var vocab = sync.OnceValue(func() *vocabularies { return newVocabularies(vocabLists...) })
+
+// vocabularies is an Aho-Corasick automaton over the words of several
+// lists, with its failure links folded into a full transition table, so
+// one pass over a text finds every list one of whose words occurs in the
+// lowercased text, as strings.Contains over strings.ToLower of the text
+// would find it, word by word. It reads ASCII text as it is, folding
+// upper case into lower through its byte classes, so matching allocates
+// nothing.
 type vocabularies struct {
-	// byFirst holds every word under its first byte.
-	byFirst [256][]vocabWord
+	// class maps a byte to its column of the table: 0 for a byte no
+	// word holds, an upper-case ASCII letter to its lower case's column.
+	class [256]uint8
+	// table holds a row per state, a column per class. An entry is the
+	// row offset of the next state in its low 16 bits and the lists of
+	// the words ending there in its high 16, so a step is one load.
+	table []uint32
 }
 
-type vocabWord struct {
-	w    string
-	list uint8 // the bit of the list the word belongs to
-}
-
+// newVocabularies builds the automaton of lists: a match sets bit i for
+// lists[i]. Every word must be lower-case ASCII.
 func newVocabularies(lists ...[]string) *vocabularies {
 	v := &vocabularies{}
+	ncol := 1
+	for _, words := range lists {
+		for _, w := range words {
+			for i := 0; i < len(w); i++ {
+				c := w[i]
+				if c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+					panic("llm: vocabulary word " + w + " is not lower-case ASCII")
+				}
+				if v.class[c] == 0 {
+					v.class[c] = uint8(ncol)
+					ncol++
+				}
+			}
+		}
+	}
+	for c := 'A'; c <= 'Z'; c++ {
+		v.class[c] = v.class[c+'a'-'A']
+	}
+	// The trie, state 0 its root; a missing edge is 0.
+	next := make([]int, ncol)
+	output := make([]uint16, 1)
 	for i, words := range lists {
 		for _, w := range words {
-			v.byFirst[w[0]] = append(v.byFirst[w[0]], vocabWord{w: w, list: 1 << i})
+			s := 0
+			for j := 0; j < len(w); j++ {
+				e := s*ncol + int(v.class[w[j]])
+				if next[e] == 0 {
+					next[e] = len(output)
+					next = append(next, make([]int, ncol)...)
+					output = append(output, 0)
+				}
+				s = next[e]
+			}
+			output[s] |= 1 << i
 		}
+	}
+	// Breadth first, a missing edge takes the failure state's edge, and
+	// a state outputs what its failure state does.
+	fail := make([]int, len(output))
+	var queue []int
+	for col := 1; col < ncol; col++ {
+		if t := next[col]; t != 0 {
+			queue = append(queue, t)
+		}
+	}
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		for col := 1; col < ncol; col++ {
+			e := s*ncol + col
+			f := next[fail[s]*ncol+col]
+			if t := next[e]; t != 0 {
+				fail[t] = f
+				output[t] |= output[f]
+				queue = append(queue, t)
+			} else {
+				next[e] = f
+			}
+		}
+	}
+	if len(next) > 1<<16 {
+		panic("llm: vocabulary automaton too large")
+	}
+	v.table = make([]uint32, len(next))
+	for e, t := range next {
+		v.table[e] = uint32(t*ncol) | uint32(output[t])<<16
 	}
 	return v
 }
 
-// match returns the lists among want whose words occur in l, stopping
-// once every list in want has matched.
-func (v *vocabularies) match(l []byte, want uint8) uint8 {
-	var got uint8
-	for i, c := range l {
-		for _, vw := range v.byFirst[c] {
-			if want&vw.list != 0 && got&vw.list == 0 && len(l)-i >= len(vw.w) && string(l[i:i+len(vw.w)]) == vw.w {
-				got |= vw.list
-				if got == want {
-					return got
-				}
+// match returns the lists among want one of whose words occurs in s
+// lowercased, stopping once every list in want has matched.
+func (v *vocabularies) match(s string, want uint16) uint16 { return v.scan(s, want, false) }
+
+// scan is match over s, or over s already lowercased by strings.ToLower
+// when lowered is set. Text that is not ASCII is lowercased that way
+// before it is read, since Unicode case mapping can yield ASCII letters
+// (U+212A KELVIN SIGN becomes k); what remains non-ASCII matches no
+// word.
+func (v *vocabularies) scan(s string, want uint16, lowered bool) uint16 {
+	var got uint16
+	row := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf && !lowered {
+			return v.scan(strings.ToLower(s), want, true)
+		}
+		e := v.table[row+int(v.class[c])]
+		row = int(e & 0xffff)
+		if o := uint16(e>>16) & want; o != 0 {
+			if got |= o; got == want {
+				break
 			}
 		}
 	}
 	return got
 }
 
-// bit returns list i's bit when set is true, else 0; callers build a
-// match's want mask from the flags still unset.
-func bit(i uint, set bool) uint8 {
+// has reports whether a word of list occurs in s lowercased.
+func (v *vocabularies) has(s string, list uint16) bool { return v.match(s, list) != 0 }
+
+// unless returns list while its flag is unset, else nothing: callers
+// build a match's want from the flags still unset.
+func unless(set bool, list uint16) uint16 {
 	if set {
-		return 1 << i
+		return 0
 	}
-	return 0
+	return list
 }
 
-// commentVocab and identVocab are the vocabularies comments and
-// identifiers are read for.
-var (
-	commentVocab = newVocabularies(retryCommentWords, pollWords)
-	identVocab   = newVocabularies(retryIdentWords, weakIdentWords, pollWords)
-)
+// hasLowerSuffix reports whether strings.ToLower(s) ends in suffix, a
+// lower-case ASCII word, without lowercasing ASCII text.
+func hasLowerSuffix(s, suffix string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return strings.HasSuffix(strings.ToLower(s), suffix)
+		}
+	}
+	return len(s) >= len(suffix) && strings.EqualFold(s[len(s)-len(suffix):], suffix)
+}
 
 // commentDirective reports whether raw is a //-comment that
 // ast.CommentGroup.Text leaves out as a directive ("//go:generate",
@@ -203,18 +303,6 @@ func commentDirective(raw string) bool {
 	return true
 }
 
-// containsAny reports whether the already-lowercased l contains any of
-// words. Callers lowercase once and match every list against that one
-// string.
-func containsAny(l string, words []string) bool {
-	for _, w := range words {
-		if strings.Contains(l, w) {
-			return true
-		}
-	}
-	return false
-}
-
 // funcComments returns the comment groups positioned inside fd. The
 // file's groups are sorted by position and never overlap, so the ones
 // inside fd are one contiguous run, found by binary search.
@@ -237,9 +325,8 @@ func funcComments(fd *ast.FuncDecl, fileComments []*ast.CommentGroup) []*ast.Com
 // finding a sleep, and they are resolved at the end.
 func fileEvidence(f *ast.File) []evidence {
 	var (
-		lw      lowerer
+		r       reader
 		reads   []funcRead
-		callees []string
 		helpers = make(map[string]bool)
 	)
 	for _, d := range f.Decls {
@@ -247,21 +334,21 @@ func fileEvidence(f *ast.File) []evidence {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		r := gatherEvidence(fd, f.Comments, &lw, &callees)
-		if r.sleepsDirectly {
+		fr := r.gather(fd, f.Comments)
+		if fr.sleepsDirectly {
 			helpers[fd.Name.Name] = true
 		}
-		reads = append(reads, r)
+		reads = append(reads, fr)
 	}
 	evs := make([]evidence, len(reads))
-	for i, r := range reads {
-		for _, name := range callees[r.callees[0]:r.callees[1]] {
-			if r.ev.sleeps {
+	for i, fr := range reads {
+		for _, name := range r.callees[fr.callees[0]:fr.callees[1]] {
+			if fr.ev.sleeps {
 				break
 			}
-			r.ev.sleeps = helpers[name]
+			fr.ev.sleeps = helpers[name]
 		}
-		evs[i] = r.ev
+		evs[i] = fr.ev
 	}
 	return evs
 }
@@ -278,154 +365,183 @@ type funcRead struct {
 	callees [2]int
 }
 
-// gatherEvidence inspects one function declaration plus the file's
-// comments; lw is the file's lowercasing buffer, and the names it calls
-// before a sleep is found are appended to callees. Every flag only ever
-// goes from false to true, so a check whose flag is already set is
-// skipped.
-func gatherEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, lw *lowerer, callees *[]string) funcRead {
-	var ev evidence
-	direct := false
-	first := len(*callees)
+// reader reads one file's functions for evidence, each in one walk of
+// its body (an ast.Visitor). Every flag only ever goes from false to
+// true, so a check whose flag is already set is skipped.
+type reader struct {
+	// callees holds, for every function read, the names it called
+	// before a sleep was found.
+	callees []string
+
+	// The function being read.
+	ev           evidence
+	direct       bool // a sleep call in the body itself
+	errIdentSeen bool // an error-nil comparison was seen
+	depth        int  // of the last node visited that is still open
+	// loops are the for and range statements open at the node being
+	// visited, innermost last. What a loop's body holds is read off the
+	// counts below: how many of each were seen since the body began.
+	loops                       []openLoop
+	errChecks, switches, sleeps int
+}
+
+// openLoop is one loop whose body the walk has not left yet.
+type openLoop struct {
+	depth int
+	body  *ast.BlockStmt
+	rng   bool // a range statement, whose iterations are bounded
+	// The reader's counts when the body began.
+	errChecks, switches, sleeps int
+}
+
+// gather reads one function declaration, with the file's comments.
+func (r *reader) gather(fd *ast.FuncDecl, fileComments []*ast.CommentGroup) funcRead {
+	r.ev, r.direct, r.errIdentSeen = evidence{}, false, false
+	first := len(r.callees)
 
 	// Comments: the doc comment plus every comment group positioned
 	// inside the function body. Each comment is matched as written: no
 	// vocabulary word contains a comment marker or a line break, so
 	// this finds what matching the group's Text would, without building
 	// it.
-	noteComment := func(cg *ast.CommentGroup) {
-		for _, c := range cg.List {
-			if ev.commentRetry && ev.pollish {
-				return
-			}
-			if commentDirective(c.Text) {
-				continue
-			}
-			got := commentVocab.match(lw.lower(c.Text), bit(0, !ev.commentRetry)|bit(1, !ev.pollish))
-			ev.commentRetry = ev.commentRetry || got&1 != 0
-			ev.pollish = ev.pollish || got&2 != 0
-		}
-	}
 	if fd.Doc != nil {
-		noteComment(fd.Doc)
+		r.noteComments(fd.Doc)
 	}
 	for _, cg := range funcComments(fd, fileComments) {
-		noteComment(cg)
+		r.noteComments(cg)
 	}
 
-	if !ev.pollish && containsAny(strings.ToLower(fd.Name.Name), pollWords) {
-		ev.pollish = true
+	if !r.ev.pollish && vocab().has(fd.Name.Name, listPoll) {
+		r.ev.pollish = true
 	}
 	if fd.Name.Name == "Step" {
-		ev.stateMach = true
+		r.ev.stateMach = true
 	}
-
-	var errIdentSeen bool
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.Ident:
-			if ev.identRetry && ev.identRetryWeak && ev.pollish {
-				break
-			}
-			got := identVocab.match(lw.lower(v.Name), bit(0, !ev.identRetry)|bit(1, !ev.identRetryWeak)|bit(2, !ev.pollish))
-			ev.identRetry = ev.identRetry || got&1 != 0
-			ev.identRetryWeak = ev.identRetryWeak || got&2 != 0
-			ev.pollish = ev.pollish || got&4 != 0
-		case *ast.BasicLit:
-			if !ev.identRetry && v.Kind == token.STRING && containsAny(strings.ToLower(v.Value), retryIdentWords) {
-				ev.identRetry = true
-			}
-		case *ast.ForStmt:
-			if !ev.loopErrOnErr && loopHandlesError(v.Body) {
-				ev.loopErrOnErr = true
-			}
-			if !ev.statusLoop && loopSwitchesStatusAndPauses(v.Body) {
-				ev.statusLoop = true
-			}
-			if !ev.capped && boundedLoopCond(v.Cond) {
-				ev.capped = true
-			}
-		case *ast.RangeStmt:
-			// Ranging over a fixed collection is inherently bounded.
-			if !(ev.loopErrOnErr && ev.capped) && loopHandlesError(v.Body) {
-				ev.loopErrOnErr, ev.capped = true, true
-			}
-		case *ast.IfStmt:
-			if !ev.capped && attemptComparison(v.Cond) {
-				ev.capped = true
-			}
-		case *ast.SwitchStmt:
-			if tag, ok := v.Tag.(*ast.Ident); ok && strings.Contains(strings.ToLower(tag.Name), "state") {
-				ev.stateMach = true
-			}
-			if sel, ok := v.Tag.(*ast.SelectorExpr); ok && strings.Contains(strings.ToLower(sel.Sel.Name), "state") {
-				ev.stateMach = true
-			}
-		case *ast.CallExpr:
-			if direct && ev.requeue && ev.pollish && ev.capped {
-				break
-			}
-			name := calleeName(v)
-			low := strings.ToLower(name)
-			if name == "Sleep" || strings.Contains(low, "sleep") {
-				ev.sleeps, direct = true, true
-			} else if !ev.sleeps {
-				*callees = append(*callees, name)
-			}
-			if strings.Contains(low, "requeue") || strings.Contains(low, "resubmit") ||
-				((name == "Put" || name == "Enqueue" || name == "Submit") && receiverIsQueue(v)) {
-				ev.requeue = ev.requeue || errIdentSeen
-			}
-			if strings.Contains(low, "compareandswap") || strings.Contains(low, "compareandset") {
-				ev.pollish = true
-			}
-			if name == "NewPolicy" || name == "Do" && usesResilience(v) {
-				ev.capped = true
-				ev.sleeps = true
-			}
-		case *ast.BinaryExpr:
-			if !errIdentSeen && isErrNilCheck(v) {
-				errIdentSeen = true
-			}
-		}
-		return true
-	})
-	return funcRead{ev: ev, sleepsDirectly: direct, callees: [2]int{first, len(*callees)}}
+	ast.Walk(r, fd.Body)
+	return funcRead{ev: r.ev, sleepsDirectly: r.direct, callees: [2]int{first, len(r.callees)}}
 }
 
-// loopSwitchesStatusAndPauses recognizes the error-code retry shape: a
-// loop whose body switches on some status value and sleeps in at least
-// one branch before the next iteration.
-func loopSwitchesStatusAndPauses(body *ast.BlockStmt) bool {
-	hasSwitch, hasSleep := false, false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.SwitchStmt:
-			hasSwitch = true
-		case *ast.CallExpr:
-			if strings.Contains(strings.ToLower(calleeName(v)), "sleep") {
-				hasSleep = true
-			}
+func (r *reader) noteComments(cg *ast.CommentGroup) {
+	for _, c := range cg.List {
+		if r.ev.commentRetry && r.ev.pollish {
+			return
 		}
-		return !(hasSwitch && hasSleep)
-	})
-	return hasSwitch && hasSleep
+		if commentDirective(c.Text) {
+			continue
+		}
+		got := vocab().match(c.Text, unless(r.ev.commentRetry, listRetryComment)|unless(r.ev.pollish, listPoll))
+		r.ev.commentRetry = r.ev.commentRetry || got&listRetryComment != 0
+		r.ev.pollish = r.ev.pollish || got&listPoll != 0
+	}
 }
 
-// loopHandlesError reports whether a loop body contains an error-nil check
-// — the model's rough notion of "checks for exceptions or errors before
-// retry" from prompt Q1.
-func loopHandlesError(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if ifs, ok := n.(*ast.IfStmt); ok {
-			if bin, ok := ifs.Cond.(*ast.BinaryExpr); ok && isErrNilCheck(bin) {
-				found = true
+// Visit reads one node of a function body; a nil node closes the last
+// node visited that is still open. Identifiers and literals have no
+// children, so they are not walked into and get no closing visit.
+func (r *reader) Visit(n ast.Node) ast.Visitor {
+	ev := &r.ev
+	switch v := n.(type) {
+	case nil:
+		if k := len(r.loops) - 1; k >= 0 && r.loops[k].depth == r.depth {
+			r.closeLoop(r.loops[k])
+			r.loops = r.loops[:k]
+		}
+		r.depth--
+		return nil
+	case *ast.Ident:
+		if want := unless(ev.identRetry, listRetryIdent) | unless(ev.identRetryWeak, listWeakIdent) | unless(ev.pollish, listPoll); want != 0 {
+			got := vocab().match(v.Name, want)
+			ev.identRetry = ev.identRetry || got&listRetryIdent != 0
+			ev.identRetryWeak = ev.identRetryWeak || got&listWeakIdent != 0
+			ev.pollish = ev.pollish || got&listPoll != 0
+		}
+		return nil
+	case *ast.BasicLit:
+		if !ev.identRetry && v.Kind == token.STRING && vocab().has(v.Value, listRetryIdent) {
+			ev.identRetry = true
+		}
+		return nil
+	case *ast.BlockStmt:
+		if k := len(r.loops) - 1; k >= 0 && r.loops[k].body == v {
+			r.loops[k].errChecks, r.loops[k].switches, r.loops[k].sleeps = r.errChecks, r.switches, r.sleeps
+		}
+	case *ast.ForStmt:
+		if !ev.loopErrOnErr || !ev.statusLoop {
+			r.loops = append(r.loops, openLoop{depth: r.depth + 1, body: v.Body})
+		}
+		if !ev.capped && boundedLoopCond(v.Cond) {
+			ev.capped = true
+		}
+	case *ast.RangeStmt:
+		if !ev.loopErrOnErr || !ev.capped {
+			r.loops = append(r.loops, openLoop{depth: r.depth + 1, body: v.Body, rng: true})
+		}
+	case *ast.IfStmt:
+		if !ev.capped && attemptComparison(v.Cond) {
+			ev.capped = true
+		}
+		if len(r.loops) > 0 {
+			if bin, ok := v.Cond.(*ast.BinaryExpr); ok && isErrNilCheck(bin) {
+				r.errChecks++
 			}
 		}
-		return !found
-	})
-	return found
+	case *ast.SwitchStmt:
+		r.switches++
+		if tag, ok := v.Tag.(*ast.Ident); ok && vocab().has(tag.Name, listState) {
+			ev.stateMach = true
+		}
+		if sel, ok := v.Tag.(*ast.SelectorExpr); ok && vocab().has(sel.Sel.Name, listState) {
+			ev.stateMach = true
+		}
+	case *ast.CallExpr:
+		// Sleeps count for the open loops even once the function is
+		// known to sleep.
+		if r.direct && (len(r.loops) == 0 || ev.statusLoop) && ev.requeue && ev.pollish && ev.capped {
+			break
+		}
+		name := calleeName(v)
+		got := vocab().match(name, listSleep|unless(ev.requeue, listRequeue)|unless(ev.pollish, listCAS))
+		if got&listSleep != 0 {
+			ev.sleeps, r.direct = true, true
+			r.sleeps++
+		} else if !ev.sleeps {
+			r.callees = append(r.callees, name)
+		}
+		if got&listRequeue != 0 || !ev.requeue && (name == "Put" || name == "Enqueue" || name == "Submit") && receiverIsQueue(v) {
+			ev.requeue = ev.requeue || r.errIdentSeen
+		}
+		if got&listCAS != 0 {
+			ev.pollish = true
+		}
+		if name == "NewPolicy" || name == "Do" && usesResilience(v) {
+			ev.capped = true
+			ev.sleeps = true
+		}
+	case *ast.BinaryExpr:
+		if !r.errIdentSeen && isErrNilCheck(v) {
+			r.errIdentSeen = true
+		}
+	}
+	r.depth++
+	return r
+}
+
+// closeLoop sets the flags a loop's body earns, once the walk leaves
+// it: a body that checks an error re-checks it on the next iteration
+// (prompt Q1's "checks for exceptions or errors before retry"), and a
+// for body that switches on a status and sleeps is the error-code retry
+// shape.
+func (r *reader) closeLoop(l openLoop) {
+	handlesErr := r.errChecks > l.errChecks
+	if l.rng {
+		// Ranging over a fixed collection is inherently bounded.
+		if handlesErr {
+			r.ev.loopErrOnErr, r.ev.capped = true, true
+		}
+		return
+	}
+	r.ev.loopErrOnErr = r.ev.loopErrOnErr || handlesErr
+	r.ev.statusLoop = r.ev.statusLoop || r.switches > l.switches && r.sleeps > l.sleeps
 }
 
 func isErrNilCheck(bin *ast.BinaryExpr) bool {
@@ -436,9 +552,9 @@ func isErrNilCheck(bin *ast.BinaryExpr) bool {
 	isErrName := func(e ast.Expr) bool {
 		switch v := e.(type) {
 		case *ast.Ident:
-			return strings.HasSuffix(strings.ToLower(v.Name), "err") || v.Name == "e"
+			return hasLowerSuffix(v.Name, "err") || v.Name == "e"
 		case *ast.SelectorExpr:
-			return strings.HasSuffix(strings.ToLower(v.Sel.Name), "err")
+			return hasLowerSuffix(v.Sel.Name, "err")
 		}
 		return false
 	}
@@ -476,9 +592,9 @@ func attemptComparison(cond ast.Expr) bool {
 	mentionsAttempt := func(e ast.Expr) bool {
 		switch v := e.(type) {
 		case *ast.Ident:
-			return containsAny(strings.ToLower(v.Name), attemptWords)
+			return vocab().has(v.Name, listAttempt)
 		case *ast.SelectorExpr:
-			return containsAny(strings.ToLower(v.Sel.Name), attemptWords)
+			return vocab().has(v.Sel.Name, listAttempt)
 		}
 		return false
 	}
@@ -494,9 +610,9 @@ func receiverIsQueue(call *ast.CallExpr) bool {
 	}
 	switch x := sel.X.(type) {
 	case *ast.Ident:
-		return strings.Contains(strings.ToLower(x.Name), "queue")
+		return vocab().has(x.Name, listQueue)
 	case *ast.SelectorExpr:
-		return strings.Contains(strings.ToLower(x.Sel.Name), "queue")
+		return vocab().has(x.Sel.Name, listQueue)
 	}
 	return false
 }
@@ -521,9 +637,9 @@ func usesResilience(call *ast.CallExpr) bool {
 	}
 	switch x := sel.X.(type) {
 	case *ast.Ident:
-		return strings.Contains(strings.ToLower(x.Name), "policy")
+		return vocab().has(x.Name, listPolicy)
 	case *ast.SelectorExpr:
-		return strings.Contains(strings.ToLower(x.Sel.Name), "policy")
+		return vocab().has(x.Sel.Name, listPolicy)
 	}
 	return false
 }

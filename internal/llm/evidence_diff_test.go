@@ -119,6 +119,14 @@ func FuzzEvidenceMatchesReference(f *testing.F) {
 	// A sleep helper declared after its caller, and one whose sleep
 	// follows a resilience policy call.
 	f.Add([]byte("package p\n\nfunc A(err error) {\n\tfor err != nil {\n\t\tpause()\n\t}\n}\n\nfunc pause() { time.Sleep(1) }\n\nfunc C(q Queue, err error) {\n\tif err != nil {\n\t\tq.Put(1)\n\t}\n\tresilience.NewPolicy()\n\tspin()\n\ttime.Sleep(2)\n}\n\nfunc D() { C(nil, nil) }\n"))
+	// A loop's header is not its body: an error check or a switch and
+	// a sleep in a closure of the header do not make the loop handle an
+	// error or pause on a status, while nested loops' bodies count for
+	// the loops around them.
+	f.Add([]byte("package p\n\nfunc F(err error) {\n\tfor i := func() int { if err != nil { return 1 }; switch { }; time.Sleep(1); return 0 }(); i < 3; i++ {\n\t}\n\tfor range func() []int { if err != nil { return nil }; return nil }() {\n\t}\n}\n\nfunc G(err error) {\n\tfor {\n\t\tfor _, x := range xs {\n\t\t\tswitch x {\n\t\t\t}\n\t\t}\n\t\tfor {\n\t\t\tif err != nil {\n\t\t\t\tpause()\n\t\t\t}\n\t\t\tclock.Sleep(1)\n\t\t}\n\t}\n}\n"))
+	// Once a function is known to sleep, requeue, poll and be capped,
+	// a call can still be the sleep of a status loop.
+	f.Add([]byte("package p\n\nfunc H(q Queue, err error) {\n\ttime.Sleep(1)\n\tif err != nil {\n\t\tq.Requeue(1)\n\t}\n\tpoll()\n\tfor i := 0; i < 3; i++ {\n\t\tswitch i {\n\t\t}\n\t\tclock.Sleep(1)\n\t}\n}\n"))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		diff, err := llm.DiffEvidence("fuzz.go", src)
 		if err != nil {

@@ -14,7 +14,9 @@ import (
 // gatherEvidence replaced: it scans every comment group of the file for
 // each function, lowercases a string once per word list, and evaluates
 // every check even when its flag is already set. It is the oracle of the
-// differential tests (evidence_diff_test.go); keep it as it is.
+// differential tests (evidence_diff_test.go); keep it as it is. The
+// checks whose production versions read text through the vocabulary
+// automaton are copied here as they were.
 func referenceEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, localSleepFuncs map[string]bool) evidence {
 	var ev evidence
 
@@ -76,7 +78,7 @@ func referenceEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, local
 			}
 			ev.capped = ev.capped || loopHandlesError(v.Body)
 		case *ast.IfStmt:
-			if attemptComparison(v.Cond) {
+			if referenceAttemptComparison(v.Cond) {
 				ev.capped = true
 			}
 		case *ast.SwitchStmt:
@@ -93,18 +95,18 @@ func referenceEvidence(fd *ast.FuncDecl, fileComments []*ast.CommentGroup, local
 				ev.sleeps = true
 			}
 			if strings.Contains(low, "requeue") || strings.Contains(low, "resubmit") ||
-				((name == "Put" || name == "Enqueue" || name == "Submit") && receiverIsQueue(v)) {
+				((name == "Put" || name == "Enqueue" || name == "Submit") && referenceReceiverIsQueue(v)) {
 				ev.requeue = ev.requeue || errIdentSeen
 			}
 			if strings.Contains(low, "compareandswap") || strings.Contains(low, "compareandset") {
 				ev.pollish = true
 			}
-			if name == "NewPolicy" || name == "Do" && usesResilience(v) {
+			if name == "NewPolicy" || name == "Do" && referenceUsesResilience(v) {
 				ev.capped = true
 				ev.sleeps = true
 			}
 		case *ast.BinaryExpr:
-			if isErrNilCheck(v) {
+			if referenceIsErrNilCheck(v) {
 				errIdentSeen = true
 			}
 		}
@@ -176,4 +178,108 @@ func localSleepFunctions(f *ast.File) map[string]bool {
 		}
 	}
 	return out
+}
+
+// loopSwitchesStatusAndPauses is the reference's re-walk of a for body
+// for the error-code retry shape: a switch on some status value and a
+// sleep in at least one branch before the next iteration.
+func loopSwitchesStatusAndPauses(body *ast.BlockStmt) bool {
+	hasSwitch, hasSleep := false, false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.SwitchStmt:
+			hasSwitch = true
+		case *ast.CallExpr:
+			if strings.Contains(strings.ToLower(calleeName(v)), "sleep") {
+				hasSleep = true
+			}
+		}
+		return !(hasSwitch && hasSleep)
+	})
+	return hasSwitch && hasSleep
+}
+
+// loopHandlesError is the reference's re-walk of a loop body for an
+// error-nil check.
+func loopHandlesError(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if ifs, ok := n.(*ast.IfStmt); ok {
+			if bin, ok := ifs.Cond.(*ast.BinaryExpr); ok && referenceIsErrNilCheck(bin) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+func referenceIsErrNilCheck(bin *ast.BinaryExpr) bool {
+	isNil := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && id.Name == "nil"
+	}
+	isErrName := func(e ast.Expr) bool {
+		switch v := e.(type) {
+		case *ast.Ident:
+			return strings.HasSuffix(strings.ToLower(v.Name), "err") || v.Name == "e"
+		case *ast.SelectorExpr:
+			return strings.HasSuffix(strings.ToLower(v.Sel.Name), "err")
+		}
+		return false
+	}
+	if bin.Op != token.NEQ && bin.Op != token.EQL {
+		return false
+	}
+	return (isNil(bin.X) && isErrName(bin.Y)) || (isNil(bin.Y) && isErrName(bin.X))
+}
+
+func referenceAttemptComparison(cond ast.Expr) bool {
+	bin, ok := cond.(*ast.BinaryExpr)
+	if !ok {
+		return false
+	}
+	switch bin.Op {
+	case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
+	default:
+		return false
+	}
+	mentionsAttempt := func(e ast.Expr) bool {
+		switch v := e.(type) {
+		case *ast.Ident:
+			return referenceContainsAny(v.Name, attemptWords)
+		case *ast.SelectorExpr:
+			return referenceContainsAny(v.Sel.Name, attemptWords)
+		}
+		return false
+	}
+	return mentionsAttempt(bin.X) || mentionsAttempt(bin.Y)
+}
+
+func referenceReceiverIsQueue(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	switch x := sel.X.(type) {
+	case *ast.Ident:
+		return strings.Contains(strings.ToLower(x.Name), "queue")
+	case *ast.SelectorExpr:
+		return strings.Contains(strings.ToLower(x.Sel.Name), "queue")
+	}
+	return false
+}
+
+func referenceUsesResilience(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	switch x := sel.X.(type) {
+	case *ast.Ident:
+		return strings.Contains(strings.ToLower(x.Name), "policy")
+	case *ast.SelectorExpr:
+		return strings.Contains(strings.ToLower(x.Sel.Name), "policy")
+	}
+	return false
 }

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // findRetryLoops runs the cross-file half of the control-flow + naming
@@ -223,35 +224,39 @@ func stmtTerminates(s ast.Stmt) bool {
 	}
 }
 
-// hasRetryKeyword implements the naming heuristic: the loop node contains
-// an identifier, selector, or string literal whose lowercase form contains
-// "retry" or "retrie" (covering "retries"). Comments are NOT consulted,
-// matching the paper's CodeQL query.
-func hasRetryKeyword(loop ast.Node) bool {
-	found := false
-	ast.Inspect(loop, func(n ast.Node) bool {
-		if found {
-			return false
+// containsRetryWord is the naming heuristic: a loop is keyworded when
+// it contains an identifier, selector, or string literal whose lowercase
+// form contains "retry", "retrie" (covering "retries"), "reattempt" or
+// "resubmit". Comments are NOT consulted, matching the paper's CodeQL
+// query. ASCII text is compared without lowercasing it; other text is
+// lowercased by strings.ToLower, whose Unicode rules can yield ASCII
+// letters.
+func containsRetryWord(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			l := strings.ToLower(s)
+			return strings.Contains(l, "retry") || strings.Contains(l, "retrie") ||
+				strings.Contains(l, "reattempt") || strings.Contains(l, "resubmit")
 		}
-		switch v := n.(type) {
-		case *ast.Ident:
-			if containsRetryWord(v.Name) {
-				found = true
-			}
-		case *ast.BasicLit:
-			if v.Kind == token.STRING && containsRetryWord(v.Value) {
-				found = true
+		// Every word starts "re": c|0x20 folds only 'R' to 'r' and 'E'
+		// to 'e'.
+		if c|0x20 == 'r' && i+1 < len(s) && s[i+1]|0x20 == 'e' {
+			rest := s[i:]
+			if hasPrefixFold(rest, "retry") || hasPrefixFold(rest, "retrie") ||
+				hasPrefixFold(rest, "reattempt") || hasPrefixFold(rest, "resubmit") {
+				return true
 			}
 		}
-		return !found
-	})
-	return found
+	}
+	return false
 }
 
-func containsRetryWord(s string) bool {
-	l := strings.ToLower(s)
-	return strings.Contains(l, "retry") || strings.Contains(l, "retrie") ||
-		strings.Contains(l, "reattempt") || strings.Contains(l, "resubmit")
+// hasPrefixFold reports whether s starts with the lower-case ASCII word
+// w in either case. A non-ASCII byte among the first len(w) leaves
+// fewer runes there than w has, so it never matches.
+func hasPrefixFold(s, w string) bool {
+	return len(s) >= len(w) && strings.EqualFold(s[:len(w)], w)
 }
 
 // excludedExceptions finds the "catch and abort" pattern: an if statement

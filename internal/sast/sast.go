@@ -137,13 +137,18 @@ func parseThrows(doc *ast.CommentGroup) []string {
 		return nil
 	}
 	for _, c := range doc.List {
+		if !strings.Contains(c.Text, "Throws:") {
+			continue
+		}
 		line := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 		if !strings.HasPrefix(line, "Throws:") {
 			continue
 		}
 		line = strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(line, "Throws:")), ".")
 		var out []string
-		for _, part := range strings.Split(line, ",") {
+		for more := true; more; {
+			var part string
+			part, line, more = strings.Cut(line, ",")
 			if p := strings.TrimSpace(part); p != "" {
 				out = append(out, p)
 			}
@@ -247,27 +252,29 @@ func bareCalleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// callNamesIn collects the bare callee names of a block, deduped and
-// sorted — the canonical facts form. Only the set matters: every
-// consumer re-sorts its resolved output, so recording names instead of
-// resolved methods loses nothing.
-func callNamesIn(body *ast.BlockStmt) []string {
-	var out []string
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if name := bareCalleeName(call); name != "" {
-				out = append(out, name)
-			}
-		}
-		return true
-	})
-	return sortedUnique(out)
-}
-
-// sortedUnique sorts names and drops repeats in place; nil stays nil.
-func sortedUnique(names []string) []string {
+// uniqueNames returns names sorted without repeats, in a new slice, or
+// nil when there are none: the canonical facts form of a list of callee
+// names. It sorts names in place. Only the set matters: every consumer
+// re-sorts its resolved output, so recording names instead of resolved
+// methods loses nothing.
+func uniqueNames(names []string) []string {
+	if len(names) == 0 {
+		return nil
+	}
 	slices.Sort(names)
-	return slices.Compact(names)
+	n := 1
+	for i := 1; i < len(names); i++ {
+		if names[i] != names[i-1] {
+			n++
+		}
+	}
+	out := make([]string, 0, n)
+	for i, name := range names {
+		if i == 0 || name != names[i-1] {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // sortedClasses renders an exception-class set in canonical slice form.

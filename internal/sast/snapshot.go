@@ -13,6 +13,7 @@ package sast
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 
 	"wasabi/internal/source"
 )
@@ -61,7 +62,13 @@ func extractFacts(f *source.File) (*FileFacts, error) {
 	if err != nil {
 		return nil, err
 	}
-	ff := &FileFacts{Schema: FactsSchema, Hash: f.SHA256, Pkg: syntax.Name.Name}
+	return factsOf(syntax, f.Fset, f.SHA256), nil
+}
+
+// factsOf extracts the facts of a parsed file whose content hash is
+// hash, reading each function body in one walk.
+func factsOf(syntax *ast.File, fset *token.FileSet, hash string) *FileFacts {
+	ff := &FileFacts{Schema: FactsSchema, Hash: hash, Pkg: syntax.Name.Name}
 	n := 0
 	for _, d := range syntax.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -71,51 +78,109 @@ func extractFacts(f *source.File) (*FileFacts, error) {
 	if n > 0 {
 		ff.Funcs = make([]FuncFacts, 0, n)
 	}
+	x := extractor{file: fset.File(syntax.Package)}
 	for _, d := range syntax.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		fn := FuncFacts{Key: FuncKey(fd), Throws: parseThrows(fd.Doc)}
-		// One walk of the body finds the fault hook, the callee names
-		// and the loop candidates.
-		var calls []string
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch v := n.(type) {
-			case *ast.SelectorExpr:
-				fn.HasHook = fn.HasHook || isFaultHook(v)
-				return true
-			case *ast.CallExpr:
-				if name := bareCalleeName(v); name != "" {
-					calls = append(calls, name)
-				}
-				return true
-			case *ast.ForStmt:
-				body = v.Body
-			case *ast.RangeStmt:
-				body = v.Body
-			default:
-				return true
-			}
-			if !catchReachesHeader(body) {
-				return true
-			}
-			lf := LoopFacts{
-				Line:      f.Fset.Position(n.Pos()).Line,
-				Keyworded: hasRetryKeyword(n),
-			}
-			if lf.Keyworded {
-				lf.Excluded = sortedClasses(excludedExceptions(body))
-				lf.Calls = callNamesIn(body)
-			}
-			fn.Loops = append(fn.Loops, lf)
-			return true
-		})
-		fn.Calls = sortedUnique(calls)
-		ff.Funcs = append(ff.Funcs, fn)
+		ff.Funcs = append(ff.Funcs, FuncFacts{Key: FuncKey(fd), Throws: parseThrows(fd.Doc)})
+		x.fn = &ff.Funcs[len(ff.Funcs)-1]
+		x.calls = x.calls[:0]
+		ast.Walk(&x, fd.Body)
+		x.fn.Calls = uniqueNames(x.calls)
 	}
-	return ff, nil
+	return ff
+}
+
+// extractor reads one function body in one walk (an ast.Visitor): the
+// fault hook, the callee names, and the loop candidates with what the
+// retry-naming filter and the callee names of their bodies need.
+type extractor struct {
+	file *token.File // the positions of the file read
+
+	fn    *FuncFacts // the function being read, in place in the file's facts
+	calls []string   // the body's callee names in preorder
+	depth int        // of the last node visited that is still open
+	// loops are the candidate loops open at the node being visited,
+	// innermost last. A loop's keyword flag and callee names are read off
+	// keywords and calls when the walk leaves it: the names a loop body
+	// calls are a contiguous run of calls.
+	loops    []candidateLoop
+	keywords int // retry-keyword identifiers and literals seen inside a candidate
+}
+
+// candidateLoop is one candidate loop the walk has not left yet.
+type candidateLoop struct {
+	depth    int
+	body     *ast.BlockStmt
+	fact     int // its index in fn.Loops
+	keywords int // the extractor's count when the loop began
+	calls    int // len(calls) when the body began
+}
+
+// Visit reads one node of a function body; a nil node closes the last
+// node visited that is still open. Identifiers and literals have no
+// children, so they are not walked into and get no closing visit.
+func (x *extractor) Visit(n ast.Node) ast.Visitor {
+	var body *ast.BlockStmt
+	switch v := n.(type) {
+	case nil:
+		if k := len(x.loops) - 1; k >= 0 && x.loops[k].depth == x.depth {
+			x.closeLoop(x.loops[k])
+			x.loops = x.loops[:k]
+		}
+		x.depth--
+		return nil
+	case *ast.Ident:
+		x.noteKeyword(v.Name)
+		return nil
+	case *ast.BasicLit:
+		if v.Kind == token.STRING {
+			x.noteKeyword(v.Value)
+		}
+		return nil
+	case *ast.SelectorExpr:
+		x.fn.HasHook = x.fn.HasHook || isFaultHook(v)
+	case *ast.CallExpr:
+		if name := bareCalleeName(v); name != "" {
+			x.calls = append(x.calls, name)
+		}
+	case *ast.BlockStmt:
+		if k := len(x.loops) - 1; k >= 0 && x.loops[k].body == v {
+			x.loops[k].calls = len(x.calls)
+		}
+	case *ast.ForStmt:
+		body = v.Body
+	case *ast.RangeStmt:
+		body = v.Body
+	}
+	x.depth++
+	if body != nil && catchReachesHeader(body) {
+		x.loops = append(x.loops, candidateLoop{depth: x.depth, body: body, fact: len(x.fn.Loops), keywords: x.keywords})
+		x.fn.Loops = append(x.fn.Loops, LoopFacts{Line: x.file.Line(n.Pos())})
+	}
+	return x
+}
+
+// noteKeyword counts s when it carries a retry keyword and some open
+// candidate loop has none yet. The innermost opened last, so once it has
+// one, every open loop has.
+func (x *extractor) noteKeyword(s string) {
+	if k := len(x.loops) - 1; k >= 0 && x.keywords == x.loops[k].keywords && containsRetryWord(s) {
+		x.keywords++
+	}
+}
+
+// closeLoop completes a candidate's facts once the walk leaves it. Only
+// a keyworded loop records its exclusions and callee names.
+func (x *extractor) closeLoop(l candidateLoop) {
+	lf := &x.fn.Loops[l.fact]
+	lf.Keyworded = x.keywords > l.keywords
+	if lf.Keyworded {
+		lf.Excluded = sortedClasses(excludedExceptions(l.body))
+		lf.Calls = uniqueNames(x.calls[l.calls:])
+	}
 }
 
 // AnalyzeSnapshot runs the retry-loop analysis over a pre-loaded

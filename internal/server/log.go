@@ -15,9 +15,11 @@
 package server
 
 import (
+	"context"
 	"io"
 	"log/slog"
 	"math"
+	"time"
 )
 
 // Log event names. One constant per distinct daemon happening; the
@@ -59,13 +61,18 @@ func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 }
 
-// jobAttrs renders a job's correlation identity as slog attrs — the
-// prefix every job-scoped event carries.
-func jobAttrs(j *job) []any {
-	return []any{"job_id", j.id, "tenant", j.tenant, "trace_id", j.traceID}
-}
-
-// logJob emits a job-scoped event with the correlation identity first.
+// logJob emits a job-scoped event at Info with the job's correlation
+// identity (job_id, tenant, trace_id) first. It hands the record to the
+// handler itself, as Logger.Info would but with no caller PC: Info
+// walks the stack for one on every record, and the daemon's handlers
+// (cmd/wasabid's buildLogger) do not set AddSource, so none reads it.
 func (s *Server) logJob(ev string, j *job, args ...any) {
-	s.log.Info(ev, append(jobAttrs(j), args...)...)
+	h := s.log.Handler()
+	if !h.Enabled(context.Background(), slog.LevelInfo) {
+		return
+	}
+	r := slog.NewRecord(time.Now(), slog.LevelInfo, ev, 0)
+	r.AddAttrs(slog.String("job_id", j.id), slog.String("tenant", j.tenant), slog.String("trace_id", j.traceID))
+	r.Add(args...)
+	_ = h.Handle(context.Background(), r)
 }

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"syscall"
 	"testing"
 
 	"wasabi/internal/obs"
@@ -249,6 +250,52 @@ func TestStatCheckMatchesDisk(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWatchRetiredBySelfEvents: an event that says a watched directory
+// itself is deleted, moved, no longer watched or unmounted retires its
+// watch, whatever the directory's path leads to afterwards: the next
+// load reads every file of the directory and arms it again, so the load
+// after that reads none. The events are applied by hand, since a real
+// deletion or rename also shows in the stat of the directory's path.
+func TestWatchRetiredBySelfEvents(t *testing.T) {
+	dir := writeDir(t, map[string]string{"a.go": "package demo\n", "b.go": "package demo // b\n", "c.go": "package demo // c\n"})
+	reg := obs.NewRegistry()
+	st := source.NewStore(reg)
+	// reads loads dir and returns how many files the load read.
+	reads := func() int64 {
+		t.Helper()
+		before := reg.Snapshot().Counter("source_files_loaded_total")
+		if _, err := st.Load(dir); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Snapshot().Counter("source_files_loaded_total") - before
+	}
+	// A store watches a directory from its second load on.
+	reads()
+	reads()
+	if n := reads(); n != 0 {
+		t.Fatalf("a load of the watched directory read %d files, want 0", n)
+	}
+	for _, ev := range []struct {
+		name string
+		mask uint32
+	}{
+		{"IN_DELETE_SELF", syscall.IN_DELETE_SELF},
+		{"IN_MOVE_SELF", syscall.IN_MOVE_SELF},
+		{"IN_IGNORED", syscall.IN_IGNORED},
+		{"IN_UNMOUNT", syscall.IN_UNMOUNT},
+	} {
+		if !source.SelfEvent(st, dir, ev.mask) {
+			t.Fatalf("%s: the directory has no watch", ev.name)
+		}
+		if n := reads(); n != 3 {
+			t.Fatalf("%s: the next load read %d files, want all 3", ev.name, n)
+		}
+		if n := reads(); n != 0 {
+			t.Fatalf("%s: the load after read %d files, want 0 from the watch armed again", ev.name, n)
+		}
 	}
 }
 
